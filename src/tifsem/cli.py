@@ -8,10 +8,7 @@ diff-able.  Exit codes: 0 success, 1 domain error, 2 usage or I/O error.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import click
 
@@ -28,6 +25,7 @@ from tifsem.ingest import (
     parse_tif,
     validate_io,
 )
+from tifsem.ontology import InformationObject
 
 _BASE_OPTION = click.option(
     "--base",
@@ -40,42 +38,22 @@ _BASE_OPTION = click.option(
 _EXTENSION_FORMATS = {".nt": "nt", ".ttl": "ttl", ".jsonld": "jsonld"}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved parameters of one pipeline stage.
-
-    The output format may be given explicitly or inferred from the output
-    path's extension; when both are present they must agree.
-    """
-
-    base_iri: str = DEFAULT_BASE_IRI
-    profile_path: Optional[str] = None
-    rules_paths: tuple[str, ...] = ()
-    inputs: tuple[str, ...] = ()
-    output_path: str = ""
-    output_format: Optional[str] = None  # nt | ttl | jsonld
-
-    def __post_init__(self) -> None:
-        ext = _EXTENSION_FORMATS.get(Path(self.output_path).suffix.lower())
-        if self.output_format is not None and ext is not None and self.output_format != ext:
-            raise click.UsageError(
-                f"--format {self.output_format} conflicts with the "
-                f"{Path(self.output_path).suffix!r} output extension"
-            )
-
-    def resolved_format(self, default: str = "nt") -> str:
-        if self.output_format is not None:
-            return self.output_format
-        return _EXTENSION_FORMATS.get(Path(self.output_path).suffix.lower(), default)
+def _output_format(out_path: str, fmt: str | None) -> str:
+    """The output format: ``fmt`` if given, else the one the output path's
+    extension names, else nt.  When both are present they must agree."""
+    suffix = Path(out_path).suffix
+    ext = _EXTENSION_FORMATS.get(suffix.lower())
+    if fmt is not None and ext is not None and fmt != ext:
+        raise click.UsageError(f"--format {fmt} conflicts with the {suffix!r} output extension")
+    return fmt or ext or "nt"
 
 
-def _write_graph(g: Graph, config: PipelineConfig) -> None:
-    fmt = config.resolved_format()
+def _write_graph(g: Graph, out_path: str, fmt: str) -> None:
     try:
         if fmt == "ttl":
-            Path(config.output_path).write_text(serialize.to_turtle(g), encoding="utf-8")
+            Path(out_path).write_text(serialize.to_turtle(g), encoding="utf-8")
         elif fmt == "nt":
-            serialize.save_graph(g, config.output_path)
+            serialize.save_graph(g, out_path)
         else:
             raise click.UsageError(f"graph output does not support format {fmt!r}")
     except OSError as exc:
@@ -118,8 +96,40 @@ def main() -> None:
     """Turn TourInFrance XML dialects into a Schema.org-aligned graph."""
 
 
+def _parse_and_validate(
+    inputs: tuple[str, ...], profile_path: str | None,
+) -> tuple[list[InformationObject], list[ValidationIssue]]:
+    """Read the profile and every input, then parse and validate each one.
+
+    Returns the IOs free of error issues, in input order, and every issue in
+    report order: per document, its parse issues, then each IO's own.
+    """
+    profile = IDENTITY_PROFILE
+    if profile_path is not None:
+        try:
+            profile = load_profile(_read_text(profile_path))
+        except TifsemError as exc:
+            _fail(str(exc), 1)
+    documents = [RawDocument(source_uri=path, data=_read_bytes(path)) for path in inputs]
+    clean: list[InformationObject] = []
+    issues: list[ValidationIssue] = []
+    try:
+        for doc in documents:
+            ios, parse_issues = parse_tif(doc, profile)
+            issues.extend(parse_issues)
+            blocked = {i.io_id for i in parse_issues if i.severity == "error"}
+            for io in ios:
+                io_issues = validate_io(io)
+                issues.extend(io_issues)
+                if io.id not in blocked and all(i.severity != "error" for i in io_issues):
+                    clean.append(io)
+    except TifsemError as exc:
+        _fail(str(exc), 1)
+    return clean, issues
+
+
 @main.command()
-@click.argument("inputs", nargs=-1, type=click.Path())
+@click.argument("inputs", nargs=-1, required=True, type=click.Path())
 @click.option("--profile", "profile_path", type=click.Path(), help="Dialect profile JSON.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output graph file.")
 @click.option("--issues", "issues_path", type=click.Path(), help="Issue report path (default: OUT.issues.tsv).")
@@ -129,42 +139,14 @@ def main() -> None:
 def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
            issues_path: str | None, fmt: str | None, base: str) -> None:
     """Parse XML INPUTS into one canonical graph plus an issue report."""
-    if not inputs:
-        raise click.UsageError("at least one input file is required")
-    config = PipelineConfig(
-        base_iri=base, profile_path=profile_path, inputs=inputs,
-        output_path=out_path, output_format=fmt,
-    )
-    profile = IDENTITY_PROFILE
-    if profile_path is not None:
-        try:
-            profile = load_profile(_read_text(profile_path))
-        except TifsemError as exc:
-            _fail(str(exc), 1)
-
-    documents = [RawDocument(source_uri=path, data=_read_bytes(path)) for path in inputs]
+    fmt = _output_format(out_path, fmt)
+    ios, issues = _parse_and_validate(inputs, profile_path)
     g = Graph()
-    issues: list[ValidationIssue] = []
-    try:
-        # per-file parsing is pure, so files parse concurrently; merging
-        # stays sequential in input order to keep issue reports stable
-        with ThreadPoolExecutor(max_workers=min(8, len(documents))) as pool:
-            parsed = list(pool.map(lambda d: parse_tif(d, profile), documents))
-        for ios, parse_issues in parsed:
-            issues.extend(parse_issues)
-            for io in ios:
-                io_issues = validate_io(io)
-                issues.extend(io_issues)
-                blocking = any(i.severity == "error" for i in io_issues) or any(
-                    i.severity == "error" and i.io_id == io.id for i in parse_issues
-                )
-                if not blocking:
-                    assert_io(g, io, base)
-    except TifsemError as exc:
-        _fail(str(exc), 1)
+    for io in ios:
+        assert_io(g, io, base)
 
     issues_file = Path(issues_path) if issues_path else Path(out_path).with_suffix(".issues.tsv")
-    _write_graph(g, config)
+    _write_graph(g, out_path, fmt)
     try:
         issues_file.write_text(format_issues(issues), encoding="utf-8")
     except OSError as exc:
@@ -186,7 +168,7 @@ def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
               help="Graph format (default: from the output extension, else nt).")
 def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str, fmt: str | None) -> None:
     """Materialize Schema.org alignments into the graph."""
-    config = PipelineConfig(rules_paths=rules_paths, output_path=out_path, output_format=fmt)
+    fmt = _output_format(out_path, fmt)
     g = _load_graph(graph_path)
     rules = mapping.builtin_rules()
     for path in rules_paths:
@@ -197,7 +179,7 @@ def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str, fmt: s
     rules = list(dict.fromkeys(rules))
 
     report = mapping.materialize(g, rules)
-    _write_graph(g, config)
+    _write_graph(g, out_path, fmt)
 
     click.echo(f"inferred {report.inferred_triples} triple(s)")
     for line in mapping.check_consistency(rules):
@@ -227,7 +209,7 @@ def query_cmd(graph_path: str, query_path: str, fmt: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output .jsonld file.")
 def export(graph_path: str, root_iri: str, out_path: str) -> None:
     """Export one subject and its blank-node closure as JSON-LD."""
-    PipelineConfig(output_path=out_path, output_format="jsonld")
+    _output_format(out_path, "jsonld")
     g = _load_graph(graph_path)
     try:
         document = serialize.to_jsonld(g, IRI(root_iri))
@@ -242,28 +224,11 @@ def export(graph_path: str, root_iri: str, out_path: str) -> None:
 
 
 @main.command()
-@click.argument("inputs", nargs=-1, type=click.Path())
+@click.argument("inputs", nargs=-1, required=True, type=click.Path())
 @click.option("--profile", "profile_path", type=click.Path(), help="Dialect profile JSON.")
 def validate(inputs: tuple[str, ...], profile_path: str | None) -> None:
     """Parse and validate XML INPUTS, reporting issues as TSV on stdout."""
-    if not inputs:
-        raise click.UsageError("at least one input file is required")
-    profile = IDENTITY_PROFILE
-    if profile_path is not None:
-        try:
-            profile = load_profile(_read_text(profile_path))
-        except TifsemError as exc:
-            _fail(str(exc), 1)
-    issues: list[ValidationIssue] = []
-    try:
-        for path in inputs:
-            doc = RawDocument(source_uri=path, data=_read_bytes(path))
-            ios, parse_issues = parse_tif(doc, profile)
-            issues.extend(parse_issues)
-            for io in ios:
-                issues.extend(validate_io(io))
-    except TifsemError as exc:
-        _fail(str(exc), 1)
+    _, issues = _parse_and_validate(inputs, profile_path)
     click.echo(format_issues(issues), nl=False)
     if any(i.severity == "error" for i in issues):
         sys.exit(1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from tifsem.errors import ProfileError, XmlParseError
 from tifsem.ontology import (
@@ -220,22 +220,39 @@ class _Leaf:
     top_repeat: int  # 0-based repeat index of the top-level element among same-tag siblings
 
 
-def _walk_leaves(resource: ET.Element) -> Iterator[_Leaf]:
+def _walk_resource(resource: ET.Element) -> tuple[list[_Leaf], list[tuple[str, str, str]]]:
+    """One preorder traversal of a resource: its non-empty leaves, and a
+    warning for every plain (un-namespaced) attribute on it or below it."""
+    leaves: list[_Leaf] = []
+    warnings: list[tuple[str, str, str]] = []
+
+    def check_attributes(element: ET.Element, path: str) -> None:
+        warnings.extend(
+            ("warning", f"{path}/@{name}", "attribute ignored: not part of the tag vocabulary")
+            for name in element.attrib
+            if not name.startswith("{")
+        )
+
+    check_attributes(resource, resource.tag)
     tag_counts: dict[str, int] = {}
+    stack: list[tuple[ET.Element, str, str, int]] = []
     for top in resource:
         repeat = tag_counts.get(top.tag, 0)
         tag_counts[top.tag] = repeat + 1
-        stack: list[tuple[ET.Element, str]] = [(top, top.tag)]
-        while stack:
-            element, path = stack.pop()
-            children = list(element)
-            if not children:
-                text = (element.text or "").strip()
-                if text:
-                    yield _Leaf(path, text, top.tag, repeat)
-                continue
-            for child in reversed(children):
-                stack.append((child, f"{path}/{child.tag}"))
+        stack.append((top, top.tag, top.tag, repeat))
+    stack.reverse()
+    while stack:
+        element, path, top_tag, repeat = stack.pop()
+        check_attributes(element, f"{resource.tag}/{path}")
+        children = list(element)
+        if not children:
+            text = (element.text or "").strip()
+            if text:
+                leaves.append(_Leaf(path, text, top_tag, repeat))
+            continue
+        for child in reversed(children):
+            stack.append((child, f"{path}/{child.tag}", top_tag, repeat))
+    return leaves, warnings
 
 
 def _coerce(value: str, spec_type: FieldType):
@@ -243,9 +260,12 @@ def _coerce(value: str, spec_type: FieldType):
         return value
     if spec_type is FieldType.DECIMAL:
         try:
-            return Decimal(value)
+            number = Decimal(value)
         except InvalidOperation:
             raise ValueError(f"not a decimal: {value!r}")
+        if not number.is_finite():
+            raise ValueError(f"not a finite decimal: {value!r}")
+        return number
     if spec_type is FieldType.DATE:
         try:
             return datetime.date.fromisoformat(value)
@@ -295,15 +315,8 @@ def parse_tif(
         granules: dict[GranuleKind, list[Granule]] = {}
         instance_index: dict[tuple[str, int], Granule] = {}
         extensions: dict[str, str] = {}
-        resource_issues: list[tuple[str, str, str]] = []  # severity, path, message
-
-        for element_path, attributes in _walk_attributes(resource):
-            for name in attributes:
-                resource_issues.append(
-                    ("warning", f"{element_path}/@{name}", "attribute ignored: not part of the tag vocabulary")
-                )
-
-        for leaf in _walk_leaves(resource):
+        leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
+        for leaf in leaves:
             normalized = normalize_tag(leaf.raw_path, profile, snapshot)
             if normalized.disposition is TagDisposition.DROPPED:
                 continue
@@ -375,17 +388,6 @@ def parse_tif(
     return ios, issues
 
 
-def _walk_attributes(resource: ET.Element) -> Iterator[tuple[str, dict[str, str]]]:
-    stack: list[tuple[ET.Element, str]] = [(resource, resource.tag)]
-    while stack:
-        element, path = stack.pop()
-        plain = {k: v for k, v in element.attrib.items() if not k.startswith("{")}
-        if plain:
-            yield path, plain
-        for child in reversed(list(element)):
-            stack.append((child, f"{path}/{child.tag}"))
-
-
 def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = None) -> list[ValidationIssue]:
     """Check one IO against the granule schema; never mutates it.
 
@@ -428,7 +430,9 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
                 if not spec.accepts(value):
                     error(path, f"expected {spec.type.value} value, got {type(value).__name__}")
                     continue
-                if isinstance(value, Decimal) and not spec.in_bounds(value):
+                if isinstance(value, Decimal) and not value.is_finite():
+                    error(path, f"not a finite decimal: {value}")
+                elif isinstance(value, Decimal) and not spec.in_bounds(value):
                     error(path, f"value {value} outside [{spec.minimum}, {spec.maximum}]")
 
     for ext_iri, value in io.extensions.items():

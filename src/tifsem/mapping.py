@@ -2,9 +2,9 @@
 
 Concept-level rules (EquivalentClass, SubClassOf) retype nodes; property-level
 rules (EquivalentProperty, SubPropertyOf) mirror statements.  Materialization
-writes the inferred triples into the store eagerly, to a fixed point, so
-downstream exports carry the Schema.org annotations without query-time
-inference.
+writes every rule-implied triple into the store eagerly, leaving the graph at
+the rules' fixed point, so downstream exports carry the Schema.org
+annotations without query-time inference.
 """
 
 from __future__ import annotations
@@ -192,50 +192,49 @@ def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[str, set[str]], di
 
 
 def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> MappingReport:
-    """Write every rule-implied triple into the graph, to a fixed point.
+    """Write every rule-implied triple into the graph, reaching the fixed point
+    in one pass.
+
+    One pass is enough: the closures from ``_closure_maps`` are transitive
+    (equivalences already run both ways), so each asserted statement yields
+    all its consequences at once; and since no property rule may name
+    ``rdf:type``, class inferences never feed property rules or vice versa.
+    A property rule naming ``rdf:type`` raises :class:`RuleError`.
 
     Only adds statements, never removes; running it twice adds nothing.
     ``unmapped_sources`` collects granule classes and field properties that
     occur in the graph but have no applicable rule.
     """
     rules = builtin_rules() if rules is None else rules
+    for rule in rules:
+        if rule.relation in _PROPERTY_RELATIONS and RDF_TYPE in (rule.source, rule.target):
+            raise RuleError(
+                f"{rule.relation.value} rule may not name rdf:type: {rule.source} -> {rule.target}"
+            )
     snapshot = load_core_ontology()
     class_closure, prop_closure = _closure_maps(rules)
     rdf_type = IRI(RDF_TYPE)
 
-    inferred = 0
-    unmapped: set[str] = set()
+    inferred: list[Triple] = []
+    for source, targets in class_closure.items():
+        for t in g.match(predicate=rdf_type, object=IRI(source)):
+            inferred.extend(Triple(t.subject, rdf_type, IRI(target)) for target in targets)
+    for source, targets in prop_closure.items():
+        for t in g.match(predicate=IRI(source)):
+            inferred.extend(Triple(t.subject, IRI(target), t.object) for target in targets)
+    added = sum(g.insert(t) for t in inferred)
+
     structural = {RDF_TYPE, TIFSEM_NS + "hasGranule"}
-    granule_classes = {class_of(k) for k in GranuleKind}
-
-    while True:
-        added = 0
-        for t in list(g.match(predicate=rdf_type)):
-            if not isinstance(t.object, IRI):
-                continue
-            targets = class_closure.get(t.object.value)
-            if targets is None:
-                if t.object.value in granule_classes:
-                    unmapped.add(t.object.value)
-                continue
-            for target in targets:
-                added += g.insert(Triple(t.subject, rdf_type, IRI(target)))
-
-        for t in list(g):
-            pred = t.predicate.value
-            targets = prop_closure.get(pred)
-            if targets is None:
-                if pred in snapshot.properties and pred.startswith(TIFSEM_NS) and pred not in structural:
-                    unmapped.add(pred)
-                continue
-            for target in targets:
-                added += g.insert(Triple(t.subject, IRI(target), t.object))
-
-        inferred += added
-        if added == 0:
-            break
-
-    return MappingReport(inferred_triples=inferred, unmapped_sources=unmapped)
+    unmapped = {
+        c for c in map(class_of, GranuleKind)
+        if c not in class_closure and any(g.match(predicate=rdf_type, object=IRI(c)))
+    }
+    unmapped.update(
+        p for p in snapshot.properties
+        if p.startswith(TIFSEM_NS) and p not in structural and p not in prop_closure
+        and any(g.match(predicate=IRI(p)))
+    )
+    return MappingReport(inferred_triples=added, unmapped_sources=unmapped)
 
 
 def check_consistency(

@@ -172,11 +172,6 @@ class GranuleSchema:
     def predicate(self, field_name: str) -> str:
         return TIFSEM_NS + _camel(field_name)
 
-    @property
-    def xml_field_names(self) -> tuple[str, ...]:
-        """Fields ingestable from XML text (geopoints are programmatic only)."""
-        return tuple(n for n, s in self.fields.items() if s.type is not FieldType.GEOPOINT)
-
 
 def _schema(kind: GranuleKind, tag: str, **fields: FieldSpec) -> GranuleSchema:
     return GranuleSchema(kind=kind, tag=tag, fields=MappingProxyType(dict(fields)))
@@ -379,9 +374,6 @@ class OntologySnapshot:
     def tifsem_classes(self) -> frozenset[str]:
         return frozenset(i for i in self.concepts if i.startswith(TIFSEM_NS))
 
-    def schema_classes(self) -> frozenset[str]:
-        return frozenset(i for i in self.concepts if i.startswith(SCHEMA_NS))
-
     def kind_for_tag(self, tag: str) -> Optional[GranuleKind]:
         return self._tags.get(tag)
 
@@ -458,7 +450,11 @@ def load_core_ontology() -> OntologySnapshot:
 
 
 def decimal_lexical(value: Decimal | float | int) -> str:
-    """Plain-notation lexical form for a decimal literal (never scientific)."""
+    """Plain-notation lexical form for a decimal literal (never scientific).
+
+    Raises ValueError for NaN and infinities, which xsd:decimal cannot spell.
+    """
     d = value if isinstance(value, Decimal) else Decimal(repr(float(value)))
-    text = format(d, "f")
-    return text
+    if not d.is_finite():
+        raise ValueError(f"not a finite decimal: {value!r}")
+    return format(d, "f")

@@ -184,9 +184,6 @@ class SolutionTable:
     variables: list[str]
     rows: list[tuple[Term, ...]]
 
-    def as_dicts(self) -> list[dict[str, Term]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -594,12 +591,18 @@ def filter_within(distance_m: float, threshold_m: float) -> bool:
     return distance_m < threshold_m
 
 
+def _finite_decimal(lexical: str) -> Optional[Decimal]:
+    """The decimal a lexical form denotes; None when it is not a finite number."""
+    try:
+        value = Decimal(lexical)
+    except InvalidOperation:
+        return None
+    return value if value.is_finite() else None
+
+
 def _numeric(term: Term) -> Optional[Decimal]:
     if isinstance(term, Literal) and term.datatype in _NUMERIC_DATATYPES:
-        try:
-            return Decimal(term.lexical)
-        except InvalidOperation:
-            return None
+        return _finite_decimal(term.lexical)
     return None
 
 
@@ -656,12 +659,7 @@ def resolve_point(term: Term, g: Graph) -> Optional[GeoPoint]:
 def _coordinate(subject, prop: str, g: Graph) -> Optional[Decimal]:
     values = []
     for t in g.match(subject=subject, predicate=IRI(prop)):
-        value = _numeric(t.object) if isinstance(t.object, Literal) else None
-        if value is None and isinstance(t.object, Literal):
-            try:
-                value = Decimal(t.object.lexical)
-            except InvalidOperation:
-                value = None
+        value = _finite_decimal(t.object.lexical) if isinstance(t.object, Literal) else None
         if value is not None:
             values.append(value)
     return min(values) if values else None

@@ -361,9 +361,5 @@ def ontology_to_graph(snapshot: OntologySnapshot) -> Graph:
     return g
 
 
-def load_graph(path: str | Path) -> Graph:
-    return from_ntriples(Path(path).read_text(encoding="utf-8"))
-
-
 def save_graph(g: Graph, path: str | Path, ascii_only: bool = False) -> None:
     Path(path).write_text(to_ntriples(g, ascii_only), encoding="utf-8")

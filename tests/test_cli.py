@@ -9,7 +9,7 @@ from oracles import blank_closure, expand_jsonld, structural_form
 from tifsem import fixtures
 from tifsem.cli import main
 from tifsem.graph import Graph, IRI, assert_io, mint_io_iri
-from tifsem.ingest import RawDocument, parse_tif
+from tifsem.ingest import RawDocument, parse_tif, save_profile
 from tifsem.mapping import materialize
 from tifsem.query import evaluate, parse_query, to_csv
 from tifsem.serialize import from_ntriples, to_ntriples
@@ -213,6 +213,13 @@ class TestExport:
         closure = blank_closure(list(graph), IRI(root))
         assert structural_form(expanded, IRI(root)) == structural_form(closure, IRI(root))
 
+    def test_graph_extension_is_usage_error(self, runner, workspace):
+        result = run(runner, "export", "--graph", workspace / "missing.nt",
+                     "--root", "http://example.org/tifsem/io/HOT-001", "--out", workspace / "graph.nt")
+        assert result.exit_code == 2
+        assert "conflicts" in result.output
+        assert not (workspace / "graph.nt").exists()
+
     def test_missing_root_exits_1(self, runner, workspace):
         data = workspace / "data"
         run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
@@ -236,6 +243,62 @@ class TestValidate:
         result = run(runner, "validate", bad)
         assert result.exit_code == 1
         assert "ERROR\t" in result.output
+
+    def test_nan_latitude_is_an_error_line_not_a_crash(self, runner, tmp_path):
+        bad = tmp_path / "nan.xml"
+        bad.write_text("<TIF><Resource><Geolocation><Latitude>NaN</Latitude></Geolocation></Resource></TIF>")
+        result = run(runner, "validate", bad)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("ERROR\t")
+        assert "Geolocation/Latitude" in result.output
+
+    def test_unreadable_input_exits_2(self, runner, tmp_path):
+        result = run(runner, "validate", tmp_path / "missing.xml")
+        assert result.exit_code == 2
+
+
+class TestSharedParseAndValidate:
+    """``ingest`` and ``validate`` report the same issues for the same inputs."""
+
+    @pytest.mark.parametrize("name, profile", [
+        ("fixture_v3.xml", fixtures.profile_v3),
+        ("fixture_dialect_a.xml", fixtures.profile_dialect_a),
+        ("fixture_dialect_b.xml", fixtures.profile_dialect_b),
+    ])
+    @pytest.mark.parametrize("with_profile", [True, False])
+    def test_validate_stdout_equals_ingest_issue_file(self, runner, tmp_path, data_dir,
+                                                      name, profile, with_profile):
+        args = [data_dir / name]
+        if with_profile:
+            (tmp_path / "profile.json").write_text(save_profile(profile()), encoding="utf-8")
+            args += ["--profile", tmp_path / "profile.json"]
+        ingested = run(runner, "ingest", *args, "--out", tmp_path / "g.nt")
+        validated = run(runner, "validate", *args)
+        assert (ingested.exit_code, validated.exit_code) == (0, 0)
+        report = (tmp_path / "g.issues.tsv").read_text(encoding="utf-8")
+        assert validated.output == report
+        assert (report == "") == (with_profile or name == "fixture_v3.xml")
+
+    def test_error_issues_block_only_their_io(self, runner, tmp_path):
+        noisy = tmp_path / "noisy.xml"
+        noisy.write_text(
+            '<TIF><Resource kind="x"><DublinCore><Identifier>N-1</Identifier></DublinCore></Resource>'
+            "<Resource><DublinCore><Identifier>N-1</Identifier></DublinCore></Resource>"
+            "<Resource><DublinCore><Identifier>N-2</Identifier></DublinCore>"
+            "<Geolocation><Latitude>NaN</Latitude></Geolocation></Resource>"
+            "<Resource><DublinCore><Identifier>N-3</Identifier></DublinCore>"
+            "<Prices><Amount>Infinity</Amount></Prices></Resource>"
+            "<Resource><DublinCore><Identifier>N-4</Identifier></DublinCore></Resource></TIF>"
+        )
+        ingested = run(runner, "ingest", noisy, "--out", tmp_path / "g.nt")
+        validated = run(runner, "validate", noisy)
+        assert (ingested.exit_code, validated.exit_code) == (1, 1)
+        assert validated.output == (tmp_path / "g.issues.tsv").read_text(encoding="utf-8")
+        text = (tmp_path / "g.nt").read_text(encoding="utf-8")
+        assert "io/N-4>" in text
+        assert "io/N-1>" not in text and "io/N-2>" not in text and "io/N-3>" not in text
+        assert "NaN" not in text and "Infinity" not in text
 
 
 class TestPipelineComposition:

@@ -239,6 +239,34 @@ class TestParseTif:
         ios, issues = parse_tif(doc_bytes(data))
         assert any(i.severity == "error" and i.field_path == "Geolocation/Latitude" for i in issues)
 
+    def test_non_finite_decimal_is_error_issue(self):
+        data = (b"<TIF><Resource><DublinCore><Identifier>N-1</Identifier></DublinCore>"
+                b"<Geolocation><Latitude>NaN</Latitude></Geolocation>"
+                b"<Prices><Amount>Infinity</Amount></Prices></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data))
+        assert [(i.severity, i.field_path) for i in issues] == [
+            ("error", "Geolocation/Latitude"), ("error", "Prices/Amount"),
+        ]
+        assert GranuleKind.GEOLOCATIONS not in ios[0].granules
+        assert GranuleKind.PRICES not in ios[0].granules
+
+    def test_attribute_warnings_precede_leaf_issues_in_document_order(self):
+        data = (b'<TIF><Resource kind="x"><DublinCore lang="fr"><Identifier>A-1</Identifier>'
+                b'<Title a="1" b="2" xmlns:q="urn:q" q:ok="y">T</Title></DublinCore>'
+                b'<Mystery z="q"><Deep y="1">lost</Deep></Mystery>'
+                b'<Geolocation><Latitude>north</Latitude></Geolocation></Resource></TIF>')
+        _, issues = parse_tif(doc_bytes(data))
+        assert [(i.severity, i.field_path) for i in issues] == [
+            ("warning", "Resource/@kind"),
+            ("warning", "Resource/DublinCore/@lang"),
+            ("warning", "Resource/DublinCore/Title/@a"),
+            ("warning", "Resource/DublinCore/Title/@b"),
+            ("warning", "Resource/Mystery/@z"),
+            ("warning", "Resource/Mystery/Deep/@y"),
+            ("warning", "Mystery/Deep"),
+            ("error", "Geolocation/Latitude"),
+        ]
+
     def test_repeated_granule_elements_make_instances(self, data_dir):
         ios, _ = parse_tif(doc(data_dir / "fixture_v3.xml"))
         languages = ios[0].granules[GranuleKind.LANGUAGES]
@@ -273,6 +301,16 @@ class TestValidateIo:
             GranuleKind.PRICES: [Granule(kind=GranuleKind.PRICES, fields={"Capacity/Value": Decimal(1)})],
         })
         assert any(i.severity == "error" for i in validate_io(io))
+
+    @pytest.mark.parametrize("kind, path, value", [
+        (GranuleKind.GEOLOCATIONS, "Geolocation/Latitude", "NaN"),
+        (GranuleKind.PRICES, "Prices/Amount", "sNaN"),
+        (GranuleKind.PRICES, "Prices/Amount", "Infinity"),
+        (GranuleKind.PRICES, "Prices/Amount", "-Infinity"),
+    ])
+    def test_non_finite_decimal_is_error(self, kind, path, value):
+        io = InformationObject(id="X", granules={kind: [Granule(kind=kind, fields={path: Decimal(value)})]})
+        assert [(i.severity, i.field_path) for i in validate_io(io)] == [("error", path)]
 
     def test_type_mismatch_is_error(self):
         io = InformationObject(id="X", granules={

@@ -20,8 +20,11 @@ from tifsem.mapping import (
     target_classes,
 )
 from tifsem.ontology import (
+    GRANULE_SCHEMAS,
     GranuleKind,
     SCHEMA_ADDRESS,
+    SCHEMA_LATITUDE,
+    SCHEMA_LONGITUDE,
     SCHEMA_NS,
     TIFSEM_NS,
     class_of,
@@ -184,6 +187,15 @@ class TestMaterialize:
         assert class_of(GranuleKind.CAPACITY) in report.unmapped_sources
         assert class_of(GranuleKind.MULTIMEDIA) not in report.unmapped_sources
 
+    @pytest.mark.parametrize("relation", [Relation.EQUIVALENT_PROPERTY, Relation.SUB_PROPERTY_OF])
+    def test_property_rule_naming_rdf_type_raises(self, relation):
+        g = typed_node(TIFSEM_NS + "Multimedia")
+        for rule in (MappingRule(RDF_TYPE, SCHEMA_ADDRESS, relation),
+                     MappingRule(SCHEMA_ADDRESS, RDF_TYPE, relation)):
+            with pytest.raises(RuleError):
+                materialize(g, [rule])
+        assert len(g) == 1
+
     @given(own.graphs(max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_random_graphs_idempotent_and_monotone(self, g):
@@ -220,19 +232,30 @@ class TestRandomizedClosure:
         class_iris = [class_of(k) for k in GranuleKind] + [
             SCHEMA_NS + n for n in ("MediaObject", "Rating", "Offer", "Place", "Thing")
         ]
-        for _ in range(25):
+        geo = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS]
+        prop_iris = [
+            geo.predicate(n) for n in ("AddressLine1", "AddressLine2", "City", "Latitude", "Longitude")
+        ] + [SCHEMA_ADDRESS, SCHEMA_LATITUDE, SCHEMA_LONGITUDE]
+        for _ in range(40):
             rules = []
             for _ in range(rng.randint(0, 12)):
-                source, target = rng.sample(class_iris, 2)
-                relation = rng.choice([Relation.EQUIVALENT_CLASS, Relation.SUB_CLASS_OF])
+                if rng.random() < 0.5:
+                    source, target = rng.sample(class_iris, 2)
+                    relation = rng.choice([Relation.EQUIVALENT_CLASS, Relation.SUB_CLASS_OF])
+                else:
+                    source, target = rng.sample(prop_iris, 2)
+                    relation = rng.choice([Relation.EQUIVALENT_PROPERTY, Relation.SUB_PROPERTY_OF])
                 rules.append(MappingRule(source, target, relation))
             g = Graph()
             for i in range(rng.randint(0, 40)):
-                g.insert(Triple(
-                    IRI(f"http://e/n{rng.randrange(10)}"),
-                    IRI(RDF_TYPE),
-                    IRI(rng.choice(class_iris)),
-                ))
+                subject = IRI(f"http://e/n{rng.randrange(10)}")
+                if rng.random() < 0.5:
+                    g.insert(Triple(subject, IRI(RDF_TYPE), IRI(rng.choice(class_iris))))
+                else:
+                    value = IRI(f"http://e/v{rng.randrange(5)}")
+                    g.insert(Triple(subject, IRI(rng.choice(prop_iris)), value))
             expected = naive_materialize(g.triples, rules)
-            materialize(g, rules)
+            before = len(g)
+            report = materialize(g, rules)
             assert g.triples == expected
+            assert report.inferred_triples == len(expected) - before

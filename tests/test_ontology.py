@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -149,3 +150,8 @@ class TestDecimalLexical:
     ])
     def test_never_scientific(self, value, expected):
         assert decimal_lexical(value) == expected
+
+    @pytest.mark.parametrize("value", [Decimal("NaN"), Decimal("-Infinity"), float("inf"), float("nan")])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError):
+            decimal_lexical(value)

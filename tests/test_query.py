@@ -240,6 +240,16 @@ class TestEvaluate:
         with pytest.raises(QueryTypeError):
             evaluate(q, g)
 
+    def test_nan_literal_under_ordering_filter_is_incomparable(self):
+        from tifsem.graph import Triple
+        g = Graph()
+        g.insert(Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("NaN", XSD_NS + "decimal")))
+        text = "SELECT ?v WHERE { <http://e/s> <http://e/p> ?v . FILTER(?v > 5) }"
+        with pytest.raises(QueryTypeError):
+            evaluate(parse_query(text), g)
+        ordered = "SELECT ?v WHERE { <http://e/s> <http://e/p> ?v . } ORDER BY DESC(?v)"
+        assert evaluate(parse_query(ordered), g).rows == [(Literal("NaN", XSD_NS + "decimal"),)]
+
     def test_numeric_equality_across_datatypes(self):
         from tifsem.graph import Triple
         g = Graph()
