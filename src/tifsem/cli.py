@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -60,7 +61,7 @@ def _write_graph(g: Graph, out_path: str, fmt: str) -> None:
         _fail(str(exc), 2)
 
 
-def _fail(message: str, code: int) -> None:
+def _fail(message: str, code: int) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -70,7 +71,6 @@ def _read_bytes(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         _fail(str(exc), 2)
-        raise AssertionError  # unreachable
 
 
 def _read_text(path: str) -> str:
@@ -78,7 +78,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(str(exc), 2)
-        raise AssertionError
 
 
 def _load_graph(path: str) -> Graph:
@@ -87,7 +86,6 @@ def _load_graph(path: str) -> Graph:
         return serialize.from_ntriples(text)
     except TifsemError as exc:
         _fail(f"{path}: {exc}", 1)
-        raise AssertionError
 
 
 @click.group()
@@ -198,7 +196,6 @@ def query_cmd(graph_path: str, query_path: str, fmt: str) -> None:
         table = query_mod.evaluate(q, g)
     except TifsemError as exc:
         _fail(str(exc), 1)
-        raise AssertionError
     rendered = query_mod.to_csv(table) if fmt == "csv" else query_mod.to_text_table(table)
     click.echo(rendered, nl=False)
 
@@ -215,7 +212,6 @@ def export(graph_path: str, root_iri: str, out_path: str) -> None:
         document = serialize.to_jsonld(g, IRI(root_iri))
     except (TifsemError, ValueError) as exc:
         _fail(str(exc), 1)
-        raise AssertionError
     try:
         Path(out_path).write_text(document.to_text(), encoding="utf-8")
     except OSError as exc:
@@ -248,7 +244,6 @@ def generate(out_dir: str, seed: int) -> None:
         paths = fixtures_mod.generate(out_dir, seed)
     except OSError as exc:
         _fail(str(exc), 2)
-        raise AssertionError
     for path in paths:
         click.echo(str(path))
 

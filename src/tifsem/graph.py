@@ -7,6 +7,7 @@ can be read concurrently without restriction.
 from __future__ import annotations
 
 import datetime
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Iterator, Optional, Union
@@ -37,8 +38,25 @@ XSD_DATE = XSD_NS + "date"
 
 DEFAULT_BASE_IRI = "http://example.org/tifsem"
 
-# Characters an IRI may never contain (IRIREF production).
-_IRI_FORBIDDEN = set(' <>"{}|^`\\')
+# Term syntax of W3C RDF 1.1 N-Triples (2014), defined once here and used by
+# the term constructors, the N-Triples reader and writer and the query
+# tokenizer.  Each is a regex fragment: the characters an IRI may never
+# contain (a character-class body), a blank-node label and a language tag.
+IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\'
+BLANK_LABEL = r"[A-Za-z0-9_]+"
+LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+
+_IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
+_BLANK_LABEL_RE = re.compile(BLANK_LABEL)
+_LANGTAG_RE = re.compile(LANGTAG)
+
+
+def _check_iri(value: str) -> None:
+    if not value:
+        raise ValueError("IRI must be non-empty")
+    bad = _IRI_FORBIDDEN_RE.search(value)
+    if bad:
+        raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +64,7 @@ class IRI:
     value: str
 
     def __post_init__(self) -> None:
-        if not self.value:
-            raise ValueError("IRI must be non-empty")
-        for ch in self.value:
-            if ch in _IRI_FORBIDDEN or ord(ch) <= 0x20:
-                raise ValueError(f"IRI contains forbidden character {ch!r}: {self.value!r}")
+        _check_iri(self.value)
 
 
 @dataclass(frozen=True)
@@ -58,8 +72,8 @@ class BlankNode:
     label: str
 
     def __post_init__(self) -> None:
-        if not self.label or not all(c.isalnum() or c == "_" for c in self.label):
-            raise ValueError(f"blank node label must be [A-Za-z0-9_]+: {self.label!r}")
+        if not _BLANK_LABEL_RE.fullmatch(self.label):
+            raise ValueError(f"blank node label must be {BLANK_LABEL}: {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +84,16 @@ class Literal:
 
     def __post_init__(self) -> None:
         if self.language is not None:
+            if not _LANGTAG_RE.fullmatch(self.language):
+                raise ValueError(f"malformed language tag: {self.language!r}")
             if self.datatype == XSD_STRING:
                 object.__setattr__(self, "datatype", RDF_LANG_STRING)
             elif self.datatype != RDF_LANG_STRING:
                 raise ValueError("language tag requires the language-string datatype")
         elif self.datatype == RDF_LANG_STRING:
             raise ValueError("language-string literal requires a language tag")
+        elif self.datatype != XSD_STRING:
+            _check_iri(self.datatype)
 
 
 Term = Union[IRI, BlankNode, Literal]

@@ -53,7 +53,6 @@ class MappingRule:
 class MappingReport:
     inferred_triples: int
     unmapped_sources: set[str] = field(default_factory=set)
-    inconsistencies: list[str] = field(default_factory=list)
 
 
 def _rule(kind: GranuleKind, target: str, relation: Relation) -> MappingRule:

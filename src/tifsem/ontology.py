@@ -264,8 +264,6 @@ GRANULE_SCHEMAS: Mapping[GranuleKind, GranuleSchema] = MappingProxyType({
 })
 
 IDENTIFIER_PATH = GRANULE_SCHEMAS[GranuleKind.DUBLIN_CORE].path("Identifier")
-LATITUDE_PATH = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS].path("Latitude")
-LONGITUDE_PATH = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS].path("Longitude")
 
 
 @dataclass

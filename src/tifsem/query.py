@@ -28,6 +28,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import (
+    IRI_FORBIDDEN,
+    LANGTAG,
     RDF_TYPE,
     XSD_NS,
     BlankNode,
@@ -44,7 +46,7 @@ from tifsem.ontology import (
     SCHEMA_LATITUDE,
     SCHEMA_LONGITUDE,
 )
-from tifsem.serialize import term_to_ntriples
+from tifsem.serialize import term_to_ntriples, unescape
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -189,16 +191,16 @@ class SolutionTable:
 # Tokenizer
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<WS>\s+|\#[^\n]*)
-    | (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
+    | (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
     | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
     | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
-    | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-    | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{}().,=<>!])
+    | (?P<LANGTAG>@{LANGTAG})
+    | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{{}}().,=<>!])
     """,
     re.VERBOSE,
 )
@@ -225,23 +227,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-_STRING_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
-
 def _unquote(raw: str, pos: int) -> str:
-    body = raw[1:-1]
-
-    def repl(m: re.Match) -> str:
-        esc = m.group(1)
-        if esc[0] == "u":
-            return chr(int(esc[1:5], 16))
-        if esc[0] == "U":
-            return chr(int(esc[1:9], 16))
-        if esc in _STRING_ESCAPES:
-            return _STRING_ESCAPES[esc]
-        raise QuerySyntaxError(f"invalid string escape \\{esc}", pos)
-
-    return re.sub(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", repl, body)
+    try:
+        return unescape(raw[1:-1])
+    except ValueError as exc:
+        raise QuerySyntaxError(str(exc), pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +370,8 @@ class _Parser:
         tok = self.next()
         if tok.kind == "VAR":
             return Var(tok.text[1:])
-        if tok.kind == "IRIREF":
-            return IRI(tok.text[1:-1])
-        if tok.kind == "PNAME":
-            return IRI(self.expand_pname(tok))
+        if tok.kind in ("IRIREF", "PNAME"):
+            return self.iri(tok)
         if tok.kind == "NAME" and tok.text == "a" and position == "predicate":
             return IRI(RDF_TYPE)
         if tok.kind == "NUMBER":
@@ -405,12 +393,20 @@ class _Parser:
         if nxt.kind == "OP" and nxt.text == "^^":
             self.next()
             dt = self.next()
-            if dt.kind == "IRIREF":
-                return Literal(lexical, dt.text[1:-1])
-            if dt.kind == "PNAME":
-                return Literal(lexical, self.expand_pname(dt))
-            raise self.fail("expected datatype IRI", dt)
+            if dt.kind not in ("IRIREF", "PNAME"):
+                raise self.fail("expected datatype IRI", dt)
+            try:
+                return Literal(lexical, self.iri(dt).value)
+            except ValueError as exc:
+                raise self.fail(str(exc), dt)
         return Literal(lexical)
+
+    def iri(self, tok: _Token) -> IRI:
+        """The IRI an IRIREF or prefixed-name token denotes."""
+        try:
+            return IRI(tok.text[1:-1] if tok.kind == "IRIREF" else self.expand_pname(tok))
+        except ValueError as exc:
+            raise self.fail(str(exc), tok)
 
     def expand_pname(self, tok: _Token) -> str:
         prefix, _, local = tok.text.partition(":")
@@ -481,10 +477,8 @@ class _Parser:
             return _number_literal(tok.text)
         if tok.kind == "STRING":
             return self.finish_literal(tok)
-        if tok.kind == "IRIREF":
-            return IRI(tok.text[1:-1])
-        if tok.kind == "PNAME":
-            return IRI(self.expand_pname(tok))
+        if tok.kind in ("IRIREF", "PNAME"):
+            return self.iri(tok)
         raise self.fail(f"expected operand, found {tok.text!r}", tok)
 
     # modifiers ------------------------------------------------------------
@@ -512,7 +506,10 @@ class _Parser:
         tok = self.next()
         if tok.kind != "NUMBER" or not re.fullmatch(r"\d+", tok.text):
             raise self.fail("LIMIT expects a non-negative integer", tok)
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise self.fail("LIMIT is too large", tok)
 
     # validation -----------------------------------------------------------
     def validate(self, query: Query) -> None:
@@ -556,7 +553,10 @@ class _Parser:
 def parse_query(text: str) -> Query:
     """Parse query text; raises :class:`QuerySyntaxError` with the offset of
     the offending token."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise QuerySyntaxError("filter expression nested too deeply", 0) from None
 
 
 def _number_literal(text: str) -> Literal:

@@ -16,7 +16,9 @@ from typing import Mapping, Optional
 
 from tifsem.errors import ExportError, NTriplesParseError
 from tifsem.graph import (
-    RDF_LANG_STRING,
+    BLANK_LABEL,
+    IRI_FORBIDDEN,
+    LANGTAG,
     RDF_NS,
     RDF_TYPE,
     RDFS_NS,
@@ -39,184 +41,145 @@ DEFAULT_PREFIXES: Mapping[str, str] = {
     "tifsem": TIFSEM_NS,
 }
 
-_ECHAR = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# String escapes, written and read.  The writer escapes the five characters
+# with a short form and every other control character as \uXXXX.
+_ESCAPES = str.maketrans({
+    **{chr(cp): f"\\u{cp:04X}" for cp in range(0x20)},
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
+})
+_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
+_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7E]")
 
 
-def _escape_string(text: str, ascii_only: bool) -> str:
-    out = []
-    for ch in text:
-        if ch in _ECHAR:
-            out.append(_ECHAR[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        elif ascii_only and ord(ch) > 0x7E:
-            cp = ord(ch)
-            out.append(f"\\u{cp:04X}" if cp <= 0xFFFF else f"\\U{cp:08X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+def _escape_string(text: str) -> str:
+    return text.translate(_ESCAPES)
 
 
-def term_to_ntriples(term: Term, ascii_only: bool = False) -> str:
-    """Serialize one term in N-Triples syntax."""
+def unescape(text: str) -> str:
+    r"""Resolve the string escapes ``\t \b \n \r \f \" \' \\ \uXXXX
+    \UXXXXXXXX``.  Raises ValueError on any other escape and on an escape
+    naming a surrogate or a code point above U+10FFFF."""
+
+    def repl(m: re.Match) -> str:
+        digits = m.group(1) or m.group(2)
+        if digits:
+            cp = int(digits, 16)
+            if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
+                raise ValueError(f"escape names no Unicode scalar value: {m.group()}")
+            return chr(cp)
+        if m.group(3) not in _UNESCAPES:
+            raise ValueError(f"invalid escape {m.group()}")
+        return _UNESCAPES[m.group(3)]
+
+    return _UNESCAPE_RE.sub(repl, text) if "\\" in text else text
+
+
+def term_to_ntriples(term: Term) -> str:
+    """Serialize one term in N-Triples syntax.  The constructors keep every
+    IRI, label and language tag free of characters that need escaping."""
     if isinstance(term, IRI):
-        return f"<{_escape_string(term.value, ascii_only)}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
+        return f"<{term.value}>"
     if isinstance(term, Literal):
-        body = f'"{_escape_string(term.lexical, ascii_only)}"'
+        body = f'"{_escape_string(term.lexical)}"'
         if term.language is not None:
             return f"{body}@{term.language}"
         if term.datatype != XSD_STRING:
-            return f"{body}^^<{_escape_string(term.datatype, ascii_only)}>"
+            return f"{body}^^<{term.datatype}>"
         return body
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
     raise TypeError(f"not a term: {term!r}")
 
 
-def _triple_key(t: Triple) -> tuple[str, str, str]:
-    return (
-        term_to_ntriples(t.subject),
-        term_to_ntriples(t.predicate),
-        term_to_ntriples(t.object),
-    )
+def _line(t: Triple) -> str:
+    return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} .\n"
 
 
+def _ascii_escape(m: re.Match) -> str:
+    cp = ord(m.group())
+    return f"\\u{cp:04X}" if cp <= 0xFFFF else f"\\U{cp:08X}"
+
+
+# Sorting finished lines sorts triples by their (subject, predicate, object)
+# forms.  Two lines first differ where their form tuples do, unless one form
+# is a proper prefix of the other.  The constructors allow that only in pairs
+# like `_:b` / `_:b1`, `"x"` / `"x"@en`, `"x"` / `"x"^^<dt>` and
+# `"x"@en` / `"x"@en-GB`: an IRI form ends at its only `>` and a literal body
+# at its only unescaped `"`.  In each pair the longer form goes on with a
+# character above the space that follows the shorter one, so the shorter
+# form sorts first either way.
 def to_ntriples(g: Graph, ascii_only: bool = False) -> str:
-    """Canonical N-Triples text: one triple per line, sorted, LF endings."""
-    lines = []
-    for t in sorted(g, key=_triple_key):
-        s = term_to_ntriples(t.subject, ascii_only)
-        p = term_to_ntriples(t.predicate, ascii_only)
-        o = term_to_ntriples(t.object, ascii_only)
-        lines.append(f"{s} {p} {o} .\n")
-    return "".join(lines)
+    """Canonical N-Triples text: one triple per line, sorted, LF endings.
+    With ``ascii_only``, every character above U+007E is written as an
+    escape."""
+    text = "".join(sorted(map(_line, g)))
+    if ascii_only:
+        text = _NON_ASCII_RE.sub(_ascii_escape, text)
+    return text
 
 
-_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
-_ECHAR_REVERSE = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# One term after optional blanks.  IRI and literal bodies take any escape
+# here; `unescape` and the term constructors then refuse what the grammar
+# does not allow.
+_TERM_RE = re.compile(
+    rf"""[ \t]*(?:
+        <(?P<iri>(?:[^{IRI_FORBIDDEN}]|\\.)*)>
+      | _:(?P<blank>{BLANK_LABEL})
+      | "(?P<lexical>(?:[^"\\]|\\.)*)"
+        (?:@(?P<language>{LANGTAG})|\^\^<(?P<datatype>(?:[^{IRI_FORBIDDEN}]|\\.)*)>)?
+    )""",
+    re.VERBOSE,
+)
+_SKIP_RE = re.compile(r"[ \t]*(?:#|$)")
+_END_RE = re.compile(r"[ \t]*\.[ \t]*(?:#|$)")
 
 
-def _unescape(text: str, line: int) -> str:
-    def repl(m: re.Match) -> str:
-        if m.group(1):
-            return chr(int(m.group(1), 16))
-        if m.group(2):
-            cp = int(m.group(2), 16)
-            if cp > 0x10FFFF:
-                raise NTriplesParseError(f"code point out of range: {m.group(0)}", line)
-            return chr(cp)
-        ch = m.group(3)
-        if ch not in _ECHAR_REVERSE:
-            raise NTriplesParseError(f"invalid escape \\{ch}", line)
-        return _ECHAR_REVERSE[ch]
-
-    return _UNESCAPE_RE.sub(repl, text)
+def _term(m: re.Match) -> Term:
+    if m.group("iri") is not None:
+        return IRI(unescape(m.group("iri")))
+    if m.group("blank") is not None:
+        return BlankNode(m.group("blank"))
+    lexical = unescape(m.group("lexical"))
+    if m.group("language") is not None:
+        return Literal(lexical, language=m.group("language"))
+    if m.group("datatype") is not None:
+        return Literal(lexical, unescape(m.group("datatype")))
+    return Literal(lexical)
 
 
-class _LineScanner:
-    """Tokenizer over a single N-Triples line."""
-
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def fail(self, message: str) -> NTriplesParseError:
-        return NTriplesParseError(message, self.line)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text) or self.text[self.pos] == "#"
-
-    def term(self) -> Term:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise self.fail("unexpected end of line")
-        ch = self.text[self.pos]
-        if ch == "<":
-            return self._iri()
-        if ch == "_":
-            return self._blank()
-        if ch == '"':
-            return self._literal()
-        raise self.fail(f"unexpected character {ch!r}")
-
-    def _iri(self) -> IRI:
-        end = self.text.find(">", self.pos + 1)
-        if end < 0:
-            raise self.fail("unterminated IRI")
-        raw = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        try:
-            return IRI(_unescape(raw, self.line))
-        except ValueError as exc:
-            raise self.fail(str(exc))
-
-    def _blank(self) -> BlankNode:
-        m = re.match(r"_:([A-Za-z0-9_]+)", self.text[self.pos :])
-        if not m:
-            raise self.fail("malformed blank node label")
-        self.pos += m.end()
-        return BlankNode(m.group(1))
-
-    def _literal(self) -> Literal:
-        i = self.pos + 1
-        while i < len(self.text):
-            if self.text[i] == "\\":
-                i += 2
-                continue
-            if self.text[i] == '"':
-                break
-            i += 1
-        else:
-            raise self.fail("unterminated string literal")
-        if i >= len(self.text):
-            raise self.fail("unterminated string literal")
-        lexical = _unescape(self.text[self.pos + 1 : i], self.line)
-        self.pos = i + 1
-        if self.text[self.pos : self.pos + 1] == "@":
-            m = re.match(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)", self.text[self.pos :])
-            if not m:
-                raise self.fail("malformed language tag")
-            self.pos += m.end()
-            return Literal(lexical, RDF_LANG_STRING, m.group(1))
-        if self.text[self.pos : self.pos + 2] == "^^":
-            self.pos += 2
-            if self.text[self.pos : self.pos + 1] != "<":
-                raise self.fail("datatype must be an IRI")
-            dt = self._iri()
-            if dt.value == RDF_LANG_STRING:
-                raise self.fail("language-string datatype requires a language tag")
-            return Literal(lexical, dt.value)
-        return Literal(lexical)
+def _parse_error(message: str, line: str, lineno: int, pos: int) -> NTriplesParseError:
+    column = len(line) - len(line[pos:].lstrip(" \t")) + 1
+    return NTriplesParseError(f"column {column}: {message}", lineno)
 
 
 def from_ntriples(text: str) -> Graph:
-    """Parse N-Triples text; duplicate statements collapse."""
+    """Parse N-Triples text; duplicate statements collapse.  An error gives
+    the line and the 1-based column where the offending part starts."""
     g = Graph()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        scanner = _LineScanner(line, lineno)
-        if scanner.at_end():
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        if _SKIP_RE.match(line):
             continue
-        subject = scanner.term()
-        if isinstance(subject, Literal):
-            raise scanner.fail("literal cannot be a subject")
-        predicate = scanner.term()
-        if not isinstance(predicate, IRI):
-            raise scanner.fail("predicate must be an IRI")
-        obj = scanner.term()
-        scanner.skip_ws()
-        if scanner.text[scanner.pos : scanner.pos + 1] != ".":
-            raise scanner.fail("statement must end with '.'")
-        scanner.pos += 1
-        if not scanner.at_end():
-            raise scanner.fail("trailing content after '.'")
-        g.insert(Triple(subject, predicate, obj))
+        terms: list[Term] = []
+        pos = 0
+        for position in ("subject", "predicate", "object"):
+            m = _TERM_RE.match(line, pos)
+            if m is None:
+                raise _parse_error("expected a term", line, lineno, pos)
+            try:
+                term = _term(m)
+            except ValueError as exc:
+                raise _parse_error(str(exc), line, lineno, pos) from None
+            if position == "subject" and isinstance(term, Literal):
+                raise _parse_error("literal cannot be a subject", line, lineno, pos)
+            if position == "predicate" and not isinstance(term, IRI):
+                raise _parse_error("predicate must be an IRI", line, lineno, pos)
+            terms.append(term)
+            pos = m.end()
+        if not _END_RE.match(line, pos):
+            raise _parse_error("statement must end with '.'", line, lineno, pos)
+        g.insert(Triple(*terms))
     return g
 
 
@@ -243,16 +206,15 @@ def to_turtle(g: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str:
 
     def render(term: Term) -> str:
         if isinstance(term, IRI):
-            return _compact(term.value, prefixes) or f"<{_escape_string(term.value, False)}>"
+            return _compact(term.value, prefixes) or f"<{term.value}>"
         if isinstance(term, Literal) and term.language is None and term.datatype != XSD_STRING:
-            body = f'"{_escape_string(term.lexical, False)}"'
-            dt = _compact(term.datatype, prefixes) or f"<{_escape_string(term.datatype, False)}>"
-            return f"{body}^^{dt}"
+            dt = _compact(term.datatype, prefixes) or f"<{term.datatype}>"
+            return f'"{_escape_string(term.lexical)}"^^{dt}'
         return term_to_ntriples(term)
 
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.items())]
     lines.append("")
-    for t in sorted(g, key=_triple_key):
+    for t in sorted(g, key=_line):
         lines.append(f"{render(t.subject)} {render(t.predicate)} {render(t.object)} .")
     return "\n".join(lines) + "\n"
 
@@ -321,7 +283,7 @@ def to_jsonld(
             out["@id"] = f"_:{subject.label}"
         types = []
         props: dict[str, list] = {}
-        for t in sorted(g.match(subject=subject), key=_triple_key):
+        for t in sorted(g.match(subject=subject), key=_line):
             if t.predicate.value == RDF_TYPE and isinstance(t.object, IRI):
                 types.append(_compact(t.object.value, prefixes) or t.object.value)
                 continue

@@ -14,6 +14,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Optional, Sequence
 from xml.dom import minidom
 
+from tifsem.errors import QueryTypeError
 from tifsem.graph import (
     RDF_TYPE,
     XSD_NS,
@@ -94,12 +95,19 @@ def haversine_reference(lat1: float, lon1: float, lat2: float, lon2: float) -> f
 _NUMERIC = frozenset(XSD_NS + n for n in ("integer", "decimal", "double", "float", "long", "int"))
 
 
+def _finite(lexical: str) -> Optional[Decimal]:
+    """The number a lexical form denotes; None for NaN, infinities and
+    non-numbers, which the engine treats as non-numeric."""
+    try:
+        value = Decimal(lexical)
+    except InvalidOperation:
+        return None
+    return value if value.is_finite() else None
+
+
 def _num(term) -> Optional[Decimal]:
     if isinstance(term, Literal) and term.datatype in _NUMERIC:
-        try:
-            return Decimal(term.lexical)
-        except InvalidOperation:
-            return None
+        return _finite(term.lexical)
     return None
 
 
@@ -125,10 +133,9 @@ def _lookup_coordinate(node, prop: str, triples: Sequence[Triple]) -> Optional[D
     values = []
     for t in triples:
         if t.subject == node and t.predicate.value == prop and isinstance(t.object, Literal):
-            try:
-                values.append(Decimal(t.object.lexical))
-            except InvalidOperation:
-                pass
+            value = _finite(t.object.lexical)
+            if value is not None:
+                values.append(value)
     return min(values) if values else None
 
 
@@ -171,7 +178,7 @@ def _filter_holds(expr, binding: dict, triples: Sequence[Triple]) -> bool:
             and left.datatype in (XSD_STRING, XSD_NS + "date")
         ):
             return _op(left.lexical, expr.op, right.lexical)
-        raise AssertionError("oracle asked to order incomparable terms")
+        raise QueryTypeError("oracle asked to order incomparable terms")
     if isinstance(expr, DistanceWithin):
         a = binding[expr.point_a.name] if isinstance(expr.point_a, Var) else expr.point_a
         b = binding[expr.point_b.name] if isinstance(expr.point_b, Var) else expr.point_b

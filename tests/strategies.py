@@ -48,6 +48,21 @@ def graphs(draw, max_size: int = 40) -> Graph:
     return Graph(draw(st.lists(triples, max_size=max_size)))
 
 
+# Hostile text for the readers' error contract: mostly N-Triples and query
+# punctuation and escape fragments, so that drawn text often gets past its
+# first few characters before going wrong.
+_FRAGMENTS = st.sampled_from(
+    list('<>"\\_:@^.# \t\r\n{}()?!=,') + [
+        "\\u", "\\U", "\\u00E9", "\\uD800", "\\U00110000", "\\U0001F3E8", "\\n", "\\'",
+        "\\x", "^^", "_:b", "@en", "@en-GB", "<http://e/x>", "<>", '"x"', "e", "1", "-", "é",
+        "?x", "p:", "PREFIX p: ", "FILTER", "LIMIT ", "geo:distance",
+    ]
+)
+hostile_text = st.lists(
+    st.one_of(_FRAGMENTS, _FRAGMENTS, _FRAGMENTS, st.characters()), max_size=40,
+).map("".join)
+
+
 # ---------------------------------------------------------------------------
 # Seeded random (graph, query) cases for oracle-equivalence checks.
 

@@ -153,6 +153,15 @@ class TestMap:
                      "--rules", rules, "--out", workspace / "m.nt")
         assert result.exit_code == 1
 
+    def test_surrogate_escape_exits_1(self, runner, tmp_path):
+        graph = tmp_path / "g.nt"
+        graph.write_text('<http://e/s> <http://e/p> "\\uD800" .\n', encoding="utf-8")
+        result = run(runner, "map", "--graph", graph, "--out", tmp_path / "m.nt")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error:")
+        assert not (tmp_path / "m.nt").exists()
+
     def test_extra_rules_applied(self, runner, workspace, tmp_path):
         data = workspace / "data"
         run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
@@ -186,6 +195,17 @@ class TestQuery:
         result = run(runner, "query", "--graph", workspace / "g.nt", "--query", bad)
         assert result.exit_code == 1
         assert "offset" in result.output
+
+    @pytest.mark.parametrize("escape", ["\\U00110000", "\\u12", "\\uDFFF"])
+    def test_bad_string_escape_exits_1(self, runner, tmp_path, escape):
+        graph = tmp_path / "g.nt"
+        graph.write_text('<http://e/s> <http://e/p> "x" .\n', encoding="utf-8")
+        q = tmp_path / "q.rq"
+        q.write_text(f'SELECT ?s WHERE {{ ?s ?p "{escape}" }}', encoding="utf-8")
+        result = run(runner, "query", "--graph", graph, "--query", q)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error:")
 
     def test_limit_zero_header_only(self, runner, workspace, tmp_path):
         data = workspace / "data"

@@ -54,6 +54,18 @@ class TestTerms:
         with pytest.raises(ValueError):
             Literal("x", "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString")
 
+    def test_blank_node_label_must_be_ascii(self):
+        with pytest.raises(ValueError):
+            BlankNode("é")
+
+    def test_language_tag_syntax_checked(self):
+        with pytest.raises(ValueError):
+            Literal("x", language="en us")
+
+    def test_datatype_must_be_an_iri(self):
+        with pytest.raises(ValueError):
+            Literal("x", "a b")
+
     def test_predicate_must_be_iri(self):
         with pytest.raises(TypeError):
             Triple(IRI("http://e/s"), BlankNode("b"), IRI("http://e/o"))  # type: ignore[arg-type]

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_evaluate, haversine_reference
-from strategies import random_case
+from strategies import hostile_text, random_case
 from tifsem import fixtures
 from tifsem.errors import QuerySyntaxError, QueryTypeError
-from tifsem.graph import Graph, IRI, Literal, XSD_NS, mint_io_iri
-from tifsem.ontology import GeoPoint, GranuleKind
+from tifsem.graph import RDF_TYPE, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
+from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP, GeoPoint, GranuleKind
 from tifsem.query import (
     Compare,
     DistanceWithin,
@@ -106,6 +106,82 @@ class TestParse:
             'FILTER(!(?v = "a") && (?v != "b" || ?v = "c")) }'
         )
         assert len(q.filters) == 1
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("escape", ["\\U00110000", "\\u12", "\\uD800", "\\q"])
+    def test_bad_string_escape_is_a_syntax_error(self, escape):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(f'SELECT ?s WHERE {{ ?s ?p "{escape}" }}')
+        assert err.value.position == 24
+
+    def test_string_escapes_resolve(self):
+        q = parse_query('SELECT ?s WHERE { ?s ?p "\\t\\"\\u00e9\\U0001F3E8" }')
+        assert q.patterns[0].object == Literal('\t"é🏨')
+
+    @pytest.mark.parametrize("text", [
+        "SELECT ?s WHERE { ?s <> ?o }",
+        "PREFIX p: <> SELECT ?s WHERE { ?s p: ?o }",
+        'SELECT ?s WHERE { ?s ?p "x"^^<> }',
+        'PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> SELECT ?s WHERE { ?s ?p "x"^^rdf:langString }',
+        "SELECT ?s WHERE { ?s ?p ?o } LIMIT " + "9" * 5000,
+        "SELECT ?s WHERE { ?s ?p ?o FILTER(" + "!" * 5000 + "?o = 1) }",
+    ], ids=["empty-iri", "empty-prefixed-name", "empty-datatype", "langstring-datatype", "huge-limit",
+            "deep-nesting"])
+    def test_bad_terms_and_sizes_are_syntax_errors(self, text):
+        with pytest.raises(QuerySyntaxError):
+            parse_query(text)
+
+    @given(st.one_of(hostile_text, hostile_text.map(lambda t: "SELECT ?s WHERE { ?s ?p " + t)))
+    @settings(max_examples=500, deadline=None)
+    def test_hostile_text_raises_only_syntax_errors(self, text):
+        try:
+            parse_query(text)
+        except QuerySyntaxError:
+            pass
+
+
+class TestNonFiniteAgainstOracle:
+    """NaN and infinite decimals are non-numeric to the engine and to the
+    brute-force oracle alike."""
+
+    @pytest.fixture()
+    def graph(self) -> Graph:
+        decimal, place, amount = XSD_NS + "decimal", IRI("http://e/Place"), IRI("http://e/amount")
+        a, b, c = IRI("http://e/a"), IRI("http://e/b"), IRI("http://e/c")
+        g = Graph()
+        for node, lat, lon, value in ((a, "NaN", "-1.1", "Infinity"), (b, "46.1004", "-1.1", "7"),
+                                      (c, "46.1", "-1.1", "-Infinity")):
+            g.insert(Triple(node, IRI(RDF_TYPE), place))
+            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(lat, decimal)))
+            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal(lon, decimal)))
+            g.insert(Triple(node, amount, Literal(value, decimal)))
+        g.insert(Triple(a, IRI(LATITUDE_PROP), Literal("46.1", decimal)))
+        return g
+
+    def test_nan_latitude_under_distance_within(self, graph):
+        q = Query(
+            projection=[Var("x"), Var("y")],
+            patterns=[TriplePattern(Var("x"), IRI(RDF_TYPE), IRI("http://e/Place")),
+                      TriplePattern(Var("y"), IRI(RDF_TYPE), IRI("http://e/Place"))],
+            filters=[DistanceWithin(Var("x"), Var("y"), 100.0)],
+        )
+        rows = evaluate(q, graph).rows
+        assert rows == brute_force_evaluate(q, list(graph))
+        assert len(rows) == 9
+
+    def test_infinity_amount_under_ordering_filter(self, graph):
+        q = parse_query("SELECT ?x WHERE { ?x <http://e/amount> ?v FILTER(?v > 5) }")
+        with pytest.raises(QueryTypeError):
+            evaluate(q, graph)
+        with pytest.raises(QueryTypeError):
+            brute_force_evaluate(q, list(graph))
+
+    def test_infinity_amounts_order_as_non_numeric(self, graph):
+        q = parse_query("SELECT ?v WHERE { ?x <http://e/amount> ?v } ORDER BY ASC(?v)")
+        rows = evaluate(q, graph).rows
+        assert rows == brute_force_evaluate(q, list(graph))
+        assert rows[0] == (Literal("7", XSD_NS + "decimal"),)
 
 
 class TestGeoDistance:

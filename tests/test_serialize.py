@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as own
 from oracles import blank_closure, expand_jsonld, structural_form
@@ -13,6 +14,7 @@ from tifsem.errors import ExportError, NTriplesParseError
 from tifsem.graph import (
     RDF_TYPE,
     RDFS_NS,
+    XSD_NS,
     BlankNode,
     Graph,
     IRI,
@@ -25,11 +27,12 @@ from tifsem.serialize import (
     DEFAULT_PREFIXES,
     from_ntriples,
     ontology_to_graph,
+    term_to_ntriples,
     to_jsonld,
     to_ntriples,
     to_turtle,
+    unescape,
 )
-
 
 class TestNTriplesWrite:
     def test_empty_graph_is_empty_text(self):
@@ -105,6 +108,86 @@ class TestNTriplesRead:
     def test_unicode_escapes(self):
         g = from_ntriples('<http://e/s> <http://e/p> "H\\u00F4tel \\U0001F3E8" .\n')
         assert next(iter(g)).object.lexical == "Hôtel 🏨"
+
+
+class TestNTriplesErrors:
+    def test_surrogate_escape_rejected(self):
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples('<http://e/s> <http://e/p> "\\uD800" .\n')
+        assert err.value.line == 1
+
+    def test_message_gives_column(self):
+        text = '<http://e/s> <http://e/p> "x" .\n<http://e/s>  _:b <http://e/o> .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples(text)
+        assert err.value.line == 2
+        assert "column 15" in str(err.value)
+
+    def test_forbidden_iri_character_rejected(self):
+        for line in ['<http://e/a b> <http://e/p> "x" .', '<http://e/s> <http://e/p> <http://e/\\u0020> .',
+                     '<http://e/s> <http://e/p> "x"^^<a\\"b> .', "<> <http://e/p> <http://e/o> ."]:
+            with pytest.raises(NTriplesParseError):
+                from_ntriples(line)
+
+    @given(st.one_of(own.hostile_text, own.hostile_text.map(lambda t: "<http://e/s> <http://e/p> " + t)))
+    @settings(max_examples=500, deadline=None)
+    def test_hostile_text_raises_only_parse_errors(self, text):
+        try:
+            from_ntriples(text)
+        except NTriplesParseError:
+            pass
+
+
+class TestUnescape:
+    def test_every_short_escape(self):
+        assert unescape("\\t\\b\\n\\r\\f\\\"\\'\\\\") == "\t\b\n\r\f\"'\\"
+
+    def test_code_point_escapes(self):
+        assert unescape("\\u00e9\\U0001F3E8") == "é🏨"
+
+    @pytest.mark.parametrize("text", ["\\q", "\\u12", "\\uD800", "\\U0000DFFF", "\\U00110000", "x\\"])
+    def test_bad_escapes_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            unescape(text)
+
+
+# Terms whose N-Triples forms are often equal up to a point or a proper
+# prefix of one another: shared lexical forms and labels, `b` / `b1`,
+# `en` / `en-GB`, and literals carrying control, non-ASCII and astral
+# characters.
+_hard_text = st.text(
+    alphabet=st.one_of(st.sampled_from(["a", "b", " ", "\"", "\\", "\x00", "\x1f", "\x7f", "é", "\u2028",
+                                        "\U0001F3E8", "\U0010FFFF"]),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=4,
+)
+_hard_iris = st.sampled_from(["http://e/a", "http://e/ab", "http://e/é", "http://e/🏨"]).map(IRI)
+_hard_blanks = st.sampled_from(["b", "b1", "b_", "B"]).map(BlankNode)
+_hard_literals = st.one_of(
+    st.builds(Literal, _hard_text),
+    st.builds(lambda lex, lang: Literal(lex, language=lang), _hard_text, st.sampled_from(["en", "en-GB", "e"])),
+    st.builds(Literal, _hard_text, st.sampled_from([XSD_NS + "decimal", "http://e/dt", "http://e/dt2"])),
+)
+_hard_graphs = st.lists(
+    st.builds(Triple, st.one_of(_hard_iris, _hard_blanks), _hard_iris,
+              st.one_of(_hard_iris, _hard_blanks, _hard_literals)),
+    max_size=25,
+).map(Graph)
+
+
+class TestCanonicalOrder:
+    @given(_hard_graphs)
+    @settings(max_examples=300, deadline=None)
+    def test_lines_follow_term_form_order(self, g):
+        forms = sorted(tuple(term_to_ntriples(term) for term in (t.subject, t.predicate, t.object)) for t in g)
+        assert to_ntriples(g).split("\n")[:-1] == [f"{s} {p} {o} ." for s, p, o in forms]
+
+    @given(_hard_graphs)
+    @settings(max_examples=300, deadline=None)
+    def test_ascii_only_round_trips(self, g):
+        text = to_ntriples(g, ascii_only=True)
+        assert text.isascii()
+        assert from_ntriples(text) == g
 
 
 class TestRoundTrip:
