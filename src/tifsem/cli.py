@@ -78,6 +78,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(str(exc), 2)
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: {exc}", 2)
 
 
 def _load_graph(path: str) -> Graph:

@@ -10,7 +10,7 @@ import datetime
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Iterator, Optional, Union
+from typing import Collection, Iterable, Iterator, Optional, Union
 from urllib.parse import quote
 
 from tifsem import ontology
@@ -40,12 +40,16 @@ DEFAULT_BASE_IRI = "http://example.org/tifsem"
 
 # Term syntax of W3C RDF 1.1 N-Triples (2014), defined once here and used by
 # the term constructors, the N-Triples reader and writer and the query
-# tokenizer.  Each is a regex fragment: the characters an IRI may never
-# contain (a character-class body), a blank-node label and a language tag.
-IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\'
+# tokenizer.  Each is a regex fragment: the surrogate code points, which no
+# term may hold because UTF-8 cannot encode them, and the characters an IRI
+# may never contain (character-class bodies), a blank-node label and a
+# language tag.
+SURROGATES = r"\ud800-\udfff"
+IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\' + SURROGATES
 BLANK_LABEL = r"[A-Za-z0-9_]+"
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
+_SURROGATE_RE = re.compile(f"[{SURROGATES}]")
 _IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
 _BLANK_LABEL_RE = re.compile(BLANK_LABEL)
 _LANGTAG_RE = re.compile(LANGTAG)
@@ -83,6 +87,8 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if _SURROGATE_RE.search(self.lexical):
+            raise ValueError(f"literal contains a surrogate code point: {self.lexical!r}")
         if self.language is not None:
             if not _LANGTAG_RE.fullmatch(self.language):
                 raise ValueError(f"malformed language tag: {self.language!r}")
@@ -164,22 +170,35 @@ class Graph:
         object: Optional[Term] = None,
     ) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
-        if subject is not None:
-            candidates = self._by_subject.get(subject, ())
-        elif object is not None:
-            candidates = self._by_object.get(object, ())
-        elif predicate is not None:
-            candidates = self._by_predicate.get(predicate, ())
-        else:
-            candidates = self._triples
-        for t in candidates:
-            if subject is not None and t.subject != subject:
+        # The index set already agrees on the position it is keyed by.
+        check_predicate = predicate is not None and (subject is not None or object is not None)
+        check_object = object is not None and subject is not None
+        for t in self._index_set(subject, predicate, object):
+            if check_predicate and t.predicate != predicate:
                 continue
-            if predicate is not None and t.predicate != predicate:
-                continue
-            if object is not None and t.object != object:
+            if check_object and t.object != object:
                 continue
             yield t
+
+    def scan_size(
+        self,
+        subject: Optional[Subject] = None,
+        predicate: Optional[IRI] = None,
+        object: Optional[Term] = None,
+    ) -> int:
+        """How many triples ``match`` scans for these bound positions."""
+        return len(self._index_set(subject, predicate, object))
+
+    def _index_set(self, subject, predicate, object) -> Collection[Triple]:
+        """The subject's triples if it is bound, else the object's, else
+        the predicate's, else all."""
+        if subject is not None:
+            return self._by_subject.get(subject, ())
+        if object is not None:
+            return self._by_object.get(object, ())
+        if predicate is not None:
+            return self._by_predicate.get(predicate, ())
+        return self._triples
 
 
 def mint_io_iri(base: str, io_id: str) -> IRI:

@@ -18,13 +18,14 @@ sorted by the serialized forms of the projected terms.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import (
@@ -386,20 +387,21 @@ class _Parser:
 
     def finish_literal(self, tok: _Token) -> Literal:
         lexical = _unquote(tok.text, tok.pos)
-        nxt = self.peek()
+        nxt, culprit = self.peek(), tok
+        language, datatype = None, XSD_STRING
         if nxt.kind == "LANGTAG":
             self.next()
-            return Literal(lexical, language=nxt.text[1:])
-        if nxt.kind == "OP" and nxt.text == "^^":
+            language = nxt.text[1:]
+        elif nxt.kind == "OP" and nxt.text == "^^":
             self.next()
-            dt = self.next()
-            if dt.kind not in ("IRIREF", "PNAME"):
-                raise self.fail("expected datatype IRI", dt)
-            try:
-                return Literal(lexical, self.iri(dt).value)
-            except ValueError as exc:
-                raise self.fail(str(exc), dt)
-        return Literal(lexical)
+            culprit = self.next()
+            if culprit.kind not in ("IRIREF", "PNAME"):
+                raise self.fail("expected datatype IRI", culprit)
+            datatype = self.iri(culprit).value
+        try:
+            return Literal(lexical, datatype, language)
+        except ValueError as exc:
+            raise self.fail(str(exc), culprit)
 
     def iri(self, tok: _Token) -> IRI:
         """The IRI an IRIREF or prefixed-name token denotes."""
@@ -532,22 +534,23 @@ class _Parser:
         if query.order_by is not None and query.order_by.key.name not in bound_outputs:
             raise QuerySyntaxError(f"ordering variable ?{query.order_by.key.name} is unbound", 0)
 
-        def filter_vars(expr) -> set[str]:
-            if isinstance(expr, Compare):
-                return {t.name for t in (expr.left, expr.right) if isinstance(t, Var)}
-            if isinstance(expr, DistanceWithin):
-                return {t.name for t in (expr.point_a, expr.point_b) if isinstance(t, Var)}
-            if isinstance(expr, (And, Or)):
-                return set().union(*(filter_vars(i) for i in expr.items))
-            if isinstance(expr, Not):
-                return filter_vars(expr.inner)
-            return set()
-
         for f in query.filters:
-            loose = filter_vars(f) - pattern_vars
+            loose = _filter_vars(f) - pattern_vars
             if loose:
                 name = sorted(loose)[0]
                 raise QuerySyntaxError(f"filter variable ?{name} is unbound", 0)
+
+
+def _filter_vars(expr: FilterExpr) -> set[str]:
+    if isinstance(expr, Compare):
+        return {t.name for t in (expr.left, expr.right) if isinstance(t, Var)}
+    if isinstance(expr, DistanceWithin):
+        return {t.name for t in (expr.point_a, expr.point_b) if isinstance(t, Var)}
+    if isinstance(expr, (And, Or)):
+        return set().union(*(_filter_vars(i) for i in expr.items))
+    if isinstance(expr, Not):
+        return _filter_vars(expr.inner)
+    return set()
 
 
 def parse_query(text: str) -> Query:
@@ -641,6 +644,10 @@ def _apply_op(left, op: str, right) -> bool:
     return left > right
 
 
+# The coordinates of a node, memoized for one evaluation (see ``evaluate``).
+PointOf = Callable[[Term], Optional[GeoPoint]]
+
+
 def resolve_point(term: Term, g: Graph) -> Optional[GeoPoint]:
     """Coordinates of a node, read from its latitude/longitude statements."""
     if not isinstance(term, (IRI, BlankNode)):
@@ -665,18 +672,18 @@ def _coordinate(subject, prop: str, g: Graph) -> Optional[Decimal]:
     return min(values) if values else None
 
 
-def _eval_filter(expr: FilterExpr, row: dict[str, Term], g: Graph) -> bool:
+def _eval_filter(expr: FilterExpr, row: dict[str, Term], point: PointOf) -> bool:
     if isinstance(expr, And):
-        return all(_eval_filter(i, row, g) for i in expr.items)
+        return all(_eval_filter(i, row, point) for i in expr.items)
     if isinstance(expr, Or):
-        return any(_eval_filter(i, row, g) for i in expr.items)
+        return any(_eval_filter(i, row, point) for i in expr.items)
     if isinstance(expr, Not):
-        return not _eval_filter(expr.inner, row, g)
+        return not _eval_filter(expr.inner, row, point)
     if isinstance(expr, Compare):
         return _compare_terms(_operand(expr.left, row), expr.op, _operand(expr.right, row))
     if isinstance(expr, DistanceWithin):
-        pa = resolve_point(_operand(expr.point_a, row), g)
-        pb = resolve_point(_operand(expr.point_b, row), g)
+        pa = point(_operand(expr.point_a, row))
+        pb = point(_operand(expr.point_b, row))
         if pa is None or pb is None:
             return False
         return filter_within(geo_distance(pa, pb), expr.threshold)
@@ -687,43 +694,161 @@ def _operand(term: Operand, row: dict[str, Term]) -> Term:
     return row[term.name] if isinstance(term, Var) else term
 
 
-def _solve_patterns(patterns: Sequence[TriplePattern], g: Graph) -> list[dict[str, Term]]:
-    bindings: list[dict[str, Term]] = [{}]
-    for pattern in patterns:
-        extended: list[dict[str, Term]] = []
-        for binding in bindings:
-            fixed = []
-            for term in (pattern.subject, pattern.predicate, pattern.object):
-                if isinstance(term, Var):
-                    fixed.append(binding.get(term.name))
-                else:
-                    fixed.append(term)
-            s, p, o = fixed
-            if s is not None and isinstance(s, Literal):
-                continue  # a literal can never be a subject
-            if p is not None and not isinstance(p, IRI):
-                continue
-            for triple in g.match(s, p, o):
-                new = dict(binding)
-                ok = True
-                for term, value in (
-                    (pattern.subject, triple.subject),
-                    (pattern.predicate, triple.predicate),
-                    (pattern.object, triple.object),
-                ):
-                    if isinstance(term, Var):
-                        bound = new.get(term.name)
-                        if bound is None:
-                            new[term.name] = value
-                        elif bound != value:
-                            ok = False
-                            break
-                if ok:
-                    extended.append(new)
-        bindings = extended
-        if not bindings:
-            break
-    return bindings
+def _can_raise(expr: FilterExpr) -> bool:
+    """Whether a filter can raise :class:`QueryTypeError`: only an ordering
+    comparison can."""
+    if isinstance(expr, Compare):
+        return expr.op not in ("=", "!=")
+    if isinstance(expr, (And, Or)):
+        return any(_can_raise(i) for i in expr.items)
+    if isinstance(expr, Not):
+        return _can_raise(expr.inner)
+    return False
+
+
+def _components(patterns: Sequence[TriplePattern]) -> list[list[TriplePattern]]:
+    """The patterns split into groups linked by shared variables, each in
+    text order; groups are ordered by their first pattern."""
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, pattern in enumerate(patterns):
+        names, members = pattern.variables(), [i]
+        apart = []
+        for group_names, group_members in groups:
+            if group_names & names:
+                names |= group_names
+                members += group_members
+            else:
+                apart.append((group_names, group_members))
+        groups = apart + [(names, members)]
+    groups.sort(key=lambda group: min(group[1]))
+    return [[patterns[i] for i in sorted(members)] for _, members in groups]
+
+
+def _join_order(patterns: Sequence[TriplePattern], g: Graph) -> list[TriplePattern]:
+    """Greedy join order for one component.  The next pattern shares a
+    bound variable (any pattern may start), has the most positions bound
+    (constants or bound variables), then the smallest index set ``match``
+    scans for its constants, then comes first in text order."""
+    bound: set[str] = set()
+    left = list(patterns)
+    order = []
+
+    def rank(pattern: TriplePattern) -> tuple[int, int]:
+        terms = (pattern.subject, pattern.predicate, pattern.object)
+        bound_positions = sum(1 for t in terms if not isinstance(t, Var) or t.name in bound)
+        return -bound_positions, g.scan_size(*(None if isinstance(t, Var) else t for t in terms))
+
+    while left:
+        best = min([p for p in left if p.variables() & bound] or left, key=rank)
+        left.remove(best)
+        order.append(best)
+        bound |= best.variables()
+    return order
+
+
+def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> list[dict[str, Term]]:
+    """Every row extended by every triple that matches the pattern under it."""
+    terms = (pattern.subject, pattern.predicate, pattern.object)
+    slots = [(i, t.name) for i, t in enumerate(terms) if isinstance(t, Var)]
+    extended: list[dict[str, Term]] = []
+    for row in rows:
+        s, p, o = [row.get(t.name) if isinstance(t, Var) else t for t in terms]
+        if isinstance(s, Literal) or (p is not None and not isinstance(p, IRI)):
+            continue  # a literal is never a subject, and a predicate is an IRI
+        free = [(i, name) for i, name in slots if name not in row]
+        if not free:
+            extended.extend(row for _ in g.match(s, p, o))
+            continue
+        for triple in g.match(s, p, o):
+            values = (triple.subject, triple.predicate, triple.object)
+            new = dict(row)
+            for i, name in free:
+                if new.setdefault(name, values[i]) != values[i]:
+                    break  # a variable repeated in the pattern met two values
+            else:
+                extended.append(new)
+    return extended
+
+
+def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
+    """The solutions of the patterns that pass every filter.
+
+    Each component of the patterns (see ``_components``) is joined once in
+    ``_join_order``, and the components are crossed at the end.  A filter
+    runs as soon as its variables are bound.  The exception is a filter
+    that can raise, and every filter after it in the query: those run in
+    query order on full solutions, so a query raises exactly when
+    filtering the full join in query order would.
+    """
+    pattern_vars = set().union(*(p.variables() for p in q.patterns))
+    early, late = [], list(q.filters)
+    while late and not _can_raise(late[0]) and _filter_vars(late[0]) <= pattern_vars:
+        early.append(late.pop(0))
+
+    def spend(bound: set[str]) -> list[FilterExpr]:
+        """The early filters whose variables are all bound, removed from
+        ``early``."""
+        ready = [f for f in early if _filter_vars(f) <= bound]
+        early[:] = [f for f in early if f not in ready]
+        return ready
+
+    def passing(rows: Iterable[dict[str, Term]], filters: list[FilterExpr]) -> list[dict[str, Term]]:
+        return [r for r in rows if all(_eval_filter(f, r, point) for f in filters)]
+
+    solutions, bound = passing([{}], spend(set())), set()
+    for component in _components(q.patterns):
+        if not solutions:
+            return []
+        rows, component_bound = [{}], set()
+        for pattern in _join_order(component, g):
+            component_bound |= pattern.variables()
+            rows = passing(_extend(rows, pattern, g), spend(component_bound))
+            if not rows:
+                return []
+        bound |= component_bound
+        ready = spend(bound)
+        pairs = _cross(solutions, rows, ready, point)
+        solutions = passing(({**a, **b} for a, b in pairs), ready)
+    return passing(solutions, late)
+
+
+def _cross(
+    left: list[dict[str, Term]], right: list[dict[str, Term]], ready: list[FilterExpr], point: PointOf,
+) -> Iterator[tuple[dict[str, Term], dict[str, Term]]]:
+    """The pairs of rows to try when crossing two non-empty row lists.
+
+    When a ready ``DistanceWithin`` links a variable of each side, only
+    pairs whose latitudes lie within the threshold are tried: a
+    great-circle distance is at least the radius times the latitude
+    difference.  The window is widened for float rounding, and the exact
+    filter still decides.
+    """
+    links = [
+        (f.threshold, a.name, b.name)
+        for f in ready if isinstance(f, DistanceWithin)
+        for a, b in ((f.point_a, f.point_b), (f.point_b, f.point_a))
+        if isinstance(a, Var) and isinstance(b, Var) and a.name in left[0] and b.name in right[0]
+    ]
+    if not links:
+        for x in left:
+            for y in right:
+                yield x, y
+        return
+
+    threshold, a, b = links[0]
+    half = math.degrees(threshold / EARTH_RADIUS_M) * (1 + 1e-9) + 1e-9
+    by_latitude = sorted(
+        ((p.latitude, i) for i, row in enumerate(right) if (p := point(row[b])) is not None),
+        key=lambda pair: pair[0],
+    )
+    latitudes = [lat for lat, _ in by_latitude]
+    for x in left:
+        p = point(x[a])
+        if p is not None:
+            lo = bisect.bisect_left(latitudes, p.latitude - half)
+            hi = bisect.bisect_right(latitudes, p.latitude + half)
+            for _, i in by_latitude[lo:hi]:
+                yield x, right[i]
 
 
 def _sort_rows(
@@ -751,14 +876,22 @@ def _sort_rows(
 
 
 def evaluate(q: Query, g: Graph) -> SolutionTable:
-    """Evaluate a query: join semantics over the patterns, then filters,
-    then the optional GROUP-COUNT aggregate, ordering, limit, projection.
+    """Evaluate a query: join semantics over the patterns with the filters
+    (see ``_solve``), then the optional GROUP-COUNT aggregate, ordering,
+    limit, projection.
 
     Projection is set-based: duplicate projected rows collapse.  The result
-    order is always deterministic.
+    order is always deterministic.  Each node's coordinates are resolved
+    once per call.
     """
-    solutions = _solve_patterns(q.patterns, g)
-    solutions = [s for s in solutions if all(_eval_filter(f, s, g) for f in q.filters)]
+    points: dict[Term, Optional[GeoPoint]] = {}
+
+    def point(term: Term) -> Optional[GeoPoint]:
+        if term not in points:
+            points[term] = resolve_point(term, g)
+        return points[term]
+
+    solutions = _solve(q, g, point)
 
     variables = q.output_variables
     if q.group_count is not None:

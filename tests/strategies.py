@@ -171,3 +171,50 @@ def random_case(rng: random.Random, max_triples: int = 200) -> tuple[Graph, Quer
         limit=limit,
     )
     return g, query
+
+
+# ---------------------------------------------------------------------------
+# Small (graph, query) pairs for the query planner: up to 5 patterns over a
+# handful of nodes and 2 filters, so the brute-force oracle stays cheap.
+
+_PLAN_NODES = [IRI(f"http://g/n{i}") for i in range(4)]
+_PLAN_PREDICATES = [IRI("http://g/p0"), IRI("http://g/p1"), IRI(RDF_TYPE)]
+_PLAN_LITERALS = [Literal(str(i), _XSD_INTEGER) for i in range(4)] + [Literal("x"), Literal("y")]
+_PLAN_VARS = [Var(f"v{i}") for i in range(5)]
+
+
+@st.composite
+def planner_cases(draw) -> tuple[Graph, Query]:
+    g = Graph()
+    for node in _PLAN_NODES:
+        if draw(st.booleans()):
+            lat, lon = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(f"46.{lat:03d}", _XSD_DECIMAL)))
+            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal(f"-1.{lon:03d}", _XSD_DECIMAL)))
+    for s, p, o in draw(st.lists(st.tuples(st.sampled_from(_PLAN_NODES), st.sampled_from(_PLAN_PREDICATES),
+                                           st.sampled_from(_PLAN_NODES + _PLAN_LITERALS)), min_size=1, max_size=12)):
+        g.insert(Triple(s, p, o))
+
+    # Each pattern is a triple of the graph with some positions made
+    # variables (subjects most often, predicates least), so that joins are
+    # often non-empty.
+    ordered = sorted(g, key=lambda t: tuple(term_to_ntriples(x) for x in (t.subject, t.predicate, t.object)))
+    patterns = []
+    for _ in range(draw(st.integers(1, 5))):
+        t = draw(st.sampled_from(ordered))
+        patterns.append(TriplePattern(*(
+            draw(st.sampled_from(_PLAN_VARS)) if draw(st.integers(0, 3)) < odds else term
+            for term, odds in zip((t.subject, t.predicate, t.object), (3, 1, 2))
+        )))
+    if not patterns[0].variables():
+        patterns[0] = TriplePattern(Var("v0"), patterns[0].predicate, patterns[0].object)
+    bound = sorted({v for p in patterns for v in p.variables()})
+    variables = st.sampled_from([Var(n) for n in bound])
+
+    filters = draw(st.lists(st.one_of(
+        st.builds(Compare, variables, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
+                  st.one_of(variables, st.sampled_from(_PLAN_NODES + _PLAN_LITERALS))),
+        st.builds(DistanceWithin, variables, variables, st.sampled_from([50.0, 150.0, 1000.0, 3000.0])),
+    ), max_size=2))
+    projection = draw(st.lists(variables, min_size=1, max_size=len(bound), unique=True))
+    return g, Query(projection=projection, patterns=patterns, filters=filters)

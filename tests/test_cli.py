@@ -162,6 +162,15 @@ class TestMap:
         assert result.stderr.startswith("error:")
         assert not (tmp_path / "m.nt").exists()
 
+    def test_non_utf8_graph_exits_2(self, runner, tmp_path):
+        graph = tmp_path / "g.nt"
+        graph.write_bytes(b'<http://e/s> <http://e/p> "\xe9" .\n')
+        result = run(runner, "map", "--graph", graph, "--out", tmp_path / "m.nt")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {graph}: ")
+        assert not (tmp_path / "m.nt").exists()
+
     def test_extra_rules_applied(self, runner, workspace, tmp_path):
         data = workspace / "data"
         run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
@@ -206,6 +215,16 @@ class TestQuery:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error:")
+
+    def test_non_utf8_query_exits_2(self, runner, tmp_path):
+        graph = tmp_path / "g.nt"
+        graph.write_text('<http://e/s> <http://e/p> "x" .\n', encoding="utf-8")
+        q = tmp_path / "q.rq"
+        q.write_bytes(b'SELECT ?s WHERE { ?s ?p "\xe9" }')
+        result = run(runner, "query", "--graph", graph, "--query", q)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {q}: ")
 
     def test_limit_zero_header_only(self, runner, workspace, tmp_path):
         data = workspace / "data"

@@ -66,6 +66,14 @@ class TestTerms:
         with pytest.raises(ValueError):
             Literal("x", "a b")
 
+    def test_iri_rejects_lone_surrogate(self):
+        with pytest.raises(ValueError):
+            IRI("http://example.org/\udc00")
+
+    def test_literal_rejects_lone_surrogate(self):
+        with pytest.raises(ValueError):
+            Literal("\ud800")
+
     def test_predicate_must_be_iri(self):
         with pytest.raises(TypeError):
             Triple(IRI("http://e/s"), BlankNode("b"), IRI("http://e/o"))  # type: ignore[arg-type]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_evaluate, haversine_reference
-from strategies import hostile_text, random_case
-from tifsem import fixtures
+from strategies import hostile_text, planner_cases, random_case
+from tifsem import fixtures, query
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import RDF_TYPE, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
 from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP, GeoPoint, GranuleKind
@@ -113,6 +114,11 @@ class TestParseErrors:
     def test_bad_string_escape_is_a_syntax_error(self, escape):
         with pytest.raises(QuerySyntaxError) as err:
             parse_query(f'SELECT ?s WHERE {{ ?s ?p "{escape}" }}')
+        assert err.value.position == 24
+
+    def test_raw_surrogate_in_string_is_a_syntax_error(self):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query('SELECT ?s WHERE { ?s ?p "\ud800" }')
         assert err.value.position == 24
 
     def test_string_escapes_resolve(self):
@@ -356,6 +362,107 @@ class TestOracleEquivalence:
         for case in range(120):
             g, q = random_case(rng)
             assert evaluate(q, g).rows == brute_force_evaluate(q, list(g)), f"case {case}"
+
+
+def _outcome(run) -> object:
+    """What ``run()`` returns, or QueryTypeError if it raises that."""
+    try:
+        return run()
+    except QueryTypeError:
+        return QueryTypeError
+
+
+class TestPlanner:
+    """Component-wise join order and early filters never change rows, nor
+    whether a query raises."""
+
+    @pytest.fixture()
+    def places(self) -> Graph:
+        decimal, rdf_type = XSD_NS + "decimal", IRI(RDF_TYPE)
+        g = Graph()
+        for i, (kind, lat) in enumerate([("Hotel", "46.1000"), ("Hotel", "46.1300"), ("Bar", "46.1005"),
+                                         ("Bar", "46.1290"), ("Bar", "46.2000"), ("Shop", "46.1001")]):
+            node = IRI(f"http://e/n{i}")
+            g.insert(Triple(node, rdf_type, IRI(f"http://e/{kind}")))
+            g.insert(Triple(node, IRI("http://e/rank"), Literal(str(i), XSD_NS + "integer")))
+            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(lat, decimal)))
+            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal("-1.1", decimal)))
+        return g
+
+    def test_disconnected_components_match_brute_force(self, places):
+        q = parse_query(
+            "SELECT ?h ?b WHERE { ?h a <http://e/Hotel> . ?b a <http://e/Bar> . "
+            "?b <http://e/rank> ?r . FILTER(?r != 4) FILTER(geo:distance(?h, ?b) < 500) }")
+        rows = evaluate(q, places).rows
+        assert rows == brute_force_evaluate(q, list(places))
+        assert [(h.value, b.value) for h, b in rows] == [("http://e/n0", "http://e/n2"),
+                                                         ("http://e/n1", "http://e/n3")]
+
+    def test_empty_component_gives_no_rows(self, places):
+        q = parse_query("SELECT ?h ?x WHERE { ?h a <http://e/Hotel> . ?x a <http://e/Museum> }")
+        assert evaluate(q, places).rows == []
+
+    def test_latitude_window_keeps_pairs_just_inside(self):
+        # For these two points the latitude difference exceeds the threshold
+        # turned into degrees by float rounding alone.
+        decimal = XSD_NS + "decimal"
+        g = Graph()
+        for name, lat in (("a", "0.0036"), ("b", "0.0")):
+            node = IRI(f"http://e/{name}")
+            g.insert(Triple(node, IRI(RDF_TYPE), IRI(f"http://e/{name.upper()}")))
+            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(lat, decimal)))
+            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal("0.0", decimal)))
+        distance = geo_distance(GeoPoint(0.0036, 0.0), GeoPoint(0.0, 0.0))
+        text = "SELECT ?a ?b WHERE {{ ?a a <http://e/A> . ?b a <http://e/B> FILTER(geo:distance(?a, ?b) < {!r}) }}"
+        assert len(evaluate(parse_query(text.format(math.nextafter(distance, math.inf))), g).rows) == 1
+        assert evaluate(parse_query(text.format(distance)), g).rows == []
+
+    def test_false_equality_after_raising_filter_still_raises(self, places):
+        q = Query(
+            projection=[Var("x")],
+            patterns=[TriplePattern(Var("x"), IRI(RDF_TYPE), Var("t"))],
+            filters=[Compare(Var("t"), "<", Literal("5", XSD_NS + "integer")),
+                     Compare(Var("x"), "=", IRI("http://e/nowhere"))],
+        )
+        with pytest.raises(QueryTypeError):
+            evaluate(q, places)
+
+    def test_false_equality_before_raising_filter_does_not_raise(self, places):
+        q = Query(
+            projection=[Var("x")],
+            patterns=[TriplePattern(Var("x"), IRI(RDF_TYPE), Var("t"))],
+            filters=[Compare(Var("x"), "=", IRI("http://e/nowhere")),
+                     Compare(Var("t"), "<", Literal("5", XSD_NS + "integer"))],
+        )
+        assert evaluate(q, places).rows == []
+
+    def test_calls_go_through_module_names(self, materialized_graph, monkeypatch):
+        """Tracing counts calls by rebinding these names, so evaluation
+        must look them up at call time."""
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(query, "resolve_point", counted("resolve_point", query.resolve_point))
+        monkeypatch.setattr(query, "geo_distance", counted("geo_distance", query.geo_distance))
+        monkeypatch.setattr(Graph, "match", counted("match", Graph.match))
+        evaluate(parse_query(fixtures.EXAMPLE1_QUERY), materialized_graph)
+        assert calls["resolve_point"] > 0 and calls["geo_distance"] > 0 and calls["match"] > 0
+
+    @given(planner_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_random_queries_match_brute_force_in_any_pattern_order(self, case, rng):
+        g, q = case
+        expected = _outcome(lambda: brute_force_evaluate(q, list(g)))
+        assert _outcome(lambda: evaluate(q, g).rows) == expected
+        patterns = list(q.patterns)
+        rng.shuffle(patterns)
+        shuffled = Query(projection=q.projection, patterns=patterns, filters=q.filters)
+        assert _outcome(lambda: evaluate(shuffled, g).rows) == expected
 
 
 class TestFormatting:

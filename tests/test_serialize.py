@@ -27,6 +27,7 @@ from tifsem.serialize import (
     DEFAULT_PREFIXES,
     from_ntriples,
     ontology_to_graph,
+    save_graph,
     term_to_ntriples,
     to_jsonld,
     to_ntriples,
@@ -67,6 +68,18 @@ class TestNTriplesWrite:
         assert text == text.encode("ascii", errors="strict").decode("ascii")
         assert "\\u00F4" in text and "\\U0001F3E8" in text
         assert from_ntriples(text) == g
+
+
+class TestSaveGraph:
+    def test_every_constructible_graph_saves_as_utf8(self, tmp_path):
+        # A surrogate cannot be encoded in UTF-8; the term constructors
+        # refuse it, so no graph that reaches save_graph can hold one.
+        with pytest.raises(ValueError):
+            Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("\ud800"))
+        g = Graph([Triple(IRI("http://e/é"), IRI("http://e/p"), Literal("hôtel 🏨"))])
+        path = tmp_path / "g.nt"
+        save_graph(g, path)
+        assert from_ntriples(path.read_text(encoding="utf-8")) == g
 
 
 class TestNTriplesRead:
