@@ -16,7 +16,7 @@ import click
 from tifsem import fixtures as fixtures_mod
 from tifsem import mapping, query as query_mod, serialize
 from tifsem.errors import TifsemError
-from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, assert_io
+from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, _insert_io
 from tifsem.ingest import (
     IDENTITY_PROFILE,
     RawDocument,
@@ -142,8 +142,8 @@ def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
     fmt = _output_format(out_path, fmt)
     ios, issues = _parse_and_validate(inputs, profile_path)
     g = Graph()
-    for io in ios:
-        assert_io(g, io, base)
+    for io in ios:  # validated once, by _parse_and_validate
+        _insert_io(g, io, base)
 
     issues_file = Path(issues_path) if issues_path else Path(out_path).with_suffix(".issues.tsv")
     _write_graph(g, out_path, fmt)

@@ -10,7 +10,8 @@ import datetime
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Collection, Iterable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import quote
 
 from tifsem import ontology
@@ -63,25 +64,49 @@ def _check_iri(value: str) -> None:
         raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
 
 
-@dataclass(frozen=True)
-class IRI:
+# Terms and triples compute their hash once, at the end of construction,
+# and ``__hash__`` returns it: a frozen dataclass would rehash its fields on
+# every set or dict lookup, and the indexes look every term up many times.
+# String hashes differ from process to process, so a stored hash must never
+# travel: ``__reduce__`` pickles and copies a term as its constructor call,
+# which recomputes the hash (and re-runs the checks) where it is loaded.
+class _CachedHash:
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True)
+class IRI(_CachedHash):
     value: str
 
     def __post_init__(self) -> None:
         _check_iri(self.value)
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return IRI, (self.value,)
 
 
-@dataclass(frozen=True)
-class BlankNode:
+@dataclass(frozen=True, slots=True)
+class BlankNode(_CachedHash):
     label: str
 
     def __post_init__(self) -> None:
         if not _BLANK_LABEL_RE.fullmatch(self.label):
             raise ValueError(f"blank node label must be {BLANK_LABEL}: {self.label!r}")
+        object.__setattr__(self, "_hash", hash(("_:", self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return BlankNode, (self.label,)
 
 
-@dataclass(frozen=True)
-class Literal:
+@dataclass(frozen=True, slots=True)
+class Literal(_CachedHash):
     lexical: str
     datatype: str = XSD_STRING
     language: Optional[str] = None
@@ -100,14 +125,21 @@ class Literal:
             raise ValueError("language-string literal requires a language tag")
         elif self.datatype != XSD_STRING:
             _check_iri(self.datatype)
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.language)
 
 
 Term = Union[IRI, BlankNode, Literal]
 Subject = Union[IRI, BlankNode]
 
 
-@dataclass(frozen=True)
-class Triple:
+@dataclass(frozen=True, slots=True)
+class Triple(_CachedHash):
     subject: Subject
     predicate: IRI
     object: Term
@@ -119,6 +151,13 @@ class Triple:
             raise TypeError("predicate must be an IRI")
         if not isinstance(self.object, (IRI, BlankNode, Literal)):
             raise TypeError("object must be a term")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
 
 class Graph:
@@ -158,9 +197,13 @@ class Graph:
         if t in self._triples:
             return False
         self._triples.add(t)
-        self._by_subject.setdefault(t.subject, set()).add(t)
-        self._by_predicate.setdefault(t.predicate, set()).add(t)
-        self._by_object.setdefault(t.object, set()).add(t)
+        for index, key in ((self._by_subject, t.subject), (self._by_predicate, t.predicate),
+                           (self._by_object, t.object)):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {t}
+            else:
+                bucket.add(t)
         return True
 
     def match(
@@ -199,6 +242,32 @@ class Graph:
         if predicate is not None:
             return self._by_predicate.get(predicate, ())
         return self._triples
+
+
+# One IRI object per class and property the core ontology fixes, and rdf:type.
+# ``assert_io`` and ``materialize`` take their vocabulary from here, so every
+# triple they write shares these terms and no triple rebuilds them.
+_SNAPSHOT = load_core_ontology()
+_VOCABULARY: Mapping[str, IRI] = MappingProxyType(
+    {iri: IRI(iri) for iri in (RDF_TYPE, *_SNAPSHOT.concepts, *_SNAPSHOT.properties)}
+)
+_RDF_TYPE = _VOCABULARY[RDF_TYPE]
+_IO_CLASS = _VOCABULARY[ontology.IO_CLASS]
+_HAS_GRANULE = _VOCABULARY[ontology.HAS_GRANULE]
+_LATITUDE = _VOCABULARY[ontology.LATITUDE_PROP]
+_LONGITUDE = _VOCABULARY[ontology.LONGITUDE_PROP]
+_GRANULE_CLASSES = {kind: _VOCABULARY[class_of(kind)] for kind in GranuleKind}
+_FIELD_PREDICATES = {
+    path: _VOCABULARY[_SNAPSHOT.predicate_for(path)]
+    for path in _SNAPSHOT.canonical_paths()
+    if _SNAPSHOT.predicate_for(path) in _VOCABULARY  # not the geopoint Position
+}
+
+
+def vocabulary_iri(value: str) -> IRI:
+    """The shared IRI object of a core-ontology class or property (or
+    rdf:type), else a new IRI."""
+    return _VOCABULARY.get(value) or IRI(value)
 
 
 def mint_io_iri(base: str, io_id: str) -> IRI:
@@ -245,29 +314,30 @@ def assert_io(g: Graph, io: InformationObject, base: str = DEFAULT_BASE_IRI) -> 
     if errors:
         detail = "; ".join(f"{i.field_path}: {i.message}" for i in errors)
         raise IoAssertionError(f"IO {io.id!r} failed validation: {detail}")
+    return _insert_io(g, io, base)
 
-    snapshot = load_core_ontology()
+
+def _insert_io(g: Graph, io: InformationObject, base: str) -> int:
+    """``assert_io`` for an IO already validated free of errors."""
     added = 0
     io_iri = mint_io_iri(base, io.id)
-    added += g.insert(Triple(io_iri, IRI(RDF_TYPE), IRI(ontology.IO_CLASS)))
+    added += g.insert(Triple(io_iri, _RDF_TYPE, _IO_CLASS))
 
     for kind, instances in io.granules.items():
-        schema = snapshot.granule_schemas[kind]
+        granule_class = _GRANULE_CLASSES[kind]
         for ordinal, granule in enumerate(instances):
             node = granule_node(io.id, kind, ordinal)
-            added += g.insert(Triple(io_iri, IRI(ontology.HAS_GRANULE), node))
-            added += g.insert(Triple(node, IRI(RDF_TYPE), IRI(class_of(kind))))
+            added += g.insert(Triple(io_iri, _HAS_GRANULE, node))
+            added += g.insert(Triple(node, _RDF_TYPE, granule_class))
             for path, value in granule.fields.items():
                 if isinstance(value, GeoPoint):
                     lat = Literal(decimal_lexical(value.latitude), XSD_DECIMAL)
                     lon = Literal(decimal_lexical(value.longitude), XSD_DECIMAL)
-                    added += g.insert(Triple(node, IRI(ontology.LATITUDE_PROP), lat))
-                    added += g.insert(Triple(node, IRI(ontology.LONGITUDE_PROP), lon))
+                    added += g.insert(Triple(node, _LATITUDE, lat))
+                    added += g.insert(Triple(node, _LONGITUDE, lon))
                     continue
-                if snapshot.has_path(path):
-                    predicate = IRI(snapshot.predicate_for(path))
-                else:  # extension field, keyed by its own IRI
-                    predicate = IRI(path)
+                # an extension field is keyed by its own IRI
+                predicate = _FIELD_PREDICATES.get(path) or IRI(path)
                 added += g.insert(Triple(node, predicate, _field_object(value, base)))
 
     for ext_iri, text in io.extensions.items():

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from tifsem.errors import ProfileError, XmlParseError
+from tifsem.graph import IRI_FORBIDDEN
 from tifsem.ontology import (
     FieldType,
     GeoPoint,
@@ -32,6 +33,8 @@ from tifsem.ontology import (
     OntologySnapshot,
     load_core_ontology,
 )
+
+_IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
 
 
 @dataclass(frozen=True)
@@ -327,6 +330,11 @@ def parse_tif(
                     )
                     continue
                 ext_iri = profile.extension_namespace + leaf.raw_path
+                if _IRI_FORBIDDEN_RE.search(ext_iri):  # e.g. the {uri} of a namespaced tag
+                    resource_issues.append(
+                        ("warning", leaf.raw_path, "unrecognized tag; its path cannot form an extension IRI")
+                    )
+                    continue
                 kind = snapshot.kind_for_tag(_segments(leaf.raw_path)[0])
                 rename_target = profile.tag_renames.get(leaf.top_tag)
                 host_kind = kind or (snapshot.kind_for_tag(rename_target) if rename_target else None)
@@ -420,6 +428,8 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
                 warning(schema.tag, "empty granule")
             for path, value in granule.fields.items():
                 if "://" in path:
+                    if _IRI_FORBIDDEN_RE.search(path):
+                        error(path, "extension key must be an IRI")
                     if not isinstance(value, str):
                         error(path, "extension fields must hold text")
                     continue
@@ -436,7 +446,7 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
                     error(path, f"value {value} outside [{spec.minimum}, {spec.maximum}]")
 
     for ext_iri, value in io.extensions.items():
-        if "://" not in ext_iri:
+        if "://" not in ext_iri or _IRI_FORBIDDEN_RE.search(ext_iri):
             error(ext_iri, "extension key must be an IRI")
         if not isinstance(value, str):
             error(ext_iri, "extension fields must hold text")

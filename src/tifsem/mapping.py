@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from tifsem.errors import RuleError
-from tifsem.graph import Graph, IRI, RDF_NS, RDF_TYPE, Triple
+from tifsem.graph import Graph, RDF_NS, RDF_TYPE, Triple, vocabulary_iri
 from tifsem.ontology import (
     GranuleKind,
     OntologySnapshot,
@@ -212,26 +212,28 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
             )
     snapshot = load_core_ontology()
     class_closure, prop_closure = _closure_maps(rules)
-    rdf_type = IRI(RDF_TYPE)
+    rdf_type = vocabulary_iri(RDF_TYPE)
 
     inferred: list[Triple] = []
     for source, targets in class_closure.items():
-        for t in g.match(predicate=rdf_type, object=IRI(source)):
-            inferred.extend(Triple(t.subject, rdf_type, IRI(target)) for target in targets)
+        classes = [vocabulary_iri(target) for target in targets]
+        for t in g.match(predicate=rdf_type, object=vocabulary_iri(source)):
+            inferred.extend(Triple(t.subject, rdf_type, c) for c in classes)
     for source, targets in prop_closure.items():
-        for t in g.match(predicate=IRI(source)):
-            inferred.extend(Triple(t.subject, IRI(target), t.object) for target in targets)
+        predicates = [vocabulary_iri(target) for target in targets]
+        for t in g.match(predicate=vocabulary_iri(source)):
+            inferred.extend(Triple(t.subject, p, t.object) for p in predicates)
     added = sum(g.insert(t) for t in inferred)
 
     structural = {RDF_TYPE, TIFSEM_NS + "hasGranule"}
     unmapped = {
         c for c in map(class_of, GranuleKind)
-        if c not in class_closure and any(g.match(predicate=rdf_type, object=IRI(c)))
+        if c not in class_closure and any(g.match(predicate=rdf_type, object=vocabulary_iri(c)))
     }
     unmapped.update(
         p for p in snapshot.properties
         if p.startswith(TIFSEM_NS) and p not in structural and p not in prop_closure
-        and any(g.match(predicate=IRI(p)))
+        and any(g.match(predicate=vocabulary_iri(p)))
     )
     return MappingReport(inferred_triples=added, unmapped_sources=unmapped)
 

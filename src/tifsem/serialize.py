@@ -123,7 +123,7 @@ def to_ntriples(g: Graph, ascii_only: bool = False) -> str:
 # here; `unescape` and the term constructors then refuse what the grammar
 # does not allow.
 _TERM_RE = re.compile(
-    rf"""[ \t]*(?:
+    rf"""[ \t]*(?P<term>
         <(?P<iri>(?:[^{IRI_FORBIDDEN}]|\\.)*)>
       | _:(?P<blank>{BLANK_LABEL})
       | "(?P<lexical>(?:[^"\\]|\\.)*)"
@@ -155,8 +155,12 @@ def _parse_error(message: str, line: str, lineno: int, pos: int) -> NTriplesPars
 
 def from_ntriples(text: str) -> Graph:
     """Parse N-Triples text; duplicate statements collapse.  An error gives
-    the line and the 1-based column where the offending part starts."""
+    the line and the 1-based column where the offending part starts.
+
+    Each distinct term text is unescaped, checked and built once, and every
+    triple naming it shares that one object."""
     g = Graph()
+    built: dict[str, Term] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
         if _SKIP_RE.match(line):
@@ -167,10 +171,13 @@ def from_ntriples(text: str) -> Graph:
             m = _TERM_RE.match(line, pos)
             if m is None:
                 raise _parse_error("expected a term", line, lineno, pos)
-            try:
-                term = _term(m)
-            except ValueError as exc:
-                raise _parse_error(str(exc), line, lineno, pos) from None
+            key = m.group("term")
+            term = built.get(key)
+            if term is None:
+                try:
+                    term = built[key] = _term(m)
+                except ValueError as exc:
+                    raise _parse_error(str(exc), line, lineno, pos) from None
             if position == "subject" and isinstance(term, Literal):
                 raise _parse_error("literal cannot be a subject", line, lineno, pos)
             if position == "predicate" and not isinstance(term, IRI):

@@ -218,3 +218,48 @@ def planner_cases(draw) -> tuple[Graph, Query]:
     ), max_size=2))
     projection = draw(st.lists(variables, min_size=1, max_size=len(bound), unique=True))
     return g, Query(projection=projection, patterns=patterns, filters=filters)
+
+
+# ---------------------------------------------------------------------------
+# TIF documents with arbitrary leaf text and attributes, for the ingest error
+# contract.  Tags come from the canonical vocabulary, the fixture dialects and
+# a few unknown or namespaced names, so that leaves often reach a field; leaf
+# text is often number- or date-like, so that it often reaches coercion.
+
+from xml.sax.saxutils import escape, quoteattr  # noqa: E402
+
+_TIF_TAGS = st.sampled_from([
+    "DublinCore", "Identifier", "Title", "Type", "Geolocation", "GeoLoc", "Latitude", "Longitude", "City",
+    "Position", "Prices", "Amount", "Periods", "Start", "RelatedServices", "Reference", "Capacity", "Value",
+    "Contacts", "Skype", "Interne", "Mystery", "q:Ext",
+])
+_LEAF_SAMPLES = st.sampled_from([
+    "46.1", "-1.5", "91", "0", "NaN", "sNaN", "-Infinity", "1E+3", "1e-7", "2024-02-29", "2024-13-01",
+    " ", "HOT-1", "a/b c", "é", "\U0001F3E8",
+])
+
+
+def _element(tag: str, attributes: dict[str, str], body: str) -> str:
+    attribute_text = "".join(f" {name}={quoteattr(value)}" for name, value in attributes.items())
+    return f"<{tag}{attribute_text}>{body}</{tag}>"
+
+
+def _tif_documents(text: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
+    attributes = st.dictionaries(st.sampled_from(["kind", "lang", "a", "q:ok", "xml:lang"]), text, max_size=2)
+    elements = st.recursive(
+        st.builds(lambda tag, attrs, body: _element(tag, attrs, escape(body)),
+                  _TIF_TAGS, attributes, st.one_of(text, _LEAF_SAMPLES)),
+        lambda children: st.builds(lambda tag, attrs, kids: _element(tag, attrs, "".join(kids)),
+                                   _TIF_TAGS, attributes, st.lists(children, max_size=4)),
+        max_leaves=8,
+    )
+    resources = st.builds(lambda attrs, kids: _element("Resource", attrs, "".join(kids)),
+                          attributes, st.lists(elements, max_size=5))
+    return st.lists(resources, max_size=3).map(
+        lambda rs: f'<TIF xmlns:q="urn:q">{"".join(rs)}</TIF>'.encode("utf-8"))
+
+
+# Most documents hold only text that XML can carry, so that they parse; the
+# rest hold any text, which may have control characters XML refuses.
+_xml_documents = _tif_documents(st.text(st.characters(blacklist_categories=("Cs", "Cc"))))
+tif_documents = st.one_of(_xml_documents, _xml_documents, _xml_documents, _tif_documents(st.text()))

@@ -319,6 +319,21 @@ class TestSharedParseAndValidate:
         assert validated.output == report
         assert (report == "") == (with_profile or name == "fixture_v3.xml")
 
+    def test_ingest_validates_each_io_once(self, runner, tmp_path, data_dir, monkeypatch):
+        from tifsem import cli, ingest
+
+        original, calls = ingest.validate_io, []
+
+        def counted(io, *args, **kwargs):
+            calls.append(io.id)
+            return original(io, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "validate_io", counted)
+        monkeypatch.setattr(cli, "validate_io", counted)
+        result = run(runner, "ingest", data_dir / "fixture_v3.xml", "--out", tmp_path / "g.nt")
+        assert result.exit_code == 0, result.output
+        assert calls == ["HOT-042"]
+
     def test_error_issues_block_only_their_io(self, runner, tmp_path):
         noisy = tmp_path / "noisy.xml"
         noisy.write_text(

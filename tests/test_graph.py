@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +18,7 @@ import strategies as own
 from oracles import io_triple_count
 from tifsem.errors import IoAssertionError
 from tifsem.graph import (
+    RDF_LANG_STRING,
     RDF_TYPE,
     BlankNode,
     Graph,
@@ -81,6 +89,75 @@ class TestTerms:
     def test_literal_subject_rejected(self):
         with pytest.raises(TypeError):
             Triple(Literal("x"), IRI("http://e/p"), IRI("http://e/o"))  # type: ignore[arg-type]
+
+    def test_language_literal_equals_explicit_langstring(self):
+        short, explicit = Literal("x", language="en"), Literal("x", RDF_LANG_STRING, "en")
+        assert short == explicit
+        assert hash(short) == hash(explicit)
+
+    @pytest.mark.parametrize("value, attribute", [
+        (IRI("http://e/s"), "value"),
+        (BlankNode("b"), "label"),
+        (Literal("x"), "lexical"),
+        (Literal("x"), "datatype"),
+        (Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("x")), "object"),
+    ])
+    def test_assignment_raises_frozen_instance_error(self, value, attribute):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, attribute, IRI("http://e/x"))
+
+    def test_cached_hash_cannot_be_reassigned(self):
+        iri = IRI("http://e/s")
+        # Python 3.10 and 3.11 raise TypeError, not FrozenInstanceError, for a
+        # name that is not a field of a slotted frozen dataclass.
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            iri._hash = 0
+        assert hash(iri) == hash(IRI("http://e/s"))
+
+    @given(st.one_of(own.terms, own.triples), st.one_of(own.terms, own.triples))
+    def test_equal_values_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+        rebuilt = type(a)(*(getattr(a, name) for name in a.__dataclass_fields__))
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+# Loads pickled terms and triples under another PYTHONHASHSEED and checks set
+# membership both ways against the same values built in that process.
+_LOAD_ELSEWHERE = """
+import pickle, sys
+from tifsem.graph import BlankNode, IRI, Literal, Triple
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = [IRI("http://e/s"), BlankNode("b1"), Literal("x", language="en"),
+         Literal("5", "http://www.w3.org/2001/XMLSchema#decimal"),
+         Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("x", language="en"))]
+assert loaded == fresh, (loaded, fresh)
+for a, b in zip(loaded, fresh):
+    assert hash(a) == hash(b) and a in {b} and b in {a}, a
+print("ok")
+"""
+
+
+class TestPickleAndCopy:
+    values = [IRI("http://e/s"), BlankNode("b1"), Literal("x", language="en"),
+              Literal("5", "http://www.w3.org/2001/XMLSchema#decimal"),
+              Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("x", language="en"))]
+
+    def test_pickle_loads_under_another_hash_seed(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", _LOAD_ELSEWHERE], input=pickle.dumps(self.values),
+                              env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == b"ok\n"
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+    def test_copies_are_equal_and_hash_equal(self, duplicate):
+        for value in self.values:
+            twin = duplicate(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert twin in {value} and value in {twin}
 
 
 class TestGraph:

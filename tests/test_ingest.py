@@ -3,10 +3,13 @@ from __future__ import annotations
 from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import strategies as own
 from oracles import dom_leaves, is_dropped_by
 from tifsem import fixtures
-from tifsem.errors import ProfileError, XmlParseError
+from tifsem.errors import ProfileError, TifsemError, XmlParseError
 from tifsem.graph import Graph, assert_io
 from tifsem.ingest import (
     DialectProfile,
@@ -21,7 +24,7 @@ from tifsem.ingest import (
     validate_io,
 )
 from tifsem.ontology import Granule, GranuleKind, InformationObject
-from tifsem.serialize import to_ntriples
+from tifsem.serialize import from_ntriples, to_ntriples
 
 
 def doc(path) -> RawDocument:
@@ -267,6 +270,33 @@ class TestParseTif:
             ("error", "Geolocation/Latitude"),
         ]
 
+    def test_namespaced_tag_cannot_form_extension_iri(self):
+        data = (b'<TIF xmlns:q="urn:q"><Resource><DublinCore><Identifier>A-1</Identifier>'
+                b"<q:Note>x</q:Note></DublinCore><q:Note>y</q:Note></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data), fixtures.profile_dialect_b())
+        assert [(i.severity, i.field_path) for i in issues] == [
+            ("warning", "DublinCore/{urn:q}Note"), ("warning", "{urn:q}Note"),
+        ]
+        assert validate_io(ios[0]) == []
+        assert assert_io(Graph(), ios[0]) == 4
+
+    @given(own.tif_documents, st.sampled_from([IDENTITY_PROFILE, fixtures.profile_dialect_a(),
+                                               fixtures.profile_dialect_b()]))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_arbitrary_leaves_raise_only_tifsem_errors(self, data, profile):
+        # Every IO free of error issues must also assert, and as valid RDF.
+        try:
+            ios, issues = parse_tif(doc_bytes(data), profile)
+        except TifsemError:
+            return
+        blocked = {i.io_id for i in issues if i.severity == "error"}
+        for io in ios:
+            if any(i.severity == "error" for i in validate_io(io)) or io.id in blocked:
+                continue
+            g = Graph()
+            assert_io(g, io)
+            assert from_ntriples(to_ntriples(g)) == g
+
     def test_repeated_granule_elements_make_instances(self, data_dir):
         ios, _ = parse_tif(doc(data_dir / "fixture_v3.xml"))
         languages = ios[0].granules[GranuleKind.LANGUAGES]
@@ -311,6 +341,14 @@ class TestValidateIo:
     def test_non_finite_decimal_is_error(self, kind, path, value):
         io = InformationObject(id="X", granules={kind: [Granule(kind=kind, fields={path: Decimal(value)})]})
         assert [(i.severity, i.field_path) for i in validate_io(io)] == [("error", path)]
+
+    def test_extension_key_must_be_an_iri(self):
+        io = InformationObject(id="X", granules={
+            GranuleKind.CONTACTS: [Granule(kind=GranuleKind.CONTACTS, fields={"http://e/{q}Skype": "s"})],
+        }, extensions={"http://e/a b": "t"})
+        assert [(i.severity, i.field_path) for i in validate_io(io)] == [
+            ("error", "http://e/{q}Skype"), ("error", "http://e/a b"),
+        ]
 
     def test_type_mismatch_is_error(self):
         io = InformationObject(id="X", granules={

@@ -122,6 +122,18 @@ class TestNTriplesRead:
         g = from_ntriples('<http://e/s> <http://e/p> "H\\u00F4tel \\U0001F3E8" .\n')
         assert next(iter(g)).object.lexical == "Hôtel 🏨"
 
+    def test_repeated_term_text_gives_one_shared_object(self):
+        g = from_ntriples(
+            '<http://e/s> <http://e/p> "x"@en .\n'
+            '<http://e/o> <http://e/p> "x"@en .\n'
+            '<http://e/s> <http://e/q> <http://e/o> .\n'
+        )
+        by_text = {}
+        for t in g:
+            for term in (t.subject, t.predicate, t.object):
+                assert by_text.setdefault(term_to_ntriples(term), term) is term
+        assert len(by_text) == 5
+
 
 class TestNTriplesErrors:
     def test_surrogate_escape_rejected(self):
@@ -135,6 +147,13 @@ class TestNTriplesErrors:
             from_ntriples(text)
         assert err.value.line == 2
         assert "column 15" in str(err.value)
+
+    def test_literal_subject_rejected_after_same_literal_as_object(self):
+        text = '<http://e/s> <http://e/p> "x" .\n<http://e/s> <http://e/p> "y" .\n  "x" <http://e/p> <http://e/o> .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples(text)
+        assert err.value.line == 3
+        assert "column 3: literal cannot be a subject" in str(err.value)
 
     def test_forbidden_iri_character_rejected(self):
         for line in ['<http://e/a b> <http://e/p> "x" .', '<http://e/s> <http://e/p> <http://e/\\u0020> .',
