@@ -1,5 +1,19 @@
 """In-memory triple store with subject/predicate/object indexes.
 
+A ``Graph`` keeps each triple in three indexes and nowhere else:
+
+* subject -> predicate -> bucket.  A bucket holds the triples of one
+  (subject, predicate) pair.  Most pairs have one triple, which is stored
+  bare; the second insert turns the bucket into a dict from object to
+  triple.  ``match(s, p)`` is a direct lookup, ``match(s, p, o)`` and
+  membership are a lookup in one bucket, and iteration walks this index.
+* predicate -> set of triples, for patterns with only the predicate bound.
+* object -> set of triples, for patterns with the object bound and the
+  subject free.
+
+``len`` is a counter.  ``scan_size`` is the size of the set ``match`` reads
+from, and is exact when the subject is bound.
+
 Build phase (insert, assert) requires exclusive access; once built, a graph
 can be read concurrently without restriction.
 """
@@ -161,49 +175,68 @@ class Triple(_CachedHash):
 
 
 class Graph:
-    """A set of triples with one index per position."""
+    """A set of triples, indexed by subject then predicate, by predicate and
+    by object."""
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
-        self._by_subject: dict[Subject, set[Triple]] = {}
+        self._len = 0
+        self._by_subject: dict[Subject, dict[IRI, _Bucket]] = {}
         self._by_predicate: dict[IRI, set[Triple]] = {}
         self._by_object: dict[Term, set[Triple]] = {}
         for t in triples:
             self.insert(t)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._len
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+    def __contains__(self, t: object) -> bool:
+        if not isinstance(t, Triple):
+            return False
+        bucket = self._by_subject.get(t.subject, _NO_BUCKETS).get(t.predicate)
+        return bucket is not None and bool(_in_bucket(bucket, t.object))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        for buckets in self._by_subject.values():
+            for bucket in buckets.values():
+                yield from _in_bucket(bucket, None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        # A bucket is bare exactly when it holds one triple, so equal graphs
+        # have equal subject indexes.
+        return self._by_subject == other._by_subject
 
     @property
     def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return frozenset(self)
 
     def copy(self) -> "Graph":
-        return Graph(self._triples)
+        return Graph(self)
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only if it was not already present."""
-        if t in self._triples:
+        buckets = self._by_subject.get(t.subject)
+        if buckets is None:
+            buckets = self._by_subject[t.subject] = {}
+        bucket = buckets.get(t.predicate)
+        if bucket is None:
+            buckets[t.predicate] = t
+        elif type(bucket) is Triple:
+            if bucket.object == t.object:
+                return False
+            buckets[t.predicate] = {bucket.object: bucket, t.object: t}
+        elif t.object in bucket:
             return False
-        self._triples.add(t)
-        for index, key in ((self._by_subject, t.subject), (self._by_predicate, t.predicate),
-                           (self._by_object, t.object)):
-            bucket = index.get(key)
-            if bucket is None:
+        else:
+            bucket[t.object] = t
+        self._len += 1
+        for index, key in ((self._by_predicate, t.predicate), (self._by_object, t.object)):
+            other = index.get(key)
+            if other is None:
                 index[key] = {t}
             else:
-                bucket.add(t)
+                other.add(t)
         return True
 
     def match(
@@ -213,15 +246,18 @@ class Graph:
         object: Optional[Term] = None,
     ) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
-        # The index set already agrees on the position it is keyed by.
-        check_predicate = predicate is not None and (subject is not None or object is not None)
-        check_object = object is not None and subject is not None
-        for t in self._index_set(subject, predicate, object):
-            if check_predicate and t.predicate != predicate:
-                continue
-            if check_object and t.object != object:
-                continue
-            yield t
+        if subject is not None:
+            for bucket in self._buckets(subject, predicate):
+                yield from _in_bucket(bucket, object)
+        elif object is not None:
+            # The object's set already agrees on the object.
+            for t in self._by_object.get(object, ()):
+                if predicate is None or t.predicate == predicate:
+                    yield t
+        elif predicate is not None:
+            yield from self._by_predicate.get(predicate, ())
+        else:
+            yield from self
 
     def scan_size(
         self,
@@ -229,19 +265,39 @@ class Graph:
         predicate: Optional[IRI] = None,
         object: Optional[Term] = None,
     ) -> int:
-        """How many triples ``match`` scans for these bound positions."""
-        return len(self._index_set(subject, predicate, object))
-
-    def _index_set(self, subject, predicate, object) -> Collection[Triple]:
-        """The subject's triples if it is bound, else the object's, else
-        the predicate's, else all."""
+        """How many triples ``match`` examines for these bound positions:
+        exactly the triples it yields when the subject is bound."""
         if subject is not None:
-            return self._by_subject.get(subject, ())
+            return sum(len(_in_bucket(b, object)) for b in self._buckets(subject, predicate))
         if object is not None:
-            return self._by_object.get(object, ())
+            return len(self._by_object.get(object, ()))
         if predicate is not None:
-            return self._by_predicate.get(predicate, ())
-        return self._triples
+            return len(self._by_predicate.get(predicate, ()))
+        return self._len
+
+    def _buckets(self, subject: Subject, predicate: Optional[IRI]) -> Collection[_Bucket]:
+        """The subject's bucket for the predicate, or all its buckets."""
+        buckets = self._by_subject.get(subject, _NO_BUCKETS)
+        if predicate is None:
+            return buckets.values()
+        bucket = buckets.get(predicate)
+        return () if bucket is None else (bucket,)
+
+
+# The triples of one (subject, predicate) pair.  Most pairs have one, which
+# is stored bare; a second promotes the bucket to a dict keyed by object.
+_Bucket = Union[Triple, dict[Term, Triple]]
+_NO_BUCKETS: Mapping[IRI, _Bucket] = MappingProxyType({})
+
+
+def _in_bucket(bucket: _Bucket, object: Optional[Term]) -> Collection[Triple]:
+    """The bucket's triples, or only the one with this object."""
+    if type(bucket) is Triple:
+        return (bucket,) if object is None or bucket.object == object else ()
+    if object is None:
+        return bucket.values()
+    t = bucket.get(object)
+    return () if t is None else (t,)
 
 
 # One IRI object per class and property the core ontology fixes, and rdf:type.

@@ -31,6 +31,7 @@ from tifsem.ontology import (
     InformationObject,
     IoRef,
     OntologySnapshot,
+    check_plain_length,
     load_core_ontology,
 )
 
@@ -268,6 +269,7 @@ def _coerce(value: str, spec_type: FieldType):
             raise ValueError(f"not a decimal: {value!r}")
         if not number.is_finite():
             raise ValueError(f"not a finite decimal: {value!r}")
+        check_plain_length(number)
         return number
     if spec_type is FieldType.DATE:
         try:
@@ -400,7 +402,8 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
     """Check one IO against the granule schema; never mutates it.
 
     Errors cover schema violations (unregistered field paths, type mismatches,
-    out-of-range coordinates, empty ids); empty granules earn a warning.
+    out-of-range coordinates, non-finite decimals and decimals whose plain
+    form is too long, empty ids); empty granules earn a warning.
     """
     snapshot = snapshot or load_core_ontology()
     issues: list[ValidationIssue] = []
@@ -440,10 +443,17 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
                 if not spec.accepts(value):
                     error(path, f"expected {spec.type.value} value, got {type(value).__name__}")
                     continue
-                if isinstance(value, Decimal) and not value.is_finite():
+                if not isinstance(value, Decimal):
+                    continue
+                if not value.is_finite():
                     error(path, f"not a finite decimal: {value}")
-                elif isinstance(value, Decimal) and not spec.in_bounds(value):
+                elif not spec.in_bounds(value):
                     error(path, f"value {value} outside [{spec.minimum}, {spec.maximum}]")
+                else:
+                    try:
+                        check_plain_length(value)
+                    except ValueError as exc:
+                        error(path, str(exc))
 
     for ext_iri, value in io.extensions.items():
         if "://" not in ext_iri or _IRI_FORBIDDEN_RE.search(ext_iri):

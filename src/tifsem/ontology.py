@@ -447,12 +447,35 @@ def load_core_ontology() -> OntologySnapshot:
     )
 
 
+# The longest plain form ``decimal_lexical`` writes.  A plain form has a
+# digit for every power of ten a value spans, so its length follows the
+# exponent, not the text the value came from: the 11 characters 1E+10000000
+# would make a literal of ten million.  Every float fits; the longest,
+# -5e-324, takes 327 characters.
+MAX_DECIMAL_LENGTH = 1000
+
+
+def check_plain_length(d: Decimal) -> None:
+    """Raise ValueError when the plain form of the finite decimal ``d``
+    would be longer than ``MAX_DECIMAL_LENGTH`` characters.  The length is
+    worked out from the digits and the exponent, without writing the form."""
+    sign, digits, exponent = d.as_tuple()
+    if exponent >= 0:
+        length = 1 if d.is_zero() else len(digits) + exponent
+    else:  # the digits with a point among them, or "0." and zeros before them
+        length = max(len(digits), 1 - exponent) + 1
+    if sign + length > MAX_DECIMAL_LENGTH:
+        raise ValueError(f"decimal longer than {MAX_DECIMAL_LENGTH} characters in plain notation")
+
+
 def decimal_lexical(value: Decimal | float | int) -> str:
     """Plain-notation lexical form for a decimal literal (never scientific).
 
-    Raises ValueError for NaN and infinities, which xsd:decimal cannot spell.
+    Raises ValueError for NaN and infinities, which xsd:decimal cannot spell,
+    and for a value whose plain form ``check_plain_length`` refuses.
     """
     d = value if isinstance(value, Decimal) else Decimal(repr(float(value)))
     if not d.is_finite():
         raise ValueError(f"not a finite decimal: {value!r}")
+    check_plain_length(d)
     return format(d, "f")

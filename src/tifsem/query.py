@@ -724,19 +724,22 @@ def _components(patterns: Sequence[TriplePattern]) -> list[list[TriplePattern]]:
     return [[patterns[i] for i in sorted(members)] for _, members in groups]
 
 
-def _join_order(patterns: Sequence[TriplePattern], g: Graph) -> list[TriplePattern]:
-    """Greedy join order for one component.  The next pattern shares a
-    bound variable (any pattern may start), has the most positions bound
-    (constants or bound variables), then the smallest index set ``match``
-    scans for its constants, then comes first in text order."""
-    bound: set[str] = set()
+def _join_order(
+    patterns: Sequence[TriplePattern], g: Graph, seed: dict[str, Term],
+) -> list[TriplePattern]:
+    """Greedy join order for one component whose variables in ``seed`` are
+    already bound.  The next pattern shares a bound variable (any pattern
+    may start), has the most positions bound (constants or bound
+    variables), then the smallest index set ``match`` scans for its
+    constants and seeded values, then comes first in text order."""
+    bound: set[str] = set(seed)
     left = list(patterns)
     order = []
 
     def rank(pattern: TriplePattern) -> tuple[int, int]:
         terms = (pattern.subject, pattern.predicate, pattern.object)
         bound_positions = sum(1 for t in terms if not isinstance(t, Var) or t.name in bound)
-        return -bound_positions, g.scan_size(*(None if isinstance(t, Var) else t for t in terms))
+        return -bound_positions, g.scan_size(*(seed.get(t.name) if isinstance(t, Var) else t for t in terms))
 
     while left:
         best = min([p for p in left if p.variables() & bound] or left, key=rank)
@@ -770,6 +773,20 @@ def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> li
     return extended
 
 
+def _folded(expr: FilterExpr) -> Optional[tuple[str, Term]]:
+    """The variable and constant of a ``FILTER(?v = c)`` that binding ?v to
+    c answers: for an IRI or a literal that is not a number, ``=`` is term
+    equality.  A number is not folded, because ``=`` compares numbers by
+    value (``"1.0"^^xsd:decimal`` equals ``1``)."""
+    if isinstance(expr, Compare) and expr.op == "=":
+        for var, constant in ((expr.left, expr.right), (expr.right, expr.left)):
+            if isinstance(var, Var) and (
+                isinstance(constant, IRI) or isinstance(constant, Literal) and _numeric(constant) is None
+            ):
+                return var.name, constant
+    return None
+
+
 def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
     """The solutions of the patterns that pass every filter.
 
@@ -778,12 +795,24 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
     runs as soon as its variables are bound.  The exception is a filter
     that can raise, and every filter after it in the query: those run in
     query order on full solutions, so a query raises exactly when
-    filtering the full join in query order would.
+    filtering the full join in query order would.  Of the filters before
+    them, each top-level equality ``_folded`` accepts is not run: its
+    variable is bound to its constant in the component's start row, so the
+    join probes the indexes with it.
     """
     pattern_vars = set().union(*(p.variables() for p in q.patterns))
     early, late = [], list(q.filters)
     while late and not _can_raise(late[0]) and _filter_vars(late[0]) <= pattern_vars:
         early.append(late.pop(0))
+
+    seed: dict[str, Term] = {}
+    for f in list(early):
+        folded = _folded(f)
+        if folded is not None:
+            early.remove(f)
+            name, constant = folded
+            if seed.setdefault(name, constant) != constant:
+                return []  # ?v = c and ?v = d for two different terms
 
     def spend(bound: set[str]) -> list[FilterExpr]:
         """The early filters whose variables are all bound, removed from
@@ -799,8 +828,10 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
     for component in _components(q.patterns):
         if not solutions:
             return []
-        rows, component_bound = [{}], set()
-        for pattern in _join_order(component, g):
+        start = {name: seed[name] for p in component for name in p.variables() if name in seed}
+        component_bound = set(start)
+        rows = passing([start], spend(component_bound))
+        for pattern in _join_order(component, g, start):
             component_bound |= pattern.variables()
             rows = passing(_extend(rows, pattern, g), spend(component_bound))
             if not rows:

@@ -71,7 +71,9 @@ from decimal import Decimal  # noqa: E402
 
 from tifsem.graph import RDF_TYPE  # noqa: E402
 from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP  # noqa: E402
-from tifsem.query import Compare, DistanceWithin, GroupCount, OrderSpec, Query, TriplePattern, Var  # noqa: E402
+from tifsem.query import (  # noqa: E402
+    Compare, DistanceWithin, GroupCount, Not, Or, OrderSpec, Query, TriplePattern, Var,
+)
 from tifsem.serialize import term_to_ntriples  # noqa: E402
 
 _XSD_INTEGER = XSD_NS + "integer"
@@ -175,12 +177,16 @@ def random_case(rng: random.Random, max_triples: int = 200) -> tuple[Graph, Quer
 
 # ---------------------------------------------------------------------------
 # Small (graph, query) pairs for the query planner: up to 5 patterns over a
-# handful of nodes and 2 filters, so the brute-force oracle stays cheap.
+# handful of nodes and 3 filters, so the brute-force oracle stays cheap.
 
 _PLAN_NODES = [IRI(f"http://g/n{i}") for i in range(4)]
 _PLAN_PREDICATES = [IRI("http://g/p0"), IRI("http://g/p1"), IRI(RDF_TYPE)]
-_PLAN_LITERALS = [Literal(str(i), _XSD_INTEGER) for i in range(4)] + [Literal("x"), Literal("y")]
 _PLAN_VARS = [Var(f"v{i}") for i in range(5)]
+# Twins are different terms that are easy to confuse: "1.0"^^xsd:decimal
+# equals the integer 1 by value only, and "x"@en is not "x".
+_PLAN_TWIN_PAIRS = [(Literal("1", _XSD_INTEGER), Literal("1.0", _XSD_DECIMAL)), (Literal("x"), Literal("x", language="en"))]
+_PLAN_TWINS = {a: b for pair in _PLAN_TWIN_PAIRS for a, b in (pair, pair[::-1])}
+_PLAN_LITERALS = [Literal(str(i), _XSD_INTEGER) for i in (0, 2, 3)] + [Literal("y")] + list(_PLAN_TWINS)
 
 
 @st.composite
@@ -197,25 +203,44 @@ def planner_cases(draw) -> tuple[Graph, Query]:
 
     # Each pattern is a triple of the graph with some positions made
     # variables (subjects most often, predicates least), so that joins are
-    # often non-empty.
+    # often non-empty.  ``seen`` keeps the terms each variable replaced.
     ordered = sorted(g, key=lambda t: tuple(term_to_ntriples(x) for x in (t.subject, t.predicate, t.object)))
-    patterns = []
+    patterns, seen = [], {}
     for _ in range(draw(st.integers(1, 5))):
-        t = draw(st.sampled_from(ordered))
-        patterns.append(TriplePattern(*(
-            draw(st.sampled_from(_PLAN_VARS)) if draw(st.integers(0, 3)) < odds else term
-            for term, odds in zip((t.subject, t.predicate, t.object), (3, 1, 2))
-        )))
+        t, terms = draw(st.sampled_from(ordered)), []
+        for term, odds in zip((t.subject, t.predicate, t.object), (3, 1, 2)):
+            if draw(st.integers(0, 3)) < odds:
+                var = draw(st.sampled_from(_PLAN_VARS))
+                seen.setdefault(var.name, []).append(term)
+                term = var
+            terms.append(term)
+        patterns.append(TriplePattern(*terms))
     if not patterns[0].variables():
+        seen.setdefault("v0", []).append(patterns[0].subject)
         patterns[0] = TriplePattern(Var("v0"), patterns[0].predicate, patterns[0].object)
     bound = sorted({v for p in patterns for v in p.variables()})
     variables = st.sampled_from([Var(n) for n in bound])
 
+    # Equalities with a constant on either side, alone or inside Or and Not,
+    # exercise the folding of equality filters into the join.  The constant
+    # is a term its variable replaced, so that the equality often holds, or
+    # that term's twin.
+    def equality(v: Var, term, twin: bool, flip: bool) -> Compare:
+        constant = _PLAN_TWINS.get(term, term) if twin else term
+        return Compare(constant, "=", v) if flip else Compare(v, "=", constant)
+
+    constants = st.sampled_from(_PLAN_NODES + _PLAN_LITERALS)
+    equalities = variables.flatmap(lambda v: st.builds(
+        equality, st.just(v), st.sampled_from(seen[v.name]), st.booleans(), st.booleans()))
     filters = draw(st.lists(st.one_of(
         st.builds(Compare, variables, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
-                  st.one_of(variables, st.sampled_from(_PLAN_NODES + _PLAN_LITERALS))),
+                  st.one_of(variables, constants)),
+        equalities,
+        equalities,
+        st.builds(Not, equalities),
+        st.builds(lambda a, b: Or((a, b)), equalities, equalities),
         st.builds(DistanceWithin, variables, variables, st.sampled_from([50.0, 150.0, 1000.0, 3000.0])),
-    ), max_size=2))
+    ), max_size=3))
     projection = draw(st.lists(variables, min_size=1, max_size=len(bound), unique=True))
     return g, Query(projection=projection, patterns=patterns, filters=filters)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -72,6 +73,21 @@ class TestIngest:
         result = run(runner, "ingest", bad, "--out", tmp_path / "x.nt")
         assert result.exit_code == 1
         assert (tmp_path / "x.issues.tsv").read_text().startswith("ERROR\t")
+
+    def test_decimal_with_huge_plain_form_is_an_error_issue(self, runner, tmp_path):
+        # The 31-byte leaf would be a literal of ten million characters.
+        big = tmp_path / "big.xml"
+        big.write_text("<TIF><Resource><Prices><Amount>1E+10000000</Amount></Prices></Resource></TIF>")
+        tracemalloc.start()
+        try:
+            result = run(runner, "ingest", big, "--out", tmp_path / "x.nt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 1
+        assert (tmp_path / "x.issues.tsv").read_text().startswith("ERROR\t")
+        assert "Prices/Amount" in (tmp_path / "x.issues.tsv").read_text()
+        assert peak < 1_000_000
 
     def test_base_iri_flag(self, runner, workspace):
         data = workspace / "data"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -20,6 +21,7 @@ from tifsem.errors import IoAssertionError
 from tifsem.graph import (
     RDF_LANG_STRING,
     RDF_TYPE,
+    XSD_NS,
     BlankNode,
     Graph,
     IRI,
@@ -224,6 +226,52 @@ class TestGraph:
         assert matched == scanned
         assert len(matched) == len(la_rochelle_ios)
 
+
+# Small term pools, so that random inserts repeat triples, put many objects
+# under one (subject, predicate) and leave others with one.
+_MODEL_SUBJECTS = [IRI(f"http://m/s{i}") for i in range(3)] + [BlankNode(f"b{i}") for i in range(2)]
+_MODEL_PREDICATES = [IRI(f"http://m/p{i}") for i in range(3)]
+_MODEL_OBJECTS = _MODEL_SUBJECTS[1:4] + [
+    Literal("v"), Literal("v", language="en"), Literal("1", XSD_NS + "integer"), Literal("1.0", XSD_NS + "decimal"),
+]
+_model_triples = st.builds(Triple, st.sampled_from(_MODEL_SUBJECTS), st.sampled_from(_MODEL_PREDICATES),
+                           st.sampled_from(_MODEL_OBJECTS))
+
+
+class TestGraphAgainstSetModel:
+    @given(st.lists(_model_triples, max_size=40))
+    @settings(max_examples=150)
+    def test_graph_behaves_as_a_set_of_triples(self, inserts):
+        g, model = Graph(), set()
+        for t in inserts:
+            assert g.insert(t) is (t not in model)
+            model.add(t)
+
+        assert len(g) == len(model)
+        listed = list(g)
+        assert len(listed) == len(model) and set(listed) == model
+        assert g.triples == frozenset(model)
+        for s, p, o in itertools.product(_MODEL_SUBJECTS, _MODEL_PREDICATES, _MODEL_OBJECTS):
+            assert (Triple(s, p, o) in g) == (Triple(s, p, o) in model)
+        assert "not a triple" not in g
+
+        assert g == Graph(reversed(inserts)) and g == g.copy()
+        extra = Triple(IRI("http://m/new"), _MODEL_PREDICATES[0], Literal("v"))
+        copied = g.copy()
+        copied.insert(extra)
+        assert copied != g and len(g) == len(model)
+        if model:  # same size, one triple swapped
+            assert Graph(sorted(model, key=repr)[1:] + [extra]) != g
+
+        for s, p, o in itertools.product(*([None] + pool for pool in
+                                           (_MODEL_SUBJECTS, _MODEL_PREDICATES, _MODEL_OBJECTS))):
+            expected = {t for t in model if s in (None, t.subject) and p in (None, t.predicate)
+                        and o in (None, t.object)}
+            matched = list(g.match(s, p, o))
+            assert len(matched) == len(expected) and set(matched) == expected
+            size = g.scan_size(s, p, o)
+            # exact when the subject is bound
+            assert (size == len(expected)) if s is not None else (size >= len(expected))
 
 def hotel_io(io_id: str = "HOT-001") -> InformationObject:
     return InformationObject(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import strategies as own
 from oracles import dom_leaves, is_dropped_by
 from tifsem import fixtures
-from tifsem.errors import ProfileError, TifsemError, XmlParseError
+from tifsem.errors import IoAssertionError, ProfileError, TifsemError, XmlParseError
 from tifsem.graph import Graph, assert_io
 from tifsem.ingest import (
     DialectProfile,
@@ -253,6 +253,13 @@ class TestParseTif:
         assert GranuleKind.GEOLOCATIONS not in ios[0].granules
         assert GranuleKind.PRICES not in ios[0].granules
 
+    def test_decimal_with_huge_plain_form_is_error_issue(self):
+        data = (b"<TIF><Resource><DublinCore><Identifier>N-1</Identifier></DublinCore>"
+                b"<Prices><Amount>1E+999999999</Amount></Prices></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data))
+        assert [(i.severity, i.field_path) for i in issues] == [("error", "Prices/Amount")]
+        assert GranuleKind.PRICES not in ios[0].granules
+
     def test_attribute_warnings_precede_leaf_issues_in_document_order(self):
         data = (b'<TIF><Resource kind="x"><DublinCore lang="fr"><Identifier>A-1</Identifier>'
                 b'<Title a="1" b="2" xmlns:q="urn:q" q:ok="y">T</Title></DublinCore>'
@@ -341,6 +348,16 @@ class TestValidateIo:
     def test_non_finite_decimal_is_error(self, kind, path, value):
         io = InformationObject(id="X", granules={kind: [Granule(kind=kind, fields={path: Decimal(value)})]})
         assert [(i.severity, i.field_path) for i in validate_io(io)] == [("error", path)]
+
+    @pytest.mark.parametrize("kind, path, value", [
+        (GranuleKind.PRICES, "Prices/Amount", Decimal("1E+10000000")),
+        (GranuleKind.GEOLOCATIONS, "Geolocation/Latitude", Decimal("1E-999999999")),
+    ])
+    def test_decimal_with_huge_plain_form_is_error(self, kind, path, value):
+        io = InformationObject(id="X", granules={kind: [Granule(kind=kind, fields={path: value})]})
+        assert [(i.severity, i.field_path) for i in validate_io(io)] == [("error", path)]
+        with pytest.raises(IoAssertionError):
+            assert_io(Graph(), io)
 
     def test_extension_key_must_be_an_iri(self):
         io = InformationObject(id="X", granules={

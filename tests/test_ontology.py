@@ -14,6 +14,7 @@ from tifsem.ontology import (
     GeoPoint,
     GranuleKind,
     IO_CLASS,
+    MAX_DECIMAL_LENGTH,
     SCHEMA_NS,
     TIFSEM_NS,
     class_of,
@@ -155,3 +156,23 @@ class TestDecimalLexical:
     def test_non_finite_refused(self, value):
         with pytest.raises(ValueError):
             decimal_lexical(value)
+
+    @pytest.mark.parametrize("value", [Decimal("1E+999999999"), Decimal("-1E-999999999"), Decimal("1" * 1001)])
+    def test_huge_plain_form_refused(self, value):
+        with pytest.raises(ValueError, match="longer than"):
+            decimal_lexical(value)
+
+    @pytest.mark.parametrize("value", [-5e-324, -1.7976931348623157e308, Decimal("0E+999999999")])
+    def test_longest_floats_and_zeros_fit(self, value):
+        assert len(decimal_lexical(value)) <= MAX_DECIMAL_LENGTH
+
+    @given(st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1, max_size=MAX_DECIMAL_LENGTH + 5),
+           st.integers(-MAX_DECIMAL_LENGTH - 5, MAX_DECIMAL_LENGTH + 5))
+    def test_length_limit_is_exact(self, sign, digits, exponent):
+        value = Decimal((sign, tuple(digits), exponent))
+        fits = len(format(value, "f")) <= MAX_DECIMAL_LENGTH
+        if fits:
+            assert decimal_lexical(value) == format(value, "f")
+        else:
+            with pytest.raises(ValueError):
+                decimal_lexical(value)

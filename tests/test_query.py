@@ -436,6 +436,62 @@ class TestPlanner:
         )
         assert evaluate(q, places).rows == []
 
+    @staticmethod
+    def _rows_and_oracle(text: str, g: Graph):
+        q = parse_query(text)
+        return evaluate(q, g).rows, brute_force_evaluate(q, list(g))
+
+    def test_equality_filter_starts_the_join(self, places, monkeypatch):
+        calls = collections.Counter()
+        match = Graph.match
+
+        def counted(graph, *args, **kwargs):
+            calls["match"] += 1
+            return match(graph, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "match", counted)
+        rows, expected = self._rows_and_oracle(
+            "SELECT ?x ?r WHERE { ?x <http://e/rank> ?r . ?x a ?t FILTER(?t = <http://e/Shop>) }", places)
+        assert rows == expected and [x.value for x, _ in rows] == ["http://e/n5"]
+        # ?x a <http://e/Shop> first, then the rank of its one match.
+        assert calls["match"] == 2
+
+    @pytest.mark.parametrize("constant", ["1", "1.0", "1e0"])
+    def test_numeric_equality_is_not_folded(self, places, constant):
+        # Each spelling equals the integer rank "1" by value only.
+        rows, expected = self._rows_and_oracle(
+            f"SELECT ?x WHERE {{ ?x <http://e/rank> ?r FILTER({constant} = ?r) }}", places)
+        assert rows == expected == [(IRI("http://e/n1"),)]
+
+    @pytest.mark.parametrize("condition, names", [
+        ("?t = <http://e/Hotel> || ?t = <http://e/Shop>", ["n0", "n1", "n5"]),
+        ("!(?t = <http://e/Bar>)", ["n0", "n1", "n5"]),
+    ])
+    def test_equality_inside_or_or_not_is_not_folded(self, places, condition, names):
+        rows, expected = self._rows_and_oracle(f"SELECT ?x WHERE {{ ?x a ?t FILTER({condition}) }}", places)
+        assert rows == expected == [(IRI(f"http://e/{n}"),) for n in names]
+
+    def test_equality_after_raising_filter_on_its_variable_still_raises(self, places):
+        # Folded, the equality would leave no row for the ordering to refuse.
+        q = parse_query('SELECT ?x WHERE { ?x a ?t FILTER(?t < 5) FILTER("nowhere" = ?t) }')
+        with pytest.raises(QueryTypeError):
+            brute_force_evaluate(q, list(places))
+        with pytest.raises(QueryTypeError):
+            evaluate(q, places)
+
+    def test_two_equalities_on_one_variable_give_no_rows(self, places):
+        rows, expected = self._rows_and_oracle(
+            "SELECT ?x WHERE { ?x a ?t FILTER(?t = <http://e/Hotel>) FILTER(<http://e/Bar> = ?t) }", places)
+        assert rows == expected == []
+
+    @pytest.mark.parametrize("text", [
+        'SELECT ?x WHERE { ?x ?p ?o FILTER(?p = "rank") }',
+        'SELECT ?x WHERE { ?x a ?t FILTER(?x = "n0") }',
+    ])
+    def test_equality_binding_a_literal_where_none_can_be_gives_no_rows(self, places, text):
+        rows, expected = self._rows_and_oracle(text, places)
+        assert rows == expected == []
+
     def test_calls_go_through_module_names(self, materialized_graph, monkeypatch):
         """Tracing counts calls by rebinding these names, so evaluation
         must look them up at call time."""
