@@ -4,6 +4,7 @@
 Generates the dataset, ingests all three tag dialects, checks they collapse
 to the same canonical graph, materializes the Schema.org alignment, runs the
 two scenario queries, and exports the best-ranked hotel as JSON-LD.
+Exits 1, before materializing, when the v3 and dialect-A graphs differ.
 
 Usage: python scripts/run_la_rochelle_pipeline.py [OUT_DIR] [--seed N]
 """
@@ -11,6 +12,7 @@ Usage: python scripts/run_la_rochelle_pipeline.py [OUT_DIR] [--seed N]
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from tifsem import fixtures
@@ -21,7 +23,7 @@ from tifsem.query import evaluate, parse_query, to_text_table
 from tifsem.serialize import save_graph, to_jsonld
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", nargs="?", default="pipeline_out")
     parser.add_argument("--seed", type=int, default=fixtures.DEFAULT_SEED)
@@ -49,6 +51,9 @@ def main() -> None:
 
     same = graphs["v3"].triples == graphs["a"].triples
     print(f"== v3 and dialect-a collapse to the same graph: {same}")
+    if not same:
+        print("error: the v3 and dialect-a graphs differ", file=sys.stderr)
+        return 1
     extras = len(graphs["b"]) - len(graphs["v3"])
     print(f"== dialect-b carries {extras} extension triples on top")
 
@@ -70,7 +75,8 @@ def main() -> None:
     target = out / "top_hotel.jsonld"
     target.write_text(document.to_text(), encoding="utf-8")
     print(f"== exported best-ranked hotel to {target}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,18 +1,17 @@
-"""In-memory triple store with subject/predicate/object indexes.
+"""In-memory triple store with two indexes of one shape.
 
-A ``Graph`` keeps each triple in three indexes and nowhere else:
+A ``Graph`` keeps each triple in two indexes and nowhere else: subject ->
+predicate -> bucket, for patterns with the subject bound, and predicate ->
+object -> bucket, for the rest.  A bucket holds the triples that share the
+index's first two positions.  Most hold one, which is stored bare; the
+second insert promotes the bucket to a dict keyed by the third position
+(the object in the subject index, the subject in the predicate index).
+The subject index decides whether a triple is new, and iteration walks it.
+A pattern with only the object bound looks it up under every predicate.
 
-* subject -> predicate -> bucket.  A bucket holds the triples of one
-  (subject, predicate) pair.  Most pairs have one triple, which is stored
-  bare; the second insert turns the bucket into a dict from object to
-  triple.  ``match(s, p)`` is a direct lookup, ``match(s, p, o)`` and
-  membership are a lookup in one bucket, and iteration walks this index.
-* predicate -> set of triples, for patterns with only the predicate bound.
-* object -> set of triples, for patterns with the object bound and the
-  subject free.
-
-``len`` is a counter.  ``scan_size`` is the size of the set ``match`` reads
-from, and is exact when the subject is bound.
+``len`` and the triples per predicate are counters.  ``scan_size`` is
+exactly the number of triples ``match`` yields, and O(1) when only the
+predicate is bound.
 
 Build phase (insert, assert) requires exclusive access; once built, a graph
 can be read concurrently without restriction.
@@ -24,8 +23,9 @@ import datetime
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import quote
 
 from tifsem import ontology
@@ -175,14 +175,13 @@ class Triple(_CachedHash):
 
 
 class Graph:
-    """A set of triples, indexed by subject then predicate, by predicate and
-    by object."""
+    """A set of triples, indexed by subject then predicate and by predicate."""
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._len = 0
         self._by_subject: dict[Subject, dict[IRI, _Bucket]] = {}
-        self._by_predicate: dict[IRI, set[Triple]] = {}
-        self._by_object: dict[Term, set[Triple]] = {}
+        self._by_predicate: dict[IRI, dict[Term, _Bucket]] = {}
+        self._counts: dict[IRI, int] = {}  # triples per predicate
         for t in triples:
             self.insert(t)
 
@@ -190,10 +189,7 @@ class Graph:
         return self._len
 
     def __contains__(self, t: object) -> bool:
-        if not isinstance(t, Triple):
-            return False
-        bucket = self._by_subject.get(t.subject, _NO_BUCKETS).get(t.predicate)
-        return bucket is not None and bool(_in_bucket(bucket, t.object))
+        return isinstance(t, Triple) and self.scan_size(t.subject, t.predicate, t.object) == 1
 
     def __iter__(self) -> Iterator[Triple]:
         for buckets in self._by_subject.values():
@@ -216,27 +212,12 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only if it was not already present."""
-        buckets = self._by_subject.get(t.subject)
-        if buckets is None:
-            buckets = self._by_subject[t.subject] = {}
-        bucket = buckets.get(t.predicate)
-        if bucket is None:
-            buckets[t.predicate] = t
-        elif type(bucket) is Triple:
-            if bucket.object == t.object:
-                return False
-            buckets[t.predicate] = {bucket.object: bucket, t.object: t}
-        elif t.object in bucket:
+        # The subject index decides whether the triple is new.
+        if not _file(self._by_subject, t.subject, t.predicate, t.object, t, _OBJECT_OF):
             return False
-        else:
-            bucket[t.object] = t
+        _file(self._by_predicate, t.predicate, t.object, t.subject, t, _SUBJECT_OF)
         self._len += 1
-        for index, key in ((self._by_predicate, t.predicate), (self._by_object, t.object)):
-            other = index.get(key)
-            if other is None:
-                index[key] = {t}
-            else:
-                other.add(t)
+        self._counts[t.predicate] = self._counts.get(t.predicate, 0) + 1
         return True
 
     def match(
@@ -247,17 +228,12 @@ class Graph:
     ) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
         if subject is not None:
-            for bucket in self._buckets(subject, predicate):
+            for bucket in _buckets(self._by_subject, subject, predicate):
                 yield from _in_bucket(bucket, object)
-        elif object is not None:
-            # The object's set already agrees on the object.
-            for t in self._by_object.get(object, ()):
-                if predicate is None or t.predicate == predicate:
-                    yield t
-        elif predicate is not None:
-            yield from self._by_predicate.get(predicate, ())
         else:
-            yield from self
+            for p in self._by_predicate if predicate is None else (predicate,):
+                for bucket in _buckets(self._by_predicate, p, object):
+                    yield from _in_bucket(bucket, None)
 
     def scan_size(
         self,
@@ -265,33 +241,55 @@ class Graph:
         predicate: Optional[IRI] = None,
         object: Optional[Term] = None,
     ) -> int:
-        """How many triples ``match`` examines for these bound positions:
-        exactly the triples it yields when the subject is bound."""
+        """How many triples ``match`` yields for these bound positions."""
         if subject is not None:
-            return sum(len(_in_bucket(b, object)) for b in self._buckets(subject, predicate))
-        if object is not None:
-            return len(self._by_object.get(object, ()))
-        if predicate is not None:
-            return len(self._by_predicate.get(predicate, ()))
-        return self._len
-
-    def _buckets(self, subject: Subject, predicate: Optional[IRI]) -> Collection[_Bucket]:
-        """The subject's bucket for the predicate, or all its buckets."""
-        buckets = self._by_subject.get(subject, _NO_BUCKETS)
-        if predicate is None:
-            return buckets.values()
-        bucket = buckets.get(predicate)
-        return () if bucket is None else (bucket,)
+            return sum(len(_in_bucket(b, object)) for b in _buckets(self._by_subject, subject, predicate))
+        if object is None:
+            return self._len if predicate is None else self._counts.get(predicate, 0)
+        predicates = self._by_predicate if predicate is None else (predicate,)
+        return sum(len(_in_bucket(b, None)) for p in predicates for b in _buckets(self._by_predicate, p, object))
 
 
-# The triples of one (subject, predicate) pair.  Most pairs have one, which
-# is stored bare; a second promotes the bucket to a dict keyed by object.
+# One bare triple, or a dict keyed by the index's third position.
 _Bucket = Union[Triple, dict[Term, Triple]]
-_NO_BUCKETS: Mapping[IRI, _Bucket] = MappingProxyType({})
+_NO_BUCKETS: Mapping[Term, _Bucket] = MappingProxyType({})
+_OBJECT_OF = attrgetter("object")
+_SUBJECT_OF = attrgetter("subject")
+
+
+def _file(index: dict, first: Term, second: Term, third: Term, t: Triple, third_of: Callable) -> bool:
+    """Put ``t`` in the bucket under (first, second), keyed by ``third``
+    once promoted; False if it was already there."""
+    buckets = index.get(first)
+    if buckets is None:
+        index[first] = {second: t}
+        return True
+    bucket = buckets.get(second)
+    if bucket is None:
+        buckets[second] = t
+    elif type(bucket) is Triple:
+        other = third_of(bucket)
+        if other == third:
+            return False
+        buckets[second] = {other: bucket, third: t}
+    elif third in bucket:
+        return False
+    else:
+        bucket[third] = t
+    return True
+
+
+def _buckets(index: dict, first: Term, second: Optional[Term]) -> Collection[_Bucket]:
+    """The bucket under (first, second), or every bucket under ``first``."""
+    buckets = index.get(first, _NO_BUCKETS)
+    if second is None:
+        return buckets.values()
+    bucket = buckets.get(second)
+    return () if bucket is None else (bucket,)
 
 
 def _in_bucket(bucket: _Bucket, object: Optional[Term]) -> Collection[Triple]:
-    """The bucket's triples, or only the one with this object."""
+    """The bucket's triples, or only the one with this object (subject index)."""
     if type(bucket) is Triple:
         return (bucket,) if object is None or bucket.object == object else ()
     if object is None:

@@ -30,12 +30,12 @@ from tifsem.ontology import (
     IDENTIFIER_PATH,
     InformationObject,
     IoRef,
-    OntologySnapshot,
     check_plain_length,
     load_core_ontology,
 )
 
 _IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
+_SNAPSHOT = load_core_ontology()
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,17 @@ class DialectProfile:
         overlap = set(self.tag_renames) & self.dropped_tags
         if overlap:
             raise ProfileError(f"profile {self.name!r}: tags both renamed and dropped: {sorted(overlap)}")
-        snapshot = load_core_ontology()
         for raw, target in self.tag_renames.items():
             if not raw:
                 raise ProfileError(f"profile {self.name!r}: empty dialect tag path")
-            if snapshot.has_path(target):
-                spec = snapshot.field_spec(target)
+            if _SNAPSHOT.has_path(target):
+                spec = _SNAPSHOT.field_spec(target)
                 if spec is not None and spec.type is FieldType.GEOPOINT:
                     raise ProfileError(
                         f"profile {self.name!r}: {target!r} is not ingestable from XML text"
                     )
                 continue
-            if snapshot.kind_for_tag(target) is not None:
+            if _SNAPSHOT.kind_for_tag(target) is not None:
                 continue  # granule-prefix rename
             raise ProfileError(
                 f"profile {self.name!r}: {raw!r} mapped to nonexistent canonical path {target!r}"
@@ -161,11 +160,7 @@ def _is_dropped(raw_path: str, profile: DialectProfile) -> bool:
     return any("/".join(segs[:i]) in profile.dropped_tags for i in range(1, len(segs) + 1))
 
 
-def normalize_tag(
-    raw_path: str,
-    profile: DialectProfile,
-    snapshot: Optional[OntologySnapshot] = None,
-) -> NormalizedTag:
+def normalize_tag(raw_path: str, profile: DialectProfile) -> NormalizedTag:
     """Resolve one dialect tag path.
 
     Resolution order: explicit drop (of the path or any of its prefixes),
@@ -174,13 +169,12 @@ def normalize_tag(
     """
     if not raw_path:
         raise ValueError("raw_path must be non-empty")
-    snapshot = snapshot or load_core_ontology()
 
     if _is_dropped(raw_path, profile):
         return NormalizedTag(TagDisposition.DROPPED)
 
     exact = profile.tag_renames.get(raw_path)
-    if exact is not None and snapshot.has_path(exact):
+    if exact is not None and _SNAPSHOT.has_path(exact):
         return NormalizedTag(TagDisposition.MAPPED, exact)
 
     segs = _segments(raw_path)
@@ -190,14 +184,14 @@ def normalize_tag(
         if target is None:
             continue
         composed = "/".join([target, *segs[i:]])
-        if snapshot.has_path(composed):
-            spec = snapshot.field_spec(composed)
+        if _SNAPSHOT.has_path(composed):
+            spec = _SNAPSHOT.field_spec(composed)
             if spec is None or spec.type is not FieldType.GEOPOINT:
                 return NormalizedTag(TagDisposition.MAPPED, composed)
         break  # longest matching prefix decides; a failed composition falls through
 
-    if snapshot.has_path(raw_path):
-        spec = snapshot.field_spec(raw_path)
+    if _SNAPSHOT.has_path(raw_path):
+        spec = _SNAPSHOT.field_spec(raw_path)
         if spec is not None and spec.type is not FieldType.GEOPOINT:
             return NormalizedTag(TagDisposition.MAPPED, raw_path)
     return NormalizedTag(TagDisposition.EXTENSION)
@@ -305,7 +299,6 @@ def parse_tif(
     identifier field when present, else from a digest of the canonical field
     multiset.
     """
-    snapshot = load_core_ontology()
     try:
         root = ET.fromstring(_decode(doc))
     except ET.ParseError as exc:
@@ -322,7 +315,7 @@ def parse_tif(
         extensions: dict[str, str] = {}
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
         for leaf in leaves:
-            normalized = normalize_tag(leaf.raw_path, profile, snapshot)
+            normalized = normalize_tag(leaf.raw_path, profile)
             if normalized.disposition is TagDisposition.DROPPED:
                 continue
             if normalized.disposition is TagDisposition.EXTENSION:
@@ -337,11 +330,11 @@ def parse_tif(
                         ("warning", leaf.raw_path, "unrecognized tag; its path cannot form an extension IRI")
                     )
                     continue
-                kind = snapshot.kind_for_tag(_segments(leaf.raw_path)[0])
+                kind = _SNAPSHOT.kind_for_tag(_segments(leaf.raw_path)[0])
                 rename_target = profile.tag_renames.get(leaf.top_tag)
-                host_kind = kind or (snapshot.kind_for_tag(rename_target) if rename_target else None)
+                host_kind = kind or (_SNAPSHOT.kind_for_tag(rename_target) if rename_target else None)
                 if host_kind is not None:
-                    key = (snapshot.granule_schemas[host_kind].tag, leaf.top_repeat)
+                    key = (_SNAPSHOT.granule_schemas[host_kind].tag, leaf.top_repeat)
                     host = instance_index.get(key)
                     if host is None:
                         host = Granule(kind=host_kind)
@@ -355,9 +348,9 @@ def parse_tif(
             canonical = normalized.path
             assert canonical is not None
             prefix = _segments(canonical)[0]
-            kind = snapshot.kind_for_tag(prefix)
+            kind = _SNAPSHOT.kind_for_tag(prefix)
             assert kind is not None, canonical
-            spec = snapshot.field_spec(canonical)
+            spec = _SNAPSHOT.field_spec(canonical)
             assert spec is not None, canonical
             try:
                 value = _coerce(leaf.value, spec.type)
@@ -398,14 +391,13 @@ def parse_tif(
     return ios, issues
 
 
-def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = None) -> list[ValidationIssue]:
+def validate_io(io: InformationObject) -> list[ValidationIssue]:
     """Check one IO against the granule schema; never mutates it.
 
     Errors cover schema violations (unregistered field paths, type mismatches,
     out-of-range coordinates, non-finite decimals and decimals whose plain
     form is too long, empty ids); empty granules earn a warning.
     """
-    snapshot = snapshot or load_core_ontology()
     issues: list[ValidationIssue] = []
 
     def error(path: str, message: str) -> None:
@@ -423,7 +415,7 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
             continue
         if not instances:
             error(kind.value, "granule list present but empty")
-        schema = snapshot.granule_schemas[kind]
+        schema = _SNAPSHOT.granule_schemas[kind]
         for granule in instances:
             if granule.kind is not kind:
                 error(schema.tag, f"granule of kind {granule.kind} filed under {kind}")
@@ -436,8 +428,8 @@ def validate_io(io: InformationObject, snapshot: Optional[OntologySnapshot] = No
                     if not isinstance(value, str):
                         error(path, "extension fields must hold text")
                     continue
-                spec = snapshot.field_spec(path)
-                if spec is None or snapshot.kind_for_tag(_segments(path)[0]) is not kind:
+                spec = _SNAPSHOT.field_spec(path)
+                if spec is None or _SNAPSHOT.kind_for_tag(_segments(path)[0]) is not kind:
                     error(path, f"field not in the {kind.value} schema")
                     continue
                 if not spec.accepts(value):

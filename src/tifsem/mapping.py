@@ -18,7 +18,6 @@ from tifsem.errors import RuleError
 from tifsem.graph import Graph, RDF_NS, RDF_TYPE, Triple, vocabulary_iri
 from tifsem.ontology import (
     GranuleKind,
-    OntologySnapshot,
     SCHEMA_ADDRESS,
     SCHEMA_LATITUDE,
     SCHEMA_LONGITUDE,
@@ -29,6 +28,7 @@ from tifsem.ontology import (
 )
 
 _PREFIXES = {"tifsem": TIFSEM_NS, "schema": SCHEMA_NS, "rdf": RDF_NS}
+_SNAPSHOT = load_core_ontology()
 
 
 class Relation(str, Enum):
@@ -63,8 +63,7 @@ def builtin_rules() -> list[MappingRule]:
     """The shipped alignment: one class rule per aligned granule (two for the
     two-target granules, equivalence toward the general target and subclass
     toward the specific one), plus the geolocation property rules."""
-    snapshot = load_core_ontology()
-    geo = snapshot.granule_schemas[GranuleKind.GEOLOCATIONS]
+    geo = _SNAPSHOT.granule_schemas[GranuleKind.GEOLOCATIONS]
     return [
         _rule(GranuleKind.MULTIMEDIA, "MediaObject", Relation.EQUIVALENT_CLASS),
         _rule(GranuleKind.CLASSIFICATIONS, "Rating", Relation.EQUIVALENT_CLASS),
@@ -105,9 +104,9 @@ def _compact(iri: str) -> str:
     return iri
 
 
-def _check_rule_kinds(rule: MappingRule, snapshot: OntologySnapshot) -> Optional[str]:
-    is_class = {iri: iri in snapshot.concepts for iri in (rule.source, rule.target)}
-    is_prop = {iri: iri in snapshot.properties for iri in (rule.source, rule.target)}
+def _check_rule_kinds(rule: MappingRule) -> Optional[str]:
+    is_class = {iri: iri in _SNAPSHOT.concepts for iri in (rule.source, rule.target)}
+    is_prop = {iri: iri in _SNAPSHOT.properties for iri in (rule.source, rule.target)}
     for iri in (rule.source, rule.target):
         if not is_class[iri] and not is_prop[iri]:
             return f"unknown term {iri}"
@@ -120,13 +119,12 @@ def _check_rule_kinds(rule: MappingRule, snapshot: OntologySnapshot) -> Optional
     return None
 
 
-def load_rules(document: str, snapshot: Optional[OntologySnapshot] = None) -> list[MappingRule]:
+def load_rules(document: str) -> list[MappingRule]:
     """Parse a JSON rule document: an array of {source, target, relation}.
 
     Relation names are the four exact enum values; terms may be absolute IRIs
-    or tifsem:/schema: prefixed names, and must be known to the snapshot.
+    or tifsem:/schema: prefixed names, and must be known to the core ontology.
     """
-    snapshot = snapshot or load_core_ontology()
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -144,7 +142,7 @@ def load_rules(document: str, snapshot: Optional[OntologySnapshot] = None) -> li
         except ValueError:
             raise RuleError(f"rule #{index}: unknown relation {entry['relation']!r}")
         rule = MappingRule(_expand(entry["source"]), _expand(entry["target"]), relation)
-        problem = _check_rule_kinds(rule, snapshot)
+        problem = _check_rule_kinds(rule)
         if problem:
             raise RuleError(f"rule #{index}: {problem}")
         key = (rule.source, rule.target, rule.relation)
@@ -210,7 +208,6 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
             raise RuleError(
                 f"{rule.relation.value} rule may not name rdf:type: {rule.source} -> {rule.target}"
             )
-    snapshot = load_core_ontology()
     class_closure, prop_closure = _closure_maps(rules)
     rdf_type = vocabulary_iri(RDF_TYPE)
 
@@ -231,25 +228,21 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
         if c not in class_closure and any(g.match(predicate=rdf_type, object=vocabulary_iri(c)))
     }
     unmapped.update(
-        p for p in snapshot.properties
+        p for p in _SNAPSHOT.properties
         if p.startswith(TIFSEM_NS) and p not in structural and p not in prop_closure
         and any(g.match(predicate=vocabulary_iri(p)))
     )
     return MappingReport(inferred_triples=added, unmapped_sources=unmapped)
 
 
-def check_consistency(
-    rules: Sequence[MappingRule],
-    snapshot: Optional[OntologySnapshot] = None,
-) -> list[str]:
+def check_consistency(rules: Sequence[MappingRule]) -> list[str]:
     """Report kind mismatches, class rules rooted outside the granule
     vocabulary, and granules the rule set leaves unaligned."""
-    snapshot = snapshot or load_core_ontology()
     report: list[str] = []
     granule_classes = {class_of(k): k for k in GranuleKind}
 
     for rule in rules:
-        problem = _check_rule_kinds(rule, snapshot)
+        problem = _check_rule_kinds(rule)
         if problem:
             report.append(f"kind mismatch: {problem}")
             continue

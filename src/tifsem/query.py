@@ -730,8 +730,8 @@ def _join_order(
     """Greedy join order for one component whose variables in ``seed`` are
     already bound.  The next pattern shares a bound variable (any pattern
     may start), has the most positions bound (constants or bound
-    variables), then the smallest index set ``match`` scans for its
-    constants and seeded values, then comes first in text order."""
+    variables), then the fewest triples matching its constants and seeded
+    values, then comes first in text order."""
     bound: set[str] = set(seed)
     left = list(patterns)
     order = []

@@ -202,22 +202,30 @@ def planner_cases(draw) -> tuple[Graph, Query]:
         g.insert(Triple(s, p, o))
 
     # Each pattern is a triple of the graph with some positions made
-    # variables (subjects most often, predicates least), so that joins are
-    # often non-empty.  ``seen`` keeps the terms each variable replaced.
+    # variables (subjects most often, predicates least).  ``seen`` keeps the
+    # terms each variable replaced.  In two draws of three a variable only
+    # ever replaces one term (a term no free variable can replace stays),
+    # so the join holds at least the row that puts every term back; the
+    # other draws may put any variable anywhere.
     ordered = sorted(g, key=lambda t: tuple(term_to_ntriples(x) for x in (t.subject, t.predicate, t.object)))
     patterns, seen = [], {}
+    one_term_each = draw(st.integers(0, 2)) > 0
+
+    def variable(term):
+        fits = [v for v in _PLAN_VARS if not one_term_each or all(x == term for x in seen.get(v.name, ()))]
+        if not fits:
+            return term
+        var = draw(st.sampled_from(fits))
+        seen.setdefault(var.name, []).append(term)
+        return var
+
     for _ in range(draw(st.integers(1, 5))):
-        t, terms = draw(st.sampled_from(ordered)), []
-        for term, odds in zip((t.subject, t.predicate, t.object), (3, 1, 2)):
-            if draw(st.integers(0, 3)) < odds:
-                var = draw(st.sampled_from(_PLAN_VARS))
-                seen.setdefault(var.name, []).append(term)
-                term = var
-            terms.append(term)
+        t = draw(st.sampled_from(ordered))
+        terms = [variable(term) if draw(st.integers(0, 3)) < odds else term
+                 for term, odds in zip((t.subject, t.predicate, t.object), (3, 1, 2))]
         patterns.append(TriplePattern(*terms))
     if not patterns[0].variables():
-        seen.setdefault("v0", []).append(patterns[0].subject)
-        patterns[0] = TriplePattern(Var("v0"), patterns[0].predicate, patterns[0].object)
+        patterns[0] = TriplePattern(variable(patterns[0].subject), patterns[0].predicate, patterns[0].object)
     bound = sorted({v for p in patterns for v in p.variables()})
     variables = st.sampled_from([Var(n) for n in bound])
 

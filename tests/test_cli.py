@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import blank_closure, expand_jsonld, structural_form
+from strategies import hostile_text, tif_documents
 from tifsem import fixtures
 from tifsem.cli import main
 from tifsem.graph import Graph, IRI, assert_io, mint_io_iri
 from tifsem.ingest import RawDocument, parse_tif, save_profile
-from tifsem.mapping import materialize
+from tifsem.mapping import builtin_rules, materialize, save_rules
 from tifsem.query import evaluate, parse_query, to_csv
 from tifsem.serialize import from_ntriples, to_ntriples
 
@@ -407,3 +411,86 @@ class TestFixturesCommand:
         run(runner, "fixtures", "generate", "--out-dir", tmp_path / "two", "--seed", "2")
         assert (tmp_path / "one" / "la_rochelle_v3.xml").read_bytes() != \
             (tmp_path / "two" / "la_rochelle_v3.xml").read_bytes()
+
+
+# Valid contents for each kind of input file, so that drawn runs often get
+# past reading their files.
+_SAMPLE_IOS = fixtures.la_rochelle()[:4]
+_SAMPLE_GRAPH = Graph()
+for _io in _SAMPLE_IOS:
+    assert_io(_SAMPLE_GRAPH, _io)
+_SAMPLE_ROOT = mint_io_iri("http://example.org/tifsem", _SAMPLE_IOS[0].id).value
+_VALID = {
+    "profile": save_profile(fixtures.profile_dialect_a()).encode(),
+    "rules": save_rules(builtin_rules()[:3]).encode(),
+    "query": fixtures.EXAMPLE2_QUERY.encode(),
+    "graph": to_ntriples(_SAMPLE_GRAPH).encode(),
+    "xml": fixtures.emit_v3(_SAMPLE_IOS).encode(),
+}
+
+
+def _files(kind: str) -> st.SearchStrategy:
+    """A file's bytes: missing (None), empty, not UTF-8, hostile, valid, or
+    valid with hostile text after it."""
+    hostile = hostile_text.map(lambda text: text.encode("utf-8", "surrogatepass"))
+    valid = st.just(_VALID[kind])
+    return st.one_of(
+        st.none(),
+        st.just(b""),
+        st.binary(max_size=20).map(lambda b: b"\xff" + b),
+        hostile,
+        valid,
+        valid,
+        st.builds(bytes.__add__, valid, hostile),
+    )
+
+
+@st.composite
+def _invocations(draw) -> tuple[list[str], dict[str, bytes | None]]:
+    """Arguments of one subcommand and the files it names."""
+    command = draw(st.sampled_from(["ingest", "map", "query", "export", "validate"]))
+    files: dict[str, bytes | None] = {}
+
+    def path(name: str, kind: str) -> str:
+        files[name] = draw(_files(kind))
+        return name
+
+    if command in ("ingest", "validate"):
+        inputs = [f"in{i}.xml" for i in range(draw(st.integers(1, 2)))]
+        for name in inputs:
+            files[name] = draw(st.one_of(tif_documents, _files("xml")))
+        args = [command, *inputs]
+        if draw(st.booleans()):
+            args += ["--profile", path("profile.json", "profile")]
+        if command == "ingest":
+            args += ["--out", draw(st.sampled_from(["out.nt", "out.ttl", "out.jsonld", "no/such/dir/out.nt"]))]
+        return args, files
+    args = [command, "--graph", path("graph.nt", "graph")]
+    if command == "map":
+        args += ["--out", draw(st.sampled_from(["out.nt", "out.ttl", "no/such/dir/out.nt"]))]
+        args += [a for i in range(draw(st.integers(0, 2))) for a in ("--rules", path(f"rules{i}.json", "rules"))]
+    elif command == "query":
+        args += ["--query", path("query.rq", "query"), "--format", draw(st.sampled_from(["table", "csv"]))]
+    else:
+        root = draw(st.one_of(st.just(_SAMPLE_ROOT), st.just(_SAMPLE_ROOT), st.just(""), hostile_text))
+        args += ["--root", root, "--out", draw(st.sampled_from(["out.jsonld", "out.nt", "no/such/dir/out.jsonld"]))]
+    return args, files
+
+
+class TestExitCodeContract:
+    """Whatever the inputs, every subcommand exits 0, 1 or 2 without a
+    traceback."""
+
+    @given(_invocations())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_subcommands_exit_cleanly_on_any_input(self, invocation):
+        args, files = invocation
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            for name, content in files.items():
+                if content is not None:
+                    Path(name).write_bytes(content)
+            result = runner.invoke(main, args)
+        assert result.exit_code in (0, 1, 2), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exc_info)
+        assert "Traceback" not in result.output

@@ -269,9 +269,42 @@ class TestGraphAgainstSetModel:
                         and o in (None, t.object)}
             matched = list(g.match(s, p, o))
             assert len(matched) == len(expected) and set(matched) == expected
-            size = g.scan_size(s, p, o)
-            # exact when the subject is bound
-            assert (size == len(expected)) if s is not None else (size >= len(expected))
+            # exact for every pattern, the object-only ones included
+            assert g.scan_size(s, p, o) == len(expected)
+
+    def test_object_only_match_spans_predicates(self):
+        s0, s1, o = IRI("http://m/s0"), IRI("http://m/s1"), Literal("v")
+        p0, p1, p2 = _MODEL_PREDICATES
+        ts = [Triple(s0, p0, o), Triple(s1, p1, o), Triple(s0, p2, o), Triple(s0, p2, Literal("w"))]
+        g = Graph(ts)
+        assert set(g.match(object=o)) == set(ts[:3])
+        assert g.scan_size(object=o) == 3
+        assert list(g.match(predicate=p1, object=Literal("w"))) == []
+
+    def test_predicate_object_match_after_promotion(self):
+        # The third subject under one (predicate, object) lands in a bucket
+        # the second one promoted.
+        p, o = _MODEL_PREDICATES[0], Literal("v")
+        ts = [Triple(s, p, o) for s in _MODEL_SUBJECTS[:3]]
+        g = Graph(ts + [Triple(_MODEL_SUBJECTS[0], p, Literal("w"))])
+        assert set(g.match(predicate=p, object=o)) == set(ts)
+        assert g.scan_size(predicate=p, object=o) == 3
+        assert g.scan_size(predicate=p) == 4
+        for t in ts:
+            assert list(g.match(t.subject, p, o)) == [t] and t in g
+
+    def test_subject_equal_to_object(self):
+        node, p = IRI("http://m/self"), _MODEL_PREDICATES[0]
+        loop = Triple(node, p, node)
+        g = Graph([loop, loop])
+        assert len(g) == 1 and list(g) == [loop]
+        for s, o in ((node, None), (None, node), (node, node)):
+            assert list(g.match(s, p, o)) == [loop] and list(g.match(s, None, o)) == [loop]
+            assert g.scan_size(s, p, o) == 1
+        other = Triple(IRI("http://m/other"), p, node)
+        g.insert(other)
+        assert set(g.match(object=node)) == {loop, other}
+        assert list(g.match(subject=node)) == [loop]
 
 def hotel_io(io_id: str = "HOT-001") -> InformationObject:
     return InformationObject(
