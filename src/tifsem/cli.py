@@ -37,26 +37,30 @@ _BASE_OPTION = click.option(
 )
 
 _EXTENSION_FORMATS = {".nt": "nt", ".ttl": "ttl", ".jsonld": "jsonld"}
+_GRAPH_FORMATS = ("nt", "ttl")
 
 
-def _output_format(out_path: str, fmt: str | None) -> str:
+def _output_format(out_path: str, fmt: str | None, writable: tuple[str, ...]) -> str:
     """The output format: ``fmt`` if given, else the one the output path's
-    extension names, else nt.  When both are present they must agree."""
+    extension names, else the first of ``writable``.  When both are present
+    they must agree, and the format must be one the command can write.
+    Commands call this before reading any input."""
     suffix = Path(out_path).suffix
     ext = _EXTENSION_FORMATS.get(suffix.lower())
     if fmt is not None and ext is not None and fmt != ext:
         raise click.UsageError(f"--format {fmt} conflicts with the {suffix!r} output extension")
-    return fmt or ext or "nt"
+    chosen = fmt or ext or writable[0]
+    if chosen not in writable:
+        raise click.UsageError(f"this command writes {' or '.join(writable)}, not {chosen}")
+    return chosen
 
 
 def _write_graph(g: Graph, out_path: str, fmt: str) -> None:
     try:
         if fmt == "ttl":
             Path(out_path).write_text(serialize.to_turtle(g), encoding="utf-8")
-        elif fmt == "nt":
-            serialize.save_graph(g, out_path)
         else:
-            raise click.UsageError(f"graph output does not support format {fmt!r}")
+            serialize.save_graph(g, out_path)
     except OSError as exc:
         _fail(str(exc), 2)
 
@@ -139,7 +143,7 @@ def _parse_and_validate(
 def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
            issues_path: str | None, fmt: str | None, base: str) -> None:
     """Parse XML INPUTS into one canonical graph plus an issue report."""
-    fmt = _output_format(out_path, fmt)
+    fmt = _output_format(out_path, fmt, _GRAPH_FORMATS)
     ios, issues = _parse_and_validate(inputs, profile_path)
     g = Graph()
     for io in ios:  # validated once, by _parse_and_validate
@@ -168,7 +172,7 @@ def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
               help="Graph format (default: from the output extension, else nt).")
 def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str, fmt: str | None) -> None:
     """Materialize Schema.org alignments into the graph."""
-    fmt = _output_format(out_path, fmt)
+    fmt = _output_format(out_path, fmt, _GRAPH_FORMATS)
     g = _load_graph(graph_path)
     rules = mapping.builtin_rules()
     for path in rules_paths:
@@ -208,7 +212,7 @@ def query_cmd(graph_path: str, query_path: str, fmt: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output .jsonld file.")
 def export(graph_path: str, root_iri: str, out_path: str) -> None:
     """Export one subject and its blank-node closure as JSON-LD."""
-    _output_format(out_path, "jsonld")
+    _output_format(out_path, "jsonld", ("jsonld",))
     g = _load_graph(graph_path)
     try:
         document = serialize.to_jsonld(g, IRI(root_iri))

@@ -119,20 +119,46 @@ def to_ntriples(g: Graph, ascii_only: bool = False) -> str:
     return text
 
 
-# One term after optional blanks.  IRI and literal bodies take any escape
-# here; `unescape` and the term constructors then refuse what the grammar
-# does not allow.
+# IRI and literal bodies take any escape here; `unescape` and the term
+# constructors then refuse what the grammar does not allow.  Each body is an
+# unrolled loop, `[^F]*(?:\\.[^F]*)*`, which the regex engine scans several
+# times faster than the alternation `(?:[^F]|\\.)*`.  A body never holds a
+# line break.
+_IRI_BODY = rf"[^{IRI_FORBIDDEN}]*(?:\\.[^{IRI_FORBIDDEN}]*)*"
+_LEXICAL = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'
+_IRI = f"<{_IRI_BODY}>"
+_BLANK = f"_:{BLANK_LABEL}"
+_LITERAL = rf'"{_LEXICAL}"(?:@{LANGTAG}|\^\^<{_IRI_BODY}>)?'
+
+# One term after optional blanks, with its parts named for `_term`.
 _TERM_RE = re.compile(
     rf"""[ \t]*(?P<term>
-        <(?P<iri>(?:[^{IRI_FORBIDDEN}]|\\.)*)>
+        <(?P<iri>{_IRI_BODY})>
       | _:(?P<blank>{BLANK_LABEL})
-      | "(?P<lexical>(?:[^"\\]|\\.)*)"
-        (?:@(?P<language>{LANGTAG})|\^\^<(?P<datatype>(?:[^{IRI_FORBIDDEN}]|\\.)*)>)?
+      | "(?P<lexical>{_LEXICAL})"
+        (?:@(?P<language>{LANGTAG})|\^\^<(?P<datatype>{_IRI_BODY})>)?
     )""",
     re.VERBOSE,
 )
 _SKIP_RE = re.compile(r"[ \t]*(?:#|$)")
 _END_RE = re.compile(r"[ \t]*\.[ \t]*(?:#|$)")
+
+# One whole line, its line break included: a statement, whose three groups
+# are the subject, predicate and object texts, or a blank or comment line,
+# whose groups are None.  It accepts the lines `_read_line` accepts, and no
+# others: trailing `\r`s before the break are dropped, a `\r` elsewhere is
+# kept, and the last line may end the text without a break, so it matches
+# (empty, at least) at the end of the text.  Each term ends where `_TERM_RE`
+# would end it, because no term can be cut shorter and still be followed by
+# what the grammar asks for next.
+_LINE_RE = re.compile(
+    rf"""(?:[ \t]*({_IRI}|{_BLANK})
+            [ \t]*({_IRI})
+            [ \t]*({_IRI}|{_BLANK}|{_LITERAL})
+            [ \t]*\.)?
+        [ \t]*(?:\#[^\n]*)?\r*(?:\n|\Z)""",
+    re.VERBOSE,
+)
 
 
 def _term(m: re.Match) -> Term:
@@ -153,41 +179,76 @@ def _parse_error(message: str, line: str, lineno: int, pos: int) -> NTriplesPars
     return NTriplesParseError(f"column {column}: {message}", lineno)
 
 
+class _Terms(dict):
+    """Term text -> term, built on first lookup: each distinct text is
+    unescaped, checked and built once, and every triple naming it shares
+    that one object.  A lookup raises ValueError when the text names no
+    valid term."""
+
+    def __missing__(self, key: str) -> Term:
+        term = self[key] = _term(_TERM_RE.match(key))
+        return term
+
+
+def _read_line(line: str, lineno: int, built: _Terms) -> Optional[Triple]:
+    """The triple one line states, or None for a blank or comment line.
+    Raises NTriplesParseError with the line and column of the first fault."""
+    line = line.rstrip("\r")
+    if _SKIP_RE.match(line):
+        return None
+    terms: list[Term] = []
+    pos = 0
+    for position in ("subject", "predicate", "object"):
+        m = _TERM_RE.match(line, pos)
+        if m is None:
+            raise _parse_error("expected a term", line, lineno, pos)
+        try:
+            term = built[m.group("term")]
+        except ValueError as exc:
+            raise _parse_error(str(exc), line, lineno, pos) from None
+        if position == "subject" and isinstance(term, Literal):
+            raise _parse_error("literal cannot be a subject", line, lineno, pos)
+        if position == "predicate" and not isinstance(term, IRI):
+            raise _parse_error("predicate must be an IRI", line, lineno, pos)
+        terms.append(term)
+        pos = m.end()
+    if not _END_RE.match(line, pos):
+        raise _parse_error("statement must end with '.'", line, lineno, pos)
+    return Triple(*terms)
+
+
 def from_ntriples(text: str) -> Graph:
     """Parse N-Triples text; duplicate statements collapse.  An error gives
     the line and the 1-based column where the offending part starts.
 
-    Each distinct term text is unescaped, checked and built once, and every
-    triple naming it shares that one object."""
+    The text is read in one pass of `_LINE_RE`, and each distinct term text
+    is built once.  A line that pass cannot take, because it does not match
+    or names an invalid term, goes to `_read_line`, which reports the
+    fault; should it accept the line, the pass resumes after it."""
     g = Graph()
-    built: dict[str, Term] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if _SKIP_RE.match(line):
-            continue
-        terms: list[Term] = []
-        pos = 0
-        for position in ("subject", "predicate", "object"):
-            m = _TERM_RE.match(line, pos)
-            if m is None:
-                raise _parse_error("expected a term", line, lineno, pos)
-            key = m.group("term")
-            term = built.get(key)
-            if term is None:
+    built = _Terms()
+    pos = 0
+    while True:
+        for m in _LINE_RE.finditer(text, pos):
+            if m.start() != pos:
+                break
+            s, p, o = m.groups()
+            if s is not None:
                 try:
-                    term = built[key] = _term(m)
-                except ValueError as exc:
-                    raise _parse_error(str(exc), line, lineno, pos) from None
-            if position == "subject" and isinstance(term, Literal):
-                raise _parse_error("literal cannot be a subject", line, lineno, pos)
-            if position == "predicate" and not isinstance(term, IRI):
-                raise _parse_error("predicate must be an IRI", line, lineno, pos)
-            terms.append(term)
+                    triple = Triple(built[s], built[p], built[o])
+                except ValueError:
+                    break
+                g.insert(triple)
             pos = m.end()
-        if not _END_RE.match(line, pos):
-            raise _parse_error("statement must end with '.'", line, lineno, pos)
-        g.insert(Triple(*terms))
-    return g
+        else:
+            return g
+        end = text.find("\n", pos)
+        triple = _read_line(text[pos:] if end < 0 else text[pos:end], text.count("\n", 0, pos) + 1, built)
+        if triple is not None:
+            g.insert(triple)
+        if end < 0:
+            return g
+        pos = end + 1
 
 
 _PN_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*$")

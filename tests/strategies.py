@@ -186,6 +186,7 @@ _PLAN_VARS = [Var(f"v{i}") for i in range(5)]
 # equals the integer 1 by value only, and "x"@en is not "x".
 _PLAN_TWIN_PAIRS = [(Literal("1", _XSD_INTEGER), Literal("1.0", _XSD_DECIMAL)), (Literal("x"), Literal("x", language="en"))]
 _PLAN_TWINS = {a: b for pair in _PLAN_TWIN_PAIRS for a, b in (pair, pair[::-1])}
+_PLAN_NUMERIC_TWINS = _PLAN_TWIN_PAIRS[0]
 _PLAN_LITERALS = [Literal(str(i), _XSD_INTEGER) for i in (0, 2, 3)] + [Literal("y")] + list(_PLAN_TWINS)
 
 
@@ -208,6 +209,12 @@ def planner_cases(draw) -> tuple[Graph, Query]:
     # so the join holds at least the row that puts every term back; the
     # other draws may put any variable anywhere.
     ordered = sorted(g, key=lambda t: tuple(term_to_ntriples(x) for x in (t.subject, t.predicate, t.object)))
+    # A triple whose object is a number with a twin is drawn as often as all
+    # the others together, so that a variable often replaces that number.
+    statements = st.sampled_from(ordered)
+    numeric_twin_statements = [t for t in ordered if t.object in _PLAN_NUMERIC_TWINS]
+    if numeric_twin_statements:
+        statements = st.one_of(statements, st.sampled_from(numeric_twin_statements))
     patterns, seen = [], {}
     one_term_each = draw(st.integers(0, 2)) > 0
 
@@ -220,7 +227,7 @@ def planner_cases(draw) -> tuple[Graph, Query]:
         return var
 
     for _ in range(draw(st.integers(1, 5))):
-        t = draw(st.sampled_from(ordered))
+        t = draw(statements)
         terms = [variable(term) if draw(st.integers(0, 3)) < odds else term
                  for term, odds in zip((t.subject, t.predicate, t.object), (3, 1, 2))]
         patterns.append(TriplePattern(*terms))
@@ -232,7 +239,9 @@ def planner_cases(draw) -> tuple[Graph, Query]:
     # Equalities with a constant on either side, alone or inside Or and Not,
     # exercise the folding of equality filters into the join.  The constant
     # is a term its variable replaced, so that the equality often holds, or
-    # that term's twin.
+    # that term's twin.  One filter kind in six compares a variable that
+    # replaced a number with that number's twin, when there is one: only a
+    # comparison by value finds them equal.
     def equality(v: Var, term, twin: bool, flip: bool) -> Compare:
         constant = _PLAN_TWINS.get(term, term) if twin else term
         return Compare(constant, "=", v) if flip else Compare(v, "=", constant)
@@ -240,11 +249,17 @@ def planner_cases(draw) -> tuple[Graph, Query]:
     constants = st.sampled_from(_PLAN_NODES + _PLAN_LITERALS)
     equalities = variables.flatmap(lambda v: st.builds(
         equality, st.just(v), st.sampled_from(seen[v.name]), st.booleans(), st.booleans()))
+    numeric_twin_vars = [Var(n) for n in bound if any(x in _PLAN_NUMERIC_TWINS for x in seen[n])]
+    twin_equalities = equalities
+    if numeric_twin_vars:
+        twin_equalities = st.sampled_from(numeric_twin_vars).flatmap(lambda v: st.builds(
+            equality, st.just(v), st.sampled_from([x for x in seen[v.name] if x in _PLAN_NUMERIC_TWINS]),
+            st.just(True), st.booleans()))
     filters = draw(st.lists(st.one_of(
         st.builds(Compare, variables, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
                   st.one_of(variables, constants)),
         equalities,
-        equalities,
+        twin_equalities,
         st.builds(Not, equalities),
         st.builds(lambda a, b: Or((a, b)), equalities, equalities),
         st.builds(DistanceWithin, variables, variables, st.sampled_from([50.0, 150.0, 1000.0, 3000.0])),

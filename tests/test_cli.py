@@ -63,6 +63,15 @@ class TestIngest:
         result = run(runner, "ingest", tmp_path / "missing.xml", "--out", tmp_path / "x.nt")
         assert result.exit_code == 2
 
+    def test_jsonld_output_refused_before_reading_input(self, runner, workspace):
+        data = workspace / "data"
+        for source in (data / "la_rochelle_v3.xml", workspace / "missing.xml"):
+            result = run(runner, "ingest", source, "--out", workspace / "x.jsonld")
+            assert result.exit_code == 2
+            assert "writes nt or ttl, not jsonld" in result.output
+        assert not (workspace / "x.jsonld").exists()
+        assert not (workspace / "x.issues.tsv").exists()
+
     def test_malformed_xml_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<TIF><Resource>")
@@ -147,6 +156,15 @@ class TestIngest:
 
 
 class TestMap:
+    def test_jsonld_output_refused_before_reading_graph(self, runner, workspace):
+        data = workspace / "data"
+        run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
+        for graph in (workspace / "g.nt", workspace / "missing.nt"):
+            result = run(runner, "map", "--graph", graph, "--out", workspace / "m.jsonld")
+            assert result.exit_code == 2
+            assert "writes nt or ttl, not jsonld" in result.output
+        assert not (workspace / "m.jsonld").exists()
+
     def test_map_reports_inferred_and_lacking(self, runner, workspace):
         data = workspace / "data"
         run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")

@@ -398,6 +398,14 @@ class TestPlanner:
         assert [(h.value, b.value) for h, b in rows] == [("http://e/n0", "http://e/n2"),
                                                          ("http://e/n1", "http://e/n3")]
 
+    def test_components_are_crossed_in_full_before_limit(self, places):
+        text = "SELECT ?h ?b ?s WHERE { ?h a <http://e/Hotel> . ?b a <http://e/Bar> . ?s a <http://e/Shop> }"
+        rows = evaluate(parse_query(text), places).rows
+        assert len(rows) == 2 * 3 * 1
+        assert len(set(rows)) == len(rows)
+        for limit in (0, 1, 4, 6, 10):
+            assert evaluate(parse_query(f"{text} LIMIT {limit}"), places).rows == rows[:limit]
+
     def test_empty_component_gives_no_rows(self, places):
         q = parse_query("SELECT ?h ?x WHERE { ?h a <http://e/Hotel> . ?x a <http://e/Museum> }")
         assert evaluate(q, places).rows == []

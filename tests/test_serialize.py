@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 import strategies as own
 from oracles import blank_closure, expand_jsonld, structural_form
+from tifsem import serialize
 from tifsem.errors import ExportError, NTriplesParseError
 from tifsem.graph import (
+    BLANK_LABEL,
+    IRI_FORBIDDEN,
+    LANGTAG,
     RDF_TYPE,
     RDFS_NS,
     XSD_NS,
@@ -168,6 +172,165 @@ class TestNTriplesErrors:
             from_ntriples(text)
         except NTriplesParseError:
             pass
+
+
+# The per-line reader that the one-pass `from_ntriples` replaced, pinned as
+# the reference it must agree with: the same graph, or an NTriplesParseError
+# with the same line and message.
+_REF_TERM_RE = re.compile(
+    rf"""[ \t]*(?:
+        <(?P<iri>(?:[^{IRI_FORBIDDEN}]|\\.)*)>
+      | _:(?P<blank>{BLANK_LABEL})
+      | "(?P<lexical>(?:[^"\\]|\\.)*)"
+        (?:@(?P<language>{LANGTAG})|\^\^<(?P<datatype>(?:[^{IRI_FORBIDDEN}]|\\.)*)>)?
+    )""",
+    re.VERBOSE,
+)
+
+
+def _reference_term(m: re.Match):
+    if m.group("iri") is not None:
+        return IRI(unescape(m.group("iri")))
+    if m.group("blank") is not None:
+        return BlankNode(m.group("blank"))
+    lexical = unescape(m.group("lexical"))
+    if m.group("language") is not None:
+        return Literal(lexical, language=m.group("language"))
+    if m.group("datatype") is not None:
+        return Literal(lexical, unescape(m.group("datatype")))
+    return Literal(lexical)
+
+
+def reference_from_ntriples(text: str) -> Graph:
+    g = Graph()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        if re.match(r"[ \t]*(?:#|$)", line):
+            continue
+        terms, pos = [], 0
+
+        def fault(message: str) -> NTriplesParseError:
+            column = len(line) - len(line[pos:].lstrip(" \t")) + 1
+            return NTriplesParseError(f"column {column}: {message}", lineno)
+
+        for position in ("subject", "predicate", "object"):
+            m = _REF_TERM_RE.match(line, pos)
+            if m is None:
+                raise fault("expected a term")
+            try:
+                term = _reference_term(m)
+            except ValueError as exc:
+                raise fault(str(exc)) from None
+            if position == "subject" and isinstance(term, Literal):
+                raise fault("literal cannot be a subject")
+            if position == "predicate" and not isinstance(term, IRI):
+                raise fault("predicate must be an IRI")
+            terms.append(term)
+            pos = m.end()
+        if not re.match(r"[ \t]*\.[ \t]*(?:#|$)", line[pos:]):
+            raise fault("statement must end with '.'")
+        g.insert(Triple(*terms))
+    return g
+
+
+def _outcome(read, text: str):
+    try:
+        return "graph", read(text)
+    except NTriplesParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+def _in_literal(form: str, inserted: str) -> str:
+    return form[0] + inserted + form[1:] if form.startswith('"') else f'"a{inserted}b"'
+
+
+# Hostile edits to one line of canonical text.  A line is its three term
+# forms, the three separators after them, the dot, what follows the dot and
+# the line ending.
+_LINE_EDITS = {
+    "cr in literal": lambda l: {**l, "o": _in_literal(l["o"], "\r")},
+    "lf in literal": lambda l: {**l, "o": _in_literal(l["o"], "\n")},
+    "cr cr lf": lambda l: {**l, "end": "\r\r\n"},
+    "cr before dot": lambda l: {**l, "seps": (" ", " ", " \r")},
+    "tabs": lambda l: {**l, "seps": ("\t", "\t", "\t")},
+    "no blanks": lambda l: {**l, "seps": ("", "", "")},
+    "comment": lambda l: {**l, "tail": " # a comment . <x>"},
+    "missing dot": lambda l: {**l, "dot": ""},
+    "literal subject": lambda l: {**l, "s": '"x"'},
+    "blank predicate": lambda l: {**l, "p": "_:b"},
+    "surrogate escape": lambda l: {**l, "o": '"\\uD800"'},
+}
+
+
+@st.composite
+def edited_ntriples(draw) -> str:
+    g = draw(own.graphs(max_size=12))
+    lines = [{"s": s, "p": p, "o": o, "seps": (" ", " ", " "), "dot": ".", "tail": "", "end": "\n"}
+             for s, p, o in sorted(tuple(map(term_to_ntriples, (t.subject, t.predicate, t.object))) for t in g)]
+    for index, edit in draw(st.lists(st.tuples(st.integers(0, 99), st.sampled_from(sorted(_LINE_EDITS))),
+                                     max_size=4)):
+        if lines:
+            lines[index % len(lines)] = _LINE_EDITS[edit](lines[index % len(lines)])
+    text = "".join(l["s"] + l["seps"][0] + l["p"] + l["seps"][1] + l["o"] + l["seps"][2] + l["dot"]
+                   + l["tail"] + l["end"] for l in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")  # a last line with no newline
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(own.hostile_text) + text[at:]
+    return text
+
+
+class TestOnePassReader:
+    @given(st.one_of(edited_ntriples(), own.hostile_text))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_per_line_reference(self, text):
+        assert _outcome(from_ntriples, text) == _outcome(reference_from_ntriples, text)
+
+    def test_literal_body_may_not_hold_line_feed(self):
+        text = '<http://e/s> <http://e/p> "x" .\n<http://e/s> <http://e/p> "a\nb" .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples(text)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: column 27: expected a term"
+
+    def test_literal_body_may_hold_carriage_return(self):
+        g = from_ntriples('<http://e/s> <http://e/p> "a\rb" .\n')
+        assert [t.object for t in g] == [Literal("a\rb")]
+
+    def test_trailing_carriage_returns_are_dropped(self):
+        text = '\r\r\n<http://e/s> <http://e/p> "a" .\r\r\n# c\r\n<http://e/s> <http://e/p> "b"\r\r\r\n'
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples(text)
+        assert str(err.value) == "line 4: column 30: statement must end with '.'"
+        assert len(from_ntriples(text.replace('"b"', '"b" .'))) == 2
+
+    def test_last_line_may_lack_newline(self):
+        assert len(from_ntriples('<http://e/s> <http://e/p> "a" .\n<http://e/s> <http://e/p> "b" .')) == 2
+        assert len(from_ntriples('<http://e/s> <http://e/p> "a" . # end')) == 1
+
+    def test_terms_need_no_blanks_between_them(self):
+        g = from_ntriples('<http://e/a><http://e/b><http://e/c>.\n_:x<http://e/b>"c"@en.\n')
+        assert set(g) == {Triple(IRI("http://e/a"), IRI("http://e/b"), IRI("http://e/c")),
+                          Triple(BlankNode("x"), IRI("http://e/b"), Literal("c", language="en"))}
+
+    def test_invalid_term_reports_its_own_line(self):
+        text = '<http://e/s> <http://e/p> "x" .\n\n<http://e/s> <http://e/p> "\\uD800" .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples(text)
+        assert str(err.value).startswith("line 3: column 27: escape names no Unicode scalar value")
+
+    def test_per_line_reader_decides_lines_the_pass_refuses(self, monkeypatch):
+        # With a pass that takes only all-IRI statements, every other line
+        # goes to the per-line reader, which accepts it; the pass resumes
+        # after each such line.
+        monkeypatch.setattr(serialize, "_LINE_RE", re.compile(
+            rf"(?:({serialize._IRI}) ({serialize._IRI}) ({serialize._IRI}) \.)?(?:\n|\Z)"))
+        text = ('# c\n<http://e/s> <http://e/p> <http://e/o> .\n_:b <http://e/p> "x"@en .\n\n'
+                '<http://e/s> <http://e/q> <http://e/o> .\n<http://e/s> <http://e/p> "y" .')
+        g = from_ntriples(text)
+        assert g == reference_from_ntriples(text)
+        assert len(g) == 4
 
 
 class TestUnescape:
