@@ -7,6 +7,7 @@ diff-able.  Exit codes: 0 success, 1 domain error, 2 usage or I/O error.
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -16,7 +17,7 @@ import click
 from tifsem import fixtures as fixtures_mod
 from tifsem import mapping, query as query_mod, serialize
 from tifsem.errors import TifsemError
-from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, _insert_io
+from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, _insert_io, mint_io_iri
 from tifsem.ingest import (
     IDENTITY_PROFILE,
     RawDocument,
@@ -28,11 +29,27 @@ from tifsem.ingest import (
 )
 from tifsem.ontology import InformationObject
 
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
+
+
+def _checked_base(ctx: click.Context, param: click.Parameter, base: str) -> str:
+    """The base IRI, refused as a usage error, before any input is read,
+    unless the IRIs minted under it are valid and absolute."""
+    if not _SCHEME_RE.match(base):
+        raise click.BadParameter(f"{base!r} does not start with a scheme such as 'http:'", ctx, param)
+    try:
+        mint_io_iri(base, "x")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
+    return base
+
+
 _BASE_OPTION = click.option(
     "--base",
     envvar="TIFSEM_BASE_IRI",
     default=DEFAULT_BASE_IRI,
     show_default=True,
+    callback=_checked_base,
     help="Base IRI under which resource identifiers are minted.",
 )
 

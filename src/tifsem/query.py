@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
@@ -39,6 +40,7 @@ from tifsem.graph import (
     Literal,
     Term,
     XSD_STRING,
+    vocabulary_iri,
 )
 from tifsem.ontology import (
     GeoPoint,
@@ -648,11 +650,18 @@ def _apply_op(left, op: str, right) -> bool:
 PointOf = Callable[[Term], Optional[GeoPoint]]
 
 
+# The latitude/longitude property pairs, tifsem's first, as shared IRIs.
+_COORDINATE_PROPS = tuple(
+    (vocabulary_iri(lat), vocabulary_iri(lon))
+    for lat, lon in ((LATITUDE_PROP, LONGITUDE_PROP), (SCHEMA_LATITUDE, SCHEMA_LONGITUDE))
+)
+
+
 def resolve_point(term: Term, g: Graph) -> Optional[GeoPoint]:
     """Coordinates of a node, read from its latitude/longitude statements."""
     if not isinstance(term, (IRI, BlankNode)):
         return None
-    for lat_prop, lon_prop in ((LATITUDE_PROP, LONGITUDE_PROP), (SCHEMA_LATITUDE, SCHEMA_LONGITUDE)):
+    for lat_prop, lon_prop in _COORDINATE_PROPS:
         lat = _coordinate(term, lat_prop, g)
         lon = _coordinate(term, lon_prop, g)
         if lat is not None and lon is not None:
@@ -663,9 +672,9 @@ def resolve_point(term: Term, g: Graph) -> Optional[GeoPoint]:
     return None
 
 
-def _coordinate(subject, prop: str, g: Graph) -> Optional[Decimal]:
+def _coordinate(subject, prop: IRI, g: Graph) -> Optional[Decimal]:
     values = []
-    for t in g.match(subject=subject, predicate=IRI(prop)):
+    for t in g.match(subject=subject, predicate=prop):
         value = _finite_decimal(t.object.lexical) if isinstance(t.object, Literal) else None
         if value is not None:
             values.append(value)
@@ -749,27 +758,51 @@ def _join_order(
     return order
 
 
+_POSITIONS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
+
+
 def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> list[dict[str, Term]]:
-    """Every row extended by every triple that matches the pattern under it."""
+    """Every row extended by every triple that matches the pattern under it.
+
+    All rows of one join step bind the same variables, so the first row
+    tells, once for the step, which positions the probe reads from the row
+    and which variables the triples bind.  ``Graph.match`` yields nothing
+    for a literal subject or a predicate that is not an IRI, so a row that
+    binds one that way extends to nothing."""
+    if not rows:
+        return []
     terms = (pattern.subject, pattern.predicate, pattern.object)
-    slots = [(i, t.name) for i, t in enumerate(terms) if isinstance(t, Var)]
+    probe = [None if isinstance(t, Var) else t for t in terms]
+    read = [t.name if isinstance(t, Var) and t.name in rows[0] else None for t in terms]
+    free: dict[str, list[int]] = {}
+    for i, t in enumerate(terms):
+        if isinstance(t, Var) and read[i] is None:
+            free.setdefault(t.name, []).append(i)
+    # A variable repeated in the pattern binds from its first position and
+    # must meet the same value at the others.
+    binds = [(name, _POSITIONS[at[0]]) for name, at in free.items()]
+    repeats = [(_POSITIONS[at[0]], _POSITIONS[i]) for at in free.values() for i in at[1:]]
+
+    (s, p, o), (read_s, read_p, read_o) = probe, read
     extended: list[dict[str, Term]] = []
     for row in rows:
-        s, p, o = [row.get(t.name) if isinstance(t, Var) else t for t in terms]
-        if isinstance(s, Literal) or (p is not None and not isinstance(p, IRI)):
-            continue  # a literal is never a subject, and a predicate is an IRI
-        free = [(i, name) for i, name in slots if name not in row]
-        if not free:
-            extended.extend(row for _ in g.match(s, p, o))
+        if read_s is not None:
+            s = row[read_s]
+        if read_p is not None:
+            p = row[read_p]
+        if read_o is not None:
+            o = row[read_o]
+        if not binds:
+            for _ in g.match(s, p, o):
+                extended.append(row)
             continue
         for triple in g.match(s, p, o):
-            values = (triple.subject, triple.predicate, triple.object)
-            new = dict(row)
-            for i, name in free:
-                if new.setdefault(name, values[i]) != values[i]:
-                    break  # a variable repeated in the pattern met two values
-            else:
-                extended.append(new)
+            if repeats and any(first(triple) != other(triple) for first, other in repeats):
+                continue
+            new = row.copy()
+            for name, value_of in binds:
+                new[name] = value_of(triple)
+            extended.append(new)
     return extended
 
 
@@ -822,6 +855,8 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
         return ready
 
     def passing(rows: Iterable[dict[str, Term]], filters: list[FilterExpr]) -> list[dict[str, Term]]:
+        if not filters:
+            return list(rows)
         return [r for r in rows if all(_eval_filter(f, r, point) for f in filters)]
 
     solutions, bound = passing([{}], spend(set())), set()

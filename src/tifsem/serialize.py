@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from tifsem.errors import ExportError, NTriplesParseError
 from tifsem.graph import (
@@ -96,6 +96,26 @@ def _line(t: Triple) -> str:
     return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} .\n"
 
 
+class _Forms(dict):
+    """Term -> its text under ``render``, rendered on first lookup: one
+    serializer call renders each distinct term once."""
+
+    def __init__(self, render: Callable[[Term], str]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, term: Term) -> str:
+        form = self[term] = self.render(term)
+        return form
+
+
+def _sorted_statements(g: Graph) -> list[tuple[str, Triple]]:
+    """Each triple with its N-Triples line, sorted by the line.  No two
+    triples share a line, so the sort never compares triples."""
+    form = _Forms(term_to_ntriples)
+    return sorted([(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .\n", t) for t in g])
+
+
 def _ascii_escape(m: re.Match) -> str:
     cp = ord(m.group())
     return f"\\u{cp:04X}" if cp <= 0xFFFF else f"\\U{cp:08X}"
@@ -113,7 +133,7 @@ def to_ntriples(g: Graph, ascii_only: bool = False) -> str:
     """Canonical N-Triples text: one triple per line, sorted, LF endings.
     With ``ascii_only``, every character above U+007E is written as an
     escape."""
-    text = "".join(sorted(map(_line, g)))
+    text = "".join([line for line, _ in _sorted_statements(g)])
     if ascii_only:
         text = _NON_ASCII_RE.sub(_ascii_escape, text)
     return text
@@ -280,10 +300,11 @@ def to_turtle(g: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str:
             return f'"{_escape_string(term.lexical)}"^^{dt}'
         return term_to_ntriples(term)
 
+    form = _Forms(render)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.items())]
     lines.append("")
-    for t in sorted(g, key=_line):
-        lines.append(f"{render(t.subject)} {render(t.predicate)} {render(t.object)} .")
+    for _, t in _sorted_statements(g):
+        lines.append(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .")
     return "\n".join(lines) + "\n"
 
 

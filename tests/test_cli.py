@@ -119,6 +119,25 @@ class TestIngest:
         assert result.exit_code == 0
         assert "https://env.example.net/t/io/HOT-001" in (workspace / "env.nt").read_text()
 
+    @pytest.mark.parametrize("base", ["http://a b/", "http://x/<>", "", "http://x/\ud800"])
+    def test_hostile_base_flag_is_usage_error(self, runner, workspace, base):
+        result = run(runner, "ingest", workspace / "data" / "la_rochelle_v3.xml",
+                     "--base", base, "--out", workspace / "based.nt")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--base" in result.output
+        assert not (workspace / "based.nt").exists()
+        assert not (workspace / "based.issues.tsv").exists()
+
+    def test_hostile_base_env_var_is_usage_error(self, runner, workspace, monkeypatch):
+        monkeypatch.setenv("TIFSEM_BASE_IRI", "http://x/<>")
+        result = run(runner, "ingest", workspace / "missing.xml", "--out", workspace / "env.nt")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--base" in result.output
+        assert not (workspace / "env.nt").exists()
+        assert not (workspace / "env.issues.tsv").exists()
+
     def test_warnings_do_not_fail_the_run(self, runner, tmp_path):
         noisy = tmp_path / "noisy.xml"
         noisy.write_text(
@@ -482,6 +501,9 @@ def _invocations(draw) -> tuple[list[str], dict[str, bytes | None]]:
             args += ["--profile", path("profile.json", "profile")]
         if command == "ingest":
             args += ["--out", draw(st.sampled_from(["out.nt", "out.ttl", "out.jsonld", "no/such/dir/out.nt"]))]
+            if draw(st.booleans()):
+                args += ["--base", draw(st.one_of(st.just("https://kg.example.net/t"), st.just("http://a b/"),
+                                                  hostile_text))]
         return args, files
     args = [command, "--graph", path("graph.nt", "graph")]
     if command == "map":

@@ -14,7 +14,7 @@ from oracles import brute_force_evaluate, haversine_reference
 from strategies import hostile_text, planner_cases, random_case
 from tifsem import fixtures, query
 from tifsem.errors import QuerySyntaxError, QueryTypeError
-from tifsem.graph import RDF_TYPE, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
+from tifsem.graph import RDF_TYPE, BlankNode, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
 from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP, GeoPoint, GranuleKind
 from tifsem.query import (
     Compare,
@@ -29,6 +29,7 @@ from tifsem.query import (
     to_csv,
     to_text_table,
 )
+from tifsem.serialize import from_ntriples, term_to_ntriples
 
 PREFIXES = (
     "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
@@ -449,7 +450,9 @@ class TestPlanner:
         q = parse_query(text)
         return evaluate(q, g).rows, brute_force_evaluate(q, list(g))
 
-    def test_equality_filter_starts_the_join(self, places, monkeypatch):
+    @pytest.fixture()
+    def match_calls(self, monkeypatch) -> collections.Counter:
+        """Counts ``Graph.match`` calls under the key "match"."""
         calls = collections.Counter()
         match = Graph.match
 
@@ -458,11 +461,14 @@ class TestPlanner:
             return match(graph, *args, **kwargs)
 
         monkeypatch.setattr(Graph, "match", counted)
+        return calls
+
+    def test_equality_filter_starts_the_join(self, places, match_calls):
         rows, expected = self._rows_and_oracle(
             "SELECT ?x ?r WHERE { ?x <http://e/rank> ?r . ?x a ?t FILTER(?t = <http://e/Shop>) }", places)
         assert rows == expected and [x.value for x, _ in rows] == ["http://e/n5"]
         # ?x a <http://e/Shop> first, then the rank of its one match.
-        assert calls["match"] == 2
+        assert match_calls["match"] == 2
 
     @pytest.mark.parametrize("constant", ["1", "1.0", "1e0"])
     def test_numeric_equality_is_not_folded(self, places, constant):
@@ -499,6 +505,65 @@ class TestPlanner:
     def test_equality_binding_a_literal_where_none_can_be_gives_no_rows(self, places, text):
         rows, expected = self._rows_and_oracle(text, places)
         assert rows == expected == []
+
+    # Join kernel regressions: each step works out its bound and free
+    # positions from its first row.
+    _KERNEL_GRAPH = from_ntriples(
+        '<http://e/a> <http://e/p> <http://e/a> .\n'
+        '<http://e/a> <http://e/p> <http://e/b> .\n'
+        '<http://e/b> <http://e/p> <http://e/b> .\n'
+        '<http://e/b> <http://e/p> <http://e/a> .\n'
+        '<http://e/a> <http://e/p> <http://e/c> .\n'
+        '<http://e/a> <http://e/v> "lit" .\n'
+        '<http://e/a> <http://e/v> _:b .\n'
+        '<http://e/a> <http://e/v> <http://e/q> .\n'
+        '<http://e/b> <http://e/q> <http://e/c> .\n'
+        '<http://e/c> <http://e/q> "x" .\n'
+        '_:b <http://e/q> <http://e/a> .\n'
+    )
+
+    @pytest.mark.parametrize("text, expected", [
+        ("SELECT ?x WHERE { ?x <http://e/p> ?x }", ["<http://e/a>", "<http://e/b>"]),
+        ("SELECT ?x WHERE { ?x <http://e/q> ?x }", []),
+        ("SELECT ?x WHERE { <http://e/a> <http://e/p> ?x . ?x <http://e/p> ?x }",
+         ["<http://e/a>", "<http://e/b>"]),
+    ])
+    def test_repeated_free_variable_meets_one_value(self, text, expected):
+        rows, oracle = self._rows_and_oracle(text, self._KERNEL_GRAPH)
+        assert rows == oracle
+        assert [term_to_ntriples(x) for x, in rows] == expected
+
+    def test_literal_binding_used_as_subject_extends_to_nothing(self):
+        rows, oracle = self._rows_and_oracle(
+            "SELECT ?o ?z WHERE { <http://e/a> <http://e/v> ?o . ?o <http://e/q> ?z }", self._KERNEL_GRAPH)
+        assert rows == oracle == [(BlankNode("b"), IRI("http://e/a"))]
+
+    @pytest.mark.parametrize("subject", ["<http://e/b>", "?s"])
+    def test_literal_or_blank_binding_used_as_predicate_extends_to_nothing(self, subject):
+        rows, oracle = self._rows_and_oracle(
+            f"SELECT ?v ?z WHERE {{ <http://e/a> <http://e/v> ?v . {subject} ?v ?z }}", self._KERNEL_GRAPH)
+        assert rows == oracle
+        assert {v for v, _ in rows} == {IRI("http://e/q")}
+
+    def test_all_bound_check_pattern_keeps_each_row_per_match(self, match_calls):
+        rows, oracle = self._rows_and_oracle(
+            "SELECT ?x ?y WHERE { ?x <http://e/p> ?y . ?y <http://e/p> ?x }", self._KERNEL_GRAPH)
+        assert rows == oracle
+        assert [(x.value, y.value) for x, y in rows] == [
+            ("http://e/a", "http://e/a"), ("http://e/a", "http://e/b"),
+            ("http://e/b", "http://e/a"), ("http://e/b", "http://e/b")]
+        # One scan of ?x <p> ?y, then one check per row it gave.
+        assert match_calls["match"] == 1 + 5
+
+    @pytest.mark.parametrize("text", [
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+        "SELECT ?x ?s ?p ?o WHERE { ?x <http://e/q> <http://e/c> . ?s ?p ?o }",
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s ?p ?o }",
+    ])
+    def test_step_with_every_position_free(self, text):
+        rows, oracle = self._rows_and_oracle(text, self._KERNEL_GRAPH)
+        assert rows == oracle
+        assert len(rows) == len(self._KERNEL_GRAPH)
 
     def test_calls_go_through_module_names(self, materialized_graph, monkeypatch):
         """Tracing counts calls by rebinding these names, so evaluation
