@@ -95,13 +95,23 @@ class DialectProfile:
     extension_namespace: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ProfileError(f"profile name must be a string, got {self.name!r}")
+        renames, dropped, namespace = self.tag_renames, self.dropped_tags, self.extension_namespace
+        if not isinstance(renames, dict) or not all(
+                isinstance(raw, str) and raw and isinstance(target, str) for raw, target in renames.items()):
+            raise ProfileError(f"profile {self.name!r}: tag_renames must map non-empty tag paths to strings")
+        if not isinstance(dropped, (list, tuple, set, frozenset)) or not all(
+                isinstance(tag, str) for tag in dropped):
+            raise ProfileError(f"profile {self.name!r}: dropped_tags must be a list of tag paths")
+        if namespace is not None and (
+                not isinstance(namespace, str) or "://" not in namespace or _IRI_FORBIDDEN_RE.search(namespace)):
+            raise ProfileError(f"profile {self.name!r}: extension_namespace must be an IRI prefix with '://'")
         object.__setattr__(self, "dropped_tags", frozenset(self.dropped_tags))
         overlap = set(self.tag_renames) & self.dropped_tags
         if overlap:
             raise ProfileError(f"profile {self.name!r}: tags both renamed and dropped: {sorted(overlap)}")
         for raw, target in self.tag_renames.items():
-            if not raw:
-                raise ProfileError(f"profile {self.name!r}: empty dialect tag path")
             if _SNAPSHOT.has_path(target):
                 spec = _SNAPSHOT.field_spec(target)
                 if spec is not None and spec.type is FieldType.GEOPOINT:
@@ -132,8 +142,8 @@ def load_profile(text: str) -> DialectProfile:
         raise ProfileError(f"unknown profile keys: {sorted(unknown)}")
     return DialectProfile(
         name=data.get("name", "unnamed"),
-        tag_renames=dict(data.get("tag_renames", {})),
-        dropped_tags=frozenset(data.get("dropped_tags", [])),
+        tag_renames=data.get("tag_renames", {}),
+        dropped_tags=data.get("dropped_tags", []),
         extension_namespace=data.get("extension_namespace"),
     )
 
@@ -210,18 +220,12 @@ def _decode(doc: RawDocument) -> bytes | str:
     return doc.data
 
 
-@dataclass
-class _Leaf:
-    raw_path: str
-    value: str
-    top_tag: str
-    top_repeat: int  # 0-based repeat index of the top-level element among same-tag siblings
-
-
-def _walk_resource(resource: ET.Element) -> tuple[list[_Leaf], list[tuple[str, str, str]]]:
-    """One preorder traversal of a resource: its non-empty leaves, and a
-    warning for every plain (un-namespaced) attribute on it or below it."""
-    leaves: list[_Leaf] = []
+def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, str]]]:
+    """One preorder traversal of a resource: (path, text, repeat) for each
+    non-empty leaf, repeat being the index of its top-level element among
+    same-tag siblings, and a warning for every plain (un-namespaced)
+    attribute on it or below it."""
+    leaves: list[tuple[str, str, int]] = []
     warnings: list[tuple[str, str, str]] = []
 
     def check_attributes(element: ET.Element, path: str) -> None:
@@ -233,24 +237,47 @@ def _walk_resource(resource: ET.Element) -> tuple[list[_Leaf], list[tuple[str, s
 
     check_attributes(resource, resource.tag)
     tag_counts: dict[str, int] = {}
-    stack: list[tuple[ET.Element, str, str, int]] = []
+    stack: list[tuple[ET.Element, str, int]] = []
     for top in resource:
         repeat = tag_counts.get(top.tag, 0)
         tag_counts[top.tag] = repeat + 1
-        stack.append((top, top.tag, top.tag, repeat))
+        stack.append((top, top.tag, repeat))
     stack.reverse()
     while stack:
-        element, path, top_tag, repeat = stack.pop()
+        element, path, repeat = stack.pop()
         check_attributes(element, f"{resource.tag}/{path}")
         children = list(element)
         if not children:
             text = (element.text or "").strip()
             if text:
-                leaves.append(_Leaf(path, text, top_tag, repeat))
+                leaves.append((path, text, repeat))
             continue
         for child in reversed(children):
-            stack.append((child, f"{path}/{child.tag}", top_tag, repeat))
+            stack.append((child, f"{path}/{child.tag}", repeat))
     return leaves, warnings
+
+
+def _placement(raw_path: str, profile: DialectProfile):
+    """Where a leaf goes: ``None`` when it is dropped, a warning message when
+    it cannot be kept, else (granule kind, or ``None`` for the resource
+    itself; canonical path or extension IRI; field spec, or ``None`` for an
+    extension).  An extension leaf's kind is its first segment's, or that of
+    the segment's rename."""
+    normalized = normalize_tag(raw_path, profile)
+    if normalized.disposition is TagDisposition.DROPPED:
+        return None
+    if normalized.disposition is TagDisposition.MAPPED:
+        canonical = normalized.path
+        return _SNAPSHOT.kind_for_tag(_segments(canonical)[0]), canonical, _SNAPSHOT.field_spec(canonical)
+    if profile.extension_namespace is None:
+        return "unrecognized tag; no extension namespace configured"
+    ext_iri = profile.extension_namespace + raw_path
+    if _IRI_FORBIDDEN_RE.search(ext_iri):  # e.g. the {uri} of a namespaced tag
+        return "unrecognized tag; its path cannot form an extension IRI"
+    top_tag = _segments(raw_path)[0]
+    rename_target = profile.tag_renames.get(top_tag)
+    kind = _SNAPSHOT.kind_for_tag(top_tag) or (_SNAPSHOT.kind_for_tag(rename_target) if rename_target else None)
+    return kind, ext_iri, None
 
 
 def _coerce(value: str, spec_type: FieldType):
@@ -311,64 +338,36 @@ def parse_tif(
 
     for resource in root:
         granules: dict[GranuleKind, list[Granule]] = {}
-        instance_index: dict[tuple[str, int], Granule] = {}
+        instances: dict[tuple[GranuleKind, int], Granule] = {}
         extensions: dict[str, str] = {}
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
-        for leaf in leaves:
-            normalized = normalize_tag(leaf.raw_path, profile)
-            if normalized.disposition is TagDisposition.DROPPED:
+        for raw_path, value, repeat in leaves:
+            placement = _placement(raw_path, profile)
+            if placement is None:
                 continue
-            if normalized.disposition is TagDisposition.EXTENSION:
-                if profile.extension_namespace is None:
-                    resource_issues.append(
-                        ("warning", leaf.raw_path, "unrecognized tag; no extension namespace configured")
-                    )
+            if isinstance(placement, str):
+                resource_issues.append(("warning", raw_path, placement))
+                continue
+            kind, key, spec = placement
+            if spec is not None:
+                try:
+                    value = _coerce(value, spec.type)
+                except ValueError as exc:
+                    resource_issues.append(("error", key, str(exc)))
                     continue
-                ext_iri = profile.extension_namespace + leaf.raw_path
-                if _IRI_FORBIDDEN_RE.search(ext_iri):  # e.g. the {uri} of a namespaced tag
-                    resource_issues.append(
-                        ("warning", leaf.raw_path, "unrecognized tag; its path cannot form an extension IRI")
-                    )
-                    continue
-                kind = _SNAPSHOT.kind_for_tag(_segments(leaf.raw_path)[0])
-                rename_target = profile.tag_renames.get(leaf.top_tag)
-                host_kind = kind or (_SNAPSHOT.kind_for_tag(rename_target) if rename_target else None)
-                if host_kind is not None:
-                    key = (_SNAPSHOT.granule_schemas[host_kind].tag, leaf.top_repeat)
-                    host = instance_index.get(key)
-                    if host is None:
-                        host = Granule(kind=host_kind)
-                        instance_index[key] = host
-                        granules.setdefault(host_kind, []).append(host)
-                    host.fields[ext_iri] = leaf.value
-                else:
-                    extensions[ext_iri] = leaf.value
-                continue
-
-            canonical = normalized.path
-            assert canonical is not None
-            prefix = _segments(canonical)[0]
-            kind = _SNAPSHOT.kind_for_tag(prefix)
-            assert kind is not None, canonical
-            spec = _SNAPSHOT.field_spec(canonical)
-            assert spec is not None, canonical
-            try:
-                value = _coerce(leaf.value, spec.type)
-            except ValueError as exc:
-                resource_issues.append(("error", canonical, str(exc)))
-                continue
-            key = (prefix, leaf.top_repeat)
-            granule = instance_index.get(key)
-            if granule is None:
-                granule = Granule(kind=kind)
-                instance_index[key] = granule
-                granules.setdefault(kind, []).append(granule)
-            if canonical in granule.fields:
+            if kind is None:
+                target = extensions
+            else:
+                granule = instances.get((kind, repeat))
+                if granule is None:
+                    granule = instances[kind, repeat] = Granule(kind=kind)
+                    granules.setdefault(kind, []).append(granule)
+                target = granule.fields
+            if key in target:
                 resource_issues.append(
-                    ("warning", canonical, f"duplicate field from tag {leaf.raw_path!r}; first value kept")
-                )
-                continue
-            granule.fields[canonical] = value
+                    ("warning", key, f"duplicate field from tag {raw_path!r}; first value kept"))
+            else:
+                target[key] = value
 
         io_id = None
         dc = granules.get(GranuleKind.DUBLIN_CORE)

@@ -311,3 +311,33 @@ def _tif_documents(text: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
 # rest hold any text, which may have control characters XML refuses.
 _xml_documents = _tif_documents(st.text(st.characters(blacklist_categories=("Cs", "Cc"))))
 tif_documents = st.one_of(_xml_documents, _xml_documents, _xml_documents, _tif_documents(st.text()))
+
+
+# ---------------------------------------------------------------------------
+# Profile documents that are JSON objects but hold wrongly typed values, for
+# the profile half of the error contract.  Values are mostly of the wrong
+# shape for their key: numbers, nested lists, non-string map values, and
+# namespaces that are not IRI prefixes.
+
+import json  # noqa: E402
+
+MISTYPED_PROFILES = [
+    '{"extension_namespace": 5}',
+    '{"tag_renames": {"Adresse1": ["x"]}}',
+    '{"tag_renames": [1, 2]}',
+    '{"dropped_tags": 5}',
+    '{"dropped_tags": [["a"]]}',
+    '{"extension_namespace": "urn:tif:"}',
+]
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "x", "Interne", "Contacts", "urn:tif:", "http://e/ext#", "http://e/a b#"]),
+)
+_json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["", "x", "Adresse1", "Coordonnees"]), inner, max_size=3),
+), max_leaves=6)
+mistyped_profiles = st.one_of(st.sampled_from(MISTYPED_PROFILES), st.dictionaries(
+    st.sampled_from(["name", "tag_renames", "dropped_tags", "extension_namespace"]), _json_values,
+    min_size=1, max_size=4,
+).map(json.dumps))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import blank_closure, expand_jsonld, structural_form
-from strategies import hostile_text, tif_documents
+from strategies import MISTYPED_PROFILES, hostile_text, mistyped_profiles, tif_documents
 from tifsem import fixtures
 from tifsem.cli import main
 from tifsem.graph import Graph, IRI, assert_io, mint_io_iri
@@ -354,6 +354,21 @@ class TestValidate:
         assert result.exit_code == 2
 
 
+class TestMistypedProfile:
+    @pytest.mark.parametrize("command", ["ingest", "validate"])
+    @pytest.mark.parametrize("text", MISTYPED_PROFILES)
+    def test_mistyped_profile_exits_1_with_error_line(self, runner, tmp_path, data_dir, command, text):
+        (tmp_path / "profile.json").write_text(text, encoding="utf-8")
+        args = [command, data_dir / "fixture_dialect_b.xml", "--profile", tmp_path / "profile.json"]
+        if command == "ingest":
+            args += ["--out", tmp_path / "g.nt"]
+        result = run(runner, *args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stdout == ""
+        assert not (tmp_path / "g.nt").exists()
+
+
 class TestSharedParseAndValidate:
     """``ingest`` and ``validate`` report the same issues for the same inputs."""
 
@@ -468,10 +483,10 @@ _VALID = {
 
 def _files(kind: str) -> st.SearchStrategy:
     """A file's bytes: missing (None), empty, not UTF-8, hostile, valid, or
-    valid with hostile text after it."""
+    valid with hostile text after it; a profile may also be mistyped."""
     hostile = hostile_text.map(lambda text: text.encode("utf-8", "surrogatepass"))
     valid = st.just(_VALID[kind])
-    return st.one_of(
+    choices = [
         st.none(),
         st.just(b""),
         st.binary(max_size=20).map(lambda b: b"\xff" + b),
@@ -479,7 +494,10 @@ def _files(kind: str) -> st.SearchStrategy:
         valid,
         valid,
         st.builds(bytes.__add__, valid, hostile),
-    )
+    ]
+    if kind == "profile":  # a JSON object whose values have the wrong types
+        choices.append(mistyped_profiles.map(str.encode))
+    return st.one_of(*choices)
 
 
 @st.composite

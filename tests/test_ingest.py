@@ -3,7 +3,7 @@ from __future__ import annotations
 from decimal import Decimal
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -33,6 +33,26 @@ def doc(path) -> RawDocument:
 
 def doc_bytes(data: bytes, encoding: str | None = None) -> RawDocument:
     return RawDocument(source_uri="inline", data=data, declared_encoding=encoding)
+
+
+FIXTURE_PROFILES = [IDENTITY_PROFILE, fixtures.profile_dialect_a(), fixtures.profile_dialect_b()]
+
+
+def leaf_accounting(data: bytes, profile: DialectProfile) -> tuple[int, int]:
+    """(DOM leaves, leaves accounted for): each is kept as a field, in a
+    granule or on the resource, reported by one issue, or dropped by the
+    profile.  Attribute warnings and duplicate-identifier errors concern no
+    leaf."""
+    ios, issues = parse_tif(doc_bytes(data), profile)
+    leaves = dom_leaves(data)
+    dropped = sum(1 for path, _ in leaves if is_dropped_by(path, profile.dropped_tags))
+    kept = sum(
+        len(granule.fields) for io in ios for instances in io.granules.values() for granule in instances
+    ) + sum(len(io.extensions) for io in ios)
+    reported = sum(
+        1 for i in issues if "/@" not in i.field_path and not i.message.startswith("duplicate identifier")
+    )
+    return len(leaves), kept + reported + dropped
 
 
 class TestNormalizeTag:
@@ -101,6 +121,26 @@ class TestProfile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ProfileError):
             load_profile('{"name": "x", "renames": {}}')
+
+    @pytest.mark.parametrize("text", own.MISTYPED_PROFILES)
+    def test_mistyped_profile_json_rejected(self, text):
+        with pytest.raises(ProfileError):
+            load_profile(text)
+
+    @pytest.mark.parametrize("fields", [
+        {"name": 5},
+        {"tag_renames": {"Adresse1": 1}},
+        {"tag_renames": {"": "Contacts"}},
+        {"tag_renames": [("Coordonnees", "Contacts")]},
+        {"dropped_tags": "Interne"},
+        {"dropped_tags": [None]},
+        {"extension_namespace": 5},
+        {"extension_namespace": "urn:tif:"},
+        {"extension_namespace": "http://e/a b#"},
+    ])
+    def test_mistyped_profile_fields_rejected(self, fields):
+        with pytest.raises(ProfileError):
+            DialectProfile(**{"name": "p", **fields})
 
 
 class TestParseTif:
@@ -175,33 +215,38 @@ class TestParseTif:
 
     def test_totality_accounting(self, data_dir):
         # every dom leaf is mapped, preserved, reported, or explicitly dropped
-        for name, profile in [
-            ("fixture_v3.xml", IDENTITY_PROFILE),
-            ("fixture_dialect_a.xml", fixtures.profile_dialect_a()),
-            ("fixture_dialect_b.xml", fixtures.profile_dialect_b()),
-        ]:
-            data = (data_dir / name).read_bytes()
-            ios, issues = parse_tif(doc_bytes(data), profile)
-            leaves = dom_leaves(data)
-            dropped = sum(1 for path, _ in leaves if is_dropped_by(path, profile.dropped_tags))
-            mapped = sum(
-                1
-                for io in ios
-                for instances in io.granules.values()
-                for granule in instances
-                for path in granule.fields
-                if "://" not in path
-            )
-            extension = sum(
-                1
-                for io in ios
-                for instances in io.granules.values()
-                for granule in instances
-                for path in granule.fields
-                if "://" in path
-            ) + sum(len(io.extensions) for io in ios)
-            reported = len(issues)
-            assert len(leaves) == mapped + extension + reported + dropped, name
+        for name, profile in zip(["fixture_v3.xml", "fixture_dialect_a.xml", "fixture_dialect_b.xml"],
+                                 FIXTURE_PROFILES):
+            leaves, accounted = leaf_accounting((data_dir / name).read_bytes(), profile)
+            assert leaves == accounted, name
+
+    @given(own.tif_documents, st.sampled_from(FIXTURE_PROFILES))
+    @example(b"<TIF><Resource><DublinCore></DublinCore><Identifier>0</Identifier>"
+             b"<Identifier>46.1</Identifier></Resource></TIF>", fixtures.profile_dialect_b())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_leaf_is_accounted_for(self, data, profile):
+        try:
+            leaves, accounted = leaf_accounting(data, profile)
+        except TifsemError:
+            return
+        assert leaves == accounted
+
+    def test_repeated_field_keeps_first_value(self):
+        # canonical and extension fields alike, in a granule or on the resource
+        data = (b"<TIF><Resource><DublinCore><Identifier>S-1</Identifier></DublinCore>"
+                b"<Geolocation><City>Niort</City><City>Royan</City></Geolocation>"
+                b"<Contacts><Skype>first</Skype><Skype>second</Skype></Contacts>"
+                b"<Mystery>one</Mystery><Mystery>two</Mystery></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data), fixtures.profile_dialect_b())
+        skype, mystery = fixtures.EXTENSION_NS + "Contacts/Skype", fixtures.EXTENSION_NS + "Mystery"
+        assert ios[0].first(GranuleKind.GEOLOCATIONS).fields == {"Geolocation/City": "Niort"}
+        assert ios[0].first(GranuleKind.CONTACTS).fields == {skype: "first"}
+        assert ios[0].extensions == {mystery: "one"}
+        assert [(i.severity, i.field_path, i.message) for i in issues] == [
+            ("warning", "Geolocation/City", "duplicate field from tag 'Geolocation/City'; first value kept"),
+            ("warning", skype, "duplicate field from tag 'Contacts/Skype'; first value kept"),
+            ("warning", mystery, "duplicate field from tag 'Mystery'; first value kept"),
+        ]
 
     def test_unknown_tag_without_namespace_warns(self):
         data = b"<TIF><Resource><Mystery>x</Mystery></Resource></TIF>"
@@ -287,8 +332,7 @@ class TestParseTif:
         assert validate_io(ios[0]) == []
         assert assert_io(Graph(), ios[0]) == 4
 
-    @given(own.tif_documents, st.sampled_from([IDENTITY_PROFILE, fixtures.profile_dialect_a(),
-                                               fixtures.profile_dialect_b()]))
+    @given(own.tif_documents, st.sampled_from(FIXTURE_PROFILES))
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_arbitrary_leaves_raise_only_tifsem_errors(self, data, profile):
         # Every IO free of error issues must also assert, and as valid RDF.

@@ -418,9 +418,11 @@ def expand_turtle(text: str) -> Graph:
 
     def expand(token: str) -> str:
         if token.startswith(("<", '"', "_:")) or token == ".":
-            if "^^" in token and not token.endswith(">"):
-                body, _, dt = token.rpartition("^^")
-                prefix, _, local = dt.partition(":")
+            # a datatype can only follow the closing quote; "^^" inside the
+            # lexical form is text
+            typed = re.fullmatch(r'("(?:[^"\\]|\\.)*")\^\^([\w-]+):([\w.-]*)', token)
+            if typed:
+                body, prefix, local = typed.groups()
                 return f"{body}^^<{prefixes[prefix]}{local}>"
             return token
         prefix, _, local = token.partition(":")
@@ -455,6 +457,11 @@ class TestTurtle:
     @given(own.graphs(max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_graphs_round_trip(self, g):
+        assert expand_turtle(to_turtle(g)) == g
+
+    @pytest.mark.parametrize("lexical", ["^^", "x^^", "a^^b:c"])
+    def test_carets_in_a_plain_literal_round_trip(self, lexical):
+        g = Graph([Triple(IRI("http://e/s"), IRI("http://e/p"), Literal(lexical))])
         assert expand_turtle(to_turtle(g)) == g
 
 
