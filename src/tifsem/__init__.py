@@ -48,7 +48,6 @@ from tifsem.query import (
     Query,
     SolutionTable,
     evaluate,
-    filter_within,
     geo_distance,
     parse_query,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "check_consistency",
     "class_of",
     "evaluate",
-    "filter_within",
     "from_ntriples",
     "geo_distance",
     "load_core_ontology",

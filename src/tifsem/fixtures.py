@@ -18,6 +18,7 @@ from pathlib import Path
 
 from tifsem.ingest import DialectProfile, save_profile
 from tifsem.ontology import (
+    GRANULE_SCHEMAS,
     GeoPoint,
     Granule,
     GranuleKind,
@@ -78,9 +79,7 @@ _STREETS = [
 
 
 def _granule(kind: GranuleKind, **fields) -> Granule:
-    tag = {
-        GranuleKind.GEOLOCATIONS: "Geolocation",
-    }.get(kind, kind.value)
+    tag = GRANULE_SCHEMAS[kind].tag
     return Granule(kind=kind, fields={f"{tag}/{name}": value for name, value in fields.items()})
 
 
@@ -406,18 +405,7 @@ def _ordered_granules(io: InformationObject) -> list[Granule]:
 
 
 def emit_v3(ios: list[InformationObject]) -> str:
-    root = ET.Element("TIF", version="V3")
-    for io in ios:
-        resource = ET.SubElement(root, "Resource")
-        for granule in _ordered_granules(io):
-            items = _field_items(granule)
-            container_tag = items[0][0].split("/")[0] if items else None
-            if container_tag is None:
-                continue
-            container = ET.SubElement(resource, container_tag)
-            for path, text in items:
-                ET.SubElement(container, path.split("/", 1)[1]).text = text
-    return _to_text(root)
+    return _emit_granule_elements(ios, derived=False)
 
 
 def emit_dialect_a(ios: list[InformationObject]) -> str:
@@ -439,21 +427,29 @@ def emit_dialect_a(ios: list[InformationObject]) -> str:
 
 
 def emit_dialect_b(ios: list[InformationObject]) -> str:
-    root = ET.Element("TIF", version="V3-derived")
+    return _emit_granule_elements(ios, derived=True)
+
+
+def _emit_granule_elements(ios: list[InformationObject], derived: bool) -> str:
+    """One element per granule instance under each resource: the canonical
+    vocabulary, or with ``derived`` dialect B, which renames ``Geolocation``
+    to ``GeoLoc`` and adds a ``Skype`` contact and a ``ClasseInterne`` leaf."""
+    root = ET.Element("TIF", version="V3-derived" if derived else "V3")
     for io in ios:
         resource = ET.SubElement(root, "Resource")
         for granule in _ordered_granules(io):
             items = _field_items(granule)
             if not items:
                 continue
-            canonical_tag = items[0][0].split("/")[0]
-            tag = "GeoLoc" if canonical_tag == "Geolocation" else canonical_tag
+            canonical_tag = GRANULE_SCHEMAS[granule.kind].tag
+            tag = "GeoLoc" if derived and canonical_tag == "Geolocation" else canonical_tag
             container = ET.SubElement(resource, tag)
             for path, text in items:
                 ET.SubElement(container, path.split("/", 1)[1]).text = text
-            if canonical_tag == "Contacts":
+            if derived and canonical_tag == "Contacts":
                 ET.SubElement(container, "Skype").text = f"skype-{io.id.lower()}"
-        ET.SubElement(resource, "ClasseInterne").text = "niveau 2"
+        if derived:
+            ET.SubElement(resource, "ClasseInterne").text = "niveau 2"
     return _to_text(root)
 
 

@@ -394,6 +394,6 @@ def _insert_io(g: Graph, io: InformationObject, base: str) -> int:
                 predicate = _FIELD_PREDICATES.get(path) or IRI(path)
                 added += g.insert(Triple(node, predicate, _field_object(value, base)))
 
-    for ext_iri, text in io.extensions.items():
+    for ext_iri, text in io.extensions:
         added += g.insert(Triple(io_iri, IRI(ext_iri), Literal(text)))
     return added

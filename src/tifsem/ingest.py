@@ -24,7 +24,6 @@ from tifsem.errors import ProfileError, XmlParseError
 from tifsem.graph import IRI_FORBIDDEN
 from tifsem.ontology import (
     FieldType,
-    GeoPoint,
     Granule,
     GranuleKind,
     IDENTIFIER_PATH,
@@ -59,7 +58,6 @@ def format_issues(issues: Iterable[ValidationIssue]) -> str:
 class RawDocument:
     source_uri: str
     data: bytes
-    declared_encoding: Optional[str] = None
 
     @classmethod
     def from_path(cls, path: str | Path) -> "RawDocument":
@@ -207,19 +205,6 @@ def normalize_tag(raw_path: str, profile: DialectProfile) -> NormalizedTag:
     return NormalizedTag(TagDisposition.EXTENSION)
 
 
-def _decode(doc: RawDocument) -> bytes | str:
-    # ElementTree resolves the XML declaration itself when fed bytes;
-    # an explicit declared_encoding overrides it, in which case the
-    # declaration must be stripped (ET refuses str input that carries one).
-    if doc.declared_encoding is not None:
-        try:
-            text = doc.data.decode(doc.declared_encoding)
-        except (LookupError, UnicodeDecodeError) as exc:
-            raise XmlParseError(f"{doc.source_uri}: cannot decode as {doc.declared_encoding}: {exc}")
-        return re.sub(r"^\s*<\?xml[^>]*\?>", "", text, count=1)
-    return doc.data
-
-
 def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, str]]]:
     """One preorder traversal of a resource: (path, text, repeat) for each
     non-empty leaf, repeat being the index of its top-level element among
@@ -302,14 +287,13 @@ def _coerce(value: str, spec_type: FieldType):
     raise ValueError(f"field type {spec_type} is not ingestable from XML")
 
 
-def _content_hash(granules: dict[GranuleKind, list[Granule]]) -> str:
-    entries = []
+def _content_hash(granules: dict[GranuleKind, list[Granule]], extensions: list[tuple[str, str]]) -> str:
+    """A digest of every field, canonical and extension; a resource-level
+    extension has an empty kind."""
+    entries = [f"\t{ext_iri}\t{value!r}" for ext_iri, value in extensions]
     for kind, instances in granules.items():
         for granule in instances:
-            for path, value in granule.fields.items():
-                if "://" in path:
-                    continue  # extension fields do not contribute to identity
-                entries.append(f"{kind.value}\t{path}\t{value!r}")
+            entries.extend(f"{kind.value}\t{path}\t{value!r}" for path, value in granule.fields.items())
     digest = hashlib.sha256("\n".join(sorted(entries)).encode("utf-8")).hexdigest()
     return digest[:16]
 
@@ -323,11 +307,12 @@ def parse_tif(
     Every child element of the root is one resource.  Each non-empty leaf is
     mapped through the profile, preserved as an extension field, or reported;
     nothing is silently lost.  IO identifiers come from the canonical
-    identifier field when present, else from a digest of the canonical field
-    multiset.
+    identifier field when present, else from a digest of all the fields.
+    A resource that maps no canonical field earns a warning: the profile
+    most likely does not fit the document.
     """
     try:
-        root = ET.fromstring(_decode(doc))
+        root = ET.fromstring(doc.data)
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         raise XmlParseError(f"{doc.source_uri}: {exc.msg}", line, column) from exc
@@ -339,7 +324,8 @@ def parse_tif(
     for resource in root:
         granules: dict[GranuleKind, list[Granule]] = {}
         instances: dict[tuple[GranuleKind, int], Granule] = {}
-        extensions: dict[str, str] = {}
+        extensions: list[tuple[str, str]] = []
+        mapped = False
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
         for raw_path, value, repeat in leaves:
             placement = _placement(raw_path, profile)
@@ -350,24 +336,26 @@ def parse_tif(
                 continue
             kind, key, spec = placement
             if spec is not None:
+                mapped = True
                 try:
                     value = _coerce(value, spec.type)
                 except ValueError as exc:
                     resource_issues.append(("error", key, str(exc)))
                     continue
-            if kind is None:
-                target = extensions
-            else:
-                granule = instances.get((kind, repeat))
-                if granule is None:
-                    granule = instances[kind, repeat] = Granule(kind=kind)
-                    granules.setdefault(kind, []).append(granule)
-                target = granule.fields
-            if key in target:
+            if kind is None:  # a resource-level extension keeps every value
+                extensions.append((key, value))
+                continue
+            granule = instances.get((kind, repeat))
+            if granule is None:
+                granule = instances[kind, repeat] = Granule(kind=kind)
+                granules.setdefault(kind, []).append(granule)
+            if key in granule.fields:
                 resource_issues.append(
                     ("warning", key, f"duplicate field from tag {raw_path!r}; first value kept"))
             else:
-                target[key] = value
+                granule.fields[key] = value
+        if not mapped:
+            resource_issues.append(("warning", resource.tag, "no canonical field mapped; check the profile"))
 
         io_id = None
         dc = granules.get(GranuleKind.DUBLIN_CORE)
@@ -376,7 +364,7 @@ def parse_tif(
             if isinstance(identifier, str) and identifier:
                 io_id = identifier
         if io_id is None:
-            io_id = _content_hash(granules)
+            io_id = _content_hash(granules, extensions)
         if io_id in seen_ids:
             resource_issues.append(("error", IDENTIFIER_PATH, f"duplicate identifier {io_id!r} in document"))
         seen_ids.add(io_id)
@@ -446,7 +434,7 @@ def validate_io(io: InformationObject) -> list[ValidationIssue]:
                     except ValueError as exc:
                         error(path, str(exc))
 
-    for ext_iri, value in io.extensions.items():
+    for ext_iri, value in io.extensions:
         if "://" not in ext_iri or _IRI_FORBIDDEN_RE.search(ext_iri):
             error(ext_iri, "extension key must be an IRI")
         if not isinstance(value, str):

@@ -283,12 +283,13 @@ class InformationObject:
     """One tourism resource (hotel, event, restaurant) assembled from granules.
 
     ``extensions`` holds resource-level fields preserved from unrecognized
-    dialect subtrees, keyed by extension IRI.
+    dialect subtrees, as (extension IRI, text) pairs in document order; an
+    IRI repeats when its tag does.
     """
 
     id: str
     granules: dict[GranuleKind, list[Granule]] = field(default_factory=dict)
-    extensions: dict[str, str] = field(default_factory=dict)
+    extensions: list[tuple[str, str]] = field(default_factory=list)
 
     def first(self, kind: GranuleKind) -> Optional[Granule]:
         instances = self.granules.get(kind)

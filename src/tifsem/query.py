@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from operator import attrgetter
+from operator import attrgetter, eq, ge, gt, le, lt, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
@@ -56,6 +56,8 @@ EARTH_RADIUS_M = 6_371_000.0
 _NUMERIC_DATATYPES = frozenset(
     XSD_NS + name for name in ("integer", "decimal", "double", "float", "long", "int")
 )
+
+_COMPARE = {"<": lt, "<=": le, "=": eq, "!=": ne, ">=": ge, ">": gt}
 
 
 # ---------------------------------------------------------------------------
@@ -142,46 +144,6 @@ class Query:
         if self.group_count is not None:
             names.append(self.group_count.alias.name)
         return names
-
-    def to_dict(self) -> dict:
-        """Plain-data form of the AST, used for golden-file comparisons."""
-        def term(t):
-            if isinstance(t, Var):
-                return {"var": t.name}
-            if isinstance(t, IRI):
-                return {"iri": t.value}
-            out = {"literal": t.lexical, "datatype": t.datatype}
-            if t.language is not None:
-                out["language"] = t.language
-            return out
-
-        def filt(f):
-            if isinstance(f, Compare):
-                return {"compare": {"left": term(f.left), "op": f.op, "right": term(f.right)}}
-            if isinstance(f, DistanceWithin):
-                return {"distance_within": {
-                    "a": term(f.point_a), "b": term(f.point_b), "threshold": f.threshold}}
-            if isinstance(f, And):
-                return {"and": [filt(i) for i in f.items]}
-            if isinstance(f, Or):
-                return {"or": [filt(i) for i in f.items]}
-            return {"not": filt(f.inner)}
-
-        out: dict = {
-            "projection": [v.name for v in self.projection],
-            "patterns": [
-                {"subject": term(p.subject), "predicate": term(p.predicate), "object": term(p.object)}
-                for p in self.patterns
-            ],
-            "filters": [filt(f) for f in self.filters],
-        }
-        if self.group_count is not None:
-            out["group_count"] = {"var": self.group_count.var.name, "alias": self.group_count.alias.name}
-        if self.order_by is not None:
-            out["order_by"] = {"key": self.order_by.key.name, "ascending": self.order_by.ascending}
-        if self.limit is not None:
-            out["limit"] = self.limit
-        return out
 
 
 @dataclass
@@ -450,9 +412,9 @@ class _Parser:
     def parse_distance(self) -> DistanceWithin:
         self.next()  # geo:distance
         self.expect_op("(")
-        a = self.parse_operand()
+        a = self.parse_term(position="object")
         self.expect_op(",")
-        b = self.parse_operand()
+        b = self.parse_term(position="object")
         self.expect_op(")")
         op = self.next()
         if op.kind != "OP" or op.text != "<":
@@ -466,24 +428,12 @@ class _Parser:
             raise self.fail(str(exc), num)
 
     def parse_compare(self) -> Compare:
-        left = self.parse_operand()
+        left = self.parse_term(position="object")
         op = self.next()
-        if op.kind != "OP" or op.text not in ("<", "<=", "=", "!=", ">=", ">"):
+        if op.kind != "OP" or op.text not in _COMPARE:
             raise self.fail("expected comparison operator", op)
-        right = self.parse_operand()
+        right = self.parse_term(position="object")
         return Compare(left, op.text, right)
-
-    def parse_operand(self) -> Operand:
-        tok = self.next()
-        if tok.kind == "VAR":
-            return Var(tok.text[1:])
-        if tok.kind == "NUMBER":
-            return _number_literal(tok.text)
-        if tok.kind == "STRING":
-            return self.finish_literal(tok)
-        if tok.kind in ("IRIREF", "PNAME"):
-            return self.iri(tok)
-        raise self.fail(f"expected operand, found {tok.text!r}", tok)
 
     # modifiers ------------------------------------------------------------
     def parse_order(self) -> Optional[OrderSpec]:
@@ -591,11 +541,6 @@ def geo_distance(a: GeoPoint, b: GeoPoint) -> float:
     return EARTH_RADIUS_M * 2 * math.asin(min(1.0, math.sqrt(h)))
 
 
-def filter_within(distance_m: float, threshold_m: float) -> bool:
-    """Strict comparison: a distance exactly at the threshold is excluded."""
-    return distance_m < threshold_m
-
-
 def _finite_decimal(lexical: str) -> Optional[Decimal]:
     """The decimal a lexical form denotes; None when it is not a finite number."""
     try:
@@ -614,10 +559,9 @@ def _numeric(term: Term) -> Optional[Decimal]:
 def _compare_terms(left: Term, op: str, right: Term) -> bool:
     ln, rn = _numeric(left), _numeric(right)
     if ln is not None and rn is not None:
-        return _apply_op(ln, op, rn)
+        return _COMPARE[op](ln, rn)
     if op in ("=", "!="):
-        equal = left == right
-        return equal if op == "=" else not equal
+        return _COMPARE[op](left, right)
     if (
         isinstance(left, Literal)
         and isinstance(right, Literal)
@@ -626,24 +570,10 @@ def _compare_terms(left: Term, op: str, right: Term) -> bool:
         and left.datatype == right.datatype
         and left.datatype in (XSD_STRING, XSD_NS + "date")
     ):
-        return _apply_op(left.lexical, op, right.lexical)
+        return _COMPARE[op](left.lexical, right.lexical)
     raise QueryTypeError(
         f"cannot order {term_to_ntriples(left)} against {term_to_ntriples(right)}"
     )
-
-
-def _apply_op(left, op: str, right) -> bool:
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == ">=":
-        return left >= right
-    return left > right
 
 
 # The coordinates of a node, memoized for one evaluation (see ``evaluate``).
@@ -695,7 +625,7 @@ def _eval_filter(expr: FilterExpr, row: dict[str, Term], point: PointOf) -> bool
         pb = point(_operand(expr.point_b, row))
         if pa is None or pb is None:
             return False
-        return filter_within(geo_distance(pa, pb), expr.threshold)
+        return geo_distance(pa, pb) < expr.threshold
     raise TypeError(f"not a filter expression: {expr!r}")
 
 

@@ -31,7 +31,7 @@ from tifsem.graph import (
     Term,
     Triple,
 )
-from tifsem.ontology import SCHEMA_NS, TIFSEM_NS, OntologySnapshot
+from tifsem.ontology import SCHEMA_NS, TIFSEM_NS
 
 DEFAULT_PREFIXES: Mapping[str, str] = {
     "rdf": RDF_NS,
@@ -395,21 +395,6 @@ def to_jsonld(
 
     body = node_object(root)
     return JsonLdDocument(context=prefixes, body=body)
-
-
-def ontology_to_graph(snapshot: OntologySnapshot) -> Graph:
-    """Class declarations and subclass links of a snapshot, as triples."""
-    g = Graph()
-    rdfs_class = IRI(RDFS_NS + "Class")
-    rdfs_sub = IRI(RDFS_NS + "subClassOf")
-    rdfs_label = IRI(RDFS_NS + "label")
-    for descriptor in snapshot.concepts.values():
-        node = IRI(descriptor.iri)
-        g.insert(Triple(node, IRI(RDF_TYPE), rdfs_class))
-        g.insert(Triple(node, rdfs_label, Literal(descriptor.label)))
-        if descriptor.parent is not None:
-            g.insert(Triple(node, rdfs_sub, IRI(descriptor.parent)))
-    return g
 
 
 def save_graph(g: Graph, path: str | Path, ascii_only: bool = False) -> None:

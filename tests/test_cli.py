@@ -150,6 +150,21 @@ class TestIngest:
         assert result.exit_code == 0, result.output
         assert "WARNING\t" in (tmp_path / "w.issues.tsv").read_text()
 
+    def test_wrong_profile_names_itself_and_keeps_every_resource(self, runner, workspace):
+        # Dialect A under the dialect-B profile maps no canonical field, so
+        # each resource is told apart by its extension fields.
+        data = workspace / "data"
+        result = run(runner, "ingest", data / "la_rochelle_dialect_a.xml",
+                     "--profile", data / "profiles" / "dialect_b.json", "--out", workspace / "wrong.nt")
+        assert result.exit_code == 0, result.output
+        assert "0 error(s), 25 warning(s)" in result.output
+        report = [line.split("\t") for line in (workspace / "wrong.issues.tsv").read_text().splitlines()]
+        assert [(severity, path, message) for severity, _, path, message in report] == [
+            ("WARNING", "Objet", "no canonical field mapped; check the profile")] * 25
+        assert len({io_id for _, io_id, _, _ in report}) == 25
+        graph = from_ntriples((workspace / "wrong.nt").read_text())
+        assert len(list(graph.match(object=IRI("http://example.org/tifsem/ns#InformationObject")))) == 25
+
     def test_multiple_inputs_merge(self, runner, tmp_path):
         one = tmp_path / "one.xml"
         two = tmp_path / "two.xml"

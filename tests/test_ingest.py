@@ -10,7 +10,7 @@ import strategies as own
 from oracles import dom_leaves, is_dropped_by
 from tifsem import fixtures
 from tifsem.errors import IoAssertionError, ProfileError, TifsemError, XmlParseError
-from tifsem.graph import Graph, assert_io
+from tifsem.graph import Graph, IRI, assert_io
 from tifsem.ingest import (
     DialectProfile,
     IDENTITY_PROFILE,
@@ -31,18 +31,20 @@ def doc(path) -> RawDocument:
     return RawDocument.from_path(path)
 
 
-def doc_bytes(data: bytes, encoding: str | None = None) -> RawDocument:
-    return RawDocument(source_uri="inline", data=data, declared_encoding=encoding)
+def doc_bytes(data: bytes) -> RawDocument:
+    return RawDocument(source_uri="inline", data=data)
 
 
 FIXTURE_PROFILES = [IDENTITY_PROFILE, fixtures.profile_dialect_a(), fixtures.profile_dialect_b()]
+NO_CANONICAL_FIELD = "no canonical field mapped; check the profile"
+NOT_ABOUT_A_LEAF = ("duplicate identifier", NO_CANONICAL_FIELD)
 
 
 def leaf_accounting(data: bytes, profile: DialectProfile) -> tuple[int, int]:
     """(DOM leaves, leaves accounted for): each is kept as a field, in a
     granule or on the resource, reported by one issue, or dropped by the
-    profile.  Attribute warnings and duplicate-identifier errors concern no
-    leaf."""
+    profile.  Attribute warnings, duplicate-identifier errors and the
+    warning for a resource that maps no canonical field concern no leaf."""
     ios, issues = parse_tif(doc_bytes(data), profile)
     leaves = dom_leaves(data)
     dropped = sum(1 for path, _ in leaves if is_dropped_by(path, profile.dropped_tags))
@@ -50,7 +52,7 @@ def leaf_accounting(data: bytes, profile: DialectProfile) -> tuple[int, int]:
         len(granule.fields) for io in ios for instances in io.granules.values() for granule in instances
     ) + sum(len(io.extensions) for io in ios)
     reported = sum(
-        1 for i in issues if "/@" not in i.field_path and not i.message.startswith("duplicate identifier")
+        1 for i in issues if "/@" not in i.field_path and not i.message.startswith(NOT_ABOUT_A_LEAF)
     )
     return len(leaves), kept + reported + dropped
 
@@ -232,7 +234,8 @@ class TestParseTif:
         assert leaves == accounted
 
     def test_repeated_field_keeps_first_value(self):
-        # canonical and extension fields alike, in a granule or on the resource
+        # in a granule, canonical and extension fields alike; on the resource
+        # every extension value is kept
         data = (b"<TIF><Resource><DublinCore><Identifier>S-1</Identifier></DublinCore>"
                 b"<Geolocation><City>Niort</City><City>Royan</City></Geolocation>"
                 b"<Contacts><Skype>first</Skype><Skype>second</Skype></Contacts>"
@@ -241,19 +244,35 @@ class TestParseTif:
         skype, mystery = fixtures.EXTENSION_NS + "Contacts/Skype", fixtures.EXTENSION_NS + "Mystery"
         assert ios[0].first(GranuleKind.GEOLOCATIONS).fields == {"Geolocation/City": "Niort"}
         assert ios[0].first(GranuleKind.CONTACTS).fields == {skype: "first"}
-        assert ios[0].extensions == {mystery: "one"}
+        assert ios[0].extensions == [(mystery, "one"), (mystery, "two")]
         assert [(i.severity, i.field_path, i.message) for i in issues] == [
             ("warning", "Geolocation/City", "duplicate field from tag 'Geolocation/City'; first value kept"),
             ("warning", skype, "duplicate field from tag 'Contacts/Skype'; first value kept"),
-            ("warning", mystery, "duplicate field from tag 'Mystery'; first value kept"),
         ]
+
+    def test_repeated_top_level_extension_group_keeps_every_value(self, data_dir):
+        ios, issues = parse_tif(doc(data_dir / "fixture_dialect_a.xml"), fixtures.profile_dialect_b())
+        code = fixtures.EXTENSION_NS + "Langues/Code"
+        assert [value for key, value in ios[0].extensions if key == code] == ["fr", "en"]
+        assert [i.message for i in issues] == [NO_CANONICAL_FIELD]
+        g = Graph()
+        assert_io(g, ios[0])
+        assert len(list(g.match(predicate=IRI(code)))) == 2
+
+    def test_identity_digests_granule_extension_fields(self):
+        data = (b"<TIF><Resource><Contacts><Phone>1</Phone><Skype>a</Skype></Contacts></Resource>"
+                b"<Resource><Contacts><Phone>1</Phone><Skype>b</Skype></Contacts></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data), fixtures.profile_dialect_b())
+        assert ios[0].id != ios[1].id
+        assert issues == []
 
     def test_unknown_tag_without_namespace_warns(self):
         data = b"<TIF><Resource><Mystery>x</Mystery></Resource></TIF>"
         ios, issues = parse_tif(doc_bytes(data))
-        assert len(issues) == 1
-        assert issues[0].severity == "warning"
-        assert issues[0].field_path == "Mystery"
+        leaf_issues = [i for i in issues if i.message != NO_CANONICAL_FIELD]
+        assert len(leaf_issues) == 1
+        assert leaf_issues[0].severity == "warning"
+        assert leaf_issues[0].field_path == "Mystery"
 
     def test_identifier_fallback_is_content_hash(self):
         data = b"<TIF><Resource><Geolocation><City>Niort</City></Geolocation></Resource></TIF>"
@@ -271,11 +290,6 @@ class TestParseTif:
         )
         _, issues = parse_tif(doc_bytes(data))
         assert any(i.severity == "error" and "duplicate" in i.message for i in issues)
-
-    def test_latin1_declared_encoding(self):
-        text = "<TIF><Resource><DublinCore><Title>Hôtel</Title></DublinCore></Resource></TIF>"
-        ios, _ = parse_tif(doc_bytes(text.encode("latin-1"), encoding="latin-1"))
-        assert ios[0].granules[GranuleKind.DUBLIN_CORE][0].fields["DublinCore/Title"] == "Hôtel"
 
     def test_latin1_xml_declaration(self):
         text = "<?xml version='1.0' encoding='iso-8859-1'?><TIF><Resource><DublinCore><Title>Hôtel</Title></DublinCore></Resource></TIF>"
@@ -406,7 +420,7 @@ class TestValidateIo:
     def test_extension_key_must_be_an_iri(self):
         io = InformationObject(id="X", granules={
             GranuleKind.CONTACTS: [Granule(kind=GranuleKind.CONTACTS, fields={"http://e/{q}Skype": "s"})],
-        }, extensions={"http://e/a b": "t"})
+        }, extensions=[("http://e/a b", "t")])
         assert [(i.severity, i.field_path) for i in validate_io(io)] == [
             ("error", "http://e/{q}Skype"), ("error", "http://e/a b"),
         ]

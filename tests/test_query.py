@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import math
 import random
 
@@ -19,11 +18,12 @@ from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP, GeoPoint, GranuleKind
 from tifsem.query import (
     Compare,
     DistanceWithin,
+    GroupCount,
+    OrderSpec,
     Query,
     TriplePattern,
     Var,
     evaluate,
-    filter_within,
     geo_distance,
     parse_query,
     to_csv,
@@ -48,10 +48,29 @@ class TestParse:
         assert q.filters == []
         assert [v.name for v in q.projection] == ["x"]
 
-    def test_example1_matches_golden_ast(self, data_dir):
-        q = parse_query(fixtures.EXAMPLE1_QUERY)
-        golden = json.loads((data_dir / "example1_ast.json").read_text(encoding="utf-8"))
-        assert q.to_dict() == golden
+    def test_example1_matches_golden_ast(self):
+        tifsem, rdf_type = "http://example.org/tifsem/ns#", IRI(RDF_TYPE)
+        has_granule, kind_of = IRI(tifsem + "hasGranule"), IRI(tifsem + "type")
+        geolocations = IRI(tifsem + "Geolocations")
+        hotel, hd, hgeo, amenity, ad, ageo, kind = (
+            Var(name) for name in ("hotel", "hd", "hgeo", "amenity", "ad", "ageo", "kind"))
+        assert parse_query(fixtures.EXAMPLE1_QUERY) == Query(
+            projection=[hotel],
+            patterns=[
+                TriplePattern(hotel, rdf_type, IRI(tifsem + "InformationObject")),
+                TriplePattern(hotel, has_granule, hd),
+                TriplePattern(hd, kind_of, Literal("hotel")),
+                TriplePattern(hotel, has_granule, hgeo),
+                TriplePattern(hgeo, rdf_type, geolocations),
+                TriplePattern(amenity, has_granule, ad),
+                TriplePattern(ad, kind_of, kind),
+                TriplePattern(amenity, has_granule, ageo),
+                TriplePattern(ageo, rdf_type, geolocations),
+            ],
+            filters=[Compare(kind, "!=", Literal("hotel")), DistanceWithin(hgeo, ageo, 1000.0)],
+            group_count=GroupCount(amenity, Var("nearby")),
+            order_by=OrderSpec(Var("nearby"), ascending=False),
+        )
 
     def test_example1_shape(self):
         q = parse_query(fixtures.EXAMPLE1_QUERY)
@@ -221,17 +240,6 @@ class TestGeoDistance:
             assert geo_distance(a, GeoPoint(a.latitude, a.longitude)) == 0.0
 
 
-class TestFilterWithin:
-    def test_zero_within(self):
-        assert filter_within(0, 1000) is True
-
-    def test_boundary_excluded(self):
-        assert filter_within(1000, 1000) is False
-
-    def test_just_inside(self):
-        assert filter_within(999.999, 1000) is True
-
-
 def expected_ranking(ios, threshold: float = 1000.0):
     """Hotel ranking computed straight from the fixture objects."""
     def kind_of(io):
@@ -262,6 +270,20 @@ class TestEvaluate:
     def test_any_query_on_empty_graph(self):
         q = parse_query("SELECT ?x WHERE { ?x ?p ?o }")
         assert evaluate(q, Graph()).rows == []
+
+    def test_distance_threshold_is_strict(self):
+        # One spot lies exactly at the threshold, the other a centimetre inside it.
+        decimal, hub = XSD_NS + "decimal", IRI("http://e/hub")
+        g = Graph()
+        for node, lat in ((hub, "46.0"), (IRI("http://e/edge"), "46.009"), (IRI("http://e/near"), "46.0089999")):
+            if node != hub:
+                g.insert(Triple(hub, IRI("http://e/sees"), node))
+            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(lat, decimal)))
+            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal("-1.1", decimal)))
+        threshold = geo_distance(GeoPoint(46.0, -1.1), GeoPoint(46.009, -1.1))
+        q = parse_query("SELECT ?x WHERE { <http://e/hub> <http://e/sees> ?x "
+                        f"FILTER(geo:distance(<http://e/hub>, ?x) < {threshold!r}) }}")
+        assert evaluate(q, g).rows == [(IRI("http://e/near"),)]
 
     def test_example1_ranking_matches_io_level_oracle(self, materialized_graph, la_rochelle_ios):
         table = evaluate(parse_query(fixtures.EXAMPLE1_QUERY), materialized_graph)

@@ -1,0 +1,38 @@
+"""Checks on the package source that need only the standard library."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tifsem"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that the module never reads and
+    does not list in ``__all__``."""
+    tree = ast.parse(source)
+    imported: set[str] = set()
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - exported)
+
+
+def test_unused_import_is_found():
+    source = "from __future__ import annotations\nimport os.path\nimport re as regex\nfrom x import y, z\n"
+    assert unused_imports(source + "__all__ = ['z']\nprint(y)\n") == ["os", "regex"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
