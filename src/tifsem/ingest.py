@@ -316,6 +316,8 @@ def parse_tif(
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         raise XmlParseError(f"{doc.source_uri}: {exc.msg}", line, column) from exc
+    except (LookupError, ValueError) as exc:  # an unknown or a multi-byte declared encoding
+        raise XmlParseError(f"{doc.source_uri}: {exc}") from exc
 
     ios: list[InformationObject] = []
     issues: list[ValidationIssue] = []

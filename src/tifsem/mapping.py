@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from tifsem.errors import RuleError
-from tifsem.graph import Graph, RDF_NS, RDF_TYPE, Triple, vocabulary_iri
+from tifsem.graph import Graph, RDF_TYPE, Triple, vocabulary_iri
 from tifsem.ontology import (
     GranuleKind,
     SCHEMA_ADDRESS,
@@ -26,8 +26,8 @@ from tifsem.ontology import (
     class_of,
     load_core_ontology,
 )
+from tifsem.serialize import DEFAULT_PREFIXES, _compact
 
-_PREFIXES = {"tifsem": TIFSEM_NS, "schema": SCHEMA_NS, "rdf": RDF_NS}
 _SNAPSHOT = load_core_ontology()
 
 
@@ -92,16 +92,9 @@ def _expand(name: str) -> str:
     if "://" in name:
         return name
     prefix, sep, local = name.partition(":")
-    if sep and prefix in _PREFIXES:
-        return _PREFIXES[prefix] + local
+    if sep and prefix in DEFAULT_PREFIXES:
+        return DEFAULT_PREFIXES[prefix] + local
     return name
-
-
-def _compact(iri: str) -> str:
-    for prefix, ns in _PREFIXES.items():
-        if iri.startswith(ns):
-            return f"{prefix}:{iri[len(ns):]}"
-    return iri
 
 
 def _check_rule_kinds(rule: MappingRule) -> Optional[str]:
@@ -123,7 +116,8 @@ def load_rules(document: str) -> list[MappingRule]:
     """Parse a JSON rule document: an array of {source, target, relation}.
 
     Relation names are the four exact enum values; terms may be absolute IRIs
-    or tifsem:/schema: prefixed names, and must be known to the core ontology.
+    or names under the prefixes of `serialize.DEFAULT_PREFIXES` (rdf, rdfs,
+    xsd, schema, tifsem), and must be known to the core ontology.
     """
     try:
         data = json.loads(document)
@@ -155,7 +149,8 @@ def load_rules(document: str) -> list[MappingRule]:
 
 def save_rules(rules: Iterable[MappingRule]) -> str:
     payload = [
-        {"source": _compact(r.source), "target": _compact(r.target), "relation": r.relation.value}
+        {"source": _compact(r.source) or r.source, "target": _compact(r.target) or r.target,
+         "relation": r.relation.value}
         for r in rules
     ]
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from tifsem.errors import ExportError, NTriplesParseError
@@ -33,13 +34,16 @@ from tifsem.graph import (
 )
 from tifsem.ontology import SCHEMA_NS, TIFSEM_NS
 
-DEFAULT_PREFIXES: Mapping[str, str] = {
+# The one prefix table: Turtle declares it, JSON-LD exports carry it as
+# their context, and rule documents may use its names.  Read-only, so every
+# export can share it.
+DEFAULT_PREFIXES: Mapping[str, str] = MappingProxyType({
     "rdf": RDF_NS,
     "rdfs": RDFS_NS,
     "xsd": XSD_NS,
     "schema": SCHEMA_NS,
     "tifsem": TIFSEM_NS,
-}
+})
 
 # String escapes, written and read.  The writer escapes the five characters
 # with a short form and every other control character as \uXXXX.
@@ -49,7 +53,6 @@ _ESCAPES = str.maketrans({
 })
 _UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 _UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-_NON_ASCII_RE = re.compile(r"[^\x00-\x7E]")
 
 
 def _escape_string(text: str) -> str:
@@ -92,10 +95,6 @@ def term_to_ntriples(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _line(t: Triple) -> str:
-    return f"{term_to_ntriples(t.subject)} {term_to_ntriples(t.predicate)} {term_to_ntriples(t.object)} .\n"
-
-
 class _Forms(dict):
     """Term -> its text under ``render``, rendered on first lookup: one
     serializer call renders each distinct term once."""
@@ -116,11 +115,6 @@ def _sorted_statements(g: Graph) -> list[tuple[str, Triple]]:
     return sorted([(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .\n", t) for t in g])
 
 
-def _ascii_escape(m: re.Match) -> str:
-    cp = ord(m.group())
-    return f"\\u{cp:04X}" if cp <= 0xFFFF else f"\\U{cp:08X}"
-
-
 # Sorting finished lines sorts triples by their (subject, predicate, object)
 # forms.  Two lines first differ where their form tuples do, unless one form
 # is a proper prefix of the other.  The constructors allow that only in pairs
@@ -128,15 +122,12 @@ def _ascii_escape(m: re.Match) -> str:
 # `"x"@en` / `"x"@en-GB`: an IRI form ends at its only `>` and a literal body
 # at its only unescaped `"`.  In each pair the longer form goes on with a
 # character above the space that follows the shorter one, so the shorter
-# form sorts first either way.
-def to_ntriples(g: Graph, ascii_only: bool = False) -> str:
-    """Canonical N-Triples text: one triple per line, sorted, LF endings.
-    With ``ascii_only``, every character above U+007E is written as an
-    escape."""
-    text = "".join([line for line, _ in _sorted_statements(g)])
-    if ascii_only:
-        text = _NON_ASCII_RE.sub(_ascii_escape, text)
-    return text
+# form sorts first either way.  For the same reason, sorting the triples of
+# one subject by their (predicate, object) forms, as `to_jsonld` does, puts
+# them in the order of their lines.
+def to_ntriples(g: Graph) -> str:
+    """Canonical N-Triples text: one triple per line, sorted, LF endings."""
+    return "".join([line for line, _ in _sorted_statements(g)])
 
 
 # IRI and literal bodies take any escape here; `unescape` and the term
@@ -274,9 +265,11 @@ def from_ntriples(text: str) -> Graph:
 _PN_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*$")
 
 
-def _compact(iri: str, prefixes: Mapping[str, str]) -> Optional[str]:
+def _compact(iri: str) -> Optional[str]:
+    """The prefixed name of ``iri`` under the longest matching namespace in
+    `DEFAULT_PREFIXES`, or None when no local part is a valid name."""
     best: Optional[tuple[str, str]] = None
-    for prefix, ns in prefixes.items():
+    for prefix, ns in DEFAULT_PREFIXES.items():
         if iri.startswith(ns) and (best is None or len(ns) > len(best[1])):
             best = (prefix, ns)
     if best is None:
@@ -287,21 +280,20 @@ def _compact(iri: str, prefixes: Mapping[str, str]) -> Optional[str]:
     return f"{best[0]}:{local}"
 
 
-def to_turtle(g: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str:
+def to_turtle(g: Graph) -> str:
     """Turtle text: prefix declarations, then one sorted statement per line
     with prefixed names wherever an IRI falls under a declared namespace."""
-    prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
 
     def render(term: Term) -> str:
         if isinstance(term, IRI):
-            return _compact(term.value, prefixes) or f"<{term.value}>"
+            return _compact(term.value) or f"<{term.value}>"
         if isinstance(term, Literal) and term.language is None and term.datatype != XSD_STRING:
-            dt = _compact(term.datatype, prefixes) or f"<{term.datatype}>"
+            dt = _compact(term.datatype) or f"<{term.datatype}>"
             return f'"{_escape_string(term.lexical)}"^^{dt}'
         return term_to_ntriples(term)
 
     form = _Forms(render)
-    lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(prefixes.items())]
+    lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(DEFAULT_PREFIXES.items())]
     lines.append("")
     for _, t in _sorted_statements(g):
         lines.append(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .")
@@ -312,30 +304,26 @@ def to_turtle(g: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str:
 class JsonLdDocument:
     """A compacted JSON-LD document: context plus a node-object tree."""
 
-    context: dict[str, str]
+    context: Mapping[str, str]
     body: dict
 
     def to_json(self) -> dict:
         return {"@context": dict(self.context), **self.body}
 
-    def to_text(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, ensure_ascii=False, sort_keys=True) + "\n"
+    def to_text(self) -> str:
+        return json.dumps(self.to_json(), indent=2, ensure_ascii=False, sort_keys=True) + "\n"
 
 
-def _literal_json(term: Literal, prefixes: Mapping[str, str]):
+def _literal_json(term: Literal):
     if term.language is not None:
         return {"@value": term.lexical, "@language": term.language}
     if term.datatype == XSD_STRING:
         return term.lexical
-    dt = _compact(term.datatype, prefixes) or term.datatype
+    dt = _compact(term.datatype) or term.datatype
     return {"@value": term.lexical, "@type": dt}
 
 
-def to_jsonld(
-    g: Graph,
-    root: IRI,
-    prefixes: Optional[Mapping[str, str]] = None,
-) -> JsonLdDocument:
+def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     """Export the subgraph rooted at ``root`` as compacted JSON-LD.
 
     The document embeds every triple whose subject is the root or a blank
@@ -343,7 +331,6 @@ def to_jsonld(
     more than once (or cyclically) keep an explicit ``@id``; others are
     inlined anonymously.
     """
-    prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
     if not any(True for _ in g.match(subject=root)):
         raise ExportError(f"root {root.value} is not a subject in the graph")
 
@@ -372,11 +359,12 @@ def to_jsonld(
             out["@id"] = f"_:{subject.label}"
         types = []
         props: dict[str, list] = {}
-        for t in sorted(g.match(subject=subject), key=_line):
+        for t in sorted(g.match(subject=subject),
+                        key=lambda t: (term_to_ntriples(t.predicate), term_to_ntriples(t.object))):
             if t.predicate.value == RDF_TYPE and isinstance(t.object, IRI):
-                types.append(_compact(t.object.value, prefixes) or t.object.value)
+                types.append(_compact(t.object.value) or t.object.value)
                 continue
-            key = _compact(t.predicate.value, prefixes) or t.predicate.value
+            key = _compact(t.predicate.value) or t.predicate.value
             props.setdefault(key, []).append(object_json(t.object))
         if types:
             out["@type"] = types[0] if len(types) == 1 else types
@@ -386,7 +374,7 @@ def to_jsonld(
 
     def object_json(obj: Term):
         if isinstance(obj, Literal):
-            return _literal_json(obj, prefixes)
+            return _literal_json(obj)
         if isinstance(obj, IRI):
             return {"@id": obj.value}
         if obj in emitted:  # multi-referenced or cyclic: point at its @id
@@ -394,8 +382,8 @@ def to_jsonld(
         return node_object(obj)
 
     body = node_object(root)
-    return JsonLdDocument(context=prefixes, body=body)
+    return JsonLdDocument(context=DEFAULT_PREFIXES, body=body)
 
 
-def save_graph(g: Graph, path: str | Path, ascii_only: bool = False) -> None:
-    Path(path).write_text(to_ntriples(g, ascii_only), encoding="utf-8")
+def save_graph(g: Graph, path: str | Path) -> None:
+    Path(path).write_text(to_ntriples(g), encoding="utf-8")

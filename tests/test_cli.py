@@ -369,6 +369,19 @@ class TestValidate:
         assert result.exit_code == 2
 
 
+class TestUnreadableEncoding:
+    @pytest.mark.parametrize("command", ["ingest", "validate"])
+    @pytest.mark.parametrize("encoding", ["bogus", "shift_jis"])
+    def test_declared_encoding_exits_1_with_error_line(self, runner, tmp_path, command, encoding):
+        path = tmp_path / "in.xml"
+        path.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?><TIF/>'.encode("ascii"))
+        args = [command, path] + (["--out", tmp_path / "g.nt"] if command == "ingest" else [])
+        result = run(runner, *args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {path}: ") and result.stdout == ""
+
+
 class TestMistypedProfile:
     @pytest.mark.parametrize("command", ["ingest", "validate"])
     @pytest.mark.parametrize("text", MISTYPED_PROFILES)
@@ -498,7 +511,8 @@ _VALID = {
 
 def _files(kind: str) -> st.SearchStrategy:
     """A file's bytes: missing (None), empty, not UTF-8, hostile, valid, or
-    valid with hostile text after it; a profile may also be mistyped."""
+    valid with hostile text after it; a profile may also be mistyped, and
+    XML may declare an encoding the parser cannot read."""
     hostile = hostile_text.map(lambda text: text.encode("utf-8", "surrogatepass"))
     valid = st.just(_VALID[kind])
     choices = [
@@ -512,6 +526,9 @@ def _files(kind: str) -> st.SearchStrategy:
     ]
     if kind == "profile":  # a JSON object whose values have the wrong types
         choices.append(mistyped_profiles.map(str.encode))
+    if kind == "xml":  # a declaration naming an encoding the parser cannot read
+        choices.append(st.sampled_from(["bogus", "shift_jis", "euc-jp", "big5", "utf-32"]).map(
+            lambda name: _VALID["xml"].replace(b"encoding='utf-8'", f"encoding='{name}'".encode(), 1)))
     return st.one_of(*choices)
 
 

@@ -155,6 +155,15 @@ class TestParseTif:
             parse_tif(doc_bytes(b"<TIF><Resource></TIF>"))
         assert err.value.line is not None
 
+    @pytest.mark.parametrize("encoding", ["bogus", "shift_jis", "euc-jp", "big5", "utf-32"])
+    def test_unreadable_declared_encoding_is_a_parse_error(self, encoding):
+        # expat knows no `bogus` and reads no multi-byte encoding; both
+        # are faults of the document, not of the program
+        data = f'<?xml version="1.0" encoding="{encoding}"?><TIF/>'.encode("ascii")
+        with pytest.raises(XmlParseError) as err:
+            parse_tif(doc_bytes(data))
+        assert str(err.value).startswith("inline: ")
+
     def test_v3_fixture_clean(self, data_dir):
         ios, issues = parse_tif(doc(data_dir / "fixture_v3.xml"))
         assert issues == []

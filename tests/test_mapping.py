@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 import strategies as own
 from oracles import naive_materialize
 from tifsem.errors import RuleError
-from tifsem.graph import RDF_TYPE, Graph, IRI, Triple
+from tifsem.graph import RDF_TYPE, RDFS_NS, XSD_NS, Graph, IRI, Triple
 from tifsem.mapping import (
     MappingRule,
     Relation,
@@ -94,6 +95,19 @@ class TestLoadRules:
 
     def test_builtin_rules_round_trip(self):
         assert load_rules(save_rules(builtin_rules())) == builtin_rules()
+
+    def test_builtin_rules_save_to_pinned_bytes(self):
+        text = save_rules(builtin_rules())
+        assert text.startswith('[\n  {\n    "source": "tifsem:Multimedia",\n    "target": "schema:MediaObject",')
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "1450631efa6e6a77774eb8bdabf4f5a8dcaa335c669021c85a23244852828735")
+
+    @pytest.mark.parametrize("name, iri", [("rdfs:label", RDFS_NS + "label"), ("xsd:decimal", XSD_NS + "decimal")])
+    def test_rdfs_and_xsd_names_expand_to_unknown_terms(self, name, iri):
+        doc = f'[{{"source": "{name}", "target": "schema:MediaObject", "relation": "EquivalentClass"}}]'
+        with pytest.raises(RuleError) as err:
+            load_rules(doc)
+        assert str(err.value) == f"rule #0: unknown term {iri}"
 
     def test_wrong_case_relation_rejected(self):
         doc = '[{"source": "tifsem:Multimedia", "target": "schema:MediaObject", "relation": "equivalentclass"}]'

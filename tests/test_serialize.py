@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -26,7 +27,7 @@ from tifsem.graph import (
     Triple,
 )
 from tifsem.graph import mint_io_iri
-from tifsem.ontology import IO_CLASS, SCHEMA_NS
+from tifsem.ontology import IO_CLASS, SCHEMA_NS, TIFSEM_NS
 from tifsem.serialize import (
     DEFAULT_PREFIXES,
     from_ntriples,
@@ -37,6 +38,19 @@ from tifsem.serialize import (
     to_turtle,
     unescape,
 )
+
+
+def ascii_escaped(text: str) -> str:
+    r"""``text`` with every character above U+007E written as ``\uXXXX``
+    or, above U+FFFF, ``\UXXXXXXXX``: N-Triples that any ASCII reader
+    takes."""
+
+    def escape(m: re.Match) -> str:
+        cp = ord(m.group())
+        return f"\\u{cp:04X}" if cp <= 0xFFFF else f"\\U{cp:08X}"
+
+    return re.sub(r"[^\x00-\x7E]", escape, text)
+
 
 class TestNTriplesWrite:
     def test_empty_graph_is_empty_text(self):
@@ -65,11 +79,10 @@ class TestNTriplesWrite:
         text = to_ntriples(g)
         assert '"a\\"b\\\\c\\nd\\te"' in text
 
-    def test_ascii_only_flag(self):
+    def test_ascii_escaped_text_reads_back(self):
         g = Graph([Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("Hôtel 🏨"))])
-        text = to_ntriples(g, ascii_only=True)
-        assert text == text.encode("ascii", errors="strict").decode("ascii")
-        assert "\\u00F4" in text and "\\U0001F3E8" in text
+        text = ascii_escaped(to_ntriples(g))
+        assert text == '<http://e/s> <http://e/p> "H\\u00F4tel \\U0001F3E8" .\n'
         assert from_ntriples(text) == g
 
 
@@ -378,8 +391,8 @@ class TestCanonicalOrder:
 
     @given(_hard_graphs)
     @settings(max_examples=300, deadline=None)
-    def test_ascii_only_round_trips(self, g):
-        text = to_ntriples(g, ascii_only=True)
+    def test_reader_takes_ascii_escaped_text(self, g):
+        text = ascii_escaped(to_ntriples(g))
         assert text.isascii()
         assert from_ntriples(text) == g
 
@@ -451,10 +464,10 @@ class TestTurtle:
 
     def test_prefixed_graph_has_no_absolute_iris_in_body(self):
         g = Graph([
-            Triple(IRI("http://e/ns#a"), IRI("http://e/ns#b"), IRI("http://e/ns#c")),
-            Triple(IRI("http://e/ns#a"), IRI("http://e/ns#b"), Literal("x")),
+            Triple(IRI(TIFSEM_NS + "a"), IRI(SCHEMA_NS + "b"), IRI(TIFSEM_NS + "c")),
+            Triple(IRI(TIFSEM_NS + "a"), IRI(SCHEMA_NS + "b"), Literal("x")),
         ])
-        text = to_turtle(g, {"ex": "http://e/ns#"})
+        text = to_turtle(g)
         body = [l for l in text.splitlines() if l and not l.startswith("@prefix")]
         assert body and all("<" not in line for line in body)
 
@@ -467,6 +480,23 @@ class TestTurtle:
     def test_carets_in_a_plain_literal_round_trip(self, lexical):
         g = Graph([Triple(IRI("http://e/s"), IRI("http://e/p"), Literal(lexical))])
         assert expand_turtle(to_turtle(g)) == g
+
+
+class TestPinnedOutput:
+    """The Turtle and JSON-LD bytes of the fixture graph, as SHA-256.  A
+    change to either writer that changes its output fails here."""
+
+    def test_turtle_bytes(self, materialized_graph):
+        text = to_turtle(materialized_graph)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "c32d15732aa842c041752d7b32b449283321429c3672367394c662e8d326580a")
+
+    def test_jsonld_bytes_of_every_fixture_io(self, materialized_graph, la_rochelle_ios):
+        assert len(la_rochelle_ios) == 25
+        text = "".join(to_jsonld(materialized_graph, mint_io_iri("http://example.org/tifsem", io.id)).to_text()
+                       for io in la_rochelle_ios)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "54cbf12fa6b349401d0413b804a21784367e87bd84683fe855ae15ab8a64c2b0")
 
 
 class TestJsonLd:
