@@ -25,7 +25,6 @@ from tifsem.ingest import (
     format_issues,
     load_profile,
     parse_tif,
-    validate_io,
 )
 from tifsem.ontology import InformationObject
 
@@ -57,16 +56,11 @@ _EXTENSION_FORMATS = {".nt": "nt", ".ttl": "ttl", ".jsonld": "jsonld"}
 _GRAPH_FORMATS = ("nt", "ttl")
 
 
-def _output_format(out_path: str, fmt: str | None, writable: tuple[str, ...]) -> str:
-    """The output format: ``fmt`` if given, else the one the output path's
-    extension names, else the first of ``writable``.  When both are present
-    they must agree, and the format must be one the command can write.
-    Commands call this before reading any input."""
-    suffix = Path(out_path).suffix
-    ext = _EXTENSION_FORMATS.get(suffix.lower())
-    if fmt is not None and ext is not None and fmt != ext:
-        raise click.UsageError(f"--format {fmt} conflicts with the {suffix!r} output extension")
-    chosen = fmt or ext or writable[0]
+def _output_format(out_path: str, writable: tuple[str, ...]) -> str:
+    """The output format the output path's extension names, else the first
+    of ``writable``; it must be one the command can write.  Commands call
+    this before reading any input."""
+    chosen = _EXTENSION_FORMATS.get(Path(out_path).suffix.lower(), writable[0])
     if chosen not in writable:
         raise click.UsageError(f"this command writes {' or '.join(writable)}, not {chosen}")
     return chosen
@@ -120,10 +114,11 @@ def main() -> None:
 def _parse_and_validate(
     inputs: tuple[str, ...], profile_path: str | None,
 ) -> tuple[list[InformationObject], list[ValidationIssue]]:
-    """Read the profile and every input, then parse and validate each one.
+    """Read the profile and every input, then parse each one; ``parse_tif``
+    checks every value.
 
     Returns the IOs free of error issues, in input order, and every issue in
-    report order: per document, its parse issues, then each IO's own.
+    report order, document by document.
     """
     profile = IDENTITY_PROFILE
     if profile_path is not None:
@@ -139,11 +134,7 @@ def _parse_and_validate(
             ios, parse_issues = parse_tif(doc, profile)
             issues.extend(parse_issues)
             blocked = {i.io_id for i in parse_issues if i.severity == "error"}
-            for io in ios:
-                io_issues = validate_io(io)
-                issues.extend(io_issues)
-                if io.id not in blocked and all(i.severity != "error" for i in io_issues):
-                    clean.append(io)
+            clean.extend(io for io in ios if io.id not in blocked)
     except TifsemError as exc:
         _fail(str(exc), 1)
     return clean, issues
@@ -154,16 +145,16 @@ def _parse_and_validate(
 @click.option("--profile", "profile_path", type=click.Path(), help="Dialect profile JSON.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output graph file.")
 @click.option("--issues", "issues_path", type=click.Path(), help="Issue report path (default: OUT.issues.tsv).")
-@click.option("--format", "fmt", type=click.Choice(["nt", "ttl"]), default=None,
-              help="Graph format (default: from the output extension, else nt).")
 @_BASE_OPTION
 def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
-           issues_path: str | None, fmt: str | None, base: str) -> None:
-    """Parse XML INPUTS into one canonical graph plus an issue report."""
-    fmt = _output_format(out_path, fmt, _GRAPH_FORMATS)
+           issues_path: str | None, base: str) -> None:
+    """Parse XML INPUTS into one canonical graph plus an issue report.
+
+    The graph is Turtle when OUT ends in .ttl, else N-Triples."""
+    fmt = _output_format(out_path, _GRAPH_FORMATS)
     ios, issues = _parse_and_validate(inputs, profile_path)
     g = Graph()
-    for io in ios:  # validated once, by _parse_and_validate
+    for io in ios:  # checked by parse_tif, leaf by leaf
         _insert_io(g, io, base)
 
     issues_file = Path(issues_path) if issues_path else Path(out_path).with_suffix(".issues.tsv")
@@ -185,11 +176,11 @@ def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
 @click.option("--rules", "rules_paths", multiple=True, type=click.Path(),
               help="Extra rule documents, appended to the builtin rules.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output graph file.")
-@click.option("--format", "fmt", type=click.Choice(["nt", "ttl"]), default=None,
-              help="Graph format (default: from the output extension, else nt).")
-def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str, fmt: str | None) -> None:
-    """Materialize Schema.org alignments into the graph."""
-    fmt = _output_format(out_path, fmt, _GRAPH_FORMATS)
+def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str) -> None:
+    """Materialize Schema.org alignments into the graph.
+
+    The graph is Turtle when OUT ends in .ttl, else N-Triples."""
+    fmt = _output_format(out_path, _GRAPH_FORMATS)
     g = _load_graph(graph_path)
     rules = mapping.builtin_rules()
     for path in rules_paths:
@@ -229,7 +220,7 @@ def query_cmd(graph_path: str, query_path: str, fmt: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output .jsonld file.")
 def export(graph_path: str, root_iri: str, out_path: str) -> None:
     """Export one subject and its blank-node closure as JSON-LD."""
-    _output_format(out_path, "jsonld", ("jsonld",))
+    _output_format(out_path, ("jsonld",))
     g = _load_graph(graph_path)
     try:
         document = serialize.to_jsonld(g, IRI(root_iri))

@@ -23,13 +23,14 @@ from typing import Iterable, Optional
 from tifsem.errors import ProfileError, XmlParseError
 from tifsem.graph import IRI_FORBIDDEN
 from tifsem.ontology import (
+    FieldSpec,
     FieldType,
+    FieldValue,
     Granule,
     GranuleKind,
     IDENTIFIER_PATH,
     InformationObject,
     IoRef,
-    check_plain_length,
     load_core_ontology,
 )
 
@@ -110,18 +111,15 @@ class DialectProfile:
         if overlap:
             raise ProfileError(f"profile {self.name!r}: tags both renamed and dropped: {sorted(overlap)}")
         for raw, target in self.tag_renames.items():
-            if _SNAPSHOT.has_path(target):
-                spec = _SNAPSHOT.field_spec(target)
-                if spec is not None and spec.type is FieldType.GEOPOINT:
-                    raise ProfileError(
-                        f"profile {self.name!r}: {target!r} is not ingestable from XML text"
-                    )
-                continue
-            if _SNAPSHOT.kind_for_tag(target) is not None:
-                continue  # granule-prefix rename
-            raise ProfileError(
-                f"profile {self.name!r}: {raw!r} mapped to nonexistent canonical path {target!r}"
-            )
+            spec = _SNAPSHOT.field_spec(target)
+            if spec is not None and spec.type is FieldType.GEOPOINT:
+                raise ProfileError(
+                    f"profile {self.name!r}: {target!r} is not ingestable from XML text"
+                )
+            if spec is None and _SNAPSHOT.kind_for_tag(target) is None:  # nor a granule-prefix rename
+                raise ProfileError(
+                    f"profile {self.name!r}: {raw!r} mapped to nonexistent canonical path {target!r}"
+                )
 
 
 IDENTITY_PROFILE = DialectProfile(name="tif-v3")
@@ -182,7 +180,7 @@ def normalize_tag(raw_path: str, profile: DialectProfile) -> NormalizedTag:
         return NormalizedTag(TagDisposition.DROPPED)
 
     exact = profile.tag_renames.get(raw_path)
-    if exact is not None and _SNAPSHOT.has_path(exact):
+    if exact is not None and _SNAPSHOT.field_spec(exact) is not None:
         return NormalizedTag(TagDisposition.MAPPED, exact)
 
     segs = _segments(raw_path)
@@ -192,16 +190,14 @@ def normalize_tag(raw_path: str, profile: DialectProfile) -> NormalizedTag:
         if target is None:
             continue
         composed = "/".join([target, *segs[i:]])
-        if _SNAPSHOT.has_path(composed):
-            spec = _SNAPSHOT.field_spec(composed)
-            if spec is None or spec.type is not FieldType.GEOPOINT:
-                return NormalizedTag(TagDisposition.MAPPED, composed)
+        spec = _SNAPSHOT.field_spec(composed)
+        if spec is not None and spec.type is not FieldType.GEOPOINT:
+            return NormalizedTag(TagDisposition.MAPPED, composed)
         break  # longest matching prefix decides; a failed composition falls through
 
-    if _SNAPSHOT.has_path(raw_path):
-        spec = _SNAPSHOT.field_spec(raw_path)
-        if spec is not None and spec.type is not FieldType.GEOPOINT:
-            return NormalizedTag(TagDisposition.MAPPED, raw_path)
+    spec = _SNAPSHOT.field_spec(raw_path)
+    if spec is not None and spec.type is not FieldType.GEOPOINT:
+        return NormalizedTag(TagDisposition.MAPPED, raw_path)
     return NormalizedTag(TagDisposition.EXTENSION)
 
 
@@ -265,26 +261,26 @@ def _placement(raw_path: str, profile: DialectProfile):
     return kind, ext_iri, None
 
 
-def _coerce(value: str, spec_type: FieldType):
-    if spec_type is FieldType.TEXT:
-        return value
-    if spec_type is FieldType.DECIMAL:
+def _coerce(text: str, spec: FieldSpec) -> FieldValue:
+    """The value a leaf's text spells under ``spec``.  Raises ValueError when
+    the text is not of the type's lexical form or ``spec.check`` refuses the
+    value."""
+    if spec.type is FieldType.DECIMAL:
         try:
-            number = Decimal(value)
+            value = Decimal(text)
         except InvalidOperation:
-            raise ValueError(f"not a decimal: {value!r}")
-        if not number.is_finite():
-            raise ValueError(f"not a finite decimal: {value!r}")
-        check_plain_length(number)
-        return number
-    if spec_type is FieldType.DATE:
+            raise ValueError(f"not a decimal: {text!r}")
+    elif spec.type is FieldType.DATE:
         try:
-            return datetime.date.fromisoformat(value)
+            value = datetime.date.fromisoformat(text)
         except ValueError:
-            raise ValueError(f"not an ISO date: {value!r}")
-    if spec_type is FieldType.REF:
-        return IoRef(value)
-    raise ValueError(f"field type {spec_type} is not ingestable from XML")
+            raise ValueError(f"not an ISO date: {text!r}")
+    elif spec.type is FieldType.REF:
+        value = IoRef(text)
+    else:
+        value = text
+    spec.check(value)
+    return value
 
 
 def _content_hash(granules: dict[GranuleKind, list[Granule]], extensions: list[tuple[str, str]]) -> str:
@@ -306,7 +302,9 @@ def parse_tif(
 
     Every child element of the root is one resource.  Each non-empty leaf is
     mapped through the profile, preserved as an extension field, or reported;
-    nothing is silently lost.  IO identifiers come from the canonical
+    nothing is silently lost.  A mapped value that ``FieldSpec.check``
+    refuses is an error issue and stays out of the IO, so every IO returned
+    passes ``validate_io``.  IO identifiers come from the canonical
     identifier field when present, else from a digest of all the fields.
     A resource that maps no canonical field earns a warning: the profile
     most likely does not fit the document.
@@ -340,7 +338,7 @@ def parse_tif(
             if spec is not None:
                 mapped = True
                 try:
-                    value = _coerce(value, spec.type)
+                    value = _coerce(value, spec)
                 except ValueError as exc:
                     resource_issues.append(("error", key, str(exc)))
                     continue
@@ -383,9 +381,9 @@ def parse_tif(
 def validate_io(io: InformationObject) -> list[ValidationIssue]:
     """Check one IO against the granule schema; never mutates it.
 
-    Errors cover schema violations (unregistered field paths, type mismatches,
-    out-of-range coordinates, non-finite decimals and decimals whose plain
-    form is too long, empty ids); empty granules earn a warning.
+    Errors cover empty ids, unregistered field paths and every value that
+    ``FieldSpec.check`` refuses, the rule ``parse_tif`` applies to each leaf;
+    empty granules earn a warning.
     """
     issues: list[ValidationIssue] = []
 
@@ -421,20 +419,10 @@ def validate_io(io: InformationObject) -> list[ValidationIssue]:
                 if spec is None or _SNAPSHOT.kind_for_tag(_segments(path)[0]) is not kind:
                     error(path, f"field not in the {kind.value} schema")
                     continue
-                if not spec.accepts(value):
-                    error(path, f"expected {spec.type.value} value, got {type(value).__name__}")
-                    continue
-                if not isinstance(value, Decimal):
-                    continue
-                if not value.is_finite():
-                    error(path, f"not a finite decimal: {value}")
-                elif not spec.in_bounds(value):
-                    error(path, f"value {value} outside [{spec.minimum}, {spec.maximum}]")
-                else:
-                    try:
-                        check_plain_length(value)
-                    except ValueError as exc:
-                        error(path, str(exc))
+                try:
+                    spec.check(value)
+                except ValueError as exc:
+                    error(path, str(exc))
 
     for ext_iri, value in io.extensions:
         if "://" not in ext_iri or _IRI_FORBIDDEN_RE.search(ext_iri):

@@ -10,7 +10,7 @@ annotations without query-time inference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -52,7 +52,6 @@ class MappingRule:
 @dataclass
 class MappingReport:
     inferred_triples: int
-    unmapped_sources: set[str] = field(default_factory=set)
 
 
 def _rule(kind: GranuleKind, target: str, relation: Relation) -> MappingRule:
@@ -82,10 +81,9 @@ def builtin_rules() -> list[MappingRule]:
     ]
 
 
-def target_classes(source: str, rules: Optional[Sequence[MappingRule]] = None) -> set[str]:
-    """Schema.org classes a source class maps to under class-level rules."""
-    rules = builtin_rules() if rules is None else rules
-    return {r.target for r in rules if r.source == source and r.relation in _CLASS_RELATIONS}
+def target_classes(source: str) -> set[str]:
+    """Schema.org classes a source class maps to under the builtin class-level rules."""
+    return {r.target for r in builtin_rules() if r.source == source and r.relation in _CLASS_RELATIONS}
 
 
 def _expand(name: str) -> str:
@@ -194,8 +192,7 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
     A property rule naming ``rdf:type`` raises :class:`RuleError`.
 
     Only adds statements, never removes; running it twice adds nothing.
-    ``unmapped_sources`` collects granule classes and field properties that
-    occur in the graph but have no applicable rule.
+    The report counts the triples added.
     """
     rules = builtin_rules() if rules is None else rules
     for rule in rules:
@@ -215,19 +212,7 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
         predicates = [vocabulary_iri(target) for target in targets]
         for t in g.match(predicate=vocabulary_iri(source)):
             inferred.extend(Triple(t.subject, p, t.object) for p in predicates)
-    added = sum(g.insert(t) for t in inferred)
-
-    structural = {RDF_TYPE, TIFSEM_NS + "hasGranule"}
-    unmapped = {
-        c for c in map(class_of, GranuleKind)
-        if c not in class_closure and any(g.match(predicate=rdf_type, object=vocabulary_iri(c)))
-    }
-    unmapped.update(
-        p for p in _SNAPSHOT.properties
-        if p.startswith(TIFSEM_NS) and p not in structural and p not in prop_closure
-        and any(g.match(predicate=vocabulary_iri(p)))
-    )
-    return MappingReport(inferred_triples=added, unmapped_sources=unmapped)
+    return MappingReport(inferred_triples=sum(g.insert(t) for t in inferred))
 
 
 def check_consistency(rules: Sequence[MappingRule]) -> list[str]:

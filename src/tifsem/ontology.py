@@ -136,21 +136,21 @@ class FieldSpec:
     minimum: Optional[Decimal] = None
     maximum: Optional[Decimal] = None
 
-    def accepts(self, value: FieldValue) -> bool:
-        expected = _PYTHON_TYPES[self.type]
-        if not isinstance(value, expected):
-            return False
-        # date accepts date but not datetime subclass surprises
-        if self.type is FieldType.DATE and isinstance(value, datetime.datetime):
-            return False
-        return True
-
-    def in_bounds(self, value: Decimal) -> bool:
-        if self.minimum is not None and value < self.minimum:
-            return False
-        if self.maximum is not None and value > self.maximum:
-            return False
-        return True
+    def check(self, value: FieldValue) -> None:
+        """Raise ValueError unless ``value`` has the declared type (a date,
+        not a datetime).  A decimal must also be finite, within the bounds
+        and short enough in plain form (``check_plain_length``)."""
+        if not isinstance(value, _PYTHON_TYPES[self.type]) or (
+                self.type is FieldType.DATE and isinstance(value, datetime.datetime)):
+            raise ValueError(f"expected {self.type.value} value, got {type(value).__name__}")
+        if not isinstance(value, Decimal):
+            return
+        if not value.is_finite():
+            raise ValueError(f"not a finite decimal: {value}")
+        if (self.minimum is not None and value < self.minimum) or (
+                self.maximum is not None and value > self.maximum):
+            raise ValueError(f"value {value} outside [{self.minimum}, {self.maximum}]")
+        check_plain_length(value)
 
 
 def _camel(field_name: str) -> str:
@@ -375,9 +375,6 @@ class OntologySnapshot:
 
     def kind_for_tag(self, tag: str) -> Optional[GranuleKind]:
         return self._tags.get(tag)
-
-    def has_path(self, canonical_path: str) -> bool:
-        return canonical_path in self._paths
 
     def field_spec(self, canonical_path: str) -> Optional[FieldSpec]:
         entry = self._paths.get(canonical_path)

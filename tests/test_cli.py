@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -182,11 +183,15 @@ class TestIngest:
         assert result.exit_code == 0, result.output
         assert (workspace / "graph.ttl").read_text().startswith("@prefix")
 
-    def test_format_extension_conflict_is_usage_error(self, runner, workspace):
+    def test_format_option_is_usage_error(self, runner, workspace):
+        # The --out extension names the graph format; there is no --format.
         data = workspace / "data"
-        result = run(runner, "ingest", data / "la_rochelle_v3.xml",
-                     "--format", "nt", "--out", workspace / "graph.ttl")
-        assert result.exit_code == 2
+        run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
+        for args in (["ingest", data / "la_rochelle_v3.xml"], ["map", "--graph", workspace / "g.nt"]):
+            result = run(runner, *args, "--format", "nt", "--out", workspace / "graph.ttl")
+            assert result.exit_code == 2
+            assert "No such option" in result.output and "--format" in result.output
+            assert not (workspace / "graph.ttl").exists()
 
 
 class TestMap:
@@ -328,7 +333,7 @@ class TestExport:
         result = run(runner, "export", "--graph", workspace / "missing.nt",
                      "--root", "http://example.org/tifsem/io/HOT-001", "--out", workspace / "graph.nt")
         assert result.exit_code == 2
-        assert "conflicts" in result.output
+        assert "writes jsonld, not nt" in result.output
         assert not (workspace / "graph.nt").exists()
 
     def test_missing_root_exits_1(self, runner, workspace):
@@ -419,8 +424,9 @@ class TestSharedParseAndValidate:
         assert validated.output == report
         assert (report == "") == (with_profile or name == "fixture_v3.xml")
 
-    def test_ingest_validates_each_io_once(self, runner, tmp_path, data_dir, monkeypatch):
-        from tifsem import cli, ingest
+    def test_ingest_and_validate_never_call_validate_io(self, runner, tmp_path, data_dir, monkeypatch):
+        # parse_tif checks every leaf; the commands add no second pass.
+        from tifsem import ingest
 
         original, calls = ingest.validate_io, []
 
@@ -429,10 +435,11 @@ class TestSharedParseAndValidate:
             return original(io, *args, **kwargs)
 
         monkeypatch.setattr(ingest, "validate_io", counted)
-        monkeypatch.setattr(cli, "validate_io", counted)
         result = run(runner, "ingest", data_dir / "fixture_v3.xml", "--out", tmp_path / "g.nt")
         assert result.exit_code == 0, result.output
-        assert calls == ["HOT-042"]
+        result = run(runner, "validate", data_dir / "fixture_v3.xml")
+        assert result.exit_code == 0, result.output
+        assert calls == []
 
     def test_error_issues_block_only_their_io(self, runner, tmp_path):
         noisy = tmp_path / "noisy.xml"
@@ -477,6 +484,18 @@ class TestPipelineComposition:
         run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
         text = (workspace / "g.nt").read_text(encoding="utf-8")
         assert text == to_ntriples(from_ntriples(text))
+
+    def test_readme_quick_start_runs(self, runner, tmp_path):
+        # Each command of the README's "Quick start" block exits 0, in order,
+        # so the docs name no flag the CLI has dropped.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("tifsem ")]
+        assert len(lines) == 5
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            for line in lines:
+                result = runner.invoke(main, shlex.split(line)[1:])
+                assert result.exit_code == 0, (line, result.output)
 
 
 class TestFixturesCommand:

@@ -356,16 +356,25 @@ class TestParseTif:
         assert assert_io(Graph(), ios[0]) == 4
 
     @given(own.tif_documents, st.sampled_from(FIXTURE_PROFILES))
+    @example(b"<TIF><Resource><Geolocation><Latitude>95</Latitude></Geolocation></Resource></TIF>",
+             IDENTITY_PROFILE)
+    @example(b"<TIF><Resource><Geolocation><Longitude>-181</Longitude></Geolocation></Resource></TIF>",
+             IDENTITY_PROFILE)
+    @example(b"<TIF><Resource><Prices><Amount>NaN</Amount></Prices></Resource></TIF>", IDENTITY_PROFILE)
+    @example(b"<TIF><Resource><Geolocation><Latitude>1E+10000000</Latitude></Geolocation></Resource></TIF>",
+             IDENTITY_PROFILE)
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_arbitrary_leaves_raise_only_tifsem_errors(self, data, profile):
-        # Every IO free of error issues must also assert, and as valid RDF.
+        # parse_tif refuses every value validate_io would, and every IO free
+        # of error issues must also assert, and as valid RDF.
         try:
             ios, issues = parse_tif(doc_bytes(data), profile)
         except TifsemError:
             return
         blocked = {i.io_id for i in issues if i.severity == "error"}
         for io in ios:
-            if any(i.severity == "error" for i in validate_io(io)) or io.id in blocked:
+            assert validate_io(io) == []
+            if io.id in blocked:
                 continue
             g = Graph()
             assert_io(g, io)

@@ -195,12 +195,6 @@ class TestMaterialize:
         assert g.triples == expected
         assert report.inferred_triples == len(expected) - len(la_rochelle_graph)
 
-    def test_unmapped_sources_reported(self, la_rochelle_graph):
-        g = la_rochelle_graph.copy()
-        report = materialize(g)
-        assert class_of(GranuleKind.CAPACITY) in report.unmapped_sources
-        assert class_of(GranuleKind.MULTIMEDIA) not in report.unmapped_sources
-
     @pytest.mark.parametrize("relation", [Relation.EQUIVALENT_PROPERTY, Relation.SUB_PROPERTY_OF])
     def test_property_rule_naming_rdf_type_raises(self, relation):
         g = typed_node(TIFSEM_NS + "Multimedia")
