@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 from decimal import Decimal
 from pathlib import Path
 
-from tifsem.ingest import DialectProfile, save_profile
+from tifsem.ingest import IDENTITY_PROFILE, DialectProfile, save_profile
 from tifsem.ontology import (
     GRANULE_SCHEMAS,
     GeoPoint,
@@ -348,7 +348,7 @@ _PREFIX_COVERED = {
 
 def profile_v3() -> DialectProfile:
     """Identity profile for documents already in the canonical vocabulary."""
-    return DialectProfile(name="tif-v3")
+    return IDENTITY_PROFILE
 
 
 def profile_dialect_a() -> DialectProfile:

@@ -157,50 +157,6 @@ def save_profile(profile: DialectProfile) -> str:
     ) + "\n"
 
 
-def _segments(path: str) -> list[str]:
-    return path.split("/")
-
-
-def _is_dropped(raw_path: str, profile: DialectProfile) -> bool:
-    segs = _segments(raw_path)
-    return any("/".join(segs[:i]) in profile.dropped_tags for i in range(1, len(segs) + 1))
-
-
-def normalize_tag(raw_path: str, profile: DialectProfile) -> NormalizedTag:
-    """Resolve one dialect tag path.
-
-    Resolution order: explicit drop (of the path or any of its prefixes),
-    exact rename, longest-prefix rename composed with the remaining segments,
-    identity against the canonical schema, extension.
-    """
-    if not raw_path:
-        raise ValueError("raw_path must be non-empty")
-
-    if _is_dropped(raw_path, profile):
-        return NormalizedTag(TagDisposition.DROPPED)
-
-    exact = profile.tag_renames.get(raw_path)
-    if exact is not None and _SNAPSHOT.field_spec(exact) is not None:
-        return NormalizedTag(TagDisposition.MAPPED, exact)
-
-    segs = _segments(raw_path)
-    for i in range(len(segs) - 1, 0, -1):
-        prefix = "/".join(segs[:i])
-        target = profile.tag_renames.get(prefix)
-        if target is None:
-            continue
-        composed = "/".join([target, *segs[i:]])
-        spec = _SNAPSHOT.field_spec(composed)
-        if spec is not None and spec.type is not FieldType.GEOPOINT:
-            return NormalizedTag(TagDisposition.MAPPED, composed)
-        break  # longest matching prefix decides; a failed composition falls through
-
-    spec = _SNAPSHOT.field_spec(raw_path)
-    if spec is not None and spec.type is not FieldType.GEOPOINT:
-        return NormalizedTag(TagDisposition.MAPPED, raw_path)
-    return NormalizedTag(TagDisposition.EXTENSION)
-
-
 def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, str]]]:
     """One preorder traversal of a resource: (path, text, repeat) for each
     non-empty leaf, repeat being the index of its top-level element among
@@ -239,26 +195,52 @@ def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], li
 
 
 def _placement(raw_path: str, profile: DialectProfile):
-    """Where a leaf goes: ``None`` when it is dropped, a warning message when
-    it cannot be kept, else (granule kind, or ``None`` for the resource
-    itself; canonical path or extension IRI; field spec, or ``None`` for an
-    extension).  An extension leaf's kind is its first segment's, or that of
-    the segment's rename."""
-    normalized = normalize_tag(raw_path, profile)
-    if normalized.disposition is TagDisposition.DROPPED:
+    """Where a leaf goes: ``None`` when the path or a prefix of it is
+    dropped, a warning message when it cannot be kept, else (granule kind,
+    or ``None`` for the resource itself; canonical path or extension IRI;
+    field spec, or ``None`` for an extension).  The canonical path is the
+    first of the exact rename, the composition under the longest renamed
+    proper prefix and the path itself that names a field XML text can fill,
+    so not a geopoint.  An extension leaf's kind is its first segment's, or
+    that of the segment's rename."""
+    segs = raw_path.split("/")
+    prefixes = ["/".join(segs[:i]) for i in range(1, len(segs))]
+    if raw_path in profile.dropped_tags or not profile.dropped_tags.isdisjoint(prefixes):
         return None
-    if normalized.disposition is TagDisposition.MAPPED:
-        canonical = normalized.path
-        return _SNAPSHOT.kind_for_tag(_segments(canonical)[0]), canonical, _SNAPSHOT.field_spec(canonical)
+    renames = profile.tag_renames
+    candidates = [renames.get(raw_path)]
+    for i in range(len(prefixes), 0, -1):  # the longest renamed prefix decides
+        target = renames.get(prefixes[i - 1])
+        if target is not None:
+            candidates.append("/".join([target, *segs[i:]]))
+            break
+    candidates.append(raw_path)
+    for canonical in candidates:
+        spec = _SNAPSHOT.field_spec(canonical) if canonical is not None else None
+        if spec is not None and spec.type is not FieldType.GEOPOINT:
+            return _SNAPSHOT.kind_for_tag(canonical.partition("/")[0]), canonical, spec
     if profile.extension_namespace is None:
         return "unrecognized tag; no extension namespace configured"
     ext_iri = profile.extension_namespace + raw_path
     if _IRI_FORBIDDEN_RE.search(ext_iri):  # e.g. the {uri} of a namespaced tag
         return "unrecognized tag; its path cannot form an extension IRI"
-    top_tag = _segments(raw_path)[0]
-    rename_target = profile.tag_renames.get(top_tag)
-    kind = _SNAPSHOT.kind_for_tag(top_tag) or (_SNAPSHOT.kind_for_tag(rename_target) if rename_target else None)
+    rename_target = renames.get(segs[0])
+    kind = _SNAPSHOT.kind_for_tag(segs[0]) or (_SNAPSHOT.kind_for_tag(rename_target) if rename_target else None)
     return kind, ext_iri, None
+
+
+def normalize_tag(raw_path: str, profile: DialectProfile) -> NormalizedTag:
+    """Report how ``parse_tif`` resolves one dialect tag path: DROPPED,
+    MAPPED with its canonical path, or EXTENSION.  ``_placement`` holds the
+    resolution order."""
+    if not raw_path:
+        raise ValueError("raw_path must be non-empty")
+    placement = _placement(raw_path, profile)
+    if placement is None:
+        return NormalizedTag(TagDisposition.DROPPED)
+    if isinstance(placement, tuple) and placement[2] is not None:
+        return NormalizedTag(TagDisposition.MAPPED, placement[1])
+    return NormalizedTag(TagDisposition.EXTENSION)
 
 
 def _coerce(text: str, spec: FieldSpec) -> FieldValue:
@@ -283,10 +265,13 @@ def _coerce(text: str, spec: FieldSpec) -> FieldValue:
     return value
 
 
-def _content_hash(granules: dict[GranuleKind, list[Granule]], extensions: list[tuple[str, str]]) -> str:
-    """A digest of every field, canonical and extension; a resource-level
+def _content_hash(granules: dict[GranuleKind, list[Granule]], extensions: list[tuple[str, str]],
+                  refused: list[tuple[GranuleKind, str, str]]) -> str:
+    """A digest of every field, canonical and extension, and of every
+    refused leaf by its canonical key and raw text; a resource-level
     extension has an empty kind."""
     entries = [f"\t{ext_iri}\t{value!r}" for ext_iri, value in extensions]
+    entries.extend(f"{kind.value}\t{key}\trefused {text!r}" for kind, key, text in refused)
     for kind, instances in granules.items():
         for granule in instances:
             entries.extend(f"{kind.value}\t{path}\t{value!r}" for path, value in granule.fields.items())
@@ -305,7 +290,8 @@ def parse_tif(
     nothing is silently lost.  A mapped value that ``FieldSpec.check``
     refuses is an error issue and stays out of the IO, so every IO returned
     passes ``validate_io``.  IO identifiers come from the canonical
-    identifier field when present, else from a digest of all the fields.
+    identifier field when present, else from a digest of all the fields
+    and of the leaves refused as values.
     A resource that maps no canonical field earns a warning: the profile
     most likely does not fit the document.
     """
@@ -325,6 +311,7 @@ def parse_tif(
         granules: dict[GranuleKind, list[Granule]] = {}
         instances: dict[tuple[GranuleKind, int], Granule] = {}
         extensions: list[tuple[str, str]] = []
+        refused: list[tuple[GranuleKind, str, str]] = []
         mapped = False
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
         for raw_path, value, repeat in leaves:
@@ -341,6 +328,7 @@ def parse_tif(
                     value = _coerce(value, spec)
                 except ValueError as exc:
                     resource_issues.append(("error", key, str(exc)))
+                    refused.append((kind, key, value))
                     continue
             if kind is None:  # a resource-level extension keeps every value
                 extensions.append((key, value))
@@ -364,7 +352,7 @@ def parse_tif(
             if isinstance(identifier, str) and identifier:
                 io_id = identifier
         if io_id is None:
-            io_id = _content_hash(granules, extensions)
+            io_id = _content_hash(granules, extensions, refused)
         if io_id in seen_ids:
             resource_issues.append(("error", IDENTIFIER_PATH, f"duplicate identifier {io_id!r} in document"))
         seen_ids.add(io_id)
@@ -416,7 +404,7 @@ def validate_io(io: InformationObject) -> list[ValidationIssue]:
                         error(path, "extension fields must hold text")
                     continue
                 spec = _SNAPSHOT.field_spec(path)
-                if spec is None or _SNAPSHOT.kind_for_tag(_segments(path)[0]) is not kind:
+                if spec is None or _SNAPSHOT.kind_for_tag(path.split("/", 1)[0]) is not kind:
                     error(path, f"field not in the {kind.value} schema")
                     continue
                 try:

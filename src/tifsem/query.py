@@ -33,6 +33,9 @@ from tifsem.graph import (
     IRI_FORBIDDEN,
     LANGTAG,
     RDF_TYPE,
+    XSD_DATE,
+    XSD_DECIMAL,
+    XSD_INTEGER,
     XSD_NS,
     BlankNode,
     Graph,
@@ -201,9 +204,6 @@ def _unquote(raw: str, pos: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Parser
-
-_KEYWORDS = {"select", "where", "prefix", "filter", "order", "by", "asc", "desc", "limit", "as"}
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -516,10 +516,10 @@ def parse_query(text: str) -> Query:
 
 def _number_literal(text: str) -> Literal:
     if re.fullmatch(r"[+-]?\d+", text):
-        return Literal(text, XSD_NS + "integer")
+        return Literal(text, XSD_INTEGER)
     if "e" in text or "E" in text:
         return Literal(text, XSD_NS + "double")
-    return Literal(text, XSD_NS + "decimal")
+    return Literal(text, XSD_DECIMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +568,7 @@ def _compare_terms(left: Term, op: str, right: Term) -> bool:
         and left.language is None
         and right.language is None
         and left.datatype == right.datatype
-        and left.datatype in (XSD_STRING, XSD_NS + "date")
+        and left.datatype in (XSD_STRING, XSD_DATE)
     ):
         return _COMPARE[op](left.lexical, right.lexical)
     raise QueryTypeError(
@@ -896,7 +896,7 @@ def evaluate(q: Query, g: Graph) -> SolutionTable:
             key = tuple(s[v.name] for v in q.projection)
             groups.setdefault(key, set()).add(s[q.group_count.var.name])
         rows = [
-            key + (Literal(str(len(members)), XSD_NS + "integer"),)
+            key + (Literal(str(len(members)), XSD_INTEGER),)
             for key, members in groups.items()
         ]
     else:

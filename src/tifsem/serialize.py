@@ -95,23 +95,24 @@ def term_to_ntriples(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-class _Forms(dict):
-    """Term -> its text under ``render``, rendered on first lookup: one
-    serializer call renders each distinct term once."""
+class _Memo(dict):
+    """Key -> ``make(key)``, made on first lookup.  A serializer call renders
+    each distinct term once; a reader builds each distinct term text once,
+    so every triple naming it shares that one object."""
 
-    def __init__(self, render: Callable[[Term], str]):
+    def __init__(self, make: Callable):
         super().__init__()
-        self.render = render
+        self.make = make
 
-    def __missing__(self, term: Term) -> str:
-        form = self[term] = self.render(term)
-        return form
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _sorted_statements(g: Graph) -> list[tuple[str, Triple]]:
     """Each triple with its N-Triples line, sorted by the line.  No two
     triples share a line, so the sort never compares triples."""
-    form = _Forms(term_to_ntriples)
+    form = _Memo(term_to_ntriples)
     return sorted([(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .\n", t) for t in g])
 
 
@@ -172,7 +173,10 @@ _LINE_RE = re.compile(
 )
 
 
-def _term(m: re.Match) -> Term:
+def _term(text: str) -> Term:
+    """The term one term text names.  Raises ValueError when it names no
+    valid term."""
+    m = _TERM_RE.match(text)
     if m.group("iri") is not None:
         return IRI(unescape(m.group("iri")))
     if m.group("blank") is not None:
@@ -190,18 +194,7 @@ def _parse_error(message: str, line: str, lineno: int, pos: int) -> NTriplesPars
     return NTriplesParseError(f"column {column}: {message}", lineno)
 
 
-class _Terms(dict):
-    """Term text -> term, built on first lookup: each distinct text is
-    unescaped, checked and built once, and every triple naming it shares
-    that one object.  A lookup raises ValueError when the text names no
-    valid term."""
-
-    def __missing__(self, key: str) -> Term:
-        term = self[key] = _term(_TERM_RE.match(key))
-        return term
-
-
-def _read_line(line: str, lineno: int, built: _Terms) -> Optional[Triple]:
+def _read_line(line: str, lineno: int, built: _Memo) -> Optional[Triple]:
     """The triple one line states, or None for a blank or comment line.
     Raises NTriplesParseError with the line and column of the first fault."""
     line = line.rstrip("\r")
@@ -237,7 +230,7 @@ def from_ntriples(text: str) -> Graph:
     or names an invalid term, goes to `_read_line`, which reports the
     fault; should it accept the line, the pass resumes after it."""
     g = Graph()
-    built = _Terms()
+    built = _Memo(_term)
     pos = 0
     while True:
         for m in _LINE_RE.finditer(text, pos):
@@ -292,7 +285,7 @@ def to_turtle(g: Graph) -> str:
             return f'"{_escape_string(term.lexical)}"^^{dt}'
         return term_to_ntriples(term)
 
-    form = _Forms(render)
+    form = _Memo(render)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(DEFAULT_PREFIXES.items())]
     lines.append("")
     for _, t in _sorted_statements(g):

@@ -98,6 +98,49 @@ class TestNormalizeTag:
             normalize_tag("", IDENTITY_PROFILE)
 
 
+IDENTIFIED = b"<DublinCore><Identifier>R-1</Identifier></DublinCore>"
+
+
+class TestResolutionBranches:
+    """Branches of tag resolution, each seen through ``normalize_tag`` and
+    through what ``parse_tif`` keeps and reports."""
+
+    def test_identity_geopoint_path_is_not_a_field(self):
+        data = b"<TIF><Resource><Geolocation><Position>1</Position></Geolocation></Resource></TIF>"
+        ios, issues = parse_tif(doc_bytes(data))
+        assert ios[0].granules == {} and ios[0].extensions == []
+        assert [(i.severity, i.message) for i in issues if i.field_path == "Geolocation/Position"] == [
+            ("warning", "unrecognized tag; no extension namespace configured"),
+        ]
+        assert normalize_tag("Geolocation/Position", IDENTITY_PROFILE).disposition is TagDisposition.EXTENSION
+
+    def test_prefix_rename_onto_geopoint_is_an_extension(self):
+        data = b"<TIF><Resource>" + IDENTIFIED + b"<GeoLoc><Position>1</Position></GeoLoc></Resource></TIF>"
+        profile = fixtures.profile_dialect_b()
+        ios, issues = parse_tif(doc_bytes(data), profile)
+        assert ios[0].first(GranuleKind.GEOLOCATIONS).fields == {fixtures.EXTENSION_NS + "GeoLoc/Position": "1"}
+        assert issues == []
+        assert normalize_tag("GeoLoc/Position", profile).disposition is TagDisposition.EXTENSION
+
+    def test_exact_rename_to_granule_tag_is_an_extension(self):
+        ns = "http://example.org/ns#"
+        profile = DialectProfile(name="p", tag_renames={"Coordonnees": "Contacts"}, extension_namespace=ns)
+        data = b"<TIF><Resource>" + IDENTIFIED + b"<Coordonnees>x</Coordonnees></Resource></TIF>"
+        ios, issues = parse_tif(doc_bytes(data), profile)
+        assert ios[0].first(GranuleKind.CONTACTS).fields == {ns + "Coordonnees": "x"}
+        assert issues == []
+        assert normalize_tag("Coordonnees", profile).disposition is TagDisposition.EXTENSION
+
+    def test_drop_of_a_prefix_beats_exact_rename(self):
+        profile = DialectProfile(
+            name="p", tag_renames={"Interne/Note": "Contacts/Phone"}, dropped_tags=frozenset({"Interne"}))
+        data = b"<TIF><Resource>" + IDENTIFIED + b"<Interne><Note>1</Note></Interne></Resource></TIF>"
+        ios, issues = parse_tif(doc_bytes(data), profile)
+        assert list(ios[0].granules) == [GranuleKind.DUBLIN_CORE] and ios[0].extensions == []
+        assert issues == []
+        assert normalize_tag("Interne/Note", profile).disposition is TagDisposition.DROPPED
+
+
 class TestProfile:
     def test_rename_to_nonexistent_path_rejected(self):
         with pytest.raises(ProfileError):
@@ -289,6 +332,33 @@ class TestParseTif:
         other, _ = parse_tif(doc_bytes(data))
         assert ios[0].id == other[0].id
         assert len(ios[0].id) == 16
+
+    def test_content_hash_of_resources_without_refused_leaves_is_pinned(self):
+        data = b"<TIF><Resource><Geolocation><City>Niort</City></Geolocation></Resource></TIF>"
+        assert parse_tif(doc_bytes(data))[0][0].id == "ba9bbc1a871c0644"
+        data = b"<TIF><Resource><Geolocation><City>Niort</City></Geolocation><Mystery>m</Mystery></Resource></TIF>"
+        assert parse_tif(doc_bytes(data), fixtures.profile_dialect_b())[0][0].id == "82985f8c9fb0c1ea"
+
+    def test_refused_leaves_count_toward_the_content_hash(self):
+        data = (b"<TIF><Resource><Prices><Amount>NaN</Amount></Prices></Resource>"
+                b"<Resource><Geolocation><Latitude>1E+10000000</Latitude></Geolocation></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data))
+        assert ios[0].id != ios[1].id
+        assert not any("duplicate" in i.message for i in issues)
+
+    def test_same_refused_content_shares_an_id(self):
+        resource = b"<Resource><Prices><Amount>NaN</Amount></Prices></Resource>"
+        ios, issues = parse_tif(doc_bytes(b"<TIF>" + resource + resource + b"</TIF>"))
+        assert ios[0].id == ios[1].id
+        assert [(i.severity, i.message) for i in issues if "duplicate" in i.message] == [
+            ("error", f"duplicate identifier {ios[0].id!r} in document"),
+        ]
+
+    def test_refused_leaf_digest_is_dialect_independent(self):
+        v3, _ = parse_tif(doc_bytes(b"<TIF><Resource><Prices><Amount>NaN</Amount></Prices></Resource></TIF>"))
+        a, _ = parse_tif(doc_bytes(b"<TIF><Resource><Tarifs><Montant>NaN</Montant></Tarifs></Resource></TIF>"),
+                         fixtures.profile_dialect_a())
+        assert v3[0].id == a[0].id
 
     def test_duplicate_identifiers_flagged(self):
         data = (
