@@ -2,9 +2,9 @@
 """Time each pipeline stage at several dataset sizes.
 
 For each k in ``COPIES`` (1, 4, 16, 64), builds k suffixed and relocated
-copies of the seeded La Rochelle fixture with ``perfbench/gen.make_tiles``
-and times every stage, best of ``--repeat`` runs with
-``time.perf_counter``:
+copies of the La Rochelle fixture, seeded with ``SEED``, with
+``perfbench/gen.make_tiles`` and times every stage, best of ``--repeat``
+runs with ``time.perf_counter``:
 
 - ``parse_tif`` of the copies emitted in each dialect (v3, A, B), each under
   its own profile;
@@ -22,7 +22,7 @@ the same outputs.  Uses the standard library and the repository's modules.
 
 Usage (from the repository root):
 
-    python scripts/bench_stages.py OUT.json [--seed N] [--repeat N]
+    python scripts/bench_stages.py OUT.json [--repeat N]
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from tifsem.mapping import materialize  # noqa: E402
 from tifsem.query import evaluate, parse_query  # noqa: E402
 from tifsem.serialize import from_ntriples, term_to_ntriples, to_jsonld, to_ntriples, to_turtle  # noqa: E402
 
+SEED = 1
 COPIES = (1, 4, 16, 64)
 QUERIES = {"example1": fixtures.EXAMPLE1_QUERY, "example2": fixtures.EXAMPLE2_QUERY}
 
@@ -82,9 +83,9 @@ def materialized(g: Graph) -> Graph:
     return g
 
 
-def stages(seed: int, k: int, repeat: int) -> dict:
+def stages(k: int, repeat: int) -> dict:
     """Seconds per stage, sizes and output hashes for k copies."""
-    ios = [io for tile in gen.make_tiles(seed, 0, k) for io in tile.ios]
+    ios = [io for tile in gen.make_tiles(SEED, 0, k) for io in tile.ios]
     seconds: dict[str, float] = {}
     parsed = {}
     for dialect, (emit, profile) in gen.EMITTERS.items():
@@ -126,7 +127,6 @@ def stages(seed: int, k: int, repeat: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out", type=Path)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per stage; the best counts")
     args = parser.parse_args()
     if args.repeat < 1:
@@ -134,7 +134,7 @@ def main() -> int:
 
     sizes = []
     for k in COPIES:
-        sizes.append(stages(args.seed, k, args.repeat))
+        sizes.append(stages(k, args.repeat))
         print(f"k={k}: " + ", ".join(f"{name} {s * 1e3:.1f} ms" for name, s in sizes[-1]["seconds"].items()),
               file=sys.stderr)
     document = {
@@ -145,7 +145,7 @@ def main() -> int:
             "cpu_count": os.cpu_count(),
         },
         "python": f"{platform.python_implementation()} {platform.python_version()}",
-        "seed": args.seed,
+        "seed": SEED,
         "repeat": args.repeat,
         "timer": "time.perf_counter, best of repeat",
         "sizes": sizes,
