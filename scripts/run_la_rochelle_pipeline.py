@@ -6,7 +6,7 @@ to the same canonical graph, materializes the Schema.org alignment, runs the
 two scenario queries, and exports the best-ranked hotel as JSON-LD.
 Exits 1, before materializing, when the v3 and dialect-A graphs differ.
 
-Usage: python scripts/run_la_rochelle_pipeline.py [OUT_DIR] [--seed N]
+Usage: python scripts/run_la_rochelle_pipeline.py [OUT_DIR]
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from tifsem.serialize import save_graph, to_jsonld
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", nargs="?", default="pipeline_out")
-    parser.add_argument("--seed", type=int, default=fixtures.DEFAULT_SEED)
     args = parser.parse_args()
     out = Path(args.out_dir)
 
-    print(f"== generating dataset (seed {args.seed}) -> {out / 'data'}")
-    fixtures.generate(out / "data", args.seed)
+    print(f"== generating dataset (seed {fixtures.DEFAULT_SEED}) -> {out / 'data'}")
+    fixtures.generate(out / "data", fixtures.DEFAULT_SEED)
 
     graphs: dict[str, Graph] = {}
     for dialect, xml_name, profile_name in [

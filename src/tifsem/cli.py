@@ -3,20 +3,25 @@
 Subcommands stage their work through ordinary files (canonical N-Triples for
 graphs, TSV for issue reports) so every intermediate is inspectable and
 diff-able.  Exit codes: 0 success, 1 domain error, 2 usage or I/O error.
+Click reports usage errors itself; every other failure becomes an exit code
+in one place, the ``invoke`` of ``main``'s group class, which prints one
+``error:`` line on stderr.  An error about the text of an input file, its
+encoding included, starts with the file's path.
 """
 
 from __future__ import annotations
 
+import errno
 import re
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, TypeVar
 
 import click
 
 from tifsem import fixtures as fixtures_mod
 from tifsem import mapping, query as query_mod, serialize
-from tifsem.errors import TifsemError
+from tifsem.errors import ExportError, TifsemError
 from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, _insert_io, mint_io_iri
 from tifsem.ingest import (
     IDENTITY_PROFILE,
@@ -28,6 +33,7 @@ from tifsem.ingest import (
 )
 from tifsem.ontology import InformationObject
 
+_T = TypeVar("_T")
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 
@@ -67,45 +73,38 @@ def _output_format(out_path: str, writable: tuple[str, ...]) -> str:
 
 
 def _write_graph(g: Graph, out_path: str, fmt: str) -> None:
+    if fmt == "ttl":
+        Path(out_path).write_text(serialize.to_turtle(g), encoding="utf-8")
+    else:
+        serialize.save_graph(g, out_path)
+
+
+def _read(path: str, parse: Callable[[str], _T]) -> _T:
+    """``parse`` of the UTF-8 text of the input file ``path``.  Text that is
+    not UTF-8 is an I/O error and text ``parse`` refuses a domain error;
+    both messages start with the path."""
     try:
-        if fmt == "ttl":
-            Path(out_path).write_text(serialize.to_turtle(g), encoding="utf-8")
-        else:
-            serialize.save_graph(g, out_path)
-    except OSError as exc:
-        _fail(str(exc), 2)
-
-
-def _fail(message: str, code: int) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        _fail(str(exc), 2)
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(str(exc), 2)
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        _fail(f"{path}: {exc}", 2)
-
-
-def _load_graph(path: str) -> Graph:
-    text = _read_text(path)
-    try:
-        return serialize.from_ntriples(text)
+        raise OSError(f"{path}: {exc}") from None
     except TifsemError as exc:
-        _fail(f"{path}: {exc}", 1)
+        raise TifsemError(f"{path}: {exc}") from None
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        """Run the subcommand; the one place a failure becomes an exit code:
+        1 for bad input, 2 for a file that cannot be read or written."""
+        try:
+            return super().invoke(ctx)
+        except (TifsemError, OSError) as exc:
+            if isinstance(exc, OSError) and exc.errno == errno.EPIPE:
+                raise  # a closed stdout: click exits 1 without a message
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, OSError) else 1)
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="tifsem")
 def main() -> None:
     """Turn TourInFrance XML dialects into a Schema.org-aligned graph."""
@@ -120,23 +119,15 @@ def _parse_and_validate(
     Returns the IOs free of error issues, in input order, and every issue in
     report order, document by document.
     """
-    profile = IDENTITY_PROFILE
-    if profile_path is not None:
-        try:
-            profile = load_profile(_read_text(profile_path))
-        except TifsemError as exc:
-            _fail(str(exc), 1)
-    documents = [RawDocument(source_uri=path, data=_read_bytes(path)) for path in inputs]
+    profile = IDENTITY_PROFILE if profile_path is None else _read(profile_path, load_profile)
+    documents = [RawDocument(source_uri=path, data=Path(path).read_bytes()) for path in inputs]
     clean: list[InformationObject] = []
     issues: list[ValidationIssue] = []
-    try:
-        for doc in documents:
-            ios, parse_issues = parse_tif(doc, profile)
-            issues.extend(parse_issues)
-            blocked = {i.io_id for i in parse_issues if i.severity == "error"}
-            clean.extend(io for io in ios if io.id not in blocked)
-    except TifsemError as exc:
-        _fail(str(exc), 1)
+    for doc in documents:
+        ios, parse_issues = parse_tif(doc, profile)
+        issues.extend(parse_issues)
+        blocked = {i.io_id for i in parse_issues if i.severity == "error"}
+        clean.extend(io for io in ios if io.id not in blocked)
     return clean, issues
 
 
@@ -159,10 +150,7 @@ def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
 
     issues_file = Path(issues_path) if issues_path else Path(out_path).with_suffix(".issues.tsv")
     _write_graph(g, out_path, fmt)
-    try:
-        issues_file.write_text(format_issues(issues), encoding="utf-8")
-    except OSError as exc:
-        _fail(str(exc), 2)
+    issues_file.write_text(format_issues(issues), encoding="utf-8")
 
     errors = sum(1 for i in issues if i.severity == "error")
     click.echo(f"ingested {len(inputs)} file(s): {len(g)} triples, "
@@ -181,13 +169,10 @@ def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str) -> Non
 
     The graph is Turtle when OUT ends in .ttl, else N-Triples."""
     fmt = _output_format(out_path, _GRAPH_FORMATS)
-    g = _load_graph(graph_path)
+    g = _read(graph_path, serialize.from_ntriples)
     rules = mapping.builtin_rules()
     for path in rules_paths:
-        try:
-            rules.extend(mapping.load_rules(_read_text(path)))
-        except TifsemError as exc:
-            _fail(f"{path}: {exc}", 1)
+        rules.extend(_read(path, mapping.load_rules))
     rules = list(dict.fromkeys(rules))
 
     report = mapping.materialize(g, rules)
@@ -204,12 +189,8 @@ def map_cmd(graph_path: str, rules_paths: tuple[str, ...], out_path: str) -> Non
 @click.option("--format", "fmt", type=click.Choice(["table", "csv"]), default="table", show_default=True)
 def query_cmd(graph_path: str, query_path: str, fmt: str) -> None:
     """Evaluate a query file against a graph file."""
-    g = _load_graph(graph_path)
-    try:
-        q = query_mod.parse_query(_read_text(query_path))
-        table = query_mod.evaluate(q, g)
-    except TifsemError as exc:
-        _fail(str(exc), 1)
+    g = _read(graph_path, serialize.from_ntriples)
+    table = query_mod.evaluate(_read(query_path, query_mod.parse_query), g)
     rendered = query_mod.to_csv(table) if fmt == "csv" else query_mod.to_text_table(table)
     click.echo(rendered, nl=False)
 
@@ -221,15 +202,12 @@ def query_cmd(graph_path: str, query_path: str, fmt: str) -> None:
 def export(graph_path: str, root_iri: str, out_path: str) -> None:
     """Export one subject and its blank-node closure as JSON-LD."""
     _output_format(out_path, ("jsonld",))
-    g = _load_graph(graph_path)
+    g = _read(graph_path, serialize.from_ntriples)
     try:
-        document = serialize.to_jsonld(g, IRI(root_iri))
-    except (TifsemError, ValueError) as exc:
-        _fail(str(exc), 1)
-    try:
-        Path(out_path).write_text(document.to_text(), encoding="utf-8")
-    except OSError as exc:
-        _fail(str(exc), 2)
+        root = IRI(root_iri)
+    except ValueError as exc:  # bad input, not a usage error: exit 1
+        raise ExportError(str(exc)) from None
+    Path(out_path).write_text(serialize.to_jsonld(g, root).to_text(), encoding="utf-8")
     click.echo(f"wrote {out_path}")
 
 
@@ -254,11 +232,7 @@ def fixtures() -> None:
 @click.option("--seed", default=fixtures_mod.DEFAULT_SEED, show_default=True, type=int)
 def generate(out_dir: str, seed: int) -> None:
     """Write the deterministic La Rochelle dataset, profiles and queries."""
-    try:
-        paths = fixtures_mod.generate(out_dir, seed)
-    except OSError as exc:
-        _fail(str(exc), 2)
-    for path in paths:
+    for path in fixtures_mod.generate(out_dir, seed):
         click.echo(str(path))
 
 

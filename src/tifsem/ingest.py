@@ -92,6 +92,9 @@ class DialectProfile:
     tag_renames: dict[str, str] = field(default_factory=dict)
     dropped_tags: frozenset[str] = field(default_factory=frozenset)
     extension_namespace: Optional[str] = None
+    # The length of the longest renamed or dropped key: no longer prefix of
+    # a tag path can be a key.
+    _key_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
@@ -106,11 +109,14 @@ class DialectProfile:
         if namespace is not None and (
                 not isinstance(namespace, str) or "://" not in namespace or _IRI_FORBIDDEN_RE.search(namespace)):
             raise ProfileError(f"profile {self.name!r}: extension_namespace must be an IRI prefix with '://'")
-        object.__setattr__(self, "dropped_tags", frozenset(self.dropped_tags))
-        overlap = set(self.tag_renames) & self.dropped_tags
-        if overlap:
-            raise ProfileError(f"profile {self.name!r}: tags both renamed and dropped: {sorted(overlap)}")
-        for raw, target in self.tag_renames.items():
+        dropped = frozenset(dropped)
+        object.__setattr__(self, "dropped_tags", dropped)
+        object.__setattr__(self, "_key_len", max(map(len, [*renames, *dropped]), default=0))
+        under_dropped = tuple(tag + "/" for tag in dropped)
+        for raw, target in renames.items():
+            if raw in dropped or raw.startswith(under_dropped):  # the drop would always win
+                raise ProfileError(f"profile {self.name!r}: {raw!r} is renamed but dropped, "
+                                   f"itself or under a dropped prefix")
             spec = _SNAPSHOT.field_spec(target)
             if spec is not None and spec.type is FieldType.GEOPOINT:
                 raise ProfileError(
@@ -131,6 +137,8 @@ def load_profile(text: str) -> DialectProfile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProfileError(f"profile is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProfileError("profile document is nested too deeply") from None
     if not isinstance(data, dict):
         raise ProfileError("profile document must be a JSON object")
     unknown = set(data) - {"name", "tag_renames", "dropped_tags", "extension_namespace"}
@@ -202,20 +210,21 @@ def _placement(raw_path: str, profile: DialectProfile):
     first of the exact rename, the composition under the longest renamed
     proper prefix and the path itself that names a field XML text can fill,
     so not a geopoint.  An extension leaf's kind is its first segment's, or
-    that of the segment's rename."""
-    segs = raw_path.split("/")
-    prefixes = ["/".join(segs[:i]) for i in range(1, len(segs))]
-    if raw_path in profile.dropped_tags or not profile.dropped_tags.isdisjoint(prefixes):
+    that of the segment's rename.  Only the proper prefixes no longer than
+    the profile's longest key are joined, longest first, so a deep path
+    costs no more than that key allows."""
+    if raw_path in profile.dropped_tags:
         return None
     renames = profile.tag_renames
-    candidates = [renames.get(raw_path)]
-    for i in range(len(prefixes), 0, -1):  # the longest renamed prefix decides
-        target = renames.get(prefixes[i - 1])
-        if target is not None:
-            candidates.append("/".join([target, *segs[i:]]))
-            break
-    candidates.append(raw_path)
-    for canonical in candidates:
+    segs = raw_path.split("/")
+    composed = None
+    for i in range(raw_path.count("/", 0, profile._key_len + 1), 0, -1):
+        prefix = "/".join(segs[:i])
+        if prefix in profile.dropped_tags:
+            return None
+        if composed is None and prefix in renames:  # the longest renamed prefix decides
+            composed = "/".join([renames[prefix], *segs[i:]])
+    for canonical in (renames.get(raw_path), composed, raw_path):
         spec = _SNAPSHOT.field_spec(canonical) if canonical is not None else None
         if spec is not None and spec.type is not FieldType.GEOPOINT:
             return _SNAPSHOT.kind_for_tag(canonical.partition("/")[0]), canonical, spec

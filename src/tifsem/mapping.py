@@ -121,6 +121,8 @@ def load_rules(document: str) -> list[MappingRule]:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise RuleError(f"rules document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise RuleError("rules document is nested too deeply") from None
     if not isinstance(data, list):
         raise RuleError("rules document must be a JSON array")
 
@@ -133,6 +135,8 @@ def load_rules(document: str) -> list[MappingRule]:
             relation = Relation(entry["relation"])
         except ValueError:
             raise RuleError(f"rule #{index}: unknown relation {entry['relation']!r}")
+        if not (isinstance(entry["source"], str) and isinstance(entry["target"], str)):
+            raise RuleError(f"rule #{index}: source and target must be strings")
         rule = MappingRule(_expand(entry["source"]), _expand(entry["target"]), relation)
         problem = _check_rule_kinds(rule)
         if problem:

@@ -769,19 +769,20 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
         early.append(late.pop(0))
 
     seed: dict[str, Term] = {}
-    for f in list(early):
-        folded = _folded(f)
-        if folded is not None:
-            early.remove(f)
-            name, constant = folded
-            if seed.setdefault(name, constant) != constant:
-                return []  # ?v = c and ?v = d for two different terms
+    for folded in filter(None, map(_folded, early)):
+        name, constant = folded
+        if seed.setdefault(name, constant) != constant:
+            return []  # ?v = c and ?v = d for two different terms
+    early = [f for f in early if _folded(f) is None]
 
     def spend(bound: set[str]) -> list[FilterExpr]:
         """The early filters whose variables are all bound, removed from
-        ``early``."""
-        ready = [f for f in early if _filter_vars(f) <= bound]
-        early[:] = [f for f in early if f not in ready]
+        ``early``.  Filters are told apart by position, never compared:
+        ``==`` on two deep filter trees recurses through both."""
+        ready, waiting = [], []
+        for f in early:
+            (ready if _filter_vars(f) <= bound else waiting).append(f)
+        early[:] = waiting
         return ready
 
     def passing(rows: Iterable[dict[str, Term]], filters: list[FilterExpr]) -> list[dict[str, Term]]:

@@ -304,7 +304,10 @@ class JsonLdDocument:
         return {"@context": dict(self.context), **self.body}
 
     def to_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        try:
+            return json.dumps(self.to_json(), indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        except RecursionError:
+            raise ExportError("JSON-LD document nested too deeply to write") from None
 
 
 def _literal_json(term: Literal):
@@ -374,7 +377,10 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
             return {"@id": f"_:{obj.label}"}
         return node_object(obj)
 
-    body = node_object(root)
+    try:
+        body = node_object(root)
+    except RecursionError:
+        raise ExportError(f"root {root.value}: blank nodes nested too deeply to export") from None
     return JsonLdDocument(context=DEFAULT_PREFIXES, body=body)
 
 

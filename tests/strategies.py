@@ -329,6 +329,15 @@ MISTYPED_PROFILES = [
     '{"dropped_tags": [["a"]]}',
     '{"extension_namespace": "urn:tif:"}',
 ]
+# Rule documents whose source or target is not a string.
+MISTYPED_RULES = [
+    '[{"source": 5, "target": "schema:Thing", "relation": "SubClassOf"}]',
+    '[{"source": "tifsem:Multimedia", "target": ["schema:MediaObject"], "relation": "EquivalentClass"}]',
+    '[{"source": null, "target": "schema:MediaObject", "relation": "EquivalentClass"}]',
+    '[{"source": "tifsem:Multimedia", "target": {"x": 1}, "relation": "EquivalentClass"}]',
+]
+# Deeper than the JSON decoder can recurse.
+DEEP_JSON = "[" * 100_000
 _json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["", "x", "Interne", "Contacts", "urn:tif:", "http://e/ext#", "http://e/a b#"]),

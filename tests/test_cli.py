@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import blank_closure, expand_jsonld, structural_form
-from strategies import MISTYPED_PROFILES, hostile_text, mistyped_profiles, tif_documents
+from strategies import DEEP_JSON, MISTYPED_PROFILES, MISTYPED_RULES, hostile_text, mistyped_profiles, tif_documents
 from tifsem import fixtures
 from tifsem.cli import main
 from tifsem.graph import Graph, IRI, assert_io, mint_io_iri
@@ -221,14 +221,21 @@ class TestMap:
         assert "inferred 0 triple(s)" in result.output
         assert (workspace / "m1.nt").read_bytes() == (workspace / "m2.nt").read_bytes()
 
-    def test_bad_rules_file_exits_1(self, runner, workspace, tmp_path):
-        data = workspace / "data"
-        run(runner, "ingest", data / "la_rochelle_v3.xml", "--out", workspace / "g.nt")
+    @pytest.mark.parametrize("text", [
+        '[{"source": "tifsem:Nope", "target": "schema:Thing", "relation": "SubClassOf"}]',
+        *MISTYPED_RULES,
+        pytest.param(DEEP_JSON, id="deep-json"),
+    ])
+    def test_bad_rules_file_exits_1(self, runner, tmp_path, text):
+        graph = tmp_path / "g.nt"
+        graph.write_text('<http://e/s> <http://e/p> "x" .\n', encoding="utf-8")
         rules = tmp_path / "rules.json"
-        rules.write_text('[{"source": "tifsem:Nope", "target": "schema:Thing", "relation": "SubClassOf"}]')
-        result = run(runner, "map", "--graph", workspace / "g.nt",
-                     "--rules", rules, "--out", workspace / "m.nt")
+        rules.write_text(text, encoding="utf-8")
+        result = run(runner, "map", "--graph", graph, "--rules", rules, "--out", tmp_path / "m.nt")
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {rules}: ") and result.stdout == ""
+        assert not (tmp_path / "m.nt").exists()
 
     def test_surrogate_escape_exits_1(self, runner, tmp_path):
         graph = tmp_path / "g.nt"
@@ -280,7 +287,7 @@ class TestQuery:
         bad.write_text("SELECT WHERE { }")
         result = run(runner, "query", "--graph", workspace / "g.nt", "--query", bad)
         assert result.exit_code == 1
-        assert "offset" in result.output
+        assert result.stderr.startswith(f"error: {bad}: at offset ")
 
     @pytest.mark.parametrize("escape", ["\\U00110000", "\\u12", "\\uDFFF"])
     def test_bad_string_escape_exits_1(self, runner, tmp_path, escape):
@@ -343,6 +350,19 @@ class TestExport:
                      "--root", "http://example.org/tifsem/io/NOPE", "--out", workspace / "x.jsonld")
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("length", [500, 5000])
+    def test_deep_blank_node_chain_exits_1(self, runner, tmp_path, length):
+        lines = ["<http://e/root> <http://e/p> _:b0 ."]
+        lines += [f"_:b{i} <http://e/p> _:b{i + 1} ." for i in range(length - 1)]
+        lines.append(f'_:b{length - 1} <http://e/p> "end" .')
+        graph = tmp_path / "chain.nt"
+        graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run(runner, "export", "--graph", graph, "--root", "http://e/root", "--out", tmp_path / "x.jsonld")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and "nested too deeply" in result.stderr
+        assert not (tmp_path / "x.jsonld").exists()
+
 
 class TestValidate:
     def test_clean_fixture_exits_0(self, runner, workspace):
@@ -389,7 +409,7 @@ class TestUnreadableEncoding:
 
 class TestMistypedProfile:
     @pytest.mark.parametrize("command", ["ingest", "validate"])
-    @pytest.mark.parametrize("text", MISTYPED_PROFILES)
+    @pytest.mark.parametrize("text", [*MISTYPED_PROFILES, pytest.param(DEEP_JSON, id="deep-json")])
     def test_mistyped_profile_exits_1_with_error_line(self, runner, tmp_path, data_dir, command, text):
         (tmp_path / "profile.json").write_text(text, encoding="utf-8")
         args = [command, data_dir / "fixture_dialect_b.xml", "--profile", tmp_path / "profile.json"]
@@ -398,7 +418,7 @@ class TestMistypedProfile:
         result = run(runner, *args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith("error: ") and result.stdout == ""
+        assert result.stderr.startswith(f"error: {tmp_path / 'profile.json'}: ") and result.stdout == ""
         assert not (tmp_path / "g.nt").exists()
 
 
@@ -530,8 +550,9 @@ _VALID = {
 
 def _files(kind: str) -> st.SearchStrategy:
     """A file's bytes: missing (None), empty, not UTF-8, hostile, valid, or
-    valid with hostile text after it; a profile may also be mistyped, and
-    XML may declare an encoding the parser cannot read."""
+    valid with hostile text after it; a profile or rules document may also
+    be mistyped or nested too deeply to decode, and XML may declare an
+    encoding the parser cannot read."""
     hostile = hostile_text.map(lambda text: text.encode("utf-8", "surrogatepass"))
     valid = st.just(_VALID[kind])
     choices = [
@@ -545,6 +566,10 @@ def _files(kind: str) -> st.SearchStrategy:
     ]
     if kind == "profile":  # a JSON object whose values have the wrong types
         choices.append(mistyped_profiles.map(str.encode))
+    if kind == "rules":  # a rule whose source or target is not a string
+        choices.append(st.sampled_from(MISTYPED_RULES).map(str.encode))
+    if kind in ("profile", "rules"):
+        choices.append(st.just(DEEP_JSON.encode()))
     if kind == "xml":  # a declaration naming an encoding the parser cannot read
         choices.append(st.sampled_from(["bogus", "shift_jis", "euc-jp", "big5", "utf-32"]).map(
             lambda name: _VALID["xml"].replace(b"encoding='utf-8'", f"encoding='{name}'".encode(), 1)))

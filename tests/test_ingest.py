@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -131,28 +132,19 @@ class TestResolutionBranches:
         assert issues == []
         assert normalize_tag("Coordonnees", profile).disposition is TagDisposition.EXTENSION
 
-    def test_drop_of_a_prefix_beats_exact_rename(self):
-        profile = DialectProfile(
-            name="p", tag_renames={"Interne/Note": "Contacts/Phone"}, dropped_tags=frozenset({"Interne"}))
-        data = b"<TIF><Resource>" + IDENTIFIED + b"<Interne><Note>1</Note></Interne></Resource></TIF>"
-        ios, issues = parse_tif(doc_bytes(data), profile)
-        assert list(ios[0].granules) == [GranuleKind.DUBLIN_CORE] and ios[0].extensions == []
-        assert issues == []
-        assert normalize_tag("Interne/Note", profile).disposition is TagDisposition.DROPPED
-
 
 class TestProfile:
     def test_rename_to_nonexistent_path_rejected(self):
         with pytest.raises(ProfileError):
             DialectProfile(name="bad", tag_renames={"X": "Geolocation/Nowhere"})
 
-    def test_rename_and_drop_overlap_rejected(self):
-        with pytest.raises(ProfileError):
-            DialectProfile(
-                name="bad",
-                tag_renames={"X": "Geolocation/City"},
-                dropped_tags=frozenset({"X"}),
-            )
+    @pytest.mark.parametrize("renames, dropped", [
+        pytest.param({"X": "Geolocation/City"}, {"X"}, id="same-tag"),
+        pytest.param({"Interne/Note": "Contacts/Phone"}, {"Interne"}, id="under-dropped-prefix"),
+    ])
+    def test_rename_and_drop_overlap_rejected(self, renames, dropped):
+        with pytest.raises(ProfileError, match="dropped"):
+            DialectProfile(name="bad", tag_renames=renames, dropped_tags=frozenset(dropped))
 
     def test_geopoint_target_rejected(self):
         with pytest.raises(ProfileError):
@@ -171,6 +163,10 @@ class TestProfile:
     def test_mistyped_profile_json_rejected(self, text):
         with pytest.raises(ProfileError):
             load_profile(text)
+
+    def test_deeply_nested_profile_rejected(self):
+        with pytest.raises(ProfileError, match="nested too deeply"):
+            load_profile(own.DEEP_JSON)
 
     @pytest.mark.parametrize("fields", [
         {"name": 5},
@@ -192,6 +188,20 @@ class TestParseTif:
     def test_empty_document(self):
         ios, issues = parse_tif(doc_bytes(b"<TIF/>"))
         assert ios == [] and issues == []
+
+    def test_deep_leaf_joins_only_prefixes_that_can_be_keys(self):
+        # All the prefixes of this leaf's 20,000-segment path take about 400 MB together.
+        depth = 20_000
+        data = (b"<TIF><Resource>" + IDENTIFIED + b"<a>" * depth + b"1" + b"</a>" * depth
+                + b"</Resource></TIF>")
+        tracemalloc.start()
+        try:
+            ios, issues = parse_tif(doc_bytes(data), fixtures.profile_dialect_b())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(io.extensions) for io in ios] == [1] and issues == []
+        assert peak < 50_000_000
 
     def test_malformed_xml_reports_position(self):
         with pytest.raises(XmlParseError) as err:

@@ -124,6 +124,15 @@ class TestLoadRules:
         with pytest.raises(RuleError):
             load_rules(f"[{entry}, {entry}]")
 
+    @pytest.mark.parametrize("doc", own.MISTYPED_RULES)
+    def test_non_string_source_or_target_rejected(self, doc):
+        with pytest.raises(RuleError, match="^rule #0: source and target must be strings$"):
+            load_rules(doc)
+
+    def test_deeply_nested_document_rejected(self):
+        with pytest.raises(RuleError, match="nested too deeply"):
+            load_rules(own.DEEP_JSON)
+
     def test_class_property_mix_rejected(self):
         doc = '[{"source": "tifsem:Multimedia", "target": "schema:address", "relation": "EquivalentClass"}]'
         with pytest.raises(RuleError):

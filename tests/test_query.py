@@ -520,6 +520,14 @@ class TestPlanner:
             "SELECT ?x WHERE { ?x a ?t FILTER(?t = <http://e/Hotel>) FILTER(<http://e/Bar> = ?t) }", places)
         assert rows == expected == []
 
+    def test_deep_filters_differing_only_innermost_are_told_apart(self, places):
+        # Comparing two such filters with ``==`` recurses 600 levels through both.
+        deep = "!" * 600
+        q = parse_query(f"SELECT ?x WHERE {{ ?x <http://e/rank> ?r "
+                        f"FILTER({deep}?r != 1) FILTER({deep}?r != 2) }}")
+        assert sorted(row[0].value for row in evaluate(q, places).rows) == [
+            "http://e/n0", "http://e/n3", "http://e/n4", "http://e/n5"]
+
     @pytest.mark.parametrize("text", [
         'SELECT ?x WHERE { ?x ?p ?o FILTER(?p = "rank") }',
         'SELECT ?x WHERE { ?x a ?t FILTER(?x = "n0") }',

@@ -504,6 +504,15 @@ class TestJsonLd:
         with pytest.raises(ExportError):
             to_jsonld(Graph(), IRI("http://e/missing"))
 
+    def test_deep_document_is_an_export_error_in_to_text(self):
+        body: dict = {"@id": "http://e/root"}
+        inner = body
+        for _ in range(5000):
+            inner["http://e/p"] = {}
+            inner = inner["http://e/p"]
+        with pytest.raises(ExportError, match="nested too deeply"):
+            serialize.JsonLdDocument(context=serialize.DEFAULT_PREFIXES, body=body).to_text()
+
     def test_bare_root_has_id_and_type_only(self):
         root = IRI("http://e/io/1")
         g = Graph([Triple(root, IRI(RDF_TYPE), IRI(IO_CLASS))])
