@@ -169,36 +169,36 @@ def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], li
     """One preorder traversal of a resource: (path, text, repeat) for each
     non-empty leaf, repeat being the index of its top-level element among
     same-tag siblings, and a warning for every plain (un-namespaced)
-    attribute on it or below it."""
+    attribute on it or below it.  A path is joined only for a leaf or a
+    warning, from the tags above the element, so the walk is linear in depth."""
     leaves: list[tuple[str, str, int]] = []
     warnings: list[tuple[str, str, str]] = []
-
-    def check_attributes(element: ET.Element, path: str) -> None:
-        warnings.extend(
-            ("warning", f"{path}/@{name}", "attribute ignored: not part of the tag vocabulary")
-            for name in element.attrib
-            if not name.startswith("{")
-        )
-
-    check_attributes(resource, resource.tag)
+    segments: list[str] = []
     tag_counts: dict[str, int] = {}
-    stack: list[tuple[ET.Element, str, int]] = []
+    stack: list[tuple[ET.Element, int, int]] = []
     for top in resource:
         repeat = tag_counts.get(top.tag, 0)
         tag_counts[top.tag] = repeat + 1
-        stack.append((top, top.tag, repeat))
-    stack.reverse()
+        stack.append((top, 1, repeat))
+    stack = [*reversed(stack), (resource, 0, 0)]  # the resource first, then its elements in order
     while stack:
-        element, path, repeat = stack.pop()
-        check_attributes(element, f"{resource.tag}/{path}")
+        element, depth, repeat = stack.pop()
+        del segments[depth:]
+        segments.append(element.tag)
+        names = [name for name in element.attrib if not name.startswith("{")] if element.attrib else ()
+        if names:
+            path = "/".join(segments)
+            warnings.extend(("warning", f"{path}/@{name}", "attribute ignored: not part of the tag vocabulary")
+                            for name in names)
+        if depth == 0:  # the resource itself: its children are stacked already
+            continue
         children = list(element)
         if not children:
             text = (element.text or "").strip()
             if text:
-                leaves.append((path, text, repeat))
+                leaves.append(("/".join(segments[1:]), text, repeat))
             continue
-        for child in reversed(children):
-            stack.append((child, f"{path}/{child.tag}", repeat))
+        stack.extend((child, depth + 1, repeat) for child in reversed(children))
     return leaves, warnings
 
 

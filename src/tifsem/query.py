@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
 import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from operator import attrgetter, eq, ge, gt, le, lt, ne
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
@@ -207,7 +208,6 @@ def _unquote(raw: str, pos: int) -> str:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.prefixes: dict[str, str] = {}
@@ -494,10 +494,8 @@ class _Parser:
 
 
 def _filter_vars(expr: FilterExpr) -> set[str]:
-    if isinstance(expr, Compare):
-        return {t.name for t in (expr.left, expr.right) if isinstance(t, Var)}
-    if isinstance(expr, DistanceWithin):
-        return {t.name for t in (expr.point_a, expr.point_b) if isinstance(t, Var)}
+    if isinstance(expr, (Compare, DistanceWithin)):
+        return {t.name for t in vars(expr).values() if isinstance(t, Var)}
     if isinstance(expr, (And, Or)):
         return set().union(*(_filter_vars(i) for i in expr.items))
     if isinstance(expr, Not):
@@ -611,26 +609,33 @@ def _coordinate(subject, prop: IRI, g: Graph) -> Optional[Decimal]:
     return min(values) if values else None
 
 
-def _eval_filter(expr: FilterExpr, row: dict[str, Term], point: PointOf) -> bool:
-    if isinstance(expr, And):
-        return all(_eval_filter(i, row, point) for i in expr.items)
-    if isinstance(expr, Or):
-        return any(_eval_filter(i, row, point) for i in expr.items)
+Row = dict[str, Term]
+
+
+def _compile(expr: FilterExpr, point: PointOf) -> Callable[[Row], bool]:
+    """A filter as a test of one row, built once per query.  The tests look
+    up ``geo_distance`` by name at each call, so a rebinding reaches them."""
+    if isinstance(expr, (And, Or)):
+        tests, combine = [_compile(i, point) for i in expr.items], all if isinstance(expr, And) else any
+        return lambda row: combine(test(row) for test in tests)
     if isinstance(expr, Not):
-        return not _eval_filter(expr.inner, row, point)
+        inner = _compile(expr.inner, point)
+        return lambda row: not inner(row)
     if isinstance(expr, Compare):
-        return _compare_terms(_operand(expr.left, row), expr.op, _operand(expr.right, row))
+        left, op, right = _operand(expr.left), expr.op, _operand(expr.right)
+        constants = [t for t in (expr.left, expr.right) if not isinstance(t, Var)]
+        if op in ("=", "!=") and any(_numeric(t) is None for t in constants):  # term (in)equality, no number
+            return lambda row: _COMPARE[op](left(row), right(row))
+        return lambda row: _compare_terms(left(row), op, right(row))
     if isinstance(expr, DistanceWithin):
-        pa = point(_operand(expr.point_a, row))
-        pb = point(_operand(expr.point_b, row))
-        if pa is None or pb is None:
-            return False
-        return geo_distance(pa, pb) < expr.threshold
+        a, b, threshold = _operand(expr.point_a), _operand(expr.point_b), expr.threshold
+        return lambda row: ((pa := point(a(row))) is not None and (pb := point(b(row))) is not None
+                            and geo_distance(pa, pb) < threshold)
     raise TypeError(f"not a filter expression: {expr!r}")
 
 
-def _operand(term: Operand, row: dict[str, Term]) -> Term:
-    return row[term.name] if isinstance(term, Var) else term
+def _operand(term: Operand) -> Callable[[Row], Term]:
+    return itemgetter(term.name) if isinstance(term, Var) else lambda row: term
 
 
 def _can_raise(expr: FilterExpr) -> bool:
@@ -750,7 +755,7 @@ def _folded(expr: FilterExpr) -> Optional[tuple[str, Term]]:
     return None
 
 
-def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
+def _solve(q: Query, g: Graph, point: PointOf) -> list[Row]:
     """The solutions of the patterns that pass every filter.
 
     Each component of the patterns (see ``_components``) is joined once in
@@ -768,27 +773,25 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
     while late and not _can_raise(late[0]) and _filter_vars(late[0]) <= pattern_vars:
         early.append(late.pop(0))
 
-    seed: dict[str, Term] = {}
-    for folded in filter(None, map(_folded, early)):
-        name, constant = folded
+    seed: Row = {}
+    for name, constant in filter(None, map(_folded, early)):
         if seed.setdefault(name, constant) != constant:
             return []  # ?v = c and ?v = d for two different terms
-    early = [f for f in early if _folded(f) is None]
+    early = [(f, _filter_vars(f), _compile(f, point)) for f in early if _folded(f) is None]
 
-    def spend(bound: set[str]) -> list[FilterExpr]:
-        """The early filters whose variables are all bound, removed from
-        ``early``.  Filters are told apart by position, never compared:
-        ``==`` on two deep filter trees recurses through both."""
-        ready, waiting = [], []
-        for f in early:
-            (ready if _filter_vars(f) <= bound else waiting).append(f)
-        early[:] = waiting
+    def spend(bound: set[str]) -> list[tuple[FilterExpr, Callable[[Row], bool]]]:
+        """The early filters whose variables are all bound, with their tests,
+        removed from ``early``.  Filters are told apart by position, never
+        compared: ``==`` on two deep filter trees recurses through both."""
+        ready = [(f, test) for f, needs, test in early if needs <= bound]
+        early[:] = [entry for entry in early if not entry[1] <= bound]
         return ready
 
-    def passing(rows: Iterable[dict[str, Term]], filters: list[FilterExpr]) -> list[dict[str, Term]]:
-        if not filters:
-            return list(rows)
-        return [r for r in rows if all(_eval_filter(f, r, point) for f in filters)]
+    def passing(rows: Iterable[Row], filters: list[tuple[FilterExpr, Callable[[Row], bool]]]) -> list[Row]:
+        tests = [test for _, test in filters]
+        if len(tests) == 1:
+            return list(filter(tests[0], rows))
+        return [r for r in rows if all(test(r) for test in tests)] if tests else list(rows)
 
     solutions, bound = passing([{}], spend(set())), set()
     for component in _components(q.patterns):
@@ -804,21 +807,21 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[dict[str, Term]]:
                 return []
         bound |= component_bound
         ready = spend(bound)
-        pairs = _cross(solutions, rows, ready, point)
-        solutions = passing(({**a, **b} for a, b in pairs), ready)
-    return passing(solutions, late)
+        solutions = passing(_cross(solutions, rows, [f for f, _ in ready], point), ready)
+    return passing(solutions, [(f, _compile(f, point)) for f in late])
 
 
-def _cross(
-    left: list[dict[str, Term]], right: list[dict[str, Term]], ready: list[FilterExpr], point: PointOf,
-) -> Iterator[tuple[dict[str, Term], dict[str, Term]]]:
-    """The pairs of rows to try when crossing two non-empty row lists.
+def _cross(left: list[Row], right: list[Row], ready: list[FilterExpr], point: PointOf) -> Iterator[Row]:
+    """The merged pairs of rows to try when crossing two non-empty row lists.
 
-    When a ready ``DistanceWithin`` links a variable of each side, only
-    pairs whose latitudes lie within the threshold are tried: a
-    great-circle distance is at least the radius times the latitude
-    difference.  The window is widened for float rounding, and the exact
-    filter still decides.
+    When a ready ``DistanceWithin`` links a variable of each side, only the
+    pairs in a box around each left point are tried, and the exact filter
+    decides (filter and refine; docs/queries.md derives the box).  With
+    ``θ`` the threshold as an angle and ``reach = |φ| + θ``, latitudes differ
+    by at most ``θ`` and longitudes, the short way round, by at most
+    ``2·asin(sin(θ/2) / cos(reach))``, or by any amount when ``reach`` is
+    90° or more or the argument of ``asin`` is 1 or more.  Both bounds are
+    widened for float rounding.
     """
     links = [
         (f.threshold, a.name, b.name)
@@ -827,25 +830,25 @@ def _cross(
         if isinstance(a, Var) and isinstance(b, Var) and a.name in left[0] and b.name in right[0]
     ]
     if not links:
-        for x in left:
-            for y in right:
-                yield x, y
+        yield from ({**x, **y} for x in left for y in right)
         return
 
     threshold, a, b = links[0]
     half = math.degrees(threshold / EARTH_RADIUS_M) * (1 + 1e-9) + 1e-9
-    by_latitude = sorted(
-        ((p.latitude, i) for i, row in enumerate(right) if (p := point(row[b])) is not None),
-        key=lambda pair: pair[0],
-    )
-    latitudes = [lat for lat, _ in by_latitude]
+    boxed = sorted((p.latitude, p.longitude, i, row) for i, row in enumerate(right)
+                   if (p := point(row[b])) is not None)
     for x in left:
         p = point(x[a])
         if p is not None:
-            lo = bisect.bisect_left(latitudes, p.latitude - half)
-            hi = bisect.bisect_right(latitudes, p.latitude + half)
-            for _, i in by_latitude[lo:hi]:
-                yield x, right[i]
+            reach = math.radians(abs(p.latitude) + half)
+            ratio = math.sin(math.radians(half) / 2) / math.cos(reach) if reach < math.pi / 2 else 1.0
+            span = math.degrees(2 * math.asin(ratio)) * (1 + 1e-9) + 1e-9 if ratio < 1 else 180.0
+            lo = bisect.bisect_left(boxed, p.latitude - half, key=itemgetter(0))
+            hi = bisect.bisect_right(boxed, p.latitude + half, key=itemgetter(0))
+            for _, longitude, _, y in boxed[lo:hi]:
+                d = abs(longitude - p.longitude)
+                if d <= span or 360 - d <= span:
+                    yield {**x, **y}
 
 
 def _sort_rows(
@@ -881,12 +884,7 @@ def evaluate(q: Query, g: Graph) -> SolutionTable:
     order is always deterministic.  Each node's coordinates are resolved
     once per call.
     """
-    points: dict[Term, Optional[GeoPoint]] = {}
-
-    def point(term: Term) -> Optional[GeoPoint]:
-        if term not in points:
-            points[term] = resolve_point(term, g)
-        return points[term]
+    point = functools.cache(lambda term: resolve_point(term, g))
 
     solutions = _solve(q, g, point)
 

@@ -83,7 +83,9 @@ _XSD_DECIMAL = XSD_NS + "decimal"
 def random_case(rng: random.Random, max_triples: int = 200) -> tuple[Graph, Query]:
     """One seeded (graph, query) pair: <= ``max_triples`` triples, 1..3
     patterns, at most one filter.  Numeric comparisons only ever see numeric
-    bindings; distance filters only ever see coordinate-bearing nodes."""
+    bindings; distance filters only ever see coordinate-bearing nodes.  The
+    places lie around La Rochelle, across the antimeridian, or within 1
+    degree of a pole, with distance thresholds that reach across."""
     g = Graph()
     subjects = [IRI(f"http://g/s{i}") for i in range(12)]
     plain_preds = [IRI(f"http://g/p{i}") for i in range(4)]
@@ -93,10 +95,16 @@ def random_case(rng: random.Random, max_triples: int = 200) -> tuple[Graph, Quer
     words = ["alpha", "beta", "gamma", "delta"]
 
     place_nodes = [IRI(f"http://g/place{i}") for i in range(rng.randint(0, 5))]
+    region = rng.choice(["la-rochelle", "antimeridian", "pole"])
     for node in place_nodes:
         g.insert(Triple(node, rdf_type, place_type))
-        lat = Decimal(f"{46 + rng.uniform(-0.02, 0.02):.5f}")
-        lon = Decimal(f"{-1 + rng.uniform(-0.02, 0.02):.5f}")
+        if region == "la-rochelle":
+            lat, lon = 46 + rng.uniform(-0.02, 0.02), -1 + rng.uniform(-0.02, 0.02)
+        elif region == "antimeridian":
+            lat, lon = -30 + rng.uniform(-0.02, 0.02), (rng.uniform(179.98, 180.02) + 180) % 360 - 180
+        else:
+            lat, lon = rng.choice([1, -1]) * rng.uniform(89, 90), rng.uniform(-180, 180)
+        lat, lon = Decimal(f"{lat:.5f}"), Decimal(f"{lon:.5f}")
         g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(str(lat), _XSD_DECIMAL)))
         g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal(str(lon), _XSD_DECIMAL)))
 
@@ -131,7 +139,8 @@ def random_case(rng: random.Random, max_triples: int = 200) -> tuple[Graph, Quer
             TriplePattern(Var("v0"), rdf_type, place_type),
             TriplePattern(Var("v1"), rdf_type, place_type),
         ]
-        filters.append(DistanceWithin(Var("v0"), Var("v1"), rng.choice([200.0, 900.0, 2500.0])))
+        filters.append(DistanceWithin(Var("v0"), Var("v1"), rng.choice(
+            [200.0, 900.0, 2500.0] if region != "pole" else [2500.0, 60_000.0, 150_000.0])))
     elif roll < 0.5 and ordered:
         patterns = patterns_from_graph(rng.randint(1, 2))
         patterns.append(TriplePattern(rng.choice(var_pool[:2]), num_pred, Var("v2")))
@@ -190,14 +199,27 @@ _PLAN_NUMERIC_TWINS = _PLAN_TWIN_PAIRS[0]
 _PLAN_LITERALS = [Literal(str(i), _XSD_INTEGER) for i in (0, 2, 3)] + [Literal("y")] + list(_PLAN_TWINS)
 
 
+# Where a planner case's places lie: the (latitude, longitude) lexical forms
+# for two draws in 0..20.  Besides La Rochelle, places straddle the
+# antimeridian or lie within 1 degree of either pole, where the box window
+# of the crossing is hardest to get right.
+_PLAN_PLACES = [
+    lambda i, j: (f"46.{i:03d}", f"-1.{j:03d}"),
+    lambda i, j: (f"-12.{i:03d}", f"{179.99 + j / 1000:.3f}" if j <= 10 else f"{-180 + (j - 10) / 1000:.3f}"),
+    lambda i, j: (f"{89 + i / 20:.2f}", str(18 * j - 180)),
+    lambda i, j: (f"{-90 + i / 20:.2f}", str(18 * j - 180)),
+]
+
+
 @st.composite
 def planner_cases(draw) -> tuple[Graph, Query]:
     g = Graph()
+    place = draw(st.sampled_from(_PLAN_PLACES))
     for node in _PLAN_NODES:
         if draw(st.booleans()):
-            lat, lon = draw(st.integers(0, 20)), draw(st.integers(0, 20))
-            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(f"46.{lat:03d}", _XSD_DECIMAL)))
-            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal(f"-1.{lon:03d}", _XSD_DECIMAL)))
+            lat, lon = place(draw(st.integers(0, 20)), draw(st.integers(0, 20)))
+            g.insert(Triple(node, IRI(LATITUDE_PROP), Literal(lat, _XSD_DECIMAL)))
+            g.insert(Triple(node, IRI(LONGITUDE_PROP), Literal(lon, _XSD_DECIMAL)))
     for s, p, o in draw(st.lists(st.tuples(st.sampled_from(_PLAN_NODES), st.sampled_from(_PLAN_PREDICATES),
                                            st.sampled_from(_PLAN_NODES + _PLAN_LITERALS)), min_size=1, max_size=12)):
         g.insert(Triple(s, p, o))
@@ -262,7 +284,8 @@ def planner_cases(draw) -> tuple[Graph, Query]:
         twin_equalities,
         st.builds(Not, equalities),
         st.builds(lambda a, b: Or((a, b)), equalities, equalities),
-        st.builds(DistanceWithin, variables, variables, st.sampled_from([50.0, 150.0, 1000.0, 3000.0])),
+        st.builds(DistanceWithin, variables, variables,
+                  st.sampled_from([50.0, 150.0, 1000.0, 3000.0, 60_000.0, 250_000.0])),
     ), max_size=3))
     projection = draw(st.lists(variables, min_size=1, max_size=len(bound), unique=True))
     return g, Query(projection=projection, patterns=patterns, filters=filters)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import timeit
 import tracemalloc
+import xml.etree.ElementTree as ET
 from decimal import Decimal
 
 import pytest
@@ -17,6 +19,7 @@ from tifsem.ingest import (
     IDENTITY_PROFILE,
     RawDocument,
     TagDisposition,
+    _walk_resource,
     format_issues,
     load_profile,
     normalize_tag,
@@ -202,6 +205,20 @@ class TestParseTif:
             tracemalloc.stop()
         assert [len(io.extensions) for io in ios] == [1] and issues == []
         assert peak < 50_000_000
+
+    def test_walk_is_linear_in_depth(self):
+        # Building each element's full tag path costs the square of the
+        # depth: with 10-character tags, depth 40,000 then takes about 30
+        # times as long as depth 5,000, where a linear walk takes 8 times.
+        def chain(depth: int) -> ET.Element:
+            return ET.fromstring("<Resource>" + "<Descriptor>" * depth + "1" + "</Descriptor>" * depth + "</Resource>")
+
+        def seconds(resource: ET.Element) -> float:
+            return min(timeit.repeat(lambda: _walk_resource(resource), number=1, repeat=5))
+
+        shallow, deep = chain(5_000), chain(40_000)
+        assert _walk_resource(deep) == ([("/".join(["Descriptor"] * 40_000), "1", 0)], [])
+        assert seconds(deep) / seconds(shallow) < 20
 
     def test_malformed_xml_reports_position(self):
         with pytest.raises(XmlParseError) as err:

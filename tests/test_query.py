@@ -448,6 +448,76 @@ class TestPlanner:
         assert len(evaluate(parse_query(text.format(math.nextafter(distance, math.inf))), g).rows) == 1
         assert evaluate(parse_query(text.format(distance)), g).rows == []
 
+    # Box window edge cases: each point is (name, class, latitude, longitude),
+    # a coordinate of None is not stated, and the rows must be the oracle's
+    # in both orders of the two components.
+    _PAIR = "SELECT ?a ?b WHERE {{ {0} . {1} FILTER(geo:distance(?a, ?b) < {2!r}) }}"
+
+    @staticmethod
+    def _box_rows(points, threshold: float) -> list:
+        decimal, g = XSD_NS + "decimal", Graph()
+        for name, cls, lat, lon in points:
+            node = IRI(f"http://e/{name}")
+            g.insert(Triple(node, IRI(RDF_TYPE), IRI(f"http://e/{cls}")))
+            for prop, value in ((LATITUDE_PROP, lat), (LONGITUDE_PROP, lon)):
+                if value is not None:
+                    g.insert(Triple(node, IRI(prop), value if isinstance(value, Literal) else Literal(value, decimal)))
+        results = []
+        for first, second in itertools.permutations(["?a a <http://e/A>", "?b a <http://e/B>"]):
+            q = parse_query(TestPlanner._PAIR.format(first, second, threshold))
+            rows = evaluate(q, g).rows
+            assert rows == brute_force_evaluate(q, list(g))
+            results.append([(a.value[9:], b.value[9:]) for a, b in rows])
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_box_window_keeps_pairs_just_inside_in_longitude(self):
+        # Same latitude, so only the longitude difference decides; the
+        # oracle's haversine gives the same float for this pair.
+        points = [("a", "A", "60.0", "0.0"), ("b", "B", "60.0", "0.0072")]
+        distance = geo_distance(GeoPoint(60.0, 0.0), GeoPoint(60.0, 0.0072))
+        assert distance == haversine_reference(60.0, 0.0, 60.0, 0.0072)
+        assert self._box_rows(points, math.nextafter(distance, math.inf)) == [("a", "b")]
+        assert self._box_rows(points, distance) == []
+
+    def test_box_window_crosses_the_antimeridian(self):
+        # 0.001 degrees apart the short way round, 359.999 the long way.
+        points = [("a", "A", "10.0", "179.9995"), ("b", "B", "10.0", "-179.9995"), ("c", "B", "10.0", "0.0")]
+        assert self._box_rows(points, 200.0) == [("a", "b")]
+
+    def test_box_window_falls_back_near_a_pole(self):
+        # 89.9995 plus the 200 m half-window reaches past 90 degrees, so
+        # every longitude is tried; the pairs meet across the pole.
+        points = [("a", "A", "89.9995", "0.0"), ("b", "B", "89.9995", "180.0"), ("c", "B", "89.9995", "90.0"),
+                  ("d", "B", "-89.9995", "0.0")]
+        assert self._box_rows(points, 200.0) == [("a", "b"), ("a", "c")]
+
+    def test_box_window_just_below_the_fallback(self):
+        # For a at 89.9865 and 1000 m, reach stays under 90 degrees and the
+        # asin argument is about 0.998, so the longitude bound is about 172
+        # degrees.  b1, 41.7 degrees round, is 998.6 m away; b2, 42 degrees
+        # round, is 1004.5 m away; b3, 180 degrees round, lies outside the box.
+        half = math.degrees(1000.0 / query.EARTH_RADIUS_M)
+        reach = math.radians(89.9865 + half)
+        assert reach < math.pi / 2 and 0.99 < math.sin(math.radians(half) / 2) / math.cos(reach) < 1
+        points = [("a", "A", "89.9865", "0.0"), ("b1", "B", "89.98993", "41.7"), ("b2", "B", "89.98993", "42.0"),
+                  ("b3", "B", "89.9865", "180.0")]
+        assert self._box_rows(points, 1000.0) == [("a", "b1")]
+
+    @pytest.mark.parametrize("bad", [None, Literal("NaN", XSD_NS + "double")], ids=["missing", "nan"])
+    def test_box_window_skips_nodes_without_a_latitude(self, bad):
+        points = [("a", "A", "46.1", "-1.1"), ("a2", "A", bad, "-1.1"), ("b", "B", "46.1001", "-1.1"),
+                  ("b2", "B", bad, "-1.1")]
+        assert self._box_rows(points, 500.0) == [("a", "b")]
+
+    @pytest.mark.parametrize("op, join", [("=", "||"), ("!=", "&&")])
+    def test_flat_20000_term_filter_evaluates(self, places, op, join):
+        terms = [f"?r {op} {i + 10}" for i in range(19_999)] + [f"?r {op} 3"]
+        rows, expected = self._rows_and_oracle(
+            f"SELECT ?x WHERE {{ ?x <http://e/rank> ?r FILTER({f' {join} '.join(terms)}) }}", places)
+        names = ["n3"] if join == "||" else ["n0", "n1", "n2", "n4", "n5"]
+        assert rows == expected == [(IRI(f"http://e/{n}"),) for n in names]
+
     def test_false_equality_after_raising_filter_still_raises(self, places):
         q = Query(
             projection=[Var("x")],
