@@ -32,7 +32,6 @@ from tifsem.mapping import (
     check_consistency,
     load_rules,
     materialize,
-    target_classes,
 )
 from tifsem.ontology import (
     ConceptDescriptor,
@@ -98,7 +97,6 @@ __all__ = [
     "normalize_tag",
     "parse_query",
     "parse_tif",
-    "target_classes",
     "to_jsonld",
     "to_ntriples",
     "to_turtle",

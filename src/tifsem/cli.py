@@ -120,7 +120,7 @@ def _parse_and_validate(
     report order, document by document.
     """
     profile = IDENTITY_PROFILE if profile_path is None else _read(profile_path, load_profile)
-    documents = [RawDocument(source_uri=path, data=Path(path).read_bytes()) for path in inputs]
+    documents = [RawDocument.from_path(path) for path in inputs]
     clean: list[InformationObject] = []
     issues: list[ValidationIssue] = []
     for doc in documents:

@@ -25,10 +25,6 @@ class ProfileError(TifsemError):
     tag to a path that does not exist in the granule schema."""
 
 
-class UnknownTermError(TifsemError, KeyError):
-    """Raised when an IRI is not part of the loaded ontology snapshot."""
-
-
 class RuleError(TifsemError):
     """Raised when a mapping rule document fails validation."""
 

@@ -207,9 +207,6 @@ class Graph:
     def triples(self) -> frozenset[Triple]:
         return frozenset(self)
 
-    def copy(self) -> "Graph":
-        return Graph(self)
-
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only if it was not already present."""
         # The subject index decides whether the triple is new.

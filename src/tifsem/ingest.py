@@ -35,6 +35,9 @@ from tifsem.ontology import (
 )
 
 _IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
+# The one date form every supported Python reads alike: 3.11 added basic
+# (20160501) and week (2016-W18-7) forms to date.fromisoformat.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SNAPSHOT = load_core_ontology()
 
 
@@ -62,8 +65,9 @@ class RawDocument:
 
     @classmethod
     def from_path(cls, path: str | Path) -> "RawDocument":
-        p = Path(path)
-        return cls(source_uri=str(p), data=p.read_bytes())
+        """The file's bytes, named by the path as given (``./x.xml`` stays
+        ``./x.xml``)."""
+        return cls(source_uri=str(path), data=Path(path).read_bytes())
 
 
 class TagDisposition(Enum):
@@ -263,6 +267,8 @@ def _coerce(text: str, spec: FieldSpec) -> FieldValue:
             raise ValueError(f"not a decimal: {text!r}")
     elif spec.type is FieldType.DATE:
         try:
+            if not _DATE_RE.fullmatch(text):
+                raise ValueError
             value = datetime.date.fromisoformat(text)
         except ValueError:
             raise ValueError(f"not an ISO date: {text!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from tifsem.errors import RuleError
 from tifsem.graph import Graph, RDF_TYPE, Triple, vocabulary_iri
@@ -26,7 +26,7 @@ from tifsem.ontology import (
     class_of,
     load_core_ontology,
 )
-from tifsem.serialize import DEFAULT_PREFIXES, _compact
+from tifsem.serialize import DEFAULT_PREFIXES
 
 _SNAPSHOT = load_core_ontology()
 
@@ -79,11 +79,6 @@ def builtin_rules() -> list[MappingRule]:
         MappingRule(geo.predicate("Latitude"), SCHEMA_LATITUDE, Relation.EQUIVALENT_PROPERTY),
         MappingRule(geo.predicate("Longitude"), SCHEMA_LONGITUDE, Relation.EQUIVALENT_PROPERTY),
     ]
-
-
-def target_classes(source: str) -> set[str]:
-    """Schema.org classes a source class maps to under the builtin class-level rules."""
-    return {r.target for r in builtin_rules() if r.source == source and r.relation in _CLASS_RELATIONS}
 
 
 def _expand(name: str) -> str:
@@ -147,15 +142,6 @@ def load_rules(document: str) -> list[MappingRule]:
         seen.add(key)
         rules.append(rule)
     return rules
-
-
-def save_rules(rules: Iterable[MappingRule]) -> str:
-    payload = [
-        {"source": _compact(r.source) or r.source, "target": _compact(r.target) or r.target,
-         "relation": r.relation.value}
-        for r in rules
-    ]
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:

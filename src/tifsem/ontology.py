@@ -20,8 +20,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
-from tifsem.errors import UnknownTermError
-
 TIFSEM_NS = "http://example.org/tifsem/ns#"
 SCHEMA_NS = "https://schema.org/"
 
@@ -58,8 +56,8 @@ class GranuleKind(str, Enum):
     SCHEDULES = "Schedules"
 
 
-# One-line functional description per granule kind, as rendered in concept
-# labels and the generated vocabulary docs.
+# One-line functional description per granule kind, kept as the description
+# of the kind's class in the concept forest.
 GRANULE_DESCRIPTIONS: Mapping[GranuleKind, str] = MappingProxyType({
     GranuleKind.DUBLIN_CORE: "Core descriptive metadata: identifier, title, description, resource type.",
     GranuleKind.UPDATE: "Revision history of the record: when and by whom it last changed.",
@@ -162,7 +160,6 @@ class GranuleSchema:
     """Fields one granule kind admits, plus its canonical tag (the first
     segment of every canonical field path for the kind)."""
 
-    kind: GranuleKind
     tag: str
     fields: Mapping[str, FieldSpec]
 
@@ -173,8 +170,8 @@ class GranuleSchema:
         return TIFSEM_NS + _camel(field_name)
 
 
-def _schema(kind: GranuleKind, tag: str, **fields: FieldSpec) -> GranuleSchema:
-    return GranuleSchema(kind=kind, tag=tag, fields=MappingProxyType(dict(fields)))
+def _schema(tag: str, **fields: FieldSpec) -> GranuleSchema:
+    return GranuleSchema(tag=tag, fields=MappingProxyType(dict(fields)))
 
 
 _T = FieldSpec(FieldType.TEXT)
@@ -186,35 +183,35 @@ _DATE = FieldSpec(FieldType.DATE)
 # singular "Geolocation"; see docs/granule-schema.md.
 GRANULE_SCHEMAS: Mapping[GranuleKind, GranuleSchema] = MappingProxyType({
     GranuleKind.DUBLIN_CORE: _schema(
-        GranuleKind.DUBLIN_CORE, "DublinCore",
+        "DublinCore",
         Identifier=_T, Title=_T, Description=_T, Type=_T, Creator=_T, Date=_DATE,
     ),
     GranuleKind.UPDATE: _schema(
-        GranuleKind.UPDATE, "Update",
+        "Update",
         LastModified=_DATE, UpdatedBy=_T,
     ),
     GranuleKind.MULTIMEDIA: _schema(
-        GranuleKind.MULTIMEDIA, "Multimedia",
+        "Multimedia",
         Url=_T, Kind=_T, Caption=_T,
     ),
     GranuleKind.CONTACTS: _schema(
-        GranuleKind.CONTACTS, "Contacts",
+        "Contacts",
         ContactName=_T, Phone=_T, Email=_T, Website=_T,
     ),
     GranuleKind.LEGAL_INFORMATION: _schema(
-        GranuleKind.LEGAL_INFORMATION, "LegalInformation",
+        "LegalInformation",
         LegalName=_T, Siret=_T, LegalStatus=_T,
     ),
     GranuleKind.CLASSIFICATIONS: _schema(
-        GranuleKind.CLASSIFICATIONS, "Classifications",
+        "Classifications",
         Scheme=_T, RatingValue=_D, Label=_T,
     ),
     GranuleKind.RELATED_SERVICES: _schema(
-        GranuleKind.RELATED_SERVICES, "RelatedServices",
+        "RelatedServices",
         Reference=FieldSpec(FieldType.REF), Relation=_T,
     ),
     GranuleKind.GEOLOCATIONS: _schema(
-        GranuleKind.GEOLOCATIONS, "Geolocation",
+        "Geolocation",
         AddressLine1=_T, AddressLine2=_T, City=_T, PostalCode=_T, Country=_T,
         Latitude=FieldSpec(FieldType.DECIMAL, Decimal(-90), Decimal(90)),
         Longitude=FieldSpec(FieldType.DECIMAL, Decimal(-180), Decimal(180)),
@@ -222,43 +219,43 @@ GRANULE_SCHEMAS: Mapping[GranuleKind, GranuleSchema] = MappingProxyType({
         Environment=_T,
     ),
     GranuleKind.PERIODS: _schema(
-        GranuleKind.PERIODS, "Periods",
+        "Periods",
         Start=_DATE, End=_DATE, Kind=_T,
     ),
     GranuleKind.CUSTOMERS: _schema(
-        GranuleKind.CUSTOMERS, "Customers",
+        "Customers",
         Audience=_T, Profile=_T,
     ),
     GranuleKind.LANGUAGES: _schema(
-        GranuleKind.LANGUAGES, "Languages",
+        "Languages",
         Language=_T,
     ),
     GranuleKind.RESERVATION_MODES: _schema(
-        GranuleKind.RESERVATION_MODES, "ReservationModes",
+        "ReservationModes",
         Required=_T, Contact=_T,
     ),
     GranuleKind.PRICES: _schema(
-        GranuleKind.PRICES, "Prices",
+        "Prices",
         Amount=_D, Currency=_T, PaymentMeans=_T, Service=_T,
     ),
     GranuleKind.CAPACITY: _schema(
-        GranuleKind.CAPACITY, "Capacity",
+        "Capacity",
         Value=_D, Unit=_T,
     ),
     GranuleKind.OFFERS_SERVICES: _schema(
-        GranuleKind.OFFERS_SERVICES, "OffersServices",
+        "OffersServices",
         Service=_T, Nearby=_T,
     ),
     GranuleKind.ADDITIONAL_DESCRIPTION: _schema(
-        GranuleKind.ADDITIONAL_DESCRIPTION, "AdditionalDescription",
+        "AdditionalDescription",
         Text=_T,
     ),
     GranuleKind.ITINERARIES: _schema(
-        GranuleKind.ITINERARIES, "Itineraries",
+        "Itineraries",
         Activity=_T, Length=_D,
     ),
     GranuleKind.SCHEDULES: _schema(
-        GranuleKind.SCHEDULES, "Schedules",
+        "Schedules",
         Status=_T, Detail=_T,
     ),
 })
@@ -291,17 +288,11 @@ class InformationObject:
     granules: dict[GranuleKind, list[Granule]] = field(default_factory=dict)
     extensions: list[tuple[str, str]] = field(default_factory=list)
 
-    def first(self, kind: GranuleKind) -> Optional[Granule]:
-        instances = self.granules.get(kind)
-        return instances[0] if instances else None
-
 
 @dataclass(frozen=True)
 class ConceptDescriptor:
-    """One class in the concept forest."""
+    """One class in the concept forest, filed under its IRI."""
 
-    iri: str
-    label: str
     parent: Optional[str]
     description: str = ""
 
@@ -357,22 +348,6 @@ class OntologySnapshot:
     _paths: Mapping[str, tuple[GranuleKind, str]] = field(repr=False, default_factory=dict)
     _tags: Mapping[str, GranuleKind] = field(repr=False, default_factory=dict)
 
-    def is_subclass(self, a: str, b: str) -> bool:
-        """Reflexive-transitive subclass test over parent links."""
-        if a not in self.concepts:
-            raise UnknownTermError(f"unknown concept IRI: {a}")
-        if b not in self.concepts:
-            raise UnknownTermError(f"unknown concept IRI: {b}")
-        node: Optional[str] = a
-        while node is not None:
-            if node == b:
-                return True
-            node = self.concepts[node].parent
-        return False
-
-    def tifsem_classes(self) -> frozenset[str]:
-        return frozenset(i for i in self.concepts if i.startswith(TIFSEM_NS))
-
     def kind_for_tag(self, tag: str) -> Optional[GranuleKind]:
         return self._tags.get(tag)
 
@@ -401,27 +376,18 @@ def load_core_ontology() -> OntologySnapshot:
     """
     concepts: dict[str, ConceptDescriptor] = {
         IO_CLASS: ConceptDescriptor(
-            iri=IO_CLASS,
-            label="InformationObject",
             parent=None,
             description="A modular, reusable description of one tourism resource.",
         )
     }
     for kind in GranuleKind:
-        iri = class_of(kind)
-        concepts[iri] = ConceptDescriptor(
-            iri=iri,
-            label=kind.value,
+        concepts[class_of(kind)] = ConceptDescriptor(
             parent=IO_CLASS,
             description=GRANULE_DESCRIPTIONS[kind],
         )
     for name, parent in _SCHEMA_TREE:
-        iri = SCHEMA_NS + name
-        concepts[iri] = ConceptDescriptor(
-            iri=iri,
-            label=name,
+        concepts[SCHEMA_NS + name] = ConceptDescriptor(
             parent=None if parent is None else SCHEMA_NS + parent,
-            description="",
         )
 
     properties = {HAS_GRANULE, SCHEMA_ADDRESS, SCHEMA_LATITUDE, SCHEMA_LONGITUDE}

@@ -37,6 +37,6 @@ def la_rochelle_graph(la_rochelle_ios) -> Graph:
 
 @pytest.fixture(scope="session")
 def materialized_graph(la_rochelle_graph) -> Graph:
-    g = la_rochelle_graph.copy()
+    g = Graph(la_rochelle_graph)
     materialize(g)
     return g

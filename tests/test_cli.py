@@ -16,7 +16,7 @@ from tifsem import fixtures
 from tifsem.cli import main
 from tifsem.graph import Graph, IRI, assert_io, mint_io_iri
 from tifsem.ingest import RawDocument, parse_tif, save_profile
-from tifsem.mapping import builtin_rules, materialize, save_rules
+from tifsem.mapping import builtin_rules, materialize
 from tifsem.query import evaluate, parse_query, to_csv
 from tifsem.serialize import from_ntriples, to_ntriples
 
@@ -541,7 +541,11 @@ for _io in _SAMPLE_IOS:
 _SAMPLE_ROOT = mint_io_iri("http://example.org/tifsem", _SAMPLE_IOS[0].id).value
 _VALID = {
     "profile": save_profile(fixtures.profile_dialect_a()).encode(),
-    "rules": save_rules(builtin_rules()[:3]).encode(),
+    "rules": (json.dumps([
+        {"source": "tifsem:Multimedia", "target": "schema:MediaObject", "relation": "EquivalentClass"},
+        {"source": "tifsem:Classifications", "target": "schema:Rating", "relation": "EquivalentClass"},
+        {"source": "tifsem:Contacts", "target": "schema:ContactPoint", "relation": "EquivalentClass"},
+    ], indent=2) + "\n").encode(),
     "query": fixtures.EXAMPLE2_QUERY.encode(),
     "graph": to_ntriples(_SAMPLE_GRAPH).encode(),
     "xml": fixtures.emit_v3(_SAMPLE_IOS).encode(),

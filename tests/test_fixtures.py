@@ -11,7 +11,7 @@ class TestDataset:
     def test_sizes(self, la_rochelle_ios):
         kinds = {}
         for io in la_rochelle_ios:
-            kind = io.first(GranuleKind.DUBLIN_CORE).fields["DublinCore/Type"]
+            kind = io.granules[GranuleKind.DUBLIN_CORE][0].fields["DublinCore/Type"]
             kinds.setdefault(kind, []).append(io)
         assert len(kinds["hotel"]) >= 5
         amenities = sum(len(v) for k, v in kinds.items() if k != "hotel")
@@ -36,9 +36,9 @@ class TestDataset:
 
     def test_rural_events_exist(self, la_rochelle_ios):
         audiences = [
-            io.first(GranuleKind.CUSTOMERS).fields["Customers/Audience"]
+            io.granules[GranuleKind.CUSTOMERS][0].fields["Customers/Audience"]
             for io in la_rochelle_ios
-            if io.first(GranuleKind.CUSTOMERS) is not None
+            if GranuleKind.CUSTOMERS in io.granules
         ]
         assert audiences.count("rural") == 3
 

@@ -175,6 +175,17 @@ class TestGraph:
         assert g.insert(t) is False
         assert len(g) == 1
 
+    def test_graph_of_a_graph_is_independent(self):
+        s, p = IRI("http://e/s"), IRI("http://e/p")
+        first, second, third = (Triple(s, p, Literal(v)) for v in "abc")
+        g = Graph([first])
+        copied = Graph(g)
+        # the second object under (s, p) turns a one-triple entry into a set
+        assert copied.insert(second) and g.insert(third)
+        assert g.triples == {first, third} and copied.triples == {first, second}
+        assert set(g.match(s, p)) == {first, third} and g.scan_size(s, p) == 2
+        assert set(copied.match(predicate=p)) == {first, second}
+
     def test_match_empty_graph(self):
         assert list(Graph().match()) == []
 
@@ -255,9 +266,9 @@ class TestGraphAgainstSetModel:
             assert (Triple(s, p, o) in g) == (Triple(s, p, o) in model)
         assert "not a triple" not in g
 
-        assert g == Graph(reversed(inserts)) and g == g.copy()
+        assert g == Graph(reversed(inserts)) and g == Graph(g)
         extra = Triple(IRI("http://m/new"), _MODEL_PREDICATES[0], Literal("v"))
-        copied = g.copy()
+        copied = Graph(g)
         copied.insert(extra)
         assert copied != g and len(g) == len(model)
         if model:  # same size, one triple swapped

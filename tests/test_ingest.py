@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import datetime
 import timeit
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -122,7 +123,7 @@ class TestResolutionBranches:
         data = b"<TIF><Resource>" + IDENTIFIED + b"<GeoLoc><Position>1</Position></GeoLoc></Resource></TIF>"
         profile = fixtures.profile_dialect_b()
         ios, issues = parse_tif(doc_bytes(data), profile)
-        assert ios[0].first(GranuleKind.GEOLOCATIONS).fields == {fixtures.EXTENSION_NS + "GeoLoc/Position": "1"}
+        assert ios[0].granules[GranuleKind.GEOLOCATIONS][0].fields == {fixtures.EXTENSION_NS + "GeoLoc/Position": "1"}
         assert issues == []
         assert normalize_tag("GeoLoc/Position", profile).disposition is TagDisposition.EXTENSION
 
@@ -131,7 +132,7 @@ class TestResolutionBranches:
         profile = DialectProfile(name="p", tag_renames={"Coordonnees": "Contacts"}, extension_namespace=ns)
         data = b"<TIF><Resource>" + IDENTIFIED + b"<Coordonnees>x</Coordonnees></Resource></TIF>"
         ios, issues = parse_tif(doc_bytes(data), profile)
-        assert ios[0].first(GranuleKind.CONTACTS).fields == {ns + "Coordonnees": "x"}
+        assert ios[0].granules[GranuleKind.CONTACTS][0].fields == {ns + "Coordonnees": "x"}
         assert issues == []
         assert normalize_tag("Coordonnees", profile).disposition is TagDisposition.EXTENSION
 
@@ -240,7 +241,7 @@ class TestParseTif:
         assert len(ios) == 1
         io = ios[0]
         assert io.id == "HOT-042"
-        geo = io.first(GranuleKind.GEOLOCATIONS)
+        geo = io.granules[GranuleKind.GEOLOCATIONS][0]
         assert geo.fields["Geolocation/AddressLine1"] == "3 rue des Augustins"
         assert geo.fields["Geolocation/City"] == "La Rochelle"
         assert geo.fields["Geolocation/Latitude"] == Decimal("46.1585")
@@ -321,8 +322,8 @@ class TestParseTif:
                 b"<Mystery>one</Mystery><Mystery>two</Mystery></Resource></TIF>")
         ios, issues = parse_tif(doc_bytes(data), fixtures.profile_dialect_b())
         skype, mystery = fixtures.EXTENSION_NS + "Contacts/Skype", fixtures.EXTENSION_NS + "Mystery"
-        assert ios[0].first(GranuleKind.GEOLOCATIONS).fields == {"Geolocation/City": "Niort"}
-        assert ios[0].first(GranuleKind.CONTACTS).fields == {skype: "first"}
+        assert ios[0].granules[GranuleKind.GEOLOCATIONS][0].fields == {"Geolocation/City": "Niort"}
+        assert ios[0].granules[GranuleKind.CONTACTS][0].fields == {skype: "first"}
         assert ios[0].extensions == [(mystery, "one"), (mystery, "two")]
         assert [(i.severity, i.field_path, i.message) for i in issues] == [
             ("warning", "Geolocation/City", "duplicate field from tag 'Geolocation/City'; first value kept"),
@@ -386,6 +387,19 @@ class TestParseTif:
         a, _ = parse_tif(doc_bytes(b"<TIF><Resource><Tarifs><Montant>NaN</Montant></Tarifs></Resource></TIF>"),
                          fixtures.profile_dialect_a())
         assert v3[0].id == a[0].id
+
+    @pytest.mark.parametrize("text", ["20160501", "2016-W18-7", "\uff12016-05-01", "2016-02-30"])
+    def test_dates_are_read_only_in_the_yyyy_mm_dd_form(self, text):
+        periods = f"<Periods><Start>{text}</Start></Periods>".encode()
+        data = b"<TIF><Resource>" + IDENTIFIED + periods + b"</Resource></TIF>"
+        _, issues = parse_tif(doc_bytes(data))
+        assert [(i.severity, i.field_path, i.message) for i in issues] == [
+            ("error", "Periods/Start", f"not an ISO date: {text!r}"),
+        ]
+        data = data.replace(text.encode(), b"2016-05-01")
+        assert parse_tif(doc_bytes(data))[0][0].granules[GranuleKind.PERIODS][0].fields == {
+            "Periods/Start": datetime.date(2016, 5, 1),
+        }
 
     def test_duplicate_identifiers_flagged(self):
         data = (

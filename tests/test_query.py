@@ -243,10 +243,10 @@ class TestGeoDistance:
 def expected_ranking(ios, threshold: float = 1000.0):
     """Hotel ranking computed straight from the fixture objects."""
     def kind_of(io):
-        return io.first(GranuleKind.DUBLIN_CORE).fields["DublinCore/Type"]
+        return io.granules[GranuleKind.DUBLIN_CORE][0].fields["DublinCore/Type"]
 
     def position(io):
-        return io.first(GranuleKind.GEOLOCATIONS).fields["Geolocation/Position"]
+        return io.granules[GranuleKind.GEOLOCATIONS][0].fields["Geolocation/Position"]
 
     hotels = [io for io in ios if kind_of(io) == "hotel"]
     amenities = [io for io in ios if kind_of(io) != "hotel"]
@@ -302,8 +302,8 @@ class TestEvaluate:
         expected_events = {
             mint_io_iri("http://example.org/tifsem", io.id).value
             for io in la_rochelle_ios
-            if io.first(GranuleKind.CUSTOMERS) is not None
-            and io.first(GranuleKind.CUSTOMERS).fields["Customers/Audience"] == "rural"
+            if GranuleKind.CUSTOMERS in io.granules
+            and io.granules[GranuleKind.CUSTOMERS][0].fields["Customers/Audience"] == "rural"
         }
         assert {row[0].value for row in table.rows} == expected_events
         assert all(row[1] == Literal("rural") for row in table.rows)

@@ -456,7 +456,7 @@ class TestTurtle:
 
     def test_round_trip_via_ntriples_detour(self, la_rochelle_graph):
         # with class declarations, whose predicates and objects are rdfs: names
-        g = la_rochelle_graph.copy()
+        g = Graph(la_rochelle_graph)
         g.insert(Triple(IRI(IO_CLASS), IRI(RDF_TYPE), IRI(RDFS_NS + "Class")))
         g.insert(Triple(IRI(IO_CLASS), IRI(RDFS_NS + "subClassOf"), IRI(SCHEMA_NS + "Thing")))
         g.insert(Triple(IRI(IO_CLASS), IRI(RDFS_NS + "label"), Literal("Information object")))

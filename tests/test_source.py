@@ -60,3 +60,10 @@ def test_imports_inside_functions_are_found():
 def test_runtime_needs_only_the_standard_library_and_click(path):
     allowed = sys.stdlib_module_names | {"click", "tifsem"}
     assert imported_packages(path.read_text(encoding="utf-8")) - allowed == set()
+
+
+def test_every_exported_name_exists_once():
+    import tifsem
+
+    assert [name for name in tifsem.__all__ if not hasattr(tifsem, name)] == []
+    assert len(set(tifsem.__all__)) == len(tifsem.__all__)
