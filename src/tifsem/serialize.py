@@ -8,9 +8,10 @@ plus its blank-node closure, with Schema.org types compacted for crawlers.
 
 from __future__ import annotations
 
-import json
+import functools
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -258,6 +259,10 @@ def from_ntriples(text: str) -> Graph:
 _PN_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*$")
 
 
+# Cached across calls, since every export asks about the same few
+# vocabulary IRIs; Turtle shares the cache.  The bound keeps a graph with
+# millions of distinct IRIs from growing it without limit.
+@functools.lru_cache(maxsize=4096)
 def _compact(iri: str) -> Optional[str]:
     """The prefixed name of ``iri`` under the longest matching namespace in
     `DEFAULT_PREFIXES`, or None when no local part is a valid name."""
@@ -293,6 +298,22 @@ def to_turtle(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, ensure_ascii=False,
+    sort_keys=True)`` writes it, for a tree of strings, lists and dicts with
+    string keys, the only values an export holds; ``indent`` is the line
+    break and indentation of the value's own line."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
+
+
 @dataclass
 class JsonLdDocument:
     """A compacted JSON-LD document: context plus a node-object tree."""
@@ -305,9 +326,20 @@ class JsonLdDocument:
 
     def to_text(self) -> str:
         try:
-            return json.dumps(self.to_json(), indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+            return _json_text(self.to_json()) + "\n"
         except RecursionError:
             raise ExportError("JSON-LD document nested too deeply to write") from None
+
+
+def _stated(iri: str) -> str:
+    """``iri`` written as itself, which a JSON-LD reader takes back as the
+    same IRI only when it has a ``:`` and the part before the first one is
+    neither ``_`` (a blank node identifier) nor a `DEFAULT_PREFIXES` key (a
+    compact IRI).  Raises ExportError naming ``iri`` otherwise."""
+    prefix, colon, _ = iri.partition(":")
+    if not colon or prefix == "_" or prefix in DEFAULT_PREFIXES:
+        raise ExportError(f"IRI {iri} would read back from JSON-LD as another term")
+    return iri
 
 
 def _literal_json(term: Literal):
@@ -315,8 +347,11 @@ def _literal_json(term: Literal):
         return {"@value": term.lexical, "@language": term.language}
     if term.datatype == XSD_STRING:
         return term.lexical
-    dt = _compact(term.datatype) or term.datatype
-    return {"@value": term.lexical, "@type": dt}
+    return {"@value": term.lexical, "@type": _compact(term.datatype) or _stated(term.datatype)}
+
+
+def _by_predicate_object(t: Triple) -> tuple[str, str]:
+    return term_to_ntriples(t.predicate), term_to_ntriples(t.object)
 
 
 def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
@@ -326,23 +361,31 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     node reachable from it through object positions.  Blank nodes referenced
     more than once (or cyclically) keep an explicit ``@id``; others are
     inlined anonymously.
-    """
-    if not any(True for _ in g.match(subject=root)):
-        raise ExportError(f"root {root.value} is not a subject in the graph")
 
-    # Blank-node closure reachability and per-node reference counts.
-    seen: set[Term] = {root}
+    Keys, ``@type`` values and datatypes are prefixed names where
+    `DEFAULT_PREFIXES` allows, and every other IRI is written as itself.
+    An export raises ExportError on an IRI that would then read back as
+    another term: one with no ``:``, or whose text before the first ``:``
+    is ``_`` or a `DEFAULT_PREFIXES` key, such as ``<_:x>`` or
+    ``<tifsem:name>``.
+    """
+    # The closure, each node with its triples in (predicate, object) form
+    # order, and the number of references to each blank node.
+    closure: dict[Term, list[Triple]] = {root: []}
     refs: dict[BlankNode, int] = {}
     queue: list[Term] = [root]
     while queue:
         node = queue.pop()
-        for t in g.match(subject=node):
+        closure[node] = triples = sorted(g.match(subject=node), key=_by_predicate_object)
+        for t in triples:
             obj = t.object
             if isinstance(obj, BlankNode):
                 refs[obj] = refs.get(obj, 0) + 1
-                if obj not in seen:
-                    seen.add(obj)
+                if obj not in closure:
+                    closure[obj] = []
                     queue.append(obj)
+    if not closure[root]:
+        raise ExportError(f"root {root.value} is not a subject in the graph")
 
     emitted: set[Term] = set()
 
@@ -350,17 +393,16 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
         emitted.add(subject)
         out: dict = {}
         if isinstance(subject, IRI):
-            out["@id"] = subject.value
+            out["@id"] = _stated(subject.value)
         elif refs.get(subject, 0) > 1:
             out["@id"] = f"_:{subject.label}"
         types = []
         props: dict[str, list] = {}
-        for t in sorted(g.match(subject=subject),
-                        key=lambda t: (term_to_ntriples(t.predicate), term_to_ntriples(t.object))):
+        for t in closure[subject]:
             if t.predicate.value == RDF_TYPE and isinstance(t.object, IRI):
-                types.append(_compact(t.object.value) or t.object.value)
+                types.append(_compact(t.object.value) or _stated(t.object.value))
                 continue
-            key = _compact(t.predicate.value) or t.predicate.value
+            key = _compact(t.predicate.value) or _stated(t.predicate.value)
             props.setdefault(key, []).append(object_json(t.object))
         if types:
             out["@type"] = types[0] if len(types) == 1 else types
@@ -372,7 +414,7 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
         if isinstance(obj, Literal):
             return _literal_json(obj)
         if isinstance(obj, IRI):
-            return {"@id": obj.value}
+            return {"@id": _stated(obj.value)}
         if obj in emitted:  # multi-referenced or cyclic: point at its @id
             return {"@id": f"_:{obj.label}"}
         return node_object(obj)

@@ -363,6 +363,16 @@ class TestExport:
         assert result.stderr.startswith("error: ") and "nested too deeply" in result.stderr
         assert not (tmp_path / "x.jsonld").exists()
 
+    def test_iri_that_reads_back_as_another_exits_1(self, runner, tmp_path):
+        graph = tmp_path / "g.nt"
+        graph.write_text('<http://e/s> <tifsem:name> "x" .\n'
+                         '<http://e/s> <http://example.org/tifsem/ns#name> "y" .\n', encoding="utf-8")
+        result = run(runner, "export", "--graph", graph, "--root", "http://e/s", "--out", tmp_path / "x.jsonld")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: IRI tifsem:name ")
+        assert not (tmp_path / "x.jsonld").exists()
+
 
 class TestValidate:
     def test_clean_fixture_exits_0(self, runner, workspace):

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -558,3 +558,86 @@ class TestJsonLd:
     def test_json_round_trip_is_stable_text(self, materialized_graph):
         root = mint_io_iri("http://example.org/tifsem", "EVT-002")
         assert to_jsonld(materialized_graph, root).to_text() == to_jsonld(materialized_graph, root).to_text()
+
+
+class TestJsonLdRefusedIris:
+    """An IRI written as itself must read back as itself: text with no
+    ``:``, or whose part before the first ``:`` is ``_`` or a prefix of the
+    context, would be read as another IRI or as a blank node."""
+
+    ROOT = IRI("http://e/root")
+    MISREAD = ["tifsem:name", "schema:Place", "_:x", "name"]
+
+    @pytest.mark.parametrize("text", MISREAD)
+    def test_predicate(self, text):
+        g = Graph([Triple(self.ROOT, IRI(text), Literal("x"))])
+        with pytest.raises(ExportError, match=re.escape(text)):
+            to_jsonld(g, self.ROOT)
+
+    @pytest.mark.parametrize("text", MISREAD)
+    def test_id_object(self, text):
+        g = Graph([Triple(self.ROOT, IRI("http://e/p"), IRI(text))])
+        with pytest.raises(ExportError, match=re.escape(text)):
+            to_jsonld(g, self.ROOT)
+
+    @pytest.mark.parametrize("text", MISREAD)
+    def test_type(self, text):
+        g = Graph([Triple(self.ROOT, IRI(RDF_TYPE), IRI(text))])
+        with pytest.raises(ExportError, match=re.escape(text)):
+            to_jsonld(g, self.ROOT)
+
+    @pytest.mark.parametrize("text", MISREAD)
+    def test_literal_datatype(self, text):
+        g = Graph([Triple(self.ROOT, IRI("http://e/p"), Literal("1", text))])
+        with pytest.raises(ExportError, match=re.escape(text)):
+            to_jsonld(g, self.ROOT)
+
+    @pytest.mark.parametrize("text", MISREAD)
+    def test_root(self, text):
+        root = IRI(text)
+        g = Graph([Triple(root, IRI("http://e/p"), Literal("x"))])
+        with pytest.raises(ExportError, match=re.escape(text)):
+            to_jsonld(g, root)
+
+    @pytest.mark.parametrize("text", ["urn:isbn:0451450523", "mailto:a@e", "http://e/x", "rdfs2:x"])
+    def test_other_absolute_iris_read_back(self, text):
+        g = Graph([
+            Triple(self.ROOT, IRI(text), IRI(text)),
+            Triple(self.ROOT, IRI(RDF_TYPE), IRI(text)),
+            Triple(self.ROOT, IRI("http://e/p"), Literal("1", text)),
+        ])
+        expanded = expand_jsonld(to_jsonld(g, self.ROOT).to_json())
+        assert structural_form(expanded, self.ROOT) == structural_form(g.triples, self.ROOT)
+
+
+# Strings that exercise every escape path of the writer: control
+# characters, quotes, backslashes, DEL, non-ASCII and astral characters.
+_JSON_STRINGS = st.text(st.sampled_from('"\\\x00\x01\x1f\x7f\n\r\t\u2028é€😀 a@:') | st.characters(), max_size=8)
+_JSON_TREES = st.recursive(
+    _JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON_TREES)
+    @example({"": [], "\"\\\x00": {}, "é": ["\x1f", {}, []]})
+    @example([])
+    @example({})
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, tree):
+        assert serialize._json_text(tree) == json.dumps(tree, indent=2, ensure_ascii=False, sort_keys=True)
+
+
+class TestCompactCache:
+    def test_bounded_and_equal_to_uncached_answer(self):
+        compact = serialize._compact
+        maxsize = compact.cache_info().maxsize
+        assert maxsize is not None
+        namespaces = (SCHEMA_NS, TIFSEM_NS, XSD_NS, "http://e/")
+        for i in range(10_000):
+            iri = f"{namespaces[i % 4]}n{i}" + ("." if i % 7 == 0 else "")
+            assert compact(iri) == compact.__wrapped__(iri), iri
+            assert compact.cache_info().currsize <= maxsize
+        assert compact(SCHEMA_NS + "Place") == compact(SCHEMA_NS + "Place") == "schema:Place"
