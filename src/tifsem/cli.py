@@ -19,6 +19,7 @@ from typing import Callable, TypeVar
 
 import click
 
+import tifsem
 from tifsem import fixtures as fixtures_mod
 from tifsem import mapping, query as query_mod, serialize
 from tifsem.errors import ExportError, TifsemError
@@ -105,7 +106,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="tifsem")
+@click.version_option(version=tifsem.__version__)
 def main() -> None:
     """Turn TourInFrance XML dialects into a Schema.org-aligned graph."""
 

@@ -25,6 +25,7 @@ from tifsem.ontology import (
     InformationObject,
     IoRef,
     decimal_lexical,
+    expand_geopoints,
 )
 
 DEFAULT_SEED = 17000
@@ -383,15 +384,7 @@ def _value_text(value) -> str:
 
 def _field_items(granule: Granule) -> list[tuple[str, str]]:
     """(canonical path, text value) pairs, geopoints expanded to lat/lon."""
-    items: list[tuple[str, str]] = []
-    for path, value in granule.fields.items():
-        if isinstance(value, GeoPoint):
-            prefix = path.rsplit("/", 1)[0]
-            items.append((f"{prefix}/Latitude", decimal_lexical(value.latitude)))
-            items.append((f"{prefix}/Longitude", decimal_lexical(value.longitude)))
-        else:
-            items.append((path, _value_text(value)))
-    return items
+    return [(path, _value_text(value)) for path, value in expand_geopoints(granule.fields)]
 
 
 _KIND_ORDER = list(GranuleKind)

@@ -31,12 +31,12 @@ from urllib.parse import quote
 from tifsem import ontology
 from tifsem.errors import IoAssertionError
 from tifsem.ontology import (
-    GeoPoint,
     GranuleKind,
     InformationObject,
     IoRef,
     class_of,
     decimal_lexical,
+    expand_geopoints,
     load_core_ontology,
 )
 
@@ -305,13 +305,11 @@ _VOCABULARY: Mapping[str, IRI] = MappingProxyType(
 _RDF_TYPE = _VOCABULARY[RDF_TYPE]
 _IO_CLASS = _VOCABULARY[ontology.IO_CLASS]
 _HAS_GRANULE = _VOCABULARY[ontology.HAS_GRANULE]
-_LATITUDE = _VOCABULARY[ontology.LATITUDE_PROP]
-_LONGITUDE = _VOCABULARY[ontology.LONGITUDE_PROP]
 _GRANULE_CLASSES = {kind: _VOCABULARY[class_of(kind)] for kind in GranuleKind}
 _FIELD_PREDICATES = {
-    path: _VOCABULARY[_SNAPSHOT.predicate_for(path)]
-    for path in _SNAPSHOT.canonical_paths()
-    if _SNAPSHOT.predicate_for(path) in _VOCABULARY  # not the geopoint Position
+    path: _VOCABULARY[predicate]
+    for path, (_, _, predicate) in _SNAPSHOT.fields.items()
+    if predicate is not None  # a geopoint is written as its latitude and longitude
 }
 
 
@@ -380,13 +378,7 @@ def _insert_io(g: Graph, io: InformationObject, base: str) -> int:
             node = granule_node(io.id, kind, ordinal)
             added += g.insert(Triple(io_iri, _HAS_GRANULE, node))
             added += g.insert(Triple(node, _RDF_TYPE, granule_class))
-            for path, value in granule.fields.items():
-                if isinstance(value, GeoPoint):
-                    lat = Literal(decimal_lexical(value.latitude), XSD_DECIMAL)
-                    lon = Literal(decimal_lexical(value.longitude), XSD_DECIMAL)
-                    added += g.insert(Triple(node, _LATITUDE, lat))
-                    added += g.insert(Triple(node, _LONGITUDE, lon))
-                    continue
+            for path, value in expand_geopoints(granule.fields):
                 # an extension field is keyed by its own IRI
                 predicate = _FIELD_PREDICATES.get(path) or IRI(path)
                 added += g.insert(Triple(node, predicate, _field_object(value, base)))

@@ -39,6 +39,7 @@ _IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
 # (20160501) and week (2016-W18-7) forms to date.fromisoformat.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SNAPSHOT = load_core_ontology()
+_NO_FIELD = (None, None, None)  # the field table's answer for a path it lacks
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ class DialectProfile:
             if raw in dropped or raw.startswith(under_dropped):  # the drop would always win
                 raise ProfileError(f"profile {self.name!r}: {raw!r} is renamed but dropped, "
                                    f"itself or under a dropped prefix")
-            spec = _SNAPSHOT.field_spec(target)
-            if spec is not None and spec.type is FieldType.GEOPOINT:
+            _, spec, predicate = _SNAPSHOT.fields.get(target, _NO_FIELD)
+            if spec is not None and predicate is None:
                 raise ProfileError(
                     f"profile {self.name!r}: {target!r} is not ingestable from XML text"
                 )
@@ -212,11 +213,12 @@ def _placement(raw_path: str, profile: DialectProfile):
     or ``None`` for the resource itself; canonical path or extension IRI;
     field spec, or ``None`` for an extension).  The canonical path is the
     first of the exact rename, the composition under the longest renamed
-    proper prefix and the path itself that names a field XML text can fill,
-    so not a geopoint.  An extension leaf's kind is its first segment's, or
-    that of the segment's rename.  Only the proper prefixes no longer than
-    the profile's longest key are joined, longest first, so a deep path
-    costs no more than that key allows."""
+    proper prefix and the path itself that names a field XML text can fill:
+    one with a predicate in the field table, so not a geopoint.  An
+    extension leaf's kind is its first segment's, or that of the segment's
+    rename.  Only the proper prefixes no longer than the profile's longest
+    key are joined, longest first, so a deep path costs no more than that
+    key allows."""
     if raw_path in profile.dropped_tags:
         return None
     renames = profile.tag_renames
@@ -229,9 +231,9 @@ def _placement(raw_path: str, profile: DialectProfile):
         if composed is None and prefix in renames:  # the longest renamed prefix decides
             composed = "/".join([renames[prefix], *segs[i:]])
     for canonical in (renames.get(raw_path), composed, raw_path):
-        spec = _SNAPSHOT.field_spec(canonical) if canonical is not None else None
-        if spec is not None and spec.type is not FieldType.GEOPOINT:
-            return _SNAPSHOT.kind_for_tag(canonical.partition("/")[0]), canonical, spec
+        kind, spec, predicate = _SNAPSHOT.fields.get(canonical, _NO_FIELD)
+        if predicate is not None:
+            return kind, canonical, spec
     if profile.extension_namespace is None:
         return "unrecognized tag; no extension namespace configured"
     ext_iri = profile.extension_namespace + raw_path
@@ -418,8 +420,8 @@ def validate_io(io: InformationObject) -> list[ValidationIssue]:
                     if not isinstance(value, str):
                         error(path, "extension fields must hold text")
                     continue
-                spec = _SNAPSHOT.field_spec(path)
-                if spec is None or _SNAPSHOT.kind_for_tag(path.split("/", 1)[0]) is not kind:
+                owner, spec, _ = _SNAPSHOT.fields.get(path, _NO_FIELD)
+                if owner is not kind:
                     error(path, f"field not in the {kind.value} schema")
                     continue
                 try:

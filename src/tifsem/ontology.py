@@ -18,7 +18,7 @@ from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 TIFSEM_NS = "http://example.org/tifsem/ns#"
 SCHEMA_NS = "https://schema.org/"
@@ -261,6 +261,8 @@ GRANULE_SCHEMAS: Mapping[GranuleKind, GranuleSchema] = MappingProxyType({
 })
 
 IDENTIFIER_PATH = GRANULE_SCHEMAS[GranuleKind.DUBLIN_CORE].path("Identifier")
+_LATITUDE_PATH = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS].path("Latitude")
+_LONGITUDE_PATH = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS].path("Longitude")
 
 
 @dataclass
@@ -273,6 +275,19 @@ class Granule:
 
     kind: GranuleKind
     fields: dict[str, FieldValue] = field(default_factory=dict)
+
+
+def expand_geopoints(fields: Mapping[str, FieldValue]) -> Iterator[tuple[str, FieldValue]]:
+    """A granule's (path, value) pairs, each geopoint given as the
+    ``Geolocation/Latitude`` and ``Geolocation/Longitude`` decimals it stands
+    for.  ``Decimal(repr(x))`` keeps the float's shortest form, the one
+    ``decimal_lexical`` writes for the float itself."""
+    for path, value in fields.items():
+        if isinstance(value, GeoPoint):
+            yield _LATITUDE_PATH, Decimal(repr(value.latitude))
+            yield _LONGITUDE_PATH, Decimal(repr(value.longitude))
+        else:
+            yield path, value
 
 
 @dataclass
@@ -339,31 +354,22 @@ _SCHEMA_TREE: tuple[tuple[str, Optional[str]], ...] = (
 
 @dataclass(frozen=True)
 class OntologySnapshot:
-    """Immutable view of the concept forest, the known properties, and the
-    granule field schemas."""
+    """Immutable view of the concept forest, the known properties, the
+    granule field schemas and the field table.
+
+    ``fields`` maps each canonical field path to its granule kind, its spec
+    and its predicate.  The predicate is ``None`` for a geopoint: XML text
+    cannot fill one and no single triple holds it (``expand_geopoints``
+    gives the fields it stands for)."""
 
     concepts: Mapping[str, ConceptDescriptor]
     properties: frozenset[str]
     granule_schemas: Mapping[GranuleKind, GranuleSchema]
-    _paths: Mapping[str, tuple[GranuleKind, str]] = field(repr=False, default_factory=dict)
+    fields: Mapping[str, tuple[GranuleKind, FieldSpec, Optional[str]]] = field(repr=False)
     _tags: Mapping[str, GranuleKind] = field(repr=False, default_factory=dict)
 
     def kind_for_tag(self, tag: str) -> Optional[GranuleKind]:
         return self._tags.get(tag)
-
-    def field_spec(self, canonical_path: str) -> Optional[FieldSpec]:
-        entry = self._paths.get(canonical_path)
-        if entry is None:
-            return None
-        kind, name = entry
-        return self.granule_schemas[kind].fields[name]
-
-    def predicate_for(self, canonical_path: str) -> str:
-        kind, name = self._paths[canonical_path]
-        return self.granule_schemas[kind].predicate(name)
-
-    def canonical_paths(self) -> frozenset[str]:
-        return frozenset(self._paths)
 
 
 @lru_cache(maxsize=1)
@@ -391,22 +397,21 @@ def load_core_ontology() -> OntologySnapshot:
         )
 
     properties = {HAS_GRANULE, SCHEMA_ADDRESS, SCHEMA_LATITUDE, SCHEMA_LONGITUDE}
-    paths: dict[str, tuple[GranuleKind, str]] = {}
+    fields: dict[str, tuple[GranuleKind, FieldSpec, Optional[str]]] = {}
     tags: dict[str, GranuleKind] = {}
     for kind, schema in GRANULE_SCHEMAS.items():
         tags[schema.tag] = kind
         for name, spec in schema.fields.items():
-            paths[schema.path(name)] = (kind, name)
-            if spec.type is not FieldType.GEOPOINT:
-                properties.add(schema.predicate(name))
-    properties.add(LATITUDE_PROP)
-    properties.add(LONGITUDE_PROP)
+            predicate = None if spec.type is FieldType.GEOPOINT else schema.predicate(name)
+            fields[schema.path(name)] = (kind, spec, predicate)
+            if predicate is not None:
+                properties.add(predicate)
 
     return OntologySnapshot(
         concepts=MappingProxyType(concepts),
         properties=frozenset(properties),
         granule_schemas=GRANULE_SCHEMAS,
-        _paths=MappingProxyType(paths),
+        fields=MappingProxyType(fields),
         _tags=MappingProxyType(tags),
     )
 

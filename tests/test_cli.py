@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -526,6 +527,16 @@ class TestPipelineComposition:
             for line in lines:
                 result = runner.invoke(main, shlex.split(line)[1:])
                 assert result.exit_code == 0, (line, result.output)
+
+
+class TestVersion:
+    def test_version_is_the_project_version(self, runner):
+        # From a source checkout too, where no installed metadata names it.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(f", version {version}\n")
 
 
 class TestFixturesCommand:

@@ -172,6 +172,11 @@ class TestProfile:
         with pytest.raises(ProfileError, match="nested too deeply"):
             load_profile(own.DEEP_JSON)
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+    def test_profile_document_that_is_not_an_object_rejected(self, text):
+        with pytest.raises(ProfileError, match="^profile document must be a JSON object$"):
+            load_profile(text)
+
     @pytest.mark.parametrize("fields", [
         {"name": 5},
         {"tag_renames": {"Adresse1": 1}},
@@ -559,6 +564,30 @@ class TestValidateIo:
             GranuleKind.PRICES: [Granule(kind=GranuleKind.PRICES, fields={"Prices/Amount": "cheap"})],
         })
         assert any(i.severity == "error" for i in validate_io(io))
+
+    @pytest.mark.parametrize("io, expected", [
+        pytest.param(InformationObject(id=""), [("error", "")], id="empty-id"),
+        pytest.param(InformationObject(id="X", granules={"Prices": [Granule(kind=GranuleKind.PRICES)]}),
+                     [("error", "Prices")], id="key-not-a-granule-kind"),
+        pytest.param(InformationObject(id="X", granules={GranuleKind.PRICES: []}),
+                     [("error", "Prices")], id="empty-instance-list"),
+        pytest.param(InformationObject(id="X", granules={GranuleKind.GEOLOCATIONS: [Granule(
+            kind=GranuleKind.PRICES, fields={"Geolocation/City": "La Rochelle"})]}),
+                     [("error", "Geolocation")], id="granule-under-another-kind"),
+        pytest.param(InformationObject(id="X", granules={GranuleKind.PRICES: [Granule(
+            kind=GranuleKind.PRICES, fields={"Geolocation/City": "La Rochelle"})]}),
+                     [("error", "Geolocation/City")], id="field-of-another-kind"),
+        pytest.param(InformationObject(id="X", granules={GranuleKind.PRICES: [Granule(
+            kind=GranuleKind.PRICES, fields={"Prices/Discount": "none"})]}),
+                     [("error", "Prices/Discount")], id="path-in-no-schema"),
+        pytest.param(InformationObject(id="X", granules={GranuleKind.CONTACTS: [Granule(
+            kind=GranuleKind.CONTACTS, fields={"http://e/ext#Skype": Decimal(1)})]}),
+                     [("error", "http://e/ext#Skype")], id="granule-extension-not-text"),
+        pytest.param(InformationObject(id="X", extensions=[("http://e/ext#Note", Decimal(1))]),
+                     [("error", "http://e/ext#Note")], id="resource-extension-not-text"),
+    ])
+    def test_structural_faults(self, io, expected):
+        assert [(i.severity, i.field_path) for i in validate_io(io)] == expected
 
 
 class TestIssueReport:

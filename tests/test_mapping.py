@@ -141,6 +141,22 @@ class TestLoadRules:
         with pytest.raises(RuleError, match="nested too deeply"):
             load_rules(own.DEEP_JSON)
 
+    @pytest.mark.parametrize("doc", ["{}", '"x"'])
+    def test_document_that_is_not_an_array_rejected(self, doc):
+        with pytest.raises(RuleError, match="^rules document must be a JSON array$"):
+            load_rules(doc)
+
+    @pytest.mark.parametrize("entry", [
+        '"tifsem:Multimedia"',
+        '["tifsem:Multimedia", "schema:MediaObject", "EquivalentClass"]',
+        '{"source": "tifsem:Multimedia", "target": "schema:MediaObject"}',
+        '{"source": "tifsem:Multimedia", "target": "schema:MediaObject", "relation": "EquivalentClass",'
+        ' "note": "x"}',
+    ])
+    def test_entry_without_exactly_the_three_keys_rejected(self, entry):
+        with pytest.raises(RuleError, match="^rule #0: expected keys source, target, relation$"):
+            load_rules(f"[{entry}]")
+
     def test_class_property_mix_rejected(self):
         doc = '[{"source": "tifsem:Multimedia", "target": "schema:address", "relation": "EquivalentClass"}]'
         with pytest.raises(RuleError):

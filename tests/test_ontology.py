@@ -111,10 +111,15 @@ class TestSchemas:
                 assert schema.tag == kind.value
 
     def test_field_predicates_are_registered(self, snapshot):
-        for path in snapshot.canonical_paths():
-            spec = snapshot.field_spec(path)
-            if spec.type.value != "geopoint":
-                assert snapshot.predicate_for(path) in snapshot.properties
+        assert len(snapshot.fields) == sum(len(schema.fields) for schema in GRANULE_SCHEMAS.values())
+        for path, (kind, spec, predicate) in snapshot.fields.items():
+            schema = GRANULE_SCHEMAS[kind]
+            name = path.removeprefix(schema.tag + "/")
+            assert schema.fields[name] is spec
+            if spec.type.value == "geopoint":
+                assert predicate is None
+            else:
+                assert predicate == schema.predicate(name) and predicate in snapshot.properties
 
 
 class TestDecimalLexical:

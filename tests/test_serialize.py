@@ -605,6 +605,7 @@ class TestJsonLdRefusedIris:
             Triple(self.ROOT, IRI(text), IRI(text)),
             Triple(self.ROOT, IRI(RDF_TYPE), IRI(text)),
             Triple(self.ROOT, IRI("http://e/p"), Literal("1", text)),
+            Triple(self.ROOT, IRI(text), Literal("un", language="fr-CA")),
         ])
         expanded = expand_jsonld(to_jsonld(g, self.ROOT).to_json())
         assert structural_form(expanded, self.ROOT) == structural_form(g.triples, self.ROOT)
