@@ -8,7 +8,10 @@ runs with ``time.perf_counter``:
 
 - ``parse_tif`` of the copies emitted in each dialect (v3, A, B), each under
   its own profile;
-- ``assert_io`` of the parsed v3 IOs into an empty graph;
+- ``assert_io`` of the parsed v3 IOs into an empty graph, one IO at a
+  time, each validated first;
+- ``insert_io``: the same IOs inserted into an empty graph in one call, as
+  ``tifsem ingest`` does once ``parse_tif`` has checked every value;
 - ``materialize`` of that graph under the builtin rules;
 - ``to_ntriples``, ``from_ntriples`` and ``to_turtle`` of the materialized
   graph, and ``to_jsonld`` of every resource in it;
@@ -42,7 +45,7 @@ sys.path[1:1] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")
 
 import gen  # noqa: E402
 from tifsem import fixtures  # noqa: E402
-from tifsem.graph import DEFAULT_BASE_IRI, Graph, assert_io, mint_io_iri  # noqa: E402
+from tifsem.graph import DEFAULT_BASE_IRI, Graph, _insert_ios, assert_io, mint_io_iri  # noqa: E402
 from tifsem.ingest import RawDocument, parse_tif  # noqa: E402
 from tifsem.mapping import materialize  # noqa: E402
 from tifsem.query import evaluate, parse_query  # noqa: E402
@@ -78,6 +81,12 @@ def assert_all(ios) -> Graph:
     return g
 
 
+def insert_all(ios) -> Graph:
+    g = Graph()
+    _insert_ios(g, ios, DEFAULT_BASE_IRI)
+    return g
+
+
 def materialized(g: Graph) -> Graph:
     materialize(g)
     return g
@@ -96,6 +105,9 @@ def stages(k: int, repeat: int) -> dict:
             raise SystemExit(f"bench_stages: parse_tif reported {len(issues)} issue(s) on dialect {dialect}")
 
     seconds["assert_io"], asserted = best_of(repeat, assert_all, lambda: (parsed["v3"],))
+    seconds["insert_io"], inserted = best_of(repeat, insert_all, lambda: (parsed["v3"],))
+    if inserted != asserted:
+        raise SystemExit("bench_stages: inserting the IOs in one call gave another graph than assert_io")
     seconds["materialize"], g = best_of(repeat, materialized, lambda: (Graph(asserted),))
     seconds["to_ntriples"], nt = best_of(repeat, to_ntriples, lambda: (g,))
     seconds["from_ntriples"], reread = best_of(repeat, from_ntriples, lambda: (nt,))

@@ -23,7 +23,7 @@ import tifsem
 from tifsem import fixtures as fixtures_mod
 from tifsem import mapping, query as query_mod, serialize
 from tifsem.errors import ExportError, TifsemError
-from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, _insert_io, mint_io_iri
+from tifsem.graph import DEFAULT_BASE_IRI, Graph, IRI, _insert_ios, mint_io_iri
 from tifsem.ingest import (
     IDENTITY_PROFILE,
     RawDocument,
@@ -146,8 +146,7 @@ def ingest(inputs: tuple[str, ...], profile_path: str | None, out_path: str,
     fmt = _output_format(out_path, _GRAPH_FORMATS)
     ios, issues = _parse_and_validate(inputs, profile_path)
     g = Graph()
-    for io in ios:  # checked by parse_tif, leaf by leaf
-        _insert_io(g, io, base)
+    _insert_ios(g, ios, base)  # checked by parse_tif, leaf by leaf
 
     issues_file = Path(issues_path) if issues_path else Path(out_path).with_suffix(".issues.tsv")
     _write_graph(g, out_path, fmt)

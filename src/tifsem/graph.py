@@ -152,26 +152,39 @@ Term = Union[IRI, BlankNode, Literal]
 Subject = Union[IRI, BlankNode]
 
 
-@dataclass(frozen=True, slots=True)
+# ``init=False``: the hand-written ``__init__`` makes the three checks a
+# generated one would leave to ``__post_init__``, fills the slots through
+# their descriptors, which the frozen ``__setattr__`` does not guard, and
+# hashes the terms' stored hashes, so it calls no other Python function.
+@dataclass(frozen=True, slots=True, init=False)
 class Triple(_CachedHash):
     subject: Subject
     predicate: IRI
     object: Term
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.subject, (IRI, BlankNode)):
+    def __init__(self, subject: Subject, predicate: IRI, object: Term) -> None:
+        if not isinstance(subject, (IRI, BlankNode)):
             raise TypeError("subject must be an IRI or blank node")
-        if not isinstance(self.predicate, IRI):
+        if not isinstance(predicate, IRI):
             raise TypeError("predicate must be an IRI")
-        if not isinstance(self.object, (IRI, BlankNode, Literal)):
+        if not isinstance(object, (IRI, BlankNode, Literal)):
             raise TypeError("object must be a term")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_hash(self, hash((subject._hash, predicate._hash, object._hash)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return Triple, (self.subject, self.predicate, self.object)
+
+
+_set_subject = Triple.subject.__set__
+_set_predicate = Triple.predicate.__set__
+_set_object = Triple.object.__set__
+_set_hash = _CachedHash._hash.__set__
 
 
 class Graph:
@@ -324,13 +337,20 @@ def mint_io_iri(base: str, io_id: str) -> IRI:
 
 
 def _escape_label_part(text: str) -> str:
-    # Injective: alphanumerics map to themselves, everything else to _hh.
-    return "".join(c if c.isalnum() and c.isascii() else f"_{ord(c):02x}" for c in text)
+    # Injective: ASCII alphanumerics map to themselves, a code point below
+    # U+0100 to _hh and any other to _u and six hex digits; "u" is not a hex
+    # digit, so no _u form reads as an _hh one.
+    return "".join(c if c.isalnum() and c.isascii() else f"_{ord(c):02x}" if c < "\u0100" else f"_u{ord(c):06x}"
+                   for c in text)
+
+
+def _granule_node(escaped_id: str, kind: GranuleKind, ordinal: int) -> BlankNode:
+    return BlankNode(f"{escaped_id}_{kind.value}_{ordinal}")
 
 
 def granule_node(io_id: str, kind: GranuleKind, ordinal: int) -> BlankNode:
     """Deterministic blank node for one granule instance."""
-    return BlankNode(f"{_escape_label_part(io_id)}_{kind.value}_{ordinal}")
+    return _granule_node(_escape_label_part(io_id), kind, ordinal)
 
 
 def _field_object(value, base: str) -> Literal | IRI:
@@ -363,26 +383,41 @@ def assert_io(g: Graph, io: InformationObject, base: str = DEFAULT_BASE_IRI) -> 
     if errors:
         detail = "; ".join(f"{i.field_path}: {i.message}" for i in errors)
         raise IoAssertionError(f"IO {io.id!r} failed validation: {detail}")
-    return _insert_io(g, io, base)
+    return _insert_ios(g, (io,), base)
 
 
-def _insert_io(g: Graph, io: InformationObject, base: str) -> int:
-    """``assert_io`` for an IO already validated free of errors."""
+def _insert_ios(g: Graph, ios: Iterable[InformationObject], base: str) -> int:
+    """``assert_io`` for IOs already validated free of errors, one
+    ``Graph.insert`` per triple.  Within the call each IO id is escaped once,
+    and each extension-key IRI and each field object is built once."""
+    predicates = dict(_FIELD_PREDICATES)
+    objects: dict = {}
+
+    def field_terms(path: str, value) -> tuple[IRI, Literal | IRI]:
+        predicate = predicates.get(path)
+        if predicate is None:  # an extension field is keyed by its own IRI
+            predicate = predicates[path] = IRI(path)
+        # A decimal is keyed by its exact text: 1.0 and 1.00, or 0 and -0,
+        # are equal and hash alike, yet write different lexical forms.
+        key = (Decimal, str(value)) if isinstance(value, Decimal) else value
+        obj = objects.get(key)
+        if obj is None:
+            obj = objects[key] = _field_object(value, base)
+        return predicate, obj
+
     added = 0
-    io_iri = mint_io_iri(base, io.id)
-    added += g.insert(Triple(io_iri, _RDF_TYPE, _IO_CLASS))
-
-    for kind, instances in io.granules.items():
-        granule_class = _GRANULE_CLASSES[kind]
-        for ordinal, granule in enumerate(instances):
-            node = granule_node(io.id, kind, ordinal)
-            added += g.insert(Triple(io_iri, _HAS_GRANULE, node))
-            added += g.insert(Triple(node, _RDF_TYPE, granule_class))
-            for path, value in expand_geopoints(granule.fields):
-                # an extension field is keyed by its own IRI
-                predicate = _FIELD_PREDICATES.get(path) or IRI(path)
-                added += g.insert(Triple(node, predicate, _field_object(value, base)))
-
-    for ext_iri, text in io.extensions:
-        added += g.insert(Triple(io_iri, IRI(ext_iri), Literal(text)))
+    for io in ios:
+        io_iri = mint_io_iri(base, io.id)
+        added += g.insert(Triple(io_iri, _RDF_TYPE, _IO_CLASS))
+        escaped_id = _escape_label_part(io.id)
+        for kind, instances in io.granules.items():
+            granule_class = _GRANULE_CLASSES[kind]
+            for ordinal, granule in enumerate(instances):
+                node = _granule_node(escaped_id, kind, ordinal)
+                added += g.insert(Triple(io_iri, _HAS_GRANULE, node))
+                added += g.insert(Triple(node, _RDF_TYPE, granule_class))
+                for path, value in expand_geopoints(granule.fields):
+                    added += g.insert(Triple(node, *field_terms(path, value)))
+        for ext_iri, text in io.extensions:
+            added += g.insert(Triple(io_iri, *field_terms(ext_iri, text)))
     return added

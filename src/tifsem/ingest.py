@@ -40,6 +40,7 @@ _IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SNAPSHOT = load_core_ontology()
 _NO_FIELD = (None, None, None)  # the field table's answer for a path it lacks
+_UNPLACED = object()  # a path not yet placed; ``None`` is a placement (dropped)
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,17 @@ class ValidationIssue:
     message: str
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def format_issues(issues: Iterable[ValidationIssue]) -> str:
-    """Line-oriented report: SEVERITY, io id, field path, message (tab-separated)."""
+    r"""Line-oriented report: SEVERITY, io id, field path, message
+    (tab-separated), one line per issue; a backslash, tab, line feed or
+    carriage return in a field is written ``\\``, ``\t``, ``\n`` or ``\r``."""
     lines = []
     for issue in issues:
-        io_id = issue.io_id or ""
-        lines.append(f"{issue.severity.upper()}\t{io_id}\t{issue.field_path}\t{issue.message}\n")
+        fields = (issue.io_id or "", issue.field_path, issue.message)
+        lines.append("\t".join([issue.severity.upper(), *(f.translate(_TSV_ESCAPES) for f in fields)]) + "\n")
     return "".join(lines)
 
 
@@ -323,6 +329,10 @@ def parse_tif(
     ios: list[InformationObject] = []
     issues: list[ValidationIssue] = []
     seen_ids: set[str] = set()
+    # Each distinct tag path is placed once per document: a feed's thousands
+    # of leaves take a few dozen paths, and the dict never outgrows the
+    # document's own leaves nor outlives this call's profile.
+    placements: dict[str, object] = {}
 
     for resource in root:
         granules: dict[GranuleKind, list[Granule]] = {}
@@ -332,7 +342,9 @@ def parse_tif(
         mapped = False
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
         for raw_path, value, repeat in leaves:
-            placement = _placement(raw_path, profile)
+            placement = placements.get(raw_path, _UNPLACED)
+            if placement is _UNPLACED:
+                placement = placements[raw_path] = _placement(raw_path, profile)
             if placement is None:
                 continue
             if isinstance(placement, str):

@@ -15,7 +15,7 @@ from oracles import blank_closure, expand_jsonld, structural_form
 from strategies import DEEP_JSON, MISTYPED_PROFILES, MISTYPED_RULES, hostile_text, mistyped_profiles, tif_documents
 from tifsem import fixtures
 from tifsem.cli import main
-from tifsem.graph import Graph, IRI, assert_io, mint_io_iri
+from tifsem.graph import XSD_DECIMAL, BlankNode, Graph, IRI, Literal, assert_io, mint_io_iri
 from tifsem.ingest import RawDocument, parse_tif, save_profile
 from tifsem.mapping import builtin_rules, materialize
 from tifsem.query import evaluate, parse_query, to_csv
@@ -103,6 +103,39 @@ class TestIngest:
         assert (tmp_path / "x.issues.tsv").read_text().startswith("ERROR\t")
         assert "Prices/Amount" in (tmp_path / "x.issues.tsv").read_text()
         assert peak < 1_000_000
+
+    def test_equal_decimals_keep_their_own_lexical_forms(self, runner, tmp_path):
+        # 1.0 == 1.00 and 0 == -0, with equal hashes; each resource keeps its form.
+        amounts = ["1.0", "1.00", "0", "-0", "1.0"]
+        doc = tmp_path / "prices.xml"
+        doc.write_text("<TIF>" + "".join(
+            f"<Resource><DublinCore><Identifier>P-{i}</Identifier></DublinCore>"
+            f"<Prices><Amount>{amount}</Amount></Prices></Resource>" for i, amount in enumerate(amounts)
+        ) + "</TIF>", encoding="utf-8")
+        result = run(runner, "ingest", doc, "--out", tmp_path / "g.nt")
+        assert result.exit_code == 0, result.output
+        g = from_ntriples((tmp_path / "g.nt").read_text(encoding="utf-8"))
+        for i, amount in enumerate(amounts):
+            io_iri = mint_io_iri("http://example.org/tifsem", f"P-{i}")
+            nodes = [t.object for t in g.match(subject=io_iri) if isinstance(t.object, BlankNode)]
+            lexicals = [t.object.lexical for node in nodes for t in g.match(subject=node)
+                        if isinstance(t.object, Literal) and t.object.datatype == XSD_DECIMAL]
+            assert lexicals == [amount]
+
+    def test_ids_with_colliding_old_escapes_get_disjoint_granule_nodes(self, runner, tmp_path):
+        # "à1" and "ก" (U+0E01) were both escaped to _e01 in blank-node labels.
+        doc = tmp_path / "ids.xml"
+        doc.write_text("<TIF>" + "".join(
+            f"<Resource><DublinCore><Identifier>{io_id}</Identifier><Title>{io_id}</Title></DublinCore></Resource>"
+            for io_id in ("à1", "ก")
+        ) + "</TIF>", encoding="utf-8")
+        result = run(runner, "ingest", doc, "--out", tmp_path / "g.nt")
+        assert result.exit_code == 0, result.output
+        g = from_ntriples((tmp_path / "g.nt").read_text(encoding="utf-8"))
+        nodes = [{t.object for t in g.match(subject=mint_io_iri("http://example.org/tifsem", io_id))
+                  if isinstance(t.object, BlankNode)} for io_id in ("à1", "ก")]
+        assert all(nodes) and not nodes[0] & nodes[1]
+        assert len(g) == 2 * 5  # per IO: type, hasGranule, granule type, identifier, title
 
     def test_base_iri_flag(self, runner, workspace):
         data = workspace / "data"
@@ -403,6 +436,23 @@ class TestValidate:
     def test_unreadable_input_exits_2(self, runner, tmp_path):
         result = run(runner, "validate", tmp_path / "missing.xml")
         assert result.exit_code == 2
+
+    def test_report_has_one_line_per_issue_with_three_tabs(self, runner, tmp_path):
+        # An identifier holding a tab and a line feed, and one holding a
+        # backslash and a carriage return.
+        doc = tmp_path / "ids.xml"
+        doc.write_text(
+            '<TIF><Resource kind="x"><DublinCore><Identifier>A&#9;B\nC</Identifier></DublinCore>'
+            "<Geolocation><Latitude>NaN</Latitude></Geolocation></Resource>"
+            '<Resource kind="y"><DublinCore><Identifier>D\\E&#13;F</Identifier></DublinCore>'
+            "<Mystery>m</Mystery></Resource></TIF>", encoding="utf-8")
+        _, issues = parse_tif(RawDocument.from_path(doc))
+        result = run(runner, "validate", doc)
+        assert result.exit_code == 1
+        lines = result.output.split("\n")
+        assert lines.pop() == "" and len(lines) == len(issues) == 4
+        assert all(line.count("\t") == 3 for line in lines)
+        assert [line.split("\t")[1] for line in lines] == ["A\\tB\\nC"] * 2 + ["D\\\\E\\rF"] * 2
 
 
 class TestUnreadableEncoding:

@@ -84,13 +84,22 @@ class TestTerms:
         with pytest.raises(ValueError):
             Literal("\ud800")
 
-    def test_predicate_must_be_iri(self):
-        with pytest.raises(TypeError):
-            Triple(IRI("http://e/s"), BlankNode("b"), IRI("http://e/o"))  # type: ignore[arg-type]
+    @pytest.mark.parametrize("terms, message", [
+        ((Literal("x"), IRI("http://e/p"), IRI("http://e/o")), "subject must be an IRI or blank node"),
+        (("http://e/s", IRI("http://e/p"), IRI("http://e/o")), "subject must be an IRI or blank node"),
+        ((IRI("http://e/s"), BlankNode("b"), IRI("http://e/o")), "predicate must be an IRI"),
+        ((IRI("http://e/s"), Literal("p"), IRI("http://e/o")), "predicate must be an IRI"),
+        ((IRI("http://e/s"), IRI("http://e/p"), "o"), "object must be a term"),
+        ((IRI("http://e/s"), IRI("http://e/p"), None), "object must be a term"),
+    ])
+    def test_each_wrong_triple_position_raises_its_type_error(self, terms, message):
+        with pytest.raises(TypeError) as caught:
+            Triple(*terms)
+        assert str(caught.value) == message
 
-    def test_literal_subject_rejected(self):
-        with pytest.raises(TypeError):
-            Triple(Literal("x"), IRI("http://e/p"), IRI("http://e/o"))  # type: ignore[arg-type]
+    def test_triple_keyword_construction(self):
+        s, p, o = IRI("http://e/s"), IRI("http://e/p"), Literal("x")
+        assert Triple(subject=s, predicate=p, object=o) == Triple(s, p, o)
 
     def test_language_literal_equals_explicit_langstring(self):
         short, explicit = Literal("x", language="en"), Literal("x", RDF_LANG_STRING, "en")
@@ -389,6 +398,19 @@ class TestAssertIo:
             seen_subjects |= subjects
 
     def test_blank_label_escaping_is_injective(self):
-        tricky = ["a_", "a_5f", "a-b", "a_2db", "é", "_"]
+        # ("à1", "ก") and ("é5", "ຕ") once shared _e01 and _e95: U+0E01 and
+        # U+0E95 were written with as many hex digits as U+00E0 and U+00E9 plus one.
+        tricky = ["a_", "a_5f", "a-b", "a_2db", "é", "_", "à1", "ก", "é5", "ຕ"]
         labels = {granule_node(i, GranuleKind.CONTACTS, 0).label for i in tricky}
         assert len(labels) == len(tricky)
+
+    @pytest.mark.parametrize("io_id, label", [
+        ("HOT-001", "HOT_2d001_Contacts_0"),
+        ("é", "_e9_Contacts_0"),
+        ("ÿ", "_ff_Contacts_0"),
+        ("Ā", "_u000100_Contacts_0"),
+        ("ก", "_u000e01_Contacts_0"),
+        ("\U0010ffff", "_u10ffff_Contacts_0"),
+    ])
+    def test_blank_label_forms(self, io_id, label):
+        assert granule_node(io_id, GranuleKind.CONTACTS, 0).label == label

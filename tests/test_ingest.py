@@ -20,6 +20,7 @@ from tifsem.ingest import (
     IDENTITY_PROFILE,
     RawDocument,
     TagDisposition,
+    ValidationIssue,
     _walk_resource,
     format_issues,
     load_profile,
@@ -197,6 +198,17 @@ class TestParseTif:
     def test_empty_document(self):
         ios, issues = parse_tif(doc_bytes(b"<TIF/>"))
         assert ios == [] and issues == []
+
+    def test_each_parse_places_paths_under_its_own_profile(self, data_dir):
+        # parse_tif places each tag path once per call; no placement may
+        # carry over to a later call under another profile.
+        doc = RawDocument.from_path(data_dir / "fixture_dialect_a.xml")
+        v3 = parse_tif(RawDocument.from_path(data_dir / "fixture_v3.xml"))
+        bare = parse_tif(doc, IDENTITY_PROFILE)
+        profiled = parse_tif(doc, fixtures.profile_dialect_a())
+        again = parse_tif(doc, IDENTITY_PROFILE)
+        assert profiled == v3 and v3[1] == []
+        assert again == bare and bare != profiled and bare[1]
 
     def test_deep_leaf_joins_only_prefixes_that_can_be_keys(self):
         # All the prefixes of this leaf's 20,000-segment path take about 400 MB together.
@@ -591,9 +603,11 @@ class TestValidateIo:
 
 
 class TestIssueReport:
-    def test_tsv_shape(self):
-        from tifsem.ingest import ValidationIssue
+    def test_fields_escape_backslash_tab_and_line_breaks(self):
+        text = format_issues([ValidationIssue("error", "A\tB\nC\rD\\E", "P\\Q", "m\tn")])
+        assert text == "ERROR\tA\\tB\\nC\\rD\\\\E\tP\\\\Q\tm\\tn\n"
 
+    def test_tsv_shape(self):
         text = format_issues([
             ValidationIssue("error", "IO-1", "Geolocation/Latitude", "out of range"),
             ValidationIssue("warning", None, "Mystery", "unrecognized tag"),
