@@ -1,4 +1,7 @@
-"""In-memory triple store with two indexes of one shape.
+"""RDF terms and an in-memory triple store with two indexes of one shape.
+
+A term (``IRI``, ``BlankNode``, ``Literal``) is a ``str`` whose value is its
+canonical N-Triples text, so terms compare, hash and sort as their text.
 
 A ``Graph`` keeps each triple in two indexes and nowhere else: subject ->
 predicate -> bucket, for patterns with the subject bound, and predicate ->
@@ -78,71 +81,117 @@ def _check_iri(value: str) -> None:
         raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
 
 
-# Terms and triples compute their hash once, at the end of construction,
-# and ``__hash__`` returns it: a frozen dataclass would rehash its fields on
-# every set or dict lookup, and the indexes look every term up many times.
-# String hashes differ from process to process, so a stored hash must never
-# travel: ``__reduce__`` pickles and copies a term as its constructor call,
-# which recomputes the hash (and re-runs the checks) where it is loaded.
-class _CachedHash:
-    __slots__ = ("_hash",)
+# String escapes, written and read.  A literal's text escapes the five
+# characters with a short form and every other control character as \uXXXX.
+_ESCAPES = str.maketrans({
+    **{chr(cp): f"\\u{cp:04X}" for cp in range(0x20)},
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
+})
+_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
+_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
-@dataclass(frozen=True, slots=True)
-class IRI(_CachedHash):
-    value: str
+def unescape(text: str) -> str:
+    r"""Resolve the string escapes ``\t \b \n \r \f \" \' \\ \uXXXX
+    \UXXXXXXXX``.  Raises ValueError on any other escape and on an escape
+    naming a surrogate or a code point above U+10FFFF."""
 
-    def __post_init__(self) -> None:
-        _check_iri(self.value)
-        object.__setattr__(self, "_hash", hash(self.value))
+    def repl(m: re.Match) -> str:
+        digits = m.group(1) or m.group(2)
+        if digits:
+            cp = int(digits, 16)
+            if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
+                raise ValueError(f"escape names no Unicode scalar value: {m.group()}")
+            return chr(cp)
+        if m.group(3) not in _UNESCAPES:
+            raise ValueError(f"invalid escape {m.group()}")
+        return _UNESCAPES[m.group(3)]
 
-    def __hash__(self) -> int:
-        return self._hash
+    return _UNESCAPE_RE.sub(repl, text) if "\\" in text else text
+
+
+# A term is a ``str`` whose value is its canonical N-Triples text: `<iri>`,
+# `_:label`, `"escaped"`, `"escaped"@lang` or `"escaped"^^<datatype>`.  That
+# text is injective and its first character tells the kinds apart, so terms
+# compare, hash and sort as ``str`` does, and the writers emit them as they
+# are.  The constructors check the parts and build the text; the properties
+# read the parts back.  ``__reduce__`` pickles and copies a term as its
+# constructor call: ``str``'s own would pass the constructor the text, which
+# it would wrap a second time.  ``repr`` shows that call, never the text.
+class _Term(str):
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        make, parts = self.__reduce__()
+        return f"{make.__name__}({', '.join(map(repr, parts))})"
+
+
+class IRI(_Term):
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> IRI:
+        _check_iri(value)
+        return str.__new__(cls, f"<{value}>")
+
+    @property
+    def value(self) -> str:
+        return self[1:-1]
 
     def __reduce__(self):
         return IRI, (self.value,)
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode(_CachedHash):
-    label: str
+class BlankNode(_Term):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.fullmatch(self.label):
-            raise ValueError(f"blank node label must be {BLANK_LABEL}: {self.label!r}")
-        object.__setattr__(self, "_hash", hash(("_:", self.label)))
+    def __new__(cls, label: str) -> BlankNode:
+        if not _BLANK_LABEL_RE.fullmatch(label):
+            raise ValueError(f"blank node label must be {BLANK_LABEL}: {label!r}")
+        return str.__new__(cls, f"_:{label}")
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def label(self) -> str:
+        return self[2:]
 
     def __reduce__(self):
         return BlankNode, (self.label,)
 
 
-@dataclass(frozen=True, slots=True)
-class Literal(_CachedHash):
-    lexical: str
-    datatype: str = XSD_STRING
-    language: Optional[str] = None
+# A literal's body ends at its last `"`: neither a datatype IRI nor a
+# language tag can hold one.
+class Literal(_Term):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _SURROGATE_RE.search(self.lexical):
-            raise ValueError(f"literal contains a surrogate code point: {self.lexical!r}")
-        if self.language is not None:
-            if not _LANGTAG_RE.fullmatch(self.language):
-                raise ValueError(f"malformed language tag: {self.language!r}")
-            if self.datatype == XSD_STRING:
-                object.__setattr__(self, "datatype", RDF_LANG_STRING)
-            elif self.datatype != RDF_LANG_STRING:
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> Literal:
+        if _SURROGATE_RE.search(lexical):
+            raise ValueError(f"literal contains a surrogate code point: {lexical!r}")
+        body = f'"{lexical.translate(_ESCAPES)}"'
+        if language is not None:
+            if not _LANGTAG_RE.fullmatch(language):
+                raise ValueError(f"malformed language tag: {language!r}")
+            if datatype not in (XSD_STRING, RDF_LANG_STRING):
                 raise ValueError("language tag requires the language-string datatype")
-        elif self.datatype == RDF_LANG_STRING:
+            return str.__new__(cls, f"{body}@{language}")
+        if datatype == RDF_LANG_STRING:
             raise ValueError("language-string literal requires a language tag")
-        elif self.datatype != XSD_STRING:
-            _check_iri(self.datatype)
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+        if datatype == XSD_STRING:
+            return str.__new__(cls, body)
+        _check_iri(datatype)
+        return str.__new__(cls, f"{body}^^<{datatype}>")
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def lexical(self) -> str:
+        return unescape(self[1 : self.rindex('"')])
+
+    @property
+    def datatype(self) -> str:
+        suffix = self[self.rindex('"') + 1 :]  # empty, @tag or ^^<datatype>
+        return suffix[3:-1] if suffix[:1] == "^" else RDF_LANG_STRING if suffix else XSD_STRING
+
+    @property
+    def language(self) -> Optional[str]:
+        suffix = self[self.rindex('"') + 1 :]
+        return suffix[1:] if suffix[:1] == "@" else None
 
     def __reduce__(self):
         return Literal, (self.lexical, self.datatype, self.language)
@@ -153,11 +202,11 @@ Subject = Union[IRI, BlankNode]
 
 
 # ``init=False``: the hand-written ``__init__`` makes the three checks a
-# generated one would leave to ``__post_init__``, fills the slots through
-# their descriptors, which the frozen ``__setattr__`` does not guard, and
-# hashes the terms' stored hashes, so it calls no other Python function.
+# generated one would leave to ``__post_init__``, and fills the slots through
+# their descriptors, which the frozen ``__setattr__`` does not guard.  The
+# type checks also keep out a plain ``str`` equal to a term's text.
 @dataclass(frozen=True, slots=True, init=False)
-class Triple(_CachedHash):
+class Triple:
     subject: Subject
     predicate: IRI
     object: Term
@@ -172,10 +221,6 @@ class Triple(_CachedHash):
         _set_subject(self, subject)
         _set_predicate(self, predicate)
         _set_object(self, object)
-        _set_hash(self, hash((subject._hash, predicate._hash, object._hash)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return Triple, (self.subject, self.predicate, self.object)
@@ -184,7 +229,6 @@ class Triple(_CachedHash):
 _set_subject = Triple.subject.__set__
 _set_predicate = Triple.predicate.__set__
 _set_object = Triple.object.__set__
-_set_hash = _CachedHash._hash.__set__
 
 
 class Graph:

@@ -44,6 +44,7 @@ from tifsem.graph import (
     Literal,
     Term,
     XSD_STRING,
+    unescape,
     vocabulary_iri,
 )
 from tifsem.ontology import (
@@ -53,7 +54,6 @@ from tifsem.ontology import (
     SCHEMA_LATITUDE,
     SCHEMA_LONGITUDE,
 )
-from tifsem.serialize import term_to_ntriples, unescape
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -569,9 +569,7 @@ def _compare_terms(left: Term, op: str, right: Term) -> bool:
         and left.datatype in (XSD_STRING, XSD_DATE)
     ):
         return _COMPARE[op](left.lexical, right.lexical)
-    raise QueryTypeError(
-        f"cannot order {term_to_ntriples(left)} against {term_to_ntriples(right)}"
-    )
+    raise QueryTypeError(f"cannot order {left} against {right}")
 
 
 # The coordinates of a node, memoized for one evaluation (see ``evaluate``).
@@ -856,21 +854,16 @@ def _sort_rows(
     variables: Sequence[str],
     order_by: Optional[OrderSpec],
 ) -> list[tuple[Term, ...]]:
-    def row_key(row: tuple[Term, ...]) -> tuple[str, ...]:
-        return tuple(term_to_ntriples(t) for t in row)
-
-    rows = sorted(rows, key=row_key)
+    rows = sorted(rows)
     if order_by is None:
         return rows
     index = list(variables).index(order_by.key.name)
 
     def primary(row: tuple[Term, ...]):
         value = _numeric(row[index])
-        if value is not None:
-            return (0, value)
-        return (1, term_to_ntriples(row[index]))
+        return (1, row[index]) if value is None else (0, value)
 
-    # stable second pass keeps the serialized-form order inside ties
+    # stable second pass keeps the term-text order inside ties
     rows.sort(key=primary, reverse=not order_by.ascending)
     return rows
 
@@ -916,20 +909,18 @@ def to_csv(table: SolutionTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.variables)
-    for row in table.rows:
-        writer.writerow([term_to_ntriples(t) for t in row])
+    writer.writerows(table.rows)
     return buffer.getvalue()
 
 
 def to_text_table(table: SolutionTable) -> str:
-    cells = [[term_to_ntriples(t) for t in row] for row in table.rows]
     widths = [
-        max([len(v)] + [len(row[i]) for row in cells])
+        max([len(v)] + [len(row[i]) for row in table.rows])
         for i, v in enumerate(table.variables)
     ]
     def line(values: Iterable[str]) -> str:
         return "  ".join(v.ljust(w) for v, w in zip(values, widths)).rstrip()
 
     out = [line(table.variables), line("-" * w for w in widths)]
-    out.extend(line(row) for row in cells)
+    out.extend(line(row) for row in table.rows)
     return "\n".join(out) + "\n"

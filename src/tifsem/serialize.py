@@ -1,9 +1,10 @@
 """Graph serialization: N-Triples (read/write), Turtle (write), JSON-LD export.
 
 N-Triples is the interchange format; output is canonical (sorted by the
-serialized subject, predicate, object forms) so equal graphs always produce
-byte-identical text.  Turtle is write-only.  JSON-LD embeds one root subject
-plus its blank-node closure, with Schema.org types compacted for crawlers.
+subject, predicate and object texts, which the terms are) so equal graphs
+always produce byte-identical text.  Turtle is write-only.  JSON-LD embeds
+one root subject plus its blank-node closure, with Schema.org types
+compacted for crawlers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -25,13 +27,13 @@ from tifsem.graph import (
     RDF_TYPE,
     RDFS_NS,
     XSD_NS,
-    XSD_STRING,
     BlankNode,
     Graph,
     IRI,
     Literal,
     Term,
     Triple,
+    unescape,
 )
 from tifsem.ontology import SCHEMA_NS, TIFSEM_NS
 
@@ -46,60 +48,17 @@ DEFAULT_PREFIXES: Mapping[str, str] = MappingProxyType({
     "tifsem": TIFSEM_NS,
 })
 
-# String escapes, written and read.  The writer escapes the five characters
-# with a short form and every other control character as \uXXXX.
-_ESCAPES = str.maketrans({
-    **{chr(cp): f"\\u{cp:04X}" for cp in range(0x20)},
-    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
-})
-_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
-_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
-
-def _escape_string(text: str) -> str:
-    return text.translate(_ESCAPES)
-
-
-def unescape(text: str) -> str:
-    r"""Resolve the string escapes ``\t \b \n \r \f \" \' \\ \uXXXX
-    \UXXXXXXXX``.  Raises ValueError on any other escape and on an escape
-    naming a surrogate or a code point above U+10FFFF."""
-
-    def repl(m: re.Match) -> str:
-        digits = m.group(1) or m.group(2)
-        if digits:
-            cp = int(digits, 16)
-            if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
-                raise ValueError(f"escape names no Unicode scalar value: {m.group()}")
-            return chr(cp)
-        if m.group(3) not in _UNESCAPES:
-            raise ValueError(f"invalid escape {m.group()}")
-        return _UNESCAPES[m.group(3)]
-
-    return _UNESCAPE_RE.sub(repl, text) if "\\" in text else text
-
-
 def term_to_ntriples(term: Term) -> str:
-    """Serialize one term in N-Triples syntax.  The constructors keep every
-    IRI, label and language tag free of characters that need escaping."""
-    if isinstance(term, IRI):
-        return f"<{term.value}>"
-    if isinstance(term, Literal):
-        body = f'"{_escape_string(term.lexical)}"'
-        if term.language is not None:
-            return f"{body}@{term.language}"
-        if term.datatype != XSD_STRING:
-            return f"{body}^^<{term.datatype}>"
-        return body
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    raise TypeError(f"not a term: {term!r}")
+    """One term in N-Triples syntax, which is the term's own text."""
+    if not isinstance(term, (IRI, BlankNode, Literal)):
+        raise TypeError(f"not a term: {term!r}")
+    return str(term)
 
 
 class _Memo(dict):
-    """Key -> ``make(key)``, made on first lookup.  A serializer call renders
-    each distinct term once; a reader builds each distinct term text once,
-    so every triple naming it shares that one object."""
+    """Key -> ``make(key)``, made on first lookup.  A reader builds each
+    distinct term text once, so every triple naming it shares that one
+    object; Turtle renders each distinct term once per call."""
 
     def __init__(self, make: Callable):
         super().__init__()
@@ -110,26 +69,19 @@ class _Memo(dict):
         return value
 
 
-def _sorted_statements(g: Graph) -> list[tuple[str, Triple]]:
-    """Each triple with its N-Triples line, sorted by the line.  No two
-    triples share a line, so the sort never compares triples."""
-    form = _Memo(term_to_ntriples)
-    return sorted([(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .\n", t) for t in g])
-
-
 # Sorting finished lines sorts triples by their (subject, predicate, object)
-# forms.  Two lines first differ where their form tuples do, unless one form
-# is a proper prefix of the other.  The constructors allow that only in pairs
-# like `_:b` / `_:b1`, `"x"` / `"x"@en`, `"x"` / `"x"^^<dt>` and
-# `"x"@en` / `"x"@en-GB`: an IRI form ends at its only `>` and a literal body
-# at its only unescaped `"`.  In each pair the longer form goes on with a
-# character above the space that follows the shorter one, so the shorter
-# form sorts first either way.  For the same reason, sorting the triples of
-# one subject by their (predicate, object) forms, as `to_jsonld` does, puts
-# them in the order of their lines.
+# texts, the order `to_turtle` sorts them in.  Two lines first differ where
+# their text tuples do, unless one text is a proper prefix of the other.
+# The constructors allow that only in pairs like `_:b` / `_:b1`, `"x"` /
+# `"x"@en`, `"x"` / `"x"^^<dt>` and `"x"@en` / `"x"@en-GB`: an IRI text ends
+# at its only `>` and a literal body at its only unescaped `"`.  In each pair
+# the longer text goes on with a character above the space that follows the
+# shorter one, so the shorter text sorts first either way.  For the same
+# reason, sorting the triples of one subject by their (predicate, object)
+# texts, as `to_jsonld` does, puts them in the order of their lines.
 def to_ntriples(g: Graph) -> str:
     """Canonical N-Triples text: one triple per line, sorted, LF endings."""
-    return "".join([line for line, _ in _sorted_statements(g)])
+    return "".join(sorted([" ".join((t.subject, t.predicate, t.object, ".\n")) for t in g]))
 
 
 # IRI and literal bodies take any escape here; `unescape` and the term
@@ -284,16 +236,16 @@ def to_turtle(g: Graph) -> str:
 
     def render(term: Term) -> str:
         if isinstance(term, IRI):
-            return _compact(term.value) or f"<{term.value}>"
-        if isinstance(term, Literal) and term.language is None and term.datatype != XSD_STRING:
-            dt = _compact(term.datatype) or f"<{term.datatype}>"
-            return f'"{_escape_string(term.lexical)}"^^{dt}'
-        return term_to_ntriples(term)
+            return _compact(term.value) or str(term)
+        if isinstance(term, Literal) and term.endswith(">"):  # "..."^^<datatype>
+            body, _, datatype = term.rpartition("^^")
+            return f"{body}^^{_compact(datatype[1:-1]) or datatype}"
+        return str(term)
 
     form = _Memo(render)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(DEFAULT_PREFIXES.items())]
     lines.append("")
-    for _, t in _sorted_statements(g):
+    for t in sorted(g, key=attrgetter("subject", "predicate", "object")):
         lines.append(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .")
     return "\n".join(lines) + "\n"
 
@@ -342,16 +294,27 @@ def _stated(iri: str) -> str:
     return iri
 
 
+# Keyed by the IRI's N-Triples text: a predicate or type term itself, whose
+# hash ``str`` keeps, so a lookup never rehashes, or a datatype's `<...>`.
+@functools.lru_cache(maxsize=4096)
+def _name(iri: str) -> str:
+    """A key, type or datatype: its prefixed name, else the IRI stated."""
+    value = iri[1:-1]
+    return _compact(value) or _stated(value)
+
+
 def _literal_json(term: Literal):
-    if term.language is not None:
-        return {"@value": term.lexical, "@language": term.language}
-    if term.datatype == XSD_STRING:
-        return term.lexical
-    return {"@value": term.lexical, "@type": _compact(term.datatype) or _stated(term.datatype)}
+    end = term.rindex('"')  # the body's closing quote; the suffix follows
+    lexical = unescape(term[1:end])
+    if end + 1 == len(term):
+        return lexical
+    if term[end + 1] == "@":
+        return {"@value": lexical, "@language": term[end + 2 :]}
+    return {"@value": lexical, "@type": _name(term[end + 3 :])}
 
 
-def _by_predicate_object(t: Triple) -> tuple[str, str]:
-    return term_to_ntriples(t.predicate), term_to_ntriples(t.object)
+_RDF_TYPE = IRI(RDF_TYPE)
+_PREDICATE_OBJECT = attrgetter("predicate", "object")
 
 
 def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
@@ -369,14 +332,14 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     is ``_`` or a `DEFAULT_PREFIXES` key, such as ``<_:x>`` or
     ``<tifsem:name>``.
     """
-    # The closure, each node with its triples in (predicate, object) form
-    # order, and the number of references to each blank node.
+    # The closure, each node with its triples in (predicate, object) order,
+    # and the number of references to each blank node.
     closure: dict[Term, list[Triple]] = {root: []}
     refs: dict[BlankNode, int] = {}
     queue: list[Term] = [root]
     while queue:
         node = queue.pop()
-        closure[node] = triples = sorted(g.match(subject=node), key=_by_predicate_object)
+        closure[node] = triples = sorted(g.match(subject=node), key=_PREDICATE_OBJECT)
         for t in triples:
             obj = t.object
             if isinstance(obj, BlankNode):
@@ -395,15 +358,14 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
         if isinstance(subject, IRI):
             out["@id"] = _stated(subject.value)
         elif refs.get(subject, 0) > 1:
-            out["@id"] = f"_:{subject.label}"
+            out["@id"] = str(subject)
         types = []
         props: dict[str, list] = {}
         for t in closure[subject]:
-            if t.predicate.value == RDF_TYPE and isinstance(t.object, IRI):
-                types.append(_compact(t.object.value) or _stated(t.object.value))
+            if t.predicate == _RDF_TYPE and isinstance(t.object, IRI):
+                types.append(_name(t.object))
                 continue
-            key = _compact(t.predicate.value) or _stated(t.predicate.value)
-            props.setdefault(key, []).append(object_json(t.object))
+            props.setdefault(_name(t.predicate), []).append(object_json(t.object))
         if types:
             out["@type"] = types[0] if len(types) == 1 else types
         for key, values in props.items():
@@ -416,7 +378,7 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
         if isinstance(obj, IRI):
             return {"@id": _stated(obj.value)}
         if obj in emitted:  # multi-referenced or cyclic: point at its @id
-            return {"@id": f"_:{obj.label}"}
+            return {"@id": str(obj)}
         return node_object(obj)
 
     try:

@@ -43,8 +43,47 @@ from tifsem.serialize import to_ntriples
 
 
 def triple(s: str, p: str, o) -> Triple:
-    obj = o if not isinstance(o, str) else IRI(o)
+    obj = IRI(o) if type(o) is str else o
     return Triple(IRI(s), IRI(p), obj)
+
+
+# Lexical forms whose text needs escaping or looks like a term suffix.
+_AWKWARD_LEXICALS = ['say "hi"', "back\\slash", "x@en", 'x"^^<x>', "a>b", "tab\there", "line\nbreak",
+                     "nul\x00", '"', "\\", "", '"@en', "\r\x1f\x7f"]
+
+
+def _parts(value) -> tuple:
+    """The constructor arguments that rebuild a term or triple."""
+    if isinstance(value, Triple):
+        return value.subject, value.predicate, value.object
+    if isinstance(value, IRI):
+        return (value.value,)
+    if isinstance(value, BlankNode):
+        return (value.label,)
+    return value.lexical, value.datatype, value.language
+
+
+def _n_triples_form(t) -> str:
+    """The N-Triples text of a term, built from its parts with an escaper of
+    this test's own (RDF 1.1 N-Triples, section 2.3 and the canonical form)."""
+    if isinstance(t, IRI):
+        return f"<{t.value}>"
+    if isinstance(t, BlankNode):
+        return f"_:{t.label}"
+    short = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    body = "".join(short.get(c) or (f"\\u{ord(c):04X}" if ord(c) < 0x20 else c) for c in t.lexical)
+    if t.language is not None:
+        return f'"{body}"@{t.language}'
+    if t.datatype != XSD_NS + "string":
+        return f'"{body}"^^<{t.datatype}>'
+    return f'"{body}"'
+
+
+def _check_term_text(t) -> None:
+    assert t == _n_triples_form(t)
+    if isinstance(t, Literal):
+        assert Literal(t.lexical, t.datatype, t.language) == t
+    assert repr(t) != repr(str(t))
 
 
 class TestTerms:
@@ -87,9 +126,12 @@ class TestTerms:
     @pytest.mark.parametrize("terms, message", [
         ((Literal("x"), IRI("http://e/p"), IRI("http://e/o")), "subject must be an IRI or blank node"),
         (("http://e/s", IRI("http://e/p"), IRI("http://e/o")), "subject must be an IRI or blank node"),
+        (("<http://e/s>", IRI("http://e/p"), IRI("http://e/o")), "subject must be an IRI or blank node"),
         ((IRI("http://e/s"), BlankNode("b"), IRI("http://e/o")), "predicate must be an IRI"),
         ((IRI("http://e/s"), Literal("p"), IRI("http://e/o")), "predicate must be an IRI"),
+        ((IRI("http://e/s"), "<http://e/p>", IRI("http://e/o")), "predicate must be an IRI"),
         ((IRI("http://e/s"), IRI("http://e/p"), "o"), "object must be a term"),
+        ((IRI("http://e/s"), IRI("http://e/p"), '"o"'), "object must be a term"),
         ((IRI("http://e/s"), IRI("http://e/p"), None), "object must be a term"),
     ])
     def test_each_wrong_triple_position_raises_its_type_error(self, terms, message):
@@ -114,23 +156,40 @@ class TestTerms:
         (Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("x")), "object"),
     ])
     def test_assignment_raises_frozen_instance_error(self, value, attribute):
-        with pytest.raises(FrozenInstanceError):
+        # A term's parts are read-only properties, which refuse with a plain
+        # AttributeError; a triple is a frozen dataclass.
+        with pytest.raises(FrozenInstanceError if isinstance(value, Triple) else AttributeError):
             setattr(value, attribute, IRI("http://e/x"))
 
     def test_cached_hash_cannot_be_reassigned(self):
         iri = IRI("http://e/s")
-        # Python 3.10 and 3.11 raise TypeError, not FrozenInstanceError, for a
-        # name that is not a field of a slotted frozen dataclass.
-        with pytest.raises((FrozenInstanceError, TypeError)):
-            iri._hash = 0
-        assert hash(iri) == hash(IRI("http://e/s"))
+        before = hash(iri)
+        # A term has no instance attributes at all, so nothing can change
+        # what its hash is computed from.
+        for name in ("_hash", "value", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(iri, name, 0)
+        assert hash(iri) == before == hash(IRI("http://e/s"))
 
     @given(st.one_of(own.terms, own.triples), st.one_of(own.terms, own.triples))
     def test_equal_values_hash_equal(self, a, b):
         if a == b:
             assert hash(a) == hash(b)
-        rebuilt = type(a)(*(getattr(a, name) for name in a.__dataclass_fields__))
+        rebuilt = type(a)(*_parts(a))
         assert rebuilt == a and hash(rebuilt) == hash(a)
+
+    @given(own.terms)
+    def test_term_text_is_its_n_triples_form(self, t):
+        _check_term_text(t)
+
+    @pytest.mark.parametrize("datatype, language", [
+        (XSD_NS + "string", None), (XSD_NS + "decimal", None), (RDF_LANG_STRING, "en-GB"),
+    ])
+    def test_awkward_literal_text_is_its_n_triples_form(self, datatype, language):
+        for lexical in _AWKWARD_LEXICALS:
+            t = Literal(lexical, datatype, language)
+            _check_term_text(t)
+            assert (t.lexical, t.datatype, t.language) == (lexical, datatype, language)
 
 
 # Loads pickled terms and triples under another PYTHONHASHSEED and checks set
