@@ -14,7 +14,10 @@ A pattern with only the object bound looks it up under every predicate.
 
 ``len`` and the triples per predicate are counters.  ``scan_size`` is
 exactly the number of triples ``match`` yields, and O(1) when only the
-predicate is bound.
+predicate is bound.  With two positions bound, the keys of a promoted
+bucket are the values of the third (Weiss, Karras & Bernstein, "Hexastore",
+VLDB 2008): ``objects`` and ``subjects`` return them without building a
+triple.
 
 Build phase (insert, assert) requires exclusive access; once built, a graph
 can be read concurrently without restriction.
@@ -288,6 +291,26 @@ class Graph:
             for p in self._by_predicate if predicate is None else (predicate,):
                 for bucket in _buckets(self._by_predicate, p, object):
                     yield from _in_bucket(bucket, None)
+
+    def objects(self, subject: Term, predicate: Term) -> Collection[Term]:
+        """The objects of the triples with this subject and predicate, in
+        the order ``match`` yields them; empty for a literal subject or a
+        predicate that is not an IRI.  The result may be a view on the
+        subject index: read-only, and valid until the next insert."""
+        bucket = self._by_subject.get(subject, _NO_BUCKETS).get(predicate)
+        if bucket is None:
+            return ()
+        return (bucket.object,) if type(bucket) is Triple else bucket.keys()
+
+    def subjects(self, predicate: Term, object: Term) -> Collection[Subject]:
+        """The subjects of the triples with this predicate and object, in
+        the order ``match`` yields them; empty for a predicate that is not
+        an IRI.  The result may be a view on the predicate index: read-only,
+        and valid until the next insert."""
+        bucket = self._by_predicate.get(predicate, _NO_BUCKETS).get(object)
+        if bucket is None:
+            return ()
+        return (bucket.subject,) if type(bucket) is Triple else bucket.keys()
 
     def scan_size(
         self,

@@ -600,8 +600,8 @@ def resolve_point(term: Term, g: Graph) -> Optional[GeoPoint]:
 
 def _coordinate(subject, prop: IRI, g: Graph) -> Optional[Decimal]:
     values = []
-    for t in g.match(subject=subject, predicate=prop):
-        value = _finite_decimal(t.object.lexical) if isinstance(t.object, Literal) else None
+    for o in g.objects(subject, prop):
+        value = _finite_decimal(o.lexical) if isinstance(o, Literal) else None
         if value is not None:
             values.append(value)
     return min(values) if values else None
@@ -698,15 +698,50 @@ def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> li
     """Every row extended by every triple that matches the pattern under it.
 
     All rows of one join step bind the same variables, so the first row
-    tells, once for the step, which positions the probe reads from the row
-    and which variables the triples bind.  ``Graph.match`` yields nothing
-    for a literal subject or a predicate that is not an IRI, so a row that
-    binds one that way extends to nothing."""
+    tells, once for the step, which positions are constants, which are read
+    from the row and which are free.  When the predicate is bound and so is
+    the subject or the object, the step reads index keys and builds no
+    triple: ``Graph.objects`` or ``Graph.subjects`` gives the values of the
+    third position.  A step with that position free binds it to each value;
+    a check step, with no position free, keeps the rows whose value is
+    among them, and reads them once for the whole step when the two other
+    positions are constants.  Every other step calls ``Graph.match`` per
+    row.  Neither finds anything for a literal subject or a predicate that
+    is not an IRI, so a row that binds one that way extends to nothing."""
     if not rows:
         return []
     terms = (pattern.subject, pattern.predicate, pattern.object)
-    probe = [None if isinstance(t, Var) else t for t in terms]
     read = [t.name if isinstance(t, Var) and t.name in rows[0] else None for t in terms]
+    free_s, free_p, free_o = (isinstance(t, Var) and name is None for t, name in zip(terms, read))
+    if free_p or free_s and free_o:
+        return _extend_by_match(rows, terms, read, g)
+    s, p, o = terms
+    if free_s or free_o:
+        if free_s:
+            keys_of, first, second, name = g.subjects, _operand(p), _operand(o), s.name
+        else:
+            keys_of, first, second, name = g.objects, _operand(s), _operand(p), o.name
+        extended = []
+        for row in rows:
+            for value in keys_of(first(row), second(row)):
+                new = row.copy()
+                new[name] = value
+                extended.append(new)
+        return extended
+    read_s, read_p, read_o = read
+    if read_p is None and (read_s is None) != (read_o is None):  # two constants, one value read
+        keys, name = (g.objects(s, p), read_o) if read_s is None else (g.subjects(p, o), read_s)
+        return [row for row in rows if row[name] in keys]
+    subject_of, predicate_of, object_of = map(_operand, terms)
+    return [row for row in rows if object_of(row) in g.objects(subject_of(row), predicate_of(row))]
+
+
+def _extend_by_match(
+    rows: list[dict[str, Term]], terms: tuple[PatternTerm, ...], read: list[Optional[str]], g: Graph,
+) -> list[dict[str, Term]]:
+    """``_extend`` for a step whose predicate is free, or whose subject and
+    object both are: one ``Graph.match`` call per row, given the constants
+    and the values ``read`` names in the row."""
     free: dict[str, list[int]] = {}
     for i, t in enumerate(terms):
         if isinstance(t, Var) and read[i] is None:
@@ -716,7 +751,7 @@ def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> li
     binds = [(name, _POSITIONS[at[0]]) for name, at in free.items()]
     repeats = [(_POSITIONS[at[0]], _POSITIONS[i]) for at in free.values() for i in at[1:]]
 
-    (s, p, o), (read_s, read_p, read_o) = probe, read
+    (s, p, o), (read_s, read_p, read_o) = [None if isinstance(t, Var) else t for t in terms], read
     extended: list[dict[str, Term]] = []
     for row in rows:
         if read_s is not None:
@@ -725,10 +760,6 @@ def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> li
             p = row[read_p]
         if read_o is not None:
             o = row[read_o]
-        if not binds:
-            for _ in g.match(s, p, o):
-                extended.append(row)
-            continue
         for triple in g.match(s, p, o):
             if repeats and any(first(triple) != other(triple) for first, other in repeats):
                 continue

@@ -325,6 +325,12 @@ class TestGraphAgainstSetModel:
         for t in inserts:
             assert g.insert(t) is (t not in model)
             model.add(t)
+            # The two buckets the triple went to, bare or promoted.
+            objects, subjects = g.objects(t.subject, t.predicate), g.subjects(t.predicate, t.object)
+            assert set(objects) == {m.object for m in model if (m.subject, m.predicate) == (t.subject, t.predicate)}
+            assert set(subjects) == {m.subject for m in model if (m.predicate, m.object) == (t.predicate, t.object)}
+            assert len(objects) == g.scan_size(t.subject, t.predicate)
+            assert len(subjects) == g.scan_size(None, t.predicate, t.object)
 
         assert len(g) == len(model)
         listed = list(g)
@@ -350,6 +356,17 @@ class TestGraphAgainstSetModel:
             assert len(matched) == len(expected) and set(matched) == expected
             # exact for every pattern, the object-only ones included
             assert g.scan_size(s, p, o) == len(expected)
+
+        # In match order; a literal subject, or a literal or blank-node
+        # predicate, finds nothing.
+        for s, p, o in itertools.product(_MODEL_SUBJECTS + [Literal("v")],
+                                         _MODEL_PREDICATES + [Literal("v"), BlankNode("b0")], _MODEL_OBJECTS):
+            assert list(g.objects(s, p)) == [t.object for t in g.match(s, p)]
+            assert list(g.subjects(p, o)) == [t.subject for t in g.match(None, p, o)]
+            if isinstance(s, Literal) or not isinstance(p, IRI):
+                assert g.objects(s, p) == ()
+            if not isinstance(p, IRI):
+                assert g.subjects(p, o) == ()
 
     def test_object_only_match_spans_predicates(self):
         s0, s1, o = IRI("http://m/s0"), IRI("http://m/s1"), Literal("v")

@@ -544,15 +544,18 @@ class TestPlanner:
 
     @pytest.fixture()
     def match_calls(self, monkeypatch) -> collections.Counter:
-        """Counts ``Graph.match`` calls under the key "match"."""
+        """Counts index probes, calls of ``Graph.match``, ``Graph.objects``
+        and ``Graph.subjects``, under the key "match"."""
         calls = collections.Counter()
-        match = Graph.match
 
-        def counted(graph, *args, **kwargs):
-            calls["match"] += 1
-            return match(graph, *args, **kwargs)
+        def counted(probe):
+            def wrapper(graph, *args, **kwargs):
+                calls["match"] += 1
+                return probe(graph, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(Graph, "match", counted)
+        for name in ("match", "objects", "subjects"):
+            monkeypatch.setattr(Graph, name, counted(getattr(Graph, name)))
         return calls
 
     def test_equality_filter_starts_the_join(self, places, match_calls):
@@ -655,6 +658,31 @@ class TestPlanner:
         # One scan of ?x <p> ?y, then one check per row it gave.
         assert match_calls["match"] == 1 + 5
 
+    @pytest.mark.parametrize("check", ["?y <http://e/p> <http://e/a>", "<http://e/b> <http://e/p> ?y"])
+    def test_check_against_a_constant_probes_once_per_step(self, match_calls, check):
+        rows, oracle = self._rows_and_oracle(
+            f"SELECT ?x ?y WHERE {{ ?x <http://e/p> ?y . {check} FILTER(?x = <http://e/a>) }}", self._KERNEL_GRAPH)
+        assert rows == oracle
+        assert [(x.value, y.value) for x, y in rows] == [("http://e/a", "http://e/a"), ("http://e/a", "http://e/b")]
+        # The objects of <a> <p>, three rows, then one key set for the check.
+        assert match_calls["match"] == 1 + 1
+
+    @pytest.mark.parametrize("text, expected", [
+        # A check against a constant object keeps the row bound to a blank
+        # node, not the one bound to a literal.
+        ("SELECT ?o WHERE { ?s <http://e/v> ?o . ?o <http://e/q> <http://e/a> FILTER(?s = <http://e/a>) }",
+         [(BlankNode("b"),)]),
+        ('SELECT ?y WHERE { ?x <http://e/p> ?y . ?y <http://e/v> "lit" FILTER(?x = <http://e/b>) }',
+         [(IRI("http://e/a"),)]),
+        # A check whose predicate is read from the row: a literal, a blank
+        # node and an IRI.
+        ("SELECT ?v WHERE { ?s <http://e/v> ?v . <http://e/b> ?v <http://e/c> FILTER(?s = <http://e/a>) }",
+         [(IRI("http://e/q"),)]),
+    ])
+    def test_key_probe_steps(self, text, expected):
+        rows, oracle = self._rows_and_oracle(text, self._KERNEL_GRAPH)
+        assert rows == oracle == expected
+
     @pytest.mark.parametrize("text", [
         "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
         "SELECT ?x ?s ?p ?o WHERE { ?x <http://e/q> <http://e/c> . ?s ?p ?o }",
@@ -678,9 +706,12 @@ class TestPlanner:
 
         monkeypatch.setattr(query, "resolve_point", counted("resolve_point", query.resolve_point))
         monkeypatch.setattr(query, "geo_distance", counted("geo_distance", query.geo_distance))
-        monkeypatch.setattr(Graph, "match", counted("match", Graph.match))
+        for name in ("match", "objects", "subjects"):
+            monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
         evaluate(parse_query(fixtures.EXAMPLE1_QUERY), materialized_graph)
-        assert calls["resolve_point"] > 0 and calls["geo_distance"] > 0 and calls["match"] > 0
+        assert calls["resolve_point"] > 0 and calls["geo_distance"] > 0
+        # Every join step of example1 reads index keys.
+        assert calls["objects"] > 0 and calls["subjects"] > 0 and calls["match"] == 0
 
     @given(planner_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
