@@ -15,7 +15,8 @@ runs with ``time.perf_counter``:
 - ``materialize`` of that graph under the builtin rules;
 - ``to_ntriples``, ``from_ntriples`` and ``to_turtle`` of the materialized
   graph, and ``to_jsonld`` of every resource in it;
-- ``evaluate`` of each scenario query on the materialized graph.
+- ``parse_query`` of each scenario query's text, and ``evaluate`` of the
+  parsed query on the materialized graph.
 
 Writes one JSON document to OUT: the machine, the Python version, and for
 each k the resource and triple counts, the seconds per stage, and the
@@ -118,7 +119,7 @@ def stages(k: int, repeat: int) -> dict:
     seconds["to_jsonld"], exports = best_of(repeat, lambda: [to_jsonld(g, root).to_text() for root in roots])
     rows = {}
     for name, text in QUERIES.items():
-        q = parse_query(text)
+        seconds[f"parse_query.{name}"], q = best_of(repeat, parse_query, lambda: (text,))
         seconds[f"evaluate.{name}"], table = best_of(repeat, evaluate, lambda: (q, g))
         rows[name] = "".join("\t".join(map(term_to_ntriples, row)) + "\n" for row in table.rows)
 

@@ -63,12 +63,17 @@ DEFAULT_BASE_IRI = "http://example.org/tifsem"
 # the term constructors, the N-Triples reader and writer and the query
 # tokenizer.  Each is a regex fragment: the surrogate code points, which no
 # term may hold because UTF-8 cannot encode them, and the characters an IRI
-# may never contain (character-class bodies), a blank-node label and a
-# language tag.
+# may never contain (character-class bodies), a blank-node label, a language
+# tag and the body of a quoted string.  The string body takes any escape;
+# `unescape` and the term constructors then refuse what the grammar does not
+# allow.  It is an unrolled loop, `[^F]*(?:\\.[^F]*)*`, which the regex engine
+# scans several times faster than the alternation `(?:[^F]|\\.)*`, and it
+# never holds a line break.
 SURROGATES = r"\ud800-\udfff"
 IRI_FORBIDDEN = r'\x00-\x20<>"{}|^`\\' + SURROGATES
 BLANK_LABEL = r"[A-Za-z0-9_]+"
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LEXICAL = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'
 
 _SURROGATE_RE = re.compile(f"[{SURROGATES}]")
 _IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")

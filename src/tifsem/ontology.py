@@ -109,7 +109,7 @@ class IoRef:
 FieldValue = Union[str, Decimal, datetime.date, GeoPoint, IoRef]
 
 
-class FieldType(Enum):
+class FieldType(str, Enum):
     TEXT = "text"
     DECIMAL = "decimal"
     DATE = "date"

@@ -24,10 +24,10 @@ import functools
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import (
@@ -44,6 +44,7 @@ from tifsem.graph import (
     Literal,
     Term,
     XSD_STRING,
+    _LEXICAL,
     unescape,
     vocabulary_iri,
 )
@@ -82,9 +83,15 @@ class TriplePattern:
     subject: PatternTerm
     predicate: PatternTerm
     object: PatternTerm
+    # Built once: the join planner asks for the variables many times per query.
+    _variables: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def variables(self) -> set[str]:
-        return {t.name for t in (self.subject, self.predicate, self.object) if isinstance(t, Var)}
+    def __post_init__(self) -> None:
+        names = frozenset(t.name for t in (self.subject, self.predicate, self.object) if isinstance(t, Var))
+        object.__setattr__(self, "_variables", names)
+
+    def variables(self) -> frozenset[str]:
+        return self._variables
 
 
 @dataclass(frozen=True)
@@ -159,48 +166,42 @@ class SolutionTable:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# Every character starts a match, so one scan cuts the whole text: blanks
+# and comments (WS) are dropped, and a character no token starts with
+# (ERROR) stops the scan.
 _TOKEN_RE = re.compile(
     rf"""
       (?P<WS>\s+|\#[^\n]*)
     | (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+    | (?P<STRING>"{_LEXICAL}")
     | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
     | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<LANGTAG>@{LANGTAG})
     | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{{}}().,=<>!])
+    | (?P<ERROR>[\s\S])
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "WS":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ERROR":
+            raise QuerySyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "WS":
+            tokens.append(_Token(kind, m.group(), m.start()))
     tokens.append(_Token("EOF", "", len(text)))
     return tokens
-
-
-def _unquote(raw: str, pos: int) -> str:
-    try:
-        return unescape(raw[1:-1])
-    except ValueError as exc:
-        raise QuerySyntaxError(str(exc), pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,20 @@ class _Parser:
     def fail(self, message: str, tok: Optional[_Token] = None) -> QuerySyntaxError:
         tok = tok or self.peek()
         return QuerySyntaxError(message, tok.pos)
+
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
+        """The next token, consumed, when it has this kind (and text)."""
+        tok = self.tokens[self.index]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.index += 1
+            return tok
+        return None
+
+    def expect(self, kind: str, message: str) -> _Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise self.fail(message, tok)
+        return tok
 
     def expect_op(self, text: str) -> _Token:
         tok = self.next()
@@ -249,9 +264,7 @@ class _Parser:
             name = self.next()
             if name.kind != "PNAME" or not name.text.endswith(":"):
                 raise self.fail("expected prefix name ending in ':'", name)
-            iri = self.next()
-            if iri.kind != "IRIREF":
-                raise self.fail("expected namespace IRI", iri)
+            iri = self.expect("IRIREF", "expected namespace IRI")
             self.prefixes[name.text[:-1]] = iri.text[1:-1]
 
         self.expect_keyword("select")
@@ -280,30 +293,21 @@ class _Parser:
         projection: list[Var] = []
         group_count: Optional[GroupCount] = None
         while True:
-            tok = self.peek()
-            if tok.kind == "VAR":
-                projection.append(Var(self.next().text[1:]))
-                continue
-            if tok.kind == "OP" and tok.text == "(":
+            if tok := self.accept("VAR"):
+                projection.append(Var(tok.text[1:]))
+            elif tok := self.accept("OP", "("):
                 if group_count is not None:
                     raise self.fail("only one GROUP-COUNT aggregate is supported", tok)
-                self.next()
-                name = self.next()
-                if name.kind != "NAME" or name.text.upper() != "GROUP-COUNT":
-                    raise self.fail("expected GROUP-COUNT", name)
+                self.expect_keyword("group-count")
                 self.expect_op("(")
-                var_tok = self.next()
-                if var_tok.kind != "VAR":
-                    raise self.fail("expected variable", var_tok)
+                var_tok = self.expect("VAR", "expected variable")
                 self.expect_op(")")
                 self.expect_keyword("as")
-                alias_tok = self.next()
-                if alias_tok.kind != "VAR":
-                    raise self.fail("expected alias variable", alias_tok)
+                alias_tok = self.expect("VAR", "expected alias variable")
                 self.expect_op(")")
                 group_count = GroupCount(Var(var_tok.text[1:]), Var(alias_tok.text[1:]))
-                continue
-            break
+            else:
+                break
         if not projection and group_count is None:
             raise self.fail("projection must name at least one variable")
         return projection, group_count
@@ -311,15 +315,10 @@ class _Parser:
     def parse_group(self) -> tuple[list[TriplePattern], list[FilterExpr]]:
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "}":
-                self.next()
-                return patterns, filters
-            if tok.kind == "EOF":
-                raise self.fail("unterminated group: expected '}'", tok)
-            if tok.kind == "NAME" and tok.text.lower() == "filter":
-                self.next()
+        while not self.accept("OP", "}"):
+            if self.peek().kind == "EOF":
+                raise self.fail("unterminated group: expected '}'")
+            if self.keyword("filter"):
                 self.expect_op("(")
                 filters.append(self.parse_or())
                 self.expect_op(")")
@@ -328,17 +327,17 @@ class _Parser:
             predicate = self.parse_term(position="predicate")
             obj = self.parse_term(position="object")
             patterns.append(TriplePattern(subject, predicate, obj))
-            if self.peek().kind == "OP" and self.peek().text == ".":
-                self.next()
+            self.accept("OP", ".")
+        return patterns, filters
 
     def parse_term(self, position: str) -> PatternTerm:
+        if position == "predicate" and self.accept("NAME", "a"):
+            return IRI(RDF_TYPE)
         tok = self.next()
         if tok.kind == "VAR":
             return Var(tok.text[1:])
         if tok.kind in ("IRIREF", "PNAME"):
             return self.iri(tok)
-        if tok.kind == "NAME" and tok.text == "a" and position == "predicate":
-            return IRI(RDF_TYPE)
         if tok.kind == "NUMBER":
             if position != "object":
                 raise self.fail(f"number not allowed in {position} position", tok)
@@ -350,14 +349,14 @@ class _Parser:
         raise self.fail(f"expected term, found {tok.text!r}", tok)
 
     def finish_literal(self, tok: _Token) -> Literal:
-        lexical = _unquote(tok.text, tok.pos)
-        nxt, culprit = self.peek(), tok
-        language, datatype = None, XSD_STRING
-        if nxt.kind == "LANGTAG":
-            self.next()
-            language = nxt.text[1:]
-        elif nxt.kind == "OP" and nxt.text == "^^":
-            self.next()
+        try:
+            lexical = unescape(tok.text[1:-1])
+        except ValueError as exc:
+            raise self.fail(str(exc), tok) from None
+        language, datatype, culprit = None, XSD_STRING, tok
+        if tag := self.accept("LANGTAG"):
+            language = tag.text[1:]
+        elif self.accept("OP", "^^"):
             culprit = self.next()
             if culprit.kind not in ("IRIREF", "PNAME"):
                 raise self.fail("expected datatype IRI", culprit)
@@ -383,45 +382,36 @@ class _Parser:
     # filter expressions --------------------------------------------------
     def parse_or(self) -> FilterExpr:
         items = [self.parse_and()]
-        while self.peek().kind == "OP" and self.peek().text == "||":
-            self.next()
+        while self.accept("OP", "||"):
             items.append(self.parse_and())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def parse_and(self) -> FilterExpr:
         items = [self.parse_unary()]
-        while self.peek().kind == "OP" and self.peek().text == "&&":
-            self.next()
+        while self.accept("OP", "&&"):
             items.append(self.parse_unary())
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_unary(self) -> FilterExpr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "!":
-            self.next()
+        if self.accept("OP", "!"):
             return Not(self.parse_unary())
-        if tok.kind == "OP" and tok.text == "(":
-            self.next()
+        if self.accept("OP", "("):
             inner = self.parse_or()
             self.expect_op(")")
             return inner
-        if tok.kind == "PNAME" and tok.text == "geo:distance":
+        if self.accept("PNAME", "geo:distance"):
             return self.parse_distance()
         return self.parse_compare()
 
     def parse_distance(self) -> DistanceWithin:
-        self.next()  # geo:distance
         self.expect_op("(")
         a = self.parse_term(position="object")
         self.expect_op(",")
         b = self.parse_term(position="object")
         self.expect_op(")")
-        op = self.next()
-        if op.kind != "OP" or op.text != "<":
-            raise self.fail("geo:distance supports only a strict '<' threshold", op)
-        num = self.next()
-        if num.kind != "NUMBER":
-            raise self.fail("expected numeric threshold", num)
+        if not self.accept("OP", "<"):
+            raise self.fail("geo:distance supports only a strict '<' threshold")
+        num = self.expect("NUMBER", "expected numeric threshold")
         try:
             return DistanceWithin(a, b, float(num.text))
         except ValueError as exc:
@@ -440,19 +430,15 @@ class _Parser:
         if not self.keyword("order"):
             return None
         self.expect_keyword("by")
-        ascending = True
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text.lower() in ("asc", "desc"):
-            ascending = self.next().text.lower() == "asc"
-            self.expect_op("(")
-            var_tok = self.next()
-            if var_tok.kind != "VAR":
-                raise self.fail("expected variable", var_tok)
-            self.expect_op(")")
-            return OrderSpec(Var(var_tok.text[1:]), ascending)
-        if tok.kind == "VAR":
-            return OrderSpec(Var(self.next().text[1:]), ascending)
-        raise self.fail("expected ORDER BY key", tok)
+        if tok := self.accept("VAR"):
+            return OrderSpec(Var(tok.text[1:]))
+        descending = self.keyword("desc")
+        if not (descending or self.keyword("asc")):
+            raise self.fail("expected ORDER BY key")
+        self.expect_op("(")
+        var_tok = self.expect("VAR", "expected variable")
+        self.expect_op(")")
+        return OrderSpec(Var(var_tok.text[1:]), not descending)
 
     def parse_limit(self) -> Optional[int]:
         if not self.keyword("limit"):
@@ -467,10 +453,7 @@ class _Parser:
 
     # validation -----------------------------------------------------------
     def validate(self, query: Query) -> None:
-        pattern_vars: set[str] = set()
-        for p in query.patterns:
-            pattern_vars |= p.variables()
-
+        pattern_vars = set().union(*(p.variables() for p in query.patterns))
         for v in query.projection:
             if v.name not in pattern_vars:
                 raise QuerySyntaxError(f"projected variable ?{v.name} is unbound", 0)

@@ -27,6 +27,7 @@ from tifsem.graph import (
     RDF_TYPE,
     RDFS_NS,
     XSD_NS,
+    _LEXICAL,
     BlankNode,
     Graph,
     IRI,
@@ -84,13 +85,9 @@ def to_ntriples(g: Graph) -> str:
     return "".join(sorted([" ".join((t.subject, t.predicate, t.object, ".\n")) for t in g]))
 
 
-# IRI and literal bodies take any escape here; `unescape` and the term
-# constructors then refuse what the grammar does not allow.  Each body is an
-# unrolled loop, `[^F]*(?:\\.[^F]*)*`, which the regex engine scans several
-# times faster than the alternation `(?:[^F]|\\.)*`.  A body never holds a
-# line break.
+# IRI bodies take any escape here, unrolled like `_LEXICAL`, the literal
+# body shared with the query tokenizer.
 _IRI_BODY = rf"[^{IRI_FORBIDDEN}]*(?:\\.[^{IRI_FORBIDDEN}]*)*"
-_LEXICAL = r'[^"\\\n]*(?:\\.[^"\\\n]*)*'
 _IRI = f"<{_IRI_BODY}>"
 _BLANK = f"_:{BLANK_LABEL}"
 _LITERAL = rf'"{_LEXICAL}"(?:@{LANGTAG}|\^\^<{_IRI_BODY}>)?'

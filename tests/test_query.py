@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from oracles import brute_force_evaluate, haversine_reference
 from strategies import hostile_text, planner_cases, random_case
 from tifsem import fixtures, query
 from tifsem.errors import QuerySyntaxError, QueryTypeError
-from tifsem.graph import RDF_TYPE, BlankNode, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
+from tifsem.graph import IRI_FORBIDDEN, LANGTAG, RDF_TYPE, BlankNode, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
 from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP, GeoPoint, GranuleKind
 from tifsem.query import (
     Compare,
@@ -165,6 +166,77 @@ class TestParseErrors:
             parse_query(text)
         except QuerySyntaxError:
             pass
+
+    @pytest.mark.parametrize("text, message, position", [
+        ('SELECT ?s WHERE { ?s ?p "a\\\nb" }', "unexpected character '\"'", 24),
+        ("SELECT ?s # note\n$ WHERE { ?s ?p ?o }", "unexpected character '$'", 17),
+        ("SELECT ?s WHERE { ?s ?p ?o } #\n\u00a7", "unexpected character '\u00a7'", 31),
+    ], ids=["backslash-line-break-in-string", "after-comment", "after-empty-comment"])
+    def test_unexpected_character_names_its_offset(self, text, message, position):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert message in str(err.value)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("tail", [" ", " \t\n ", "# a comment", "\n# a comment\n  "])
+    @pytest.mark.parametrize("text", [fixtures.EXAMPLE1_QUERY, fixtures.EXAMPLE2_QUERY, "SELECT ?s WHERE { ?s ?p ?o }"])
+    def test_trailing_blanks_and_comments_change_nothing(self, text, tail):
+        assert parse_query(text.rstrip() + tail) == parse_query(text.rstrip())
+
+
+# Reference tokenizer: one anchored match per token or run of blanks, and a
+# string body written as its own alternation, not the shared fragment.
+_REF_TOKEN_RE = re.compile(
+    rf"""
+      (?P<WS>\s+|\#[^\n]*)
+    | (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
+    | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+    | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
+    | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
+    | (?P<LANGTAG>@{LANGTAG})
+    | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{{}}().,=<>!])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "WS":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+def _token_outcome(tokenize, text: str):
+    try:
+        return "tokens", [tuple(tok) for tok in tokenize(text)]
+    except QuerySyntaxError as exc:
+        return "error", exc.position, str(exc)
+
+
+@st.composite
+def spliced_queries(draw) -> str:
+    """A scenario query with a stretch cut out and hostile text put in."""
+    text = draw(st.sampled_from([fixtures.EXAMPLE1_QUERY, fixtures.EXAMPLE2_QUERY]))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 8)))
+    return text[:start] + draw(hostile_text) + text[end:]
+
+
+class TestTokenizer:
+    @given(st.one_of(spliced_queries(), hostile_text))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_per_token_reference(self, text):
+        assert _token_outcome(query._tokenize, text) == _token_outcome(reference_tokenize, text)
 
 
 class TestNonFiniteAgainstOracle:
