@@ -29,9 +29,8 @@ import datetime
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import quote
 
 from tifsem import ontology
@@ -274,12 +273,36 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only if it was not already present."""
+        s, p, o = t.subject, t.predicate, t.object
         # The subject index decides whether the triple is new.
-        if not _file(self._by_subject, t.subject, t.predicate, t.object, t, _OBJECT_OF):
-            return False
-        _file(self._by_predicate, t.predicate, t.object, t.subject, t, _SUBJECT_OF)
+        buckets = self._by_subject.get(s)
+        if buckets is None:
+            self._by_subject[s] = {p: t}
+        else:
+            bucket = buckets.get(p)
+            if bucket is None:
+                buckets[p] = t
+            elif type(bucket) is Triple:
+                if bucket.object == o:
+                    return False
+                buckets[p] = {bucket.object: bucket, o: t}
+            elif o in bucket:
+                return False
+            else:
+                bucket[o] = t
+        buckets = self._by_predicate.get(p)
+        if buckets is None:
+            self._by_predicate[p] = {o: t}
+        else:
+            bucket = buckets.get(o)
+            if bucket is None:
+                buckets[o] = t
+            elif type(bucket) is Triple:
+                buckets[o] = {bucket.subject: bucket, s: t}
+            else:
+                bucket[s] = t
         self._len += 1
-        self._counts[t.predicate] = self._counts.get(t.predicate, 0) + 1
+        self._counts[p] = self._counts.get(p, 0) + 1
         return True
 
     def match(
@@ -335,30 +358,6 @@ class Graph:
 # One bare triple, or a dict keyed by the index's third position.
 _Bucket = Union[Triple, dict[Term, Triple]]
 _NO_BUCKETS: Mapping[Term, _Bucket] = MappingProxyType({})
-_OBJECT_OF = attrgetter("object")
-_SUBJECT_OF = attrgetter("subject")
-
-
-def _file(index: dict, first: Term, second: Term, third: Term, t: Triple, third_of: Callable) -> bool:
-    """Put ``t`` in the bucket under (first, second), keyed by ``third``
-    once promoted; False if it was already there."""
-    buckets = index.get(first)
-    if buckets is None:
-        index[first] = {second: t}
-        return True
-    bucket = buckets.get(second)
-    if bucket is None:
-        buckets[second] = t
-    elif type(bucket) is Triple:
-        other = third_of(bucket)
-        if other == third:
-            return False
-        buckets[second] = {other: bucket, third: t}
-    elif third in bucket:
-        return False
-    else:
-        bucket[third] = t
-    return True
 
 
 def _buckets(index: dict, first: Term, second: Optional[Term]) -> Collection[_Bucket]:

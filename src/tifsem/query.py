@@ -457,7 +457,6 @@ class _Parser:
         for v in query.projection:
             if v.name not in pattern_vars:
                 raise QuerySyntaxError(f"projected variable ?{v.name} is unbound", 0)
-        bound_outputs = set(pattern_vars)
         if query.group_count is not None:
             if query.group_count.var.name not in pattern_vars:
                 raise QuerySyntaxError(
@@ -465,9 +464,11 @@ class _Parser:
             if query.group_count.alias.name in pattern_vars:
                 raise QuerySyntaxError(
                     f"alias ?{query.group_count.alias.name} shadows a pattern variable", 0)
-            bound_outputs.add(query.group_count.alias.name)
-        if query.order_by is not None and query.order_by.key.name not in bound_outputs:
-            raise QuerySyntaxError(f"ordering variable ?{query.order_by.key.name} is unbound", 0)
+        # Rows hold only the output variables, so only they can order them.
+        if query.order_by is not None and query.order_by.key.name not in query.output_variables:
+            key = query.order_by.key.name
+            problem = "is not an output variable" if key in pattern_vars else "is unbound"
+            raise QuerySyntaxError(f"ordering variable ?{key} {problem}", 0)
 
         for f in query.filters:
             loose = _filter_vars(f) - pattern_vars

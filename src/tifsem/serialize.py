@@ -26,6 +26,7 @@ from tifsem.graph import (
     RDF_NS,
     RDF_TYPE,
     RDFS_NS,
+    SURROGATES,
     XSD_NS,
     _LEXICAL,
     BlankNode,
@@ -88,9 +89,6 @@ def to_ntriples(g: Graph) -> str:
 # IRI bodies take any escape here, unrolled like `_LEXICAL`, the literal
 # body shared with the query tokenizer.
 _IRI_BODY = rf"[^{IRI_FORBIDDEN}]*(?:\\.[^{IRI_FORBIDDEN}]*)*"
-_IRI = f"<{_IRI_BODY}>"
-_BLANK = f"_:{BLANK_LABEL}"
-_LITERAL = rf'"{_LEXICAL}"(?:@{LANGTAG}|\^\^<{_IRI_BODY}>)?'
 
 # One term after optional blanks, with its parts named for `_term`.
 _TERM_RE = re.compile(
@@ -102,31 +100,31 @@ _TERM_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+# A term text that is already canonical: the constructors would build the
+# same text from its parts.  It holds no backslash, no control character the
+# writer escapes and no surrogate, its IRIs are non-empty, and it has no
+# `^^<...#string>` suffix, which the writer drops, or `^^<...#langString>`
+# one, which needs a language tag.
+_CANONICAL_RE = re.compile(
+    rf"""<[^{IRI_FORBIDDEN}]+>
+      | _:{BLANK_LABEL}
+      | "[^"\\\x00-\x1f{SURROGATES}]*"
+        (?:@{LANGTAG}|\^\^<[^{IRI_FORBIDDEN}]+(?<!\#string)(?<!\#langString)>)?""",
+    re.VERBOSE,
+)
+_KINDS = {"<": IRI, "_": BlankNode, '"': Literal}
 _SKIP_RE = re.compile(r"[ \t]*(?:#|$)")
 _END_RE = re.compile(r"[ \t]*\.[ \t]*(?:#|$)")
 
-# One whole line, its line break included: a statement, whose three groups
-# are the subject, predicate and object texts, or a blank or comment line,
-# whose groups are None.  It accepts the lines `_read_line` accepts, and no
-# others: trailing `\r`s before the break are dropped, a `\r` elsewhere is
-# kept, and the last line may end the text without a break, so it matches
-# (empty, at least) at the end of the text.  Each term ends where `_TERM_RE`
-# would end it, because no term can be cut shorter and still be followed by
-# what the grammar asks for next.
-_LINE_RE = re.compile(
-    rf"""(?:[ \t]*({_IRI}|{_BLANK})
-            [ \t]*({_IRI})
-            [ \t]*({_IRI}|{_BLANK}|{_LITERAL})
-            [ \t]*\.)?
-        [ \t]*(?:\#[^\n]*)?\r*(?:\n|\Z)""",
-    re.VERBOSE,
-)
-
 
 def _term(text: str) -> Term:
-    """The term one term text names.  Raises ValueError when it names no
-    valid term."""
-    m = _TERM_RE.match(text)
+    """The term a whole term text names.  Raises ValueError when the text
+    is not one term, or names no valid term."""
+    if _CANONICAL_RE.fullmatch(text):
+        return str.__new__(_KINDS[text[0]], text)
+    m = _TERM_RE.fullmatch(text)
+    if m is None or m.start("term"):
+        raise ValueError("not one term text")
     if m.group("iri") is not None:
         return IRI(unescape(m.group("iri")))
     if m.group("blank") is not None:
@@ -145,9 +143,9 @@ def _parse_error(message: str, line: str, lineno: int, pos: int) -> NTriplesPars
 
 
 def _read_line(line: str, lineno: int, built: _Memo) -> Optional[Triple]:
-    """The triple one line states, or None for a blank or comment line.
-    Raises NTriplesParseError with the line and column of the first fault."""
-    line = line.rstrip("\r")
+    """The triple one line states, or None for a blank or comment line; the
+    caller drops the line's trailing carriage returns.  Raises
+    NTriplesParseError with the line and column of the first fault."""
     if _SKIP_RE.match(line):
         return None
     terms: list[Term] = []
@@ -175,34 +173,28 @@ def from_ntriples(text: str) -> Graph:
     """Parse N-Triples text; duplicate statements collapse.  An error gives
     the line and the 1-based column where the offending part starts.
 
-    The text is read in one pass of `_LINE_RE`, and each distinct term text
-    is built once.  A line that pass cannot take, because it does not match
-    or names an invalid term, goes to `_read_line`, which reports the
-    fault; should it accept the line, the pass resumes after it."""
+    Each line loses its trailing carriage returns.  A line in the form
+    `to_ntriples` writes, three term texts each followed by one blank and
+    then `.`, is split at its first two blanks.  Every other line goes to
+    `_read_line`, which takes any blanks and comments and reports the first
+    fault, and so does a split line whose texts name no valid term or a
+    term of the wrong kind.  Each distinct term text is checked and built
+    once, and one already in canonical form becomes its term as it is."""
     g = Graph()
     built = _Memo(_term)
-    pos = 0
-    while True:
-        for m in _LINE_RE.finditer(text, pos):
-            if m.start() != pos:
-                break
-            s, p, o = m.groups()
-            if s is not None:
-                try:
-                    triple = Triple(built[s], built[p], built[o])
-                except ValueError:
-                    break
-                g.insert(triple)
-            pos = m.end()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.rstrip("\r")
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2].endswith(" ."):
+            try:
+                triple = Triple(built[parts[0]], built[parts[1]], built[parts[2][:-2]])
+            except (ValueError, TypeError):
+                triple = _read_line(line, lineno, built)
         else:
-            return g
-        end = text.find("\n", pos)
-        triple = _read_line(text[pos:] if end < 0 else text[pos:end], text.count("\n", 0, pos) + 1, built)
+            triple = _read_line(line, lineno, built)
         if triple is not None:
             g.insert(triple)
-        if end < 0:
-            return g
-        pos = end + 1
+    return g
 
 
 _PN_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*$")

@@ -85,6 +85,17 @@ class TestParse:
             parse_query("SELECT ?y WHERE { ?x ?p ?z }")
         assert "?y" in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?o", "ordering variable ?o is not an output variable"),
+        ("SELECT ?s (GROUP-COUNT(?o) AS ?n) WHERE { ?s ?p ?o } ORDER BY DESC(?o)",
+         "ordering variable ?o is not an output variable"),
+        ("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?z", "ordering variable ?z is unbound"),
+    ])
+    def test_ordering_variable_must_be_an_output_variable(self, text, message):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert (str(err.value), err.value.position) == (f"at offset 0: {message}", 0)
+
     def test_unknown_prefix_rejected(self):
         with pytest.raises(QuerySyntaxError) as err:
             parse_query("SELECT ?x WHERE { ?x rdf:type ?y }")

@@ -186,9 +186,9 @@ class TestNTriplesErrors:
             pass
 
 
-# The per-line reader that the one-pass `from_ntriples` replaced, pinned as
-# the reference it must agree with: the same graph, or an NTriplesParseError
-# with the same line and message.
+# A plain per-line reader, which builds every term through its constructor,
+# pinned as the reference `from_ntriples` must agree with: the same graph, or
+# an NTriplesParseError with the same line and message.
 _REF_TERM_RE = re.compile(
     rf"""[ \t]*(?:
         <(?P<iri>(?:[^{IRI_FORBIDDEN}]|\\.)*)>
@@ -332,17 +332,52 @@ class TestOnePassReader:
             from_ntriples(text)
         assert str(err.value).startswith("line 3: column 27: escape names no Unicode scalar value")
 
-    def test_per_line_reader_decides_lines_the_pass_refuses(self, monkeypatch):
-        # With a pass that takes only all-IRI statements, every other line
-        # goes to the per-line reader, which accepts it; the pass resumes
-        # after each such line.
-        monkeypatch.setattr(serialize, "_LINE_RE", re.compile(
-            rf"(?:({serialize._IRI}) ({serialize._IRI}) ({serialize._IRI}) \.)?(?:\n|\Z)"))
-        text = ('# c\n<http://e/s> <http://e/p> <http://e/o> .\n_:b <http://e/p> "x"@en .\n\n'
-                '<http://e/s> <http://e/q> <http://e/o> .\n<http://e/s> <http://e/p> "y" .')
+    def test_per_line_reader_decides_lines_the_pass_refuses(self):
+        # Lines in the writer's form are split; a tab-separated, commented,
+        # blank-free or CRLF line goes to the per-line reader, which accepts
+        # it, and the split goes on with the next line.
+        text = ('<http://e/s> <http://e/p> <http://e/o> .\n# c\n<http://e/s>\t<http://e/p>\t"t" .\n'
+                '<http://e/s> <http://e/p> "x"@en .\n<http://e/s> <http://e/q> <http://e/o> . # c\n\n'
+                '_:b<http://e/p>"y".\n<http://e/s> <http://e/p> "z" .\r\n_:b <http://e/q> _:c .')
         g = from_ntriples(text)
         assert g == reference_from_ntriples(text)
-        assert len(g) == 4
+        assert len(g) == 7
+
+
+# Lines in the writer's shape whose term texts are not canonical: valid ones
+# go through the constructors, and refused ones keep the per-line errors.
+class TestNonCanonicalTerms:
+    @pytest.mark.parametrize("line, term", [
+        ('<http://e/s> <http://e/p> "\\u0041b" .\n', Literal("Ab")),
+        ('<http://e/s> <http://e/p> <http://e/\\u0041> .\n', IRI("http://e/A")),
+        ('<http://e/s> <http://e/p> "a\tb" .\n', Literal("a\tb")),
+        ('<http://e/s> <http://e/p> "x"^^<http://www.w3.org/2001/XMLSchema#string> .\n', Literal("x")),
+        ('<http://e/s> <http://e/p> "x"@en .\r\n', Literal("x", language="en")),
+    ], ids=["u-escape in literal", "u-escape in IRI", "raw tab", "xsd:string suffix", "CRLF"])
+    def test_reads_back_as_its_canonical_term(self, line, term):
+        (t,) = from_ntriples(line)
+        assert (type(t.object), str(t.object)) == (type(term), str(term))
+
+    @pytest.mark.parametrize("text", [
+        "", " <http://e/a>", "\t<http://e/a>", "<http://e/a> ", "<http://e/a><http://e/b>", '"x" .', "_:b\t",
+        '"a\\u0041"x',
+    ])
+    def test_term_takes_exactly_one_term_text(self, text):
+        with pytest.raises(ValueError):
+            serialize._term(text)
+
+    @pytest.mark.parametrize("line", [
+        "<> <http://e/p> <http://e/o> .",
+        '<http://e/s> <http://e/p> "\\uD800" .',
+        '<http://e/s> <http://e/p> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
+        '"x" <http://e/p> <http://e/o> .',
+        "<http://e/s> _:b <http://e/o> .",
+    ], ids=["empty IRI", "surrogate escape", "langString without tag", "literal subject", "blank predicate"])
+    def test_refused_term_in_the_writers_shape_keeps_its_error(self, line):
+        text = '<http://e/s> <http://e/p> "x" .\n' + line + "\n"
+        outcome = _outcome(from_ntriples, text)
+        assert outcome[:2] == ("error", 2)
+        assert outcome == _outcome(reference_from_ntriples, text)
 
 
 class TestUnescape:
