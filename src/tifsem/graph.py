@@ -3,21 +3,20 @@
 A term (``IRI``, ``BlankNode``, ``Literal``) is a ``str`` whose value is its
 canonical N-Triples text, so terms compare, hash and sort as their text.
 
-A ``Graph`` keeps each triple in two indexes and nowhere else: subject ->
-predicate -> bucket, for patterns with the subject bound, and predicate ->
-object -> bucket, for the rest.  A bucket holds the triples that share the
-index's first two positions.  Most hold one, which is stored bare; the
-second insert promotes the bucket to a dict keyed by the third position
-(the object in the subject index, the subject in the predicate index).
-The subject index decides whether a triple is new, and iteration walks it.
-A pattern with only the object bound looks it up under every predicate.
+A ``Graph`` keeps each triple as terms in two indexes and nowhere else:
+subject -> predicate -> bucket, for patterns with the subject bound, and
+predicate -> object -> bucket, for the rest.  A bucket holds the third
+terms (objects, or subjects) of the triples that share the first two.  Most
+hold one, stored bare; the second insert promotes the bucket to a dict
+keyed by the terms (Weiss, Karras & Bernstein, "Hexastore", VLDB 2008).
+Only ``match`` and iteration build ``Triple``s; the other readers return
+terms.  The subject index decides whether a triple is new, and iteration
+walks it.  A pattern with only the object bound looks it up under every
+predicate.
 
 ``len`` and the triples per predicate are counters.  ``scan_size`` is
 exactly the number of triples ``match`` yields, and O(1) when only the
-predicate is bound.  With two positions bound, the keys of a promoted
-bucket are the values of the third (Weiss, Karras & Bernstein, "Hexastore",
-VLDB 2008): ``objects`` and ``subjects`` return them without building a
-triple.
+predicate is bound.
 
 Build phase (insert, assert) requires exclusive access; once built, a graph
 can be read concurrently without restriction.
@@ -29,6 +28,7 @@ import datetime
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import starmap
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import quote
@@ -208,34 +208,25 @@ Term = Union[IRI, BlankNode, Literal]
 Subject = Union[IRI, BlankNode]
 
 
-# ``init=False``: the hand-written ``__init__`` makes the three checks a
-# generated one would leave to ``__post_init__``, and fills the slots through
-# their descriptors, which the frozen ``__setattr__`` does not guard.  The
-# type checks also keep out a plain ``str`` equal to a term's text.
-@dataclass(frozen=True, slots=True, init=False)
+# The type checks also keep out a plain ``str`` equal to a term's text.
+# ``__reduce__`` pickles a triple as its constructor call, which a frozen,
+# slotted dataclass needs before Python 3.11.
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Subject
     predicate: IRI
     object: Term
 
-    def __init__(self, subject: Subject, predicate: IRI, object: Term) -> None:
-        if not isinstance(subject, (IRI, BlankNode)):
+    def __post_init__(self) -> None:
+        if not isinstance(self.subject, (IRI, BlankNode)):
             raise TypeError("subject must be an IRI or blank node")
-        if not isinstance(predicate, IRI):
+        if not isinstance(self.predicate, IRI):
             raise TypeError("predicate must be an IRI")
-        if not isinstance(object, (IRI, BlankNode, Literal)):
+        if not isinstance(self.object, (IRI, BlankNode, Literal)):
             raise TypeError("object must be a term")
-        _set_subject(self, subject)
-        _set_predicate(self, predicate)
-        _set_object(self, object)
 
     def __reduce__(self):
         return Triple, (self.subject, self.predicate, self.object)
-
-
-_set_subject = Triple.subject.__set__
-_set_predicate = Triple.predicate.__set__
-_set_object = Triple.object.__set__
 
 
 class Graph:
@@ -256,9 +247,7 @@ class Graph:
         return isinstance(t, Triple) and self.scan_size(t.subject, t.predicate, t.object) == 1
 
     def __iter__(self) -> Iterator[Triple]:
-        for buckets in self._by_subject.values():
-            for bucket in buckets.values():
-                yield from _in_bucket(bucket, None)
+        return starmap(Triple, self.subject_predicate_objects())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -273,34 +262,37 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True only if it was not already present."""
-        s, p, o = t.subject, t.predicate, t.object
+        return self._add(t.subject, t.predicate, t.object)
+
+    def _add(self, s: Subject, p: IRI, o: Term) -> bool:
+        """``insert`` of three terms of the kinds a ``Triple`` takes."""
         # The subject index decides whether the triple is new.
         buckets = self._by_subject.get(s)
         if buckets is None:
-            self._by_subject[s] = {p: t}
+            self._by_subject[s] = {p: o}
         else:
             bucket = buckets.get(p)
             if bucket is None:
-                buckets[p] = t
-            elif type(bucket) is Triple:
-                if bucket.object == o:
+                buckets[p] = o
+            elif type(bucket) is dict:
+                if o in bucket:
                     return False
-                buckets[p] = {bucket.object: bucket, o: t}
-            elif o in bucket:
+                bucket[o] = None
+            elif bucket == o:
                 return False
             else:
-                bucket[o] = t
+                buckets[p] = {bucket: None, o: None}
         buckets = self._by_predicate.get(p)
         if buckets is None:
-            self._by_predicate[p] = {o: t}
+            self._by_predicate[p] = {o: s}
         else:
             bucket = buckets.get(o)
             if bucket is None:
-                buckets[o] = t
-            elif type(bucket) is Triple:
-                buckets[o] = {bucket.subject: bucket, s: t}
+                buckets[o] = s
+            elif type(bucket) is dict:
+                bucket[s] = None
             else:
-                bucket[s] = t
+                buckets[o] = {bucket: None, s: None}
         self._len += 1
         self._counts[p] = self._counts.get(p, 0) + 1
         return True
@@ -313,12 +305,16 @@ class Graph:
     ) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
         if subject is not None:
-            for bucket in _buckets(self._by_subject, subject, predicate):
-                yield from _in_bucket(bucket, object)
+            buckets = self._by_subject.get(subject, _NO_BUCKETS)
+            for p in buckets if predicate is None else (predicate,):
+                for o in _terms(buckets.get(p), object):
+                    yield Triple(subject, p, o)
         else:
             for p in self._by_predicate if predicate is None else (predicate,):
-                for bucket in _buckets(self._by_predicate, p, object):
-                    yield from _in_bucket(bucket, None)
+                buckets = self._by_predicate.get(p, _NO_BUCKETS)
+                for o in buckets if object is None else (object,):
+                    for s in _terms(buckets.get(o)):
+                        yield Triple(s, p, o)
 
     def objects(self, subject: Term, predicate: Term) -> Collection[Term]:
         """The objects of the triples with this subject and predicate, in
@@ -326,9 +322,7 @@ class Graph:
         predicate that is not an IRI.  The result may be a view on the
         subject index: read-only, and valid until the next insert."""
         bucket = self._by_subject.get(subject, _NO_BUCKETS).get(predicate)
-        if bucket is None:
-            return ()
-        return (bucket.object,) if type(bucket) is Triple else bucket.keys()
+        return () if bucket is None else bucket.keys() if type(bucket) is dict else (bucket,)
 
     def subjects(self, predicate: Term, object: Term) -> Collection[Subject]:
         """The subjects of the triples with this predicate and object, in
@@ -336,9 +330,20 @@ class Graph:
         an IRI.  The result may be a view on the predicate index: read-only,
         and valid until the next insert."""
         bucket = self._by_predicate.get(predicate, _NO_BUCKETS).get(object)
-        if bucket is None:
-            return ()
-        return (bucket.subject,) if type(bucket) is Triple else bucket.keys()
+        return () if bucket is None else bucket.keys() if type(bucket) is dict else (bucket,)
+
+    def predicate_objects(self, subject: Term) -> Iterator[tuple[IRI, Term]]:
+        """The (predicate, object) pairs of ``subject``, in match order."""
+        for p, bucket in self._by_subject.get(subject, _NO_BUCKETS).items():
+            for o in bucket if type(bucket) is dict else (bucket,):
+                yield p, o
+
+    def subject_predicate_objects(self) -> Iterator[tuple[Subject, IRI, Term]]:
+        """The terms of every triple, in iteration order."""
+        for s, buckets in self._by_subject.items():
+            for p, bucket in buckets.items():
+                for o in bucket if type(bucket) is dict else (bucket,):
+                    yield s, p, o
 
     def scan_size(
         self,
@@ -348,35 +353,24 @@ class Graph:
     ) -> int:
         """How many triples ``match`` yields for these bound positions."""
         if subject is not None:
-            return sum(len(_in_bucket(b, object)) for b in _buckets(self._by_subject, subject, predicate))
+            buckets = self._by_subject.get(subject, _NO_BUCKETS)
+            return sum(len(_terms(buckets.get(p), object)) for p in (buckets if predicate is None else (predicate,)))
         if object is None:
             return self._len if predicate is None else self._counts.get(predicate, 0)
         predicates = self._by_predicate if predicate is None else (predicate,)
-        return sum(len(_in_bucket(b, None)) for p in predicates for b in _buckets(self._by_predicate, p, object))
+        return sum(len(_terms(self._by_predicate.get(p, _NO_BUCKETS).get(object))) for p in predicates)
 
 
-# One bare triple, or a dict keyed by the index's third position.
-_Bucket = Union[Triple, dict[Term, Triple]]
+# The third term of the one triple under the index's first two positions,
+# or a dict whose keys are the third terms of two or more.
+_Bucket = Union[Term, dict[Term, None]]
 _NO_BUCKETS: Mapping[Term, _Bucket] = MappingProxyType({})
 
 
-def _buckets(index: dict, first: Term, second: Optional[Term]) -> Collection[_Bucket]:
-    """The bucket under (first, second), or every bucket under ``first``."""
-    buckets = index.get(first, _NO_BUCKETS)
-    if second is None:
-        return buckets.values()
-    bucket = buckets.get(second)
-    return () if bucket is None else (bucket,)
-
-
-def _in_bucket(bucket: _Bucket, object: Optional[Term]) -> Collection[Triple]:
-    """The bucket's triples, or only the one with this object (subject index)."""
-    if type(bucket) is Triple:
-        return (bucket,) if object is None or bucket.object == object else ()
-    if object is None:
-        return bucket.values()
-    t = bucket.get(object)
-    return () if t is None else (t,)
+def _terms(bucket: Optional[_Bucket], third: Optional[Term] = None) -> Collection[Term]:
+    """The terms a bucket holds, or only ``third`` if bound and held."""
+    terms = () if bucket is None else bucket.keys() if type(bucket) is dict else (bucket,)
+    return terms if third is None else (third,) if third in terms else ()
 
 
 # One IRI object per class and property the core ontology fixes, and rdf:type.
@@ -458,9 +452,10 @@ def assert_io(g: Graph, io: InformationObject, base: str = DEFAULT_BASE_IRI) -> 
 
 
 def _insert_ios(g: Graph, ios: Iterable[InformationObject], base: str) -> int:
-    """``assert_io`` for IOs already validated free of errors, one
-    ``Graph.insert`` per triple.  Within the call each IO id is escaped once,
-    and each extension-key IRI and each field object is built once."""
+    """``assert_io`` for IOs already validated free of errors.  It adds each
+    triple as the terms it builds, of the right kinds, with no ``Triple``.
+    Within the call each IO id is escaped once, and each extension-key IRI
+    and each field object is built once."""
     predicates = dict(_FIELD_PREDICATES)
     objects: dict = {}
 
@@ -476,19 +471,19 @@ def _insert_ios(g: Graph, ios: Iterable[InformationObject], base: str) -> int:
             obj = objects[key] = _field_object(value, base)
         return predicate, obj
 
-    added = 0
+    add, added = g._add, 0
     for io in ios:
         io_iri = mint_io_iri(base, io.id)
-        added += g.insert(Triple(io_iri, _RDF_TYPE, _IO_CLASS))
+        added += add(io_iri, _RDF_TYPE, _IO_CLASS)
         escaped_id = _escape_label_part(io.id)
         for kind, instances in io.granules.items():
             granule_class = _GRANULE_CLASSES[kind]
             for ordinal, granule in enumerate(instances):
                 node = _granule_node(escaped_id, kind, ordinal)
-                added += g.insert(Triple(io_iri, _HAS_GRANULE, node))
-                added += g.insert(Triple(node, _RDF_TYPE, granule_class))
+                added += add(io_iri, _HAS_GRANULE, node)
+                added += add(node, _RDF_TYPE, granule_class)
                 for path, value in expand_geopoints(granule.fields):
-                    added += g.insert(Triple(node, *field_terms(path, value)))
+                    added += add(node, *field_terms(path, value))
         for ext_iri, text in io.extensions:
-            added += g.insert(Triple(io_iri, *field_terms(ext_iri, text)))
+            added += add(io_iri, *field_terms(ext_iri, text))
     return added

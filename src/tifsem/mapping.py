@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from tifsem.errors import RuleError
-from tifsem.graph import Graph, RDF_TYPE, Triple, vocabulary_iri
+from tifsem.graph import Graph, IRI, RDF_TYPE, Subject, Term, vocabulary_iri
 from tifsem.ontology import (
     GranuleKind,
     SCHEMA_ADDRESS,
@@ -193,16 +193,18 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
     class_closure, prop_closure = _closure_maps(rules)
     rdf_type = vocabulary_iri(RDF_TYPE)
 
-    inferred: list[Triple] = []
+    # Terms read from the graph, and IRIs as predicates and classes, are of
+    # the kinds a triple takes, so they go to the graph with no ``Triple``.
+    inferred: list[tuple[Subject, IRI, Term]] = []
     for source, targets in class_closure.items():
         classes = [vocabulary_iri(target) for target in targets]
-        for t in g.match(predicate=rdf_type, object=vocabulary_iri(source)):
-            inferred.extend(Triple(t.subject, rdf_type, c) for c in classes)
+        for s in g.subjects(rdf_type, vocabulary_iri(source)):
+            inferred.extend((s, rdf_type, c) for c in classes)
     for source, targets in prop_closure.items():
         predicates = [vocabulary_iri(target) for target in targets]
         for t in g.match(predicate=vocabulary_iri(source)):
-            inferred.extend(Triple(t.subject, p, t.object) for p in predicates)
-    return MappingReport(inferred_triples=sum(g.insert(t) for t in inferred))
+            inferred.extend((t.subject, p, t.object) for p in predicates)
+    return MappingReport(inferred_triples=sum(g._add(*terms) for terms in inferred))
 
 
 def check_consistency(rules: Sequence[MappingRule]) -> list[str]:

@@ -13,7 +13,6 @@ import functools
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -34,7 +33,6 @@ from tifsem.graph import (
     IRI,
     Literal,
     Term,
-    Triple,
     unescape,
 )
 from tifsem.ontology import SCHEMA_NS, TIFSEM_NS
@@ -83,7 +81,7 @@ class _Memo(dict):
 # texts, as `to_jsonld` does, puts them in the order of their lines.
 def to_ntriples(g: Graph) -> str:
     """Canonical N-Triples text: one triple per line, sorted, LF endings."""
-    return "".join(sorted([" ".join((t.subject, t.predicate, t.object, ".\n")) for t in g]))
+    return "".join(sorted([" ".join((s, p, o, ".\n")) for s, p, o in g.subject_predicate_objects()]))
 
 
 # IRI bodies take any escape here, unrolled like `_LEXICAL`, the literal
@@ -142,10 +140,10 @@ def _parse_error(message: str, line: str, lineno: int, pos: int) -> NTriplesPars
     return NTriplesParseError(f"column {column}: {message}", lineno)
 
 
-def _read_line(line: str, lineno: int, built: _Memo) -> Optional[Triple]:
-    """The triple one line states, or None for a blank or comment line; the
-    caller drops the line's trailing carriage returns.  Raises
-    NTriplesParseError with the line and column of the first fault."""
+def _read_line(line: str, lineno: int, built: _Memo) -> Optional[list[Term]]:
+    """The terms of the triple one line states, or None for a blank or
+    comment line; the caller drops the line's trailing carriage returns.
+    Raises NTriplesParseError with the line and column of the first fault."""
     if _SKIP_RE.match(line):
         return None
     terms: list[Term] = []
@@ -166,7 +164,7 @@ def _read_line(line: str, lineno: int, built: _Memo) -> Optional[Triple]:
         pos = m.end()
     if not _END_RE.match(line, pos):
         raise _parse_error("statement must end with '.'", line, lineno, pos)
-    return Triple(*terms)
+    return terms
 
 
 def from_ntriples(text: str) -> Graph:
@@ -181,19 +179,21 @@ def from_ntriples(text: str) -> Graph:
     term of the wrong kind.  Each distinct term text is checked and built
     once, and one already in canonical form becomes its term as it is."""
     g = Graph()
-    built = _Memo(_term)
+    add, built = g._add, _Memo(_term)
     for lineno, line in enumerate(text.split("\n"), 1):
         line = line.rstrip("\r")
         parts = line.split(" ", 2)
         if len(parts) == 3 and parts[2].endswith(" ."):
             try:
-                triple = Triple(built[parts[0]], built[parts[1]], built[parts[2][:-2]])
-            except (ValueError, TypeError):
-                triple = _read_line(line, lineno, built)
-        else:
-            triple = _read_line(line, lineno, built)
-        if triple is not None:
-            g.insert(triple)
+                s, p, o = built[parts[0]], built[parts[1]], built[parts[2][:-2]]
+                if type(s) in (IRI, BlankNode) and type(p) is IRI:
+                    add(s, p, o)
+                    continue
+            except ValueError:
+                pass
+        terms = _read_line(line, lineno, built)
+        if terms is not None:
+            add(*terms)
     return g
 
 
@@ -234,8 +234,8 @@ def to_turtle(g: Graph) -> str:
     form = _Memo(render)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(DEFAULT_PREFIXES.items())]
     lines.append("")
-    for t in sorted(g, key=attrgetter("subject", "predicate", "object")):
-        lines.append(f"{form[t.subject]} {form[t.predicate]} {form[t.object]} .")
+    for s, p, o in sorted(g.subject_predicate_objects()):
+        lines.append(f"{form[s]} {form[p]} {form[o]} .")
     return "\n".join(lines) + "\n"
 
 
@@ -303,7 +303,6 @@ def _literal_json(term: Literal):
 
 
 _RDF_TYPE = IRI(RDF_TYPE)
-_PREDICATE_OBJECT = attrgetter("predicate", "object")
 
 
 def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
@@ -321,16 +320,15 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     is ``_`` or a `DEFAULT_PREFIXES` key, such as ``<_:x>`` or
     ``<tifsem:name>``.
     """
-    # The closure, each node with its triples in (predicate, object) order,
-    # and the number of references to each blank node.
-    closure: dict[Term, list[Triple]] = {root: []}
+    # The closure, each node with the (predicate, object) terms of its
+    # triples in order, and the number of references to each blank node.
+    closure: dict[Term, list[tuple[IRI, Term]]] = {root: []}
     refs: dict[BlankNode, int] = {}
     queue: list[Term] = [root]
     while queue:
         node = queue.pop()
-        closure[node] = triples = sorted(g.match(subject=node), key=_PREDICATE_OBJECT)
-        for t in triples:
-            obj = t.object
+        closure[node] = pairs = sorted(g.predicate_objects(node))
+        for _, obj in pairs:
             if isinstance(obj, BlankNode):
                 refs[obj] = refs.get(obj, 0) + 1
                 if obj not in closure:
@@ -350,11 +348,11 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
             out["@id"] = str(subject)
         types = []
         props: dict[str, list] = {}
-        for t in closure[subject]:
-            if t.predicate == _RDF_TYPE and isinstance(t.object, IRI):
-                types.append(_name(t.object))
+        for predicate, obj in closure[subject]:
+            if predicate == _RDF_TYPE and isinstance(obj, IRI):
+                types.append(_name(obj))
                 continue
-            props.setdefault(_name(t.predicate), []).append(object_json(t.object))
+            props.setdefault(_name(predicate), []).append(object_json(obj))
         if types:
             out["@type"] = types[0] if len(types) == 1 else types
         for key, values in props.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import os
 import pickle
@@ -12,7 +13,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -31,6 +32,7 @@ from tifsem.graph import (
     granule_node,
     mint_io_iri,
 )
+from tifsem.mapping import materialize
 from tifsem.ontology import (
     GeoPoint,
     Granule,
@@ -39,7 +41,7 @@ from tifsem.ontology import (
     IO_CLASS,
     TIFSEM_NS,
 )
-from tifsem.serialize import to_ntriples
+from tifsem.serialize import from_ntriples, to_ntriples
 
 
 def triple(s: str, p: str, o) -> Triple:
@@ -318,7 +320,11 @@ _model_triples = st.builds(Triple, st.sampled_from(_MODEL_SUBJECTS), st.sampled_
 
 
 class TestGraphAgainstSetModel:
+    # The example fills one subject bucket and one predicate bucket with
+    # two terms each, promoting them, and leaves the others bare.
     @given(st.lists(_model_triples, max_size=40))
+    @example([Triple(_MODEL_SUBJECTS[0], _MODEL_PREDICATES[0], o) for o in _MODEL_OBJECTS[3:5]]
+             + [Triple(s, _MODEL_PREDICATES[1], _MODEL_OBJECTS[0]) for s in _MODEL_SUBJECTS[3:5]])
     @settings(max_examples=150)
     def test_graph_behaves_as_a_set_of_triples(self, inserts):
         g, model = Graph(), set()
@@ -335,6 +341,9 @@ class TestGraphAgainstSetModel:
         assert len(g) == len(model)
         listed = list(g)
         assert len(listed) == len(model) and set(listed) == model
+        # The term readers give the terms of the triples iteration and
+        # match build, in their order.
+        assert list(g.subject_predicate_objects()) == [(t.subject, t.predicate, t.object) for t in listed]
         assert g.triples == frozenset(model)
         for s, p, o in itertools.product(_MODEL_SUBJECTS, _MODEL_PREDICATES, _MODEL_OBJECTS):
             assert (Triple(s, p, o) in g) == (Triple(s, p, o) in model)
@@ -359,6 +368,9 @@ class TestGraphAgainstSetModel:
 
         # In match order; a literal subject, or a literal or blank-node
         # predicate, finds nothing.
+        for s in _MODEL_SUBJECTS + [Literal("v")]:
+            assert list(g.predicate_objects(s)) == [(t.predicate, t.object) for t in g.match(s)]
+            assert set(g.predicate_objects(s)) == {(t.predicate, t.object) for t in model if t.subject == s}
         for s, p, o in itertools.product(_MODEL_SUBJECTS + [Literal("v")],
                                          _MODEL_PREDICATES + [Literal("v"), BlankNode("b0")], _MODEL_OBJECTS):
             assert list(g.objects(s, p)) == [t.object for t in g.match(s, p)]
@@ -401,6 +413,27 @@ class TestGraphAgainstSetModel:
         g.insert(other)
         assert set(g.match(object=node)) == {loop, other}
         assert list(g.match(subject=node)) == [loop]
+
+
+class TestStoredForm:
+    @staticmethod
+    def live_triples() -> int:
+        gc.collect()
+        return sum(type(o) is Triple for o in gc.get_objects())
+
+    @pytest.mark.parametrize("resources", [5, 25])
+    def test_a_built_graph_holds_no_triple_objects(self, la_rochelle_ios, resources):
+        # The reader, assert_io and materialize store terms only, so the
+        # live Triple objects do not grow with the graph.
+        before = self.live_triples()
+        g = Graph()
+        for io in la_rochelle_ios[:resources]:
+            assert_io(g, io)
+        assert materialize(g).inferred_triples > 0
+        read = from_ntriples(to_ntriples(g))
+        assert read == g and len(read) > 20 * resources
+        assert self.live_triples() == before
+
 
 def hotel_io(io_id: str = "HOT-001") -> InformationObject:
     return InformationObject(
