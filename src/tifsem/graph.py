@@ -10,9 +10,9 @@ terms (objects, or subjects) of the triples that share the first two.  Most
 hold one, stored bare; the second insert promotes the bucket to a dict
 keyed by the terms (Weiss, Karras & Bernstein, "Hexastore", VLDB 2008).
 Only ``match`` and iteration build ``Triple``s; the other readers return
-terms.  The subject index decides whether a triple is new, and iteration
-walks it.  A pattern with only the object bound looks it up under every
-predicate.
+terms, and ``_match`` is ``match`` as term tuples.  The subject index
+decides whether a triple is new, and iteration walks it.  A pattern with
+only the object bound looks it up under every predicate.
 
 ``len`` and the triples per predicate are counters.  ``scan_size`` is
 exactly the number of triples ``match`` yields, and O(1) when only the
@@ -304,17 +304,26 @@ class Graph:
         object: Optional[Term] = None,
     ) -> Iterator[Triple]:
         """Yield triples agreeing with every bound position."""
+        return starmap(Triple, self._match(subject, predicate, object))
+
+    def _match(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        object: Optional[Term] = None,
+    ) -> Iterator[tuple[Subject, IRI, Term]]:
+        """``match`` as the terms of each triple, with no ``Triple``."""
         if subject is not None:
             buckets = self._by_subject.get(subject, _NO_BUCKETS)
             for p in buckets if predicate is None else (predicate,):
                 for o in _terms(buckets.get(p), object):
-                    yield Triple(subject, p, o)
+                    yield subject, p, o
         else:
             for p in self._by_predicate if predicate is None else (predicate,):
                 buckets = self._by_predicate.get(p, _NO_BUCKETS)
                 for o in buckets if object is None else (object,):
                     for s in _terms(buckets.get(o)):
-                        yield Triple(s, p, o)
+                        yield s, p, o
 
     def objects(self, subject: Term, predicate: Term) -> Collection[Term]:
         """The objects of the triples with this subject and predicate, in

@@ -202,8 +202,8 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
             inferred.extend((s, rdf_type, c) for c in classes)
     for source, targets in prop_closure.items():
         predicates = [vocabulary_iri(target) for target in targets]
-        for t in g.match(predicate=vocabulary_iri(source)):
-            inferred.extend((t.subject, p, t.object) for p in predicates)
+        for s, _, o in g._match(predicate=vocabulary_iri(source)):
+            inferred.extend((s, p, o) for p in predicates)
     return MappingReport(inferred_triples=sum(g._add(*terms) for terms in inferred))
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
 import io
 import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from operator import eq, ge, gt, itemgetter, le, lt, ne
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import (
@@ -166,13 +165,15 @@ class SolutionTable:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# Every character starts a match, so one scan cuts the whole text: blanks
-# and comments (WS) are dropped, and a character no token starts with
-# (ERROR) stops the scan.
+# One match per token: blanks and comments before a token are a prefix of its
+# match, so one scan cuts the whole text.  After the last token the prefix
+# takes the trailing blanks and EOF matches the end; a character no token
+# starts with (ERROR) stops the scan.
 _TOKEN_RE = re.compile(
     rf"""
-      (?P<WS>\s+|\#[^\n]*)
-    | (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<STRING>"{_LEXICAL}")
     | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
@@ -180,7 +181,9 @@ _TOKEN_RE = re.compile(
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<LANGTAG>@{LANGTAG})
     | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{{}}().,=<>!])
+    | (?P<EOF>\Z)
     | (?P<ERROR>[\s\S])
+    )
     """,
     re.VERBOSE,
 )
@@ -197,10 +200,10 @@ def _tokenize(text: str) -> list[_Token]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ERROR":
-            raise QuerySyntaxError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "WS":
-            tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("EOF", "", len(text)))
+            raise QuerySyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        if kind == "EOF":  # the scan would match the empty end once more
+            break
     return tokens
 
 
@@ -556,7 +559,7 @@ def _compare_terms(left: Term, op: str, right: Term) -> bool:
     raise QueryTypeError(f"cannot order {left} against {right}")
 
 
-# The coordinates of a node, memoized for one evaluation (see ``evaluate``).
+# The coordinates of a node, read from the graph's cache (see ``_points``).
 PointOf = Callable[[Term], Optional[GeoPoint]]
 
 
@@ -591,33 +594,71 @@ def _coordinate(subject, prop: IRI, g: Graph) -> Optional[Decimal]:
     return min(values) if values else None
 
 
-Row = dict[str, Term]
+def _points(g: Graph) -> PointOf:
+    """The coordinates of a node, resolved once per graph, not per query.
+
+    The graph keeps a dict from node to point, or None, in its ``_points``
+    attribute, next to its indexes, under the key ``(len(g),
+    resolve_point)``.  A graph only grows, so any insert changes its
+    length, and the next call starts a new dict; the function is part of
+    the key so that a rebinding of ``resolve_point`` is called.  Two concurrent readers may
+    fill the same entry, each with the same value."""
+    key = (len(g), resolve_point)
+    cached = getattr(g, "_points", None)
+    if cached is None or cached[0] != key:
+        cached = g._points = (key, {})
+    points = cached[1]
+
+    def point(term: Term) -> Optional[GeoPoint]:
+        try:
+            return points[term]
+        except KeyError:
+            found = points[term] = resolve_point(term, g)
+            return found
+
+    return point
 
 
-def _compile(expr: FilterExpr, point: PointOf) -> Callable[[Row], bool]:
-    """A filter as a test of one row, built once per query.  The tests look
-    up ``geo_distance`` by name at each call, so a rebinding reaches them."""
+# A row holds one value per variable it binds, at the position a column map
+# (variable name -> index) gives.  All rows of one list share their map.
+Row = tuple[Term, ...]
+Columns = dict[str, int]
+
+
+def _picker(indexes: Sequence[int]) -> Callable[[Row], Row]:
+    """A row's values at these column indexes, as a tuple."""
+    if len(indexes) == 1:
+        return itemgetter(slice(indexes[0], indexes[0] + 1))
+    return itemgetter(*indexes) if indexes else itemgetter(slice(0, 0))
+
+
+def _compile(expr: FilterExpr, columns: Columns, point: PointOf) -> Callable[[Row], bool]:
+    """A filter as a test of one row whose columns are ``columns``, built
+    once those hold all its variables.  The tests look up ``geo_distance``
+    by name at each call, so a rebinding reaches them."""
     if isinstance(expr, (And, Or)):
-        tests, combine = [_compile(i, point) for i in expr.items], all if isinstance(expr, And) else any
+        tests, combine = [_compile(i, columns, point) for i in expr.items], all if isinstance(expr, And) else any
         return lambda row: combine(test(row) for test in tests)
     if isinstance(expr, Not):
-        inner = _compile(expr.inner, point)
+        inner = _compile(expr.inner, columns, point)
         return lambda row: not inner(row)
     if isinstance(expr, Compare):
-        left, op, right = _operand(expr.left), expr.op, _operand(expr.right)
+        left, op, right = _operand(expr.left, columns), expr.op, _operand(expr.right, columns)
         constants = [t for t in (expr.left, expr.right) if not isinstance(t, Var)]
         if op in ("=", "!=") and any(_numeric(t) is None for t in constants):  # term (in)equality, no number
-            return lambda row: _COMPARE[op](left(row), right(row))
+            compare = _COMPARE[op]
+            return lambda row: compare(left(row), right(row))
         return lambda row: _compare_terms(left(row), op, right(row))
     if isinstance(expr, DistanceWithin):
-        a, b, threshold = _operand(expr.point_a), _operand(expr.point_b), expr.threshold
+        a, b = _operand(expr.point_a, columns), _operand(expr.point_b, columns)
+        threshold = expr.threshold
         return lambda row: ((pa := point(a(row))) is not None and (pb := point(b(row))) is not None
                             and geo_distance(pa, pb) < threshold)
     raise TypeError(f"not a filter expression: {expr!r}")
 
 
-def _operand(term: Operand) -> Callable[[Row], Term]:
-    return itemgetter(term.name) if isinstance(term, Var) else lambda row: term
+def _operand(term: Operand, columns: Columns) -> Callable[[Row], Term]:
+    return itemgetter(columns[term.name]) if isinstance(term, Var) else lambda row: term
 
 
 def _can_raise(expr: FilterExpr) -> bool:
@@ -675,82 +716,89 @@ def _join_order(
     return order
 
 
-_POSITIONS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
+# A position of a join step: a column index read from the row, a constant
+# term, or None for a free variable.
+_Slot = Union[int, Term, None]
 
 
-def _extend(rows: list[dict[str, Term]], pattern: TriplePattern, g: Graph) -> list[dict[str, Term]]:
+def _extend(rows: list[Row], columns: Columns, pattern: TriplePattern, g: Graph) -> list[Row]:
     """Every row extended by every triple that matches the pattern under it.
 
-    All rows of one join step bind the same variables, so the first row
-    tells, once for the step, which positions are constants, which are read
-    from the row and which are free.  When the predicate is bound and so is
-    the subject or the object, the step reads index keys and builds no
-    triple: ``Graph.objects`` or ``Graph.subjects`` gives the values of the
-    third position.  A step with that position free binds it to each value;
-    a check step, with no position free, keeps the rows whose value is
-    among them, and reads them once for the whole step when the two other
-    positions are constants.  Every other step calls ``Graph.match`` per
-    row.  Neither finds anything for a literal subject or a predicate that
-    is not an IRI, so a row that binds one that way extends to nothing."""
+    The rows' column map tells, once for the step, which positions are
+    constants, which are read from the row and which are free.  The step
+    adds a column to ``columns`` for each free variable, in pattern order,
+    even when there are no rows, and extends each row as ``row + values``.
+    When the predicate is bound and so is the subject or the object, the
+    step reads index keys and builds no triple: ``Graph.objects`` or
+    ``Graph.subjects`` gives the values of the third position.  A step with
+    that position free binds it to each value; a check step, with no
+    position free, keeps the rows whose value is among them, and reads them
+    once for the whole step when the two other positions are constants.
+    Every other step reads ``Graph._match`` per row.  Neither finds
+    anything for a literal subject or a predicate that is not an IRI, so a
+    row that binds one that way extends to nothing."""
+    terms = (pattern.subject, pattern.predicate, pattern.object)
+    slots: list[_Slot] = [columns.get(t.name) if isinstance(t, Var) else t for t in terms]
+    for t, slot in zip(terms, slots):
+        if slot is None:
+            columns.setdefault(t.name, len(columns))
     if not rows:
         return []
-    terms = (pattern.subject, pattern.predicate, pattern.object)
-    read = [t.name if isinstance(t, Var) and t.name in rows[0] else None for t in terms]
-    free_s, free_p, free_o = (isinstance(t, Var) and name is None for t, name in zip(terms, read))
-    if free_p or free_s and free_o:
-        return _extend_by_match(rows, terms, read, g)
-    s, p, o = terms
-    if free_s or free_o:
-        if free_s:
-            keys_of, first, second, name = g.subjects, _operand(p), _operand(o), s.name
-        else:
-            keys_of, first, second, name = g.objects, _operand(s), _operand(p), o.name
-        extended = []
-        for row in rows:
-            for value in keys_of(first(row), second(row)):
-                new = row.copy()
-                new[name] = value
-                extended.append(new)
-        return extended
-    read_s, read_p, read_o = read
-    if read_p is None and (read_s is None) != (read_o is None):  # two constants, one value read
-        keys, name = (g.objects(s, p), read_o) if read_s is None else (g.subjects(p, o), read_s)
-        return [row for row in rows if row[name] in keys]
-    subject_of, predicate_of, object_of = map(_operand, terms)
-    return [row for row in rows if object_of(row) in g.objects(subject_of(row), predicate_of(row))]
+    s, p, o = slots
+    if p is None or s is None and o is None:
+        return _extend_by_match(rows, terms, slots, g)
+    if s is None or o is None:
+        probe = _probe(g.subjects, p, o) if s is None else _probe(g.objects, s, p)
+        return [row + (value,) for row in rows for value in probe(row)]
+    if not isinstance(p, int) and isinstance(s, int) != isinstance(o, int):  # two constants, one value read
+        keys, at = (g.objects(s, p), o) if isinstance(o, int) else (g.subjects(p, o), s)
+        return [row for row in rows if row[at] in keys]
+    probe = _probe(g.objects, s, p)
+    if isinstance(o, int):
+        return [row for row in rows if row[o] in probe(row)]
+    return [row for row in rows if o in probe(row)]
 
 
-def _extend_by_match(
-    rows: list[dict[str, Term]], terms: tuple[PatternTerm, ...], read: list[Optional[str]], g: Graph,
-) -> list[dict[str, Term]]:
+def _probe(
+    keys_of: Callable[[Term, Term], Collection[Term]], first: _Slot, second: _Slot,
+) -> Callable[[Row], Collection[Term]]:
+    """A row's ``keys_of(first, second)``, each a column or a constant; with
+    two constants the keys are read once."""
+    if isinstance(first, int):
+        if isinstance(second, int):
+            return lambda row: keys_of(row[first], row[second])
+        return lambda row: keys_of(row[first], second)
+    if isinstance(second, int):
+        return lambda row: keys_of(first, row[second])
+    keys = keys_of(first, second)
+    return lambda row: keys
+
+
+def _extend_by_match(rows: list[Row], terms: tuple[PatternTerm, ...], slots: list[_Slot], g: Graph) -> list[Row]:
     """``_extend`` for a step whose predicate is free, or whose subject and
-    object both are: one ``Graph.match`` call per row, given the constants
-    and the values ``read`` names in the row."""
-    free: dict[str, list[int]] = {}
-    for i, t in enumerate(terms):
-        if isinstance(t, Var) and read[i] is None:
-            free.setdefault(t.name, []).append(i)
+    object both are: one ``Graph._match`` call per row, given the constants
+    and the values read from the row."""
+    first: dict[str, int] = {}  # each free variable's first position
+    repeats = []
+    for i, (t, slot) in enumerate(zip(terms, slots)):
+        if slot is None:
+            if t.name in first:
+                repeats.append((first[t.name], i))
+            else:
+                first[t.name] = i
     # A variable repeated in the pattern binds from its first position and
     # must meet the same value at the others.
-    binds = [(name, _POSITIONS[at[0]]) for name, at in free.items()]
-    repeats = [(_POSITIONS[at[0]], _POSITIONS[i]) for at in free.values() for i in at[1:]]
-
-    (s, p, o), (read_s, read_p, read_o) = [None if isinstance(t, Var) else t for t in terms], read
-    extended: list[dict[str, Term]] = []
+    values_of = _picker(list(first.values()))
+    reads = [(i, slot) for i, slot in enumerate(slots) if isinstance(slot, int)]
+    probe = [None if isinstance(slot, int) else slot for slot in slots]
+    extended: list[Row] = []
     for row in rows:
-        if read_s is not None:
-            s = row[read_s]
-        if read_p is not None:
-            p = row[read_p]
-        if read_o is not None:
-            o = row[read_o]
-        for triple in g.match(s, p, o):
-            if repeats and any(first(triple) != other(triple) for first, other in repeats):
+        for i, column in reads:
+            probe[i] = row[column]
+        for triple in g._match(*probe):
+            if repeats and any(triple[i] != triple[j] for i, j in repeats):
                 continue
-            new = row.copy()
-            for name, value_of in binds:
-                new[name] = value_of(triple)
-            extended.append(new)
+            extended.append(row + values_of(triple))
     return extended
 
 
@@ -768,36 +816,38 @@ def _folded(expr: FilterExpr) -> Optional[tuple[str, Term]]:
     return None
 
 
-def _solve(q: Query, g: Graph, point: PointOf) -> list[Row]:
-    """The solutions of the patterns that pass every filter.
+def _solve(q: Query, g: Graph, point: PointOf) -> tuple[list[Row], Columns]:
+    """The solutions of the patterns that pass every filter, and their
+    column map (empty when there are none).
 
     Each component of the patterns (see ``_components``) is joined once in
     ``_join_order``, and the components are crossed at the end.  A filter
-    runs as soon as its variables are bound.  The exception is a filter
-    that can raise, and every filter after it in the query: those run in
-    query order on full solutions, so a query raises exactly when
-    filtering the full join in query order would.  Of the filters before
-    them, each top-level equality ``_folded`` accepts is not run: its
-    variable is bound to its constant in the component's start row, so the
-    join probes the indexes with it.
+    runs as soon as its variables are bound, compiled against the columns
+    of the rows it tests.  The exception is a filter that can raise, and
+    every filter after it in the query: those run in query order on full
+    solutions, so a query raises exactly when filtering the full join in
+    query order would.  Of the filters before them, each top-level equality
+    ``_folded`` accepts is not run: its variable is bound to its constant
+    in the component's start row, so the join probes the indexes with it.
     """
     pattern_vars = set().union(*(p.variables() for p in q.patterns))
     early, late = [], list(q.filters)
     while late and not _can_raise(late[0]) and _filter_vars(late[0]) <= pattern_vars:
         early.append(late.pop(0))
 
-    seed: Row = {}
+    seed: dict[str, Term] = {}
     for name, constant in filter(None, map(_folded, early)):
         if seed.setdefault(name, constant) != constant:
-            return []  # ?v = c and ?v = d for two different terms
-    early = [(f, _filter_vars(f), _compile(f, point)) for f in early if _folded(f) is None]
+            return [], {}  # ?v = c and ?v = d for two different terms
+    early = [(f, _filter_vars(f)) for f in early if _folded(f) is None]
 
-    def spend(bound: set[str]) -> list[tuple[FilterExpr, Callable[[Row], bool]]]:
-        """The early filters whose variables are all bound, with their tests,
-        removed from ``early``.  Filters are told apart by position, never
-        compared: ``==`` on two deep filter trees recurses through both."""
-        ready = [(f, test) for f, needs, test in early if needs <= bound]
-        early[:] = [entry for entry in early if not entry[1] <= bound]
+    def spend(columns: Columns) -> list[tuple[FilterExpr, Callable[[Row], bool]]]:
+        """The early filters whose variables all have columns, compiled
+        against them and removed from ``early``.  Filters are told apart by
+        position, never compared: ``==`` on two deep filter trees recurses
+        through both."""
+        ready = [(f, _compile(f, columns, point)) for f, needs in early if needs <= columns.keys()]
+        early[:] = [entry for entry in early if not entry[1] <= columns.keys()]
         return ready
 
     def passing(rows: Iterable[Row], filters: list[tuple[FilterExpr, Callable[[Row], bool]]]) -> list[Row]:
@@ -806,26 +856,33 @@ def _solve(q: Query, g: Graph, point: PointOf) -> list[Row]:
             return list(filter(tests[0], rows))
         return [r for r in rows if all(test(r) for test in tests)] if tests else list(rows)
 
-    solutions, bound = passing([{}], spend(set())), set()
+    columns: Columns = {}
+    solutions = passing([()], spend(columns))
     for component in _components(q.patterns):
         if not solutions:
-            return []
+            return [], {}
         start = {name: seed[name] for p in component for name in p.variables() if name in seed}
-        component_bound = set(start)
-        rows = passing([start], spend(component_bound))
+        own = dict(zip(start, range(len(start))))
+        rows = passing([tuple(start.values())], spend(own))
         for pattern in _join_order(component, g, start):
-            component_bound |= pattern.variables()
-            rows = passing(_extend(rows, pattern, g), spend(component_bound))
             if not rows:
-                return []
-        bound |= component_bound
-        ready = spend(bound)
-        solutions = passing(_cross(solutions, rows, [f for f, _ in ready], point), ready)
-    return passing(solutions, [(f, _compile(f, point)) for f in late])
+                break
+            rows = passing(_extend(rows, own, pattern, g), spend(own))
+        if not rows:
+            return [], {}
+        crossed = columns | {name: len(columns) + i for name, i in own.items()}
+        ready = spend(crossed)
+        solutions = passing(_cross(solutions, rows, columns, own, [f for f, _ in ready], point), ready)
+        columns = crossed
+    return passing(solutions, [(f, _compile(f, columns, point)) for f in late]), columns
 
 
-def _cross(left: list[Row], right: list[Row], ready: list[FilterExpr], point: PointOf) -> Iterator[Row]:
-    """The merged pairs of rows to try when crossing two non-empty row lists.
+def _cross(
+    left: list[Row], right: list[Row], left_columns: Columns, right_columns: Columns,
+    ready: list[FilterExpr], point: PointOf,
+) -> Iterator[Row]:
+    """The merged pairs of rows to try when crossing two non-empty row
+    lists, each pair as the left row followed by the right one.
 
     When a ready ``DistanceWithin`` links a variable of each side, only the
     pairs in a box around each left point are tried, and the exact filter
@@ -837,13 +894,13 @@ def _cross(left: list[Row], right: list[Row], ready: list[FilterExpr], point: Po
     widened for float rounding.
     """
     links = [
-        (f.threshold, a.name, b.name)
+        (f.threshold, left_columns[a.name], right_columns[b.name])
         for f in ready if isinstance(f, DistanceWithin)
         for a, b in ((f.point_a, f.point_b), (f.point_b, f.point_a))
-        if isinstance(a, Var) and isinstance(b, Var) and a.name in left[0] and b.name in right[0]
+        if isinstance(a, Var) and isinstance(b, Var) and a.name in left_columns and b.name in right_columns
     ]
     if not links:
-        yield from ({**x, **y} for x in left for y in right)
+        yield from (x + y for x in left for y in right)
         return
 
     threshold, a, b = links[0]
@@ -861,7 +918,7 @@ def _cross(left: list[Row], right: list[Row], ready: list[FilterExpr], point: Po
             for _, longitude, _, y in boxed[lo:hi]:
                 d = abs(longitude - p.longitude)
                 if d <= span or 360 - d <= span:
-                    yield {**x, **y}
+                    yield x + y
 
 
 def _sort_rows(
@@ -890,24 +947,25 @@ def evaluate(q: Query, g: Graph) -> SolutionTable:
 
     Projection is set-based: duplicate projected rows collapse.  The result
     order is always deterministic.  Each node's coordinates are resolved
-    once per call.
+    once per graph and kept with it until the graph grows (see ``_points``).
     """
-    point = functools.cache(lambda term: resolve_point(term, g))
-
-    solutions = _solve(q, g, point)
+    solutions, columns = _solve(q, g, _points(g))
 
     variables = q.output_variables
-    if q.group_count is not None:
-        groups: dict[tuple[Term, ...], set[Term]] = {}
-        for s in solutions:
-            key = tuple(s[v.name] for v in q.projection)
-            groups.setdefault(key, set()).add(s[q.group_count.var.name])
-        rows = [
-            key + (Literal(str(len(members)), XSD_INTEGER),)
-            for key, members in groups.items()
-        ]
-    else:
-        rows = list({tuple(s[v.name] for v in q.projection) for s in solutions})
+    rows: list[tuple[Term, ...]] = []
+    if solutions:
+        key = _picker([columns[v.name] for v in q.projection])
+        if q.group_count is not None:
+            member = itemgetter(columns[q.group_count.var.name])
+            groups: dict[tuple[Term, ...], set[Term]] = {}
+            for s in solutions:
+                groups.setdefault(key(s), set()).add(member(s))
+            rows = [
+                group + (Literal(str(len(members)), XSD_INTEGER),)
+                for group, members in groups.items()
+            ]
+        else:
+            rows = list(set(map(key, solutions)))
 
     rows = _sort_rows(rows, variables, q.order_by)
     if q.limit is not None:

@@ -5,6 +5,8 @@ import itertools
 import math
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -627,8 +629,9 @@ class TestPlanner:
 
     @pytest.fixture()
     def match_calls(self, monkeypatch) -> collections.Counter:
-        """Counts index probes, calls of ``Graph.match``, ``Graph.objects``
-        and ``Graph.subjects``, under the key "match"."""
+        """Counts index probes, calls of ``Graph._match`` (which ``match``
+        reads too), ``Graph.objects`` and ``Graph.subjects``, under the key
+        "match"."""
         calls = collections.Counter()
 
         def counted(probe):
@@ -637,7 +640,7 @@ class TestPlanner:
                 return probe(graph, *args, **kwargs)
             return wrapper
 
-        for name in ("match", "objects", "subjects"):
+        for name in ("_match", "objects", "subjects"):
             monkeypatch.setattr(Graph, name, counted(getattr(Graph, name)))
         return calls
 
@@ -795,6 +798,77 @@ class TestPlanner:
         assert calls["resolve_point"] > 0 and calls["geo_distance"] > 0
         # Every join step of example1 reads index keys.
         assert calls["objects"] > 0 and calls["subjects"] > 0 and calls["match"] == 0
+
+    def test_filter_emptying_the_start_row_gives_no_rows(self):
+        # The last filter needs only the folded ?v0, so it runs on the start
+        # row and empties it before ?v2, which the second filter needs, has a
+        # column.
+        g = from_ntriples('<http://g/n0> <http://g/p> "46.000"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n')
+        rows, oracle = self._rows_and_oracle(
+            "SELECT ?v0 WHERE { ?v0 ?v1 ?v2 FILTER(?v0 = <http://g/n0>) FILTER(?v2 = 46.000) "
+            "FILTER(!(?v0 = <http://g/n0>)) }", g)
+        assert rows == oracle == []
+
+    @staticmethod
+    def _count_resolve_point(monkeypatch) -> collections.Counter:
+        calls = collections.Counter()
+        resolve = query.resolve_point
+
+        def counted(*args):
+            calls["resolve_point"] += 1
+            return resolve(*args)
+
+        monkeypatch.setattr(query, "resolve_point", counted)
+        return calls
+
+    def test_coordinates_are_resolved_once_per_graph(self, materialized_graph, monkeypatch):
+        g = Graph(materialized_graph)
+        calls = self._count_resolve_point(monkeypatch)
+        q = parse_query(fixtures.EXAMPLE1_QUERY)
+        first = evaluate(q, g).rows
+        assert first and calls["resolve_point"] > 0
+        calls.clear()
+        assert evaluate(q, g).rows == first
+        assert calls["resolve_point"] == 0
+
+    def test_concurrent_readers_share_the_coordinate_cache(self, materialized_graph):
+        g = Graph(materialized_graph)
+        q = parse_query(fixtures.EXAMPLE1_QUERY)
+        expected = evaluate(q, Graph(materialized_graph)).rows
+        results: list = []
+
+        def read() -> None:
+            for _ in range(3):
+                results.append(evaluate(q, g).rows)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert results == [expected] * 12
+
+    def test_coordinates_inserted_later_are_seen(self, places, monkeypatch):
+        calls = self._count_resolve_point(monkeypatch)
+        decimal, shop = XSD_NS + "decimal", IRI("http://e/n6")
+        places.insert(Triple(shop, IRI(RDF_TYPE), IRI("http://e/Shop")))
+        q = parse_query("SELECT ?h ?s WHERE { ?h a <http://e/Hotel> . ?s a <http://e/Shop> "
+                        "FILTER(geo:distance(?h, ?s) < 500) }")
+        assert [s.value for _, s in evaluate(q, places).rows] == ["http://e/n5"]
+        places.insert(Triple(shop, IRI(LATITUDE_PROP), Literal("46.1302", decimal)))
+        places.insert(Triple(shop, IRI(LONGITUDE_PROP), Literal("-1.1", decimal)))
+        calls.clear()
+        rows = evaluate(q, places).rows
+        assert calls["resolve_point"] > 0
+        assert rows == brute_force_evaluate(q, list(places))
+        assert [(h.value, s.value) for h, s in rows] == [("http://e/n0", "http://e/n5"),
+                                                         ("http://e/n1", "http://e/n6")]
 
     @given(planner_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
