@@ -4,7 +4,10 @@
 For each k in ``COPIES`` (1, 4, 16, 64), builds k suffixed and relocated
 copies of the La Rochelle fixture, seeded with ``SEED``, with
 ``perfbench/gen.make_tiles`` and times every stage, best of ``--repeat``
-runs with ``time.perf_counter``:
+runs.  Each run is timed with ``perfbench/clock.Calibration.timed``, which
+samples a fixed reference loop just before and just after it; the best
+raw seconds and the best seconds scaled to the reference speed are both
+kept, so runs on a machine whose speed drifts can be compared:
 
 - ``parse_tif`` of the copies emitted in each dialect (v3, A, B), each under
   its own profile;
@@ -16,13 +19,15 @@ runs with ``time.perf_counter``:
 - ``to_ntriples``, ``from_ntriples`` and ``to_turtle`` of the materialized
   graph, and ``to_jsonld`` of every resource in it;
 - ``parse_query`` of each scenario query's text, and ``evaluate`` of the
-  parsed query on the materialized graph.
+  parsed query on the materialized graph, read back from its N-Triples
+  before each run, so that every run starts with no coordinates cached.
 
 Writes one JSON document to OUT: the machine, the Python version, and for
-each k the resource and triple counts, the seconds per stage, and the
-sha256 of the canonical N-Triples, of the Turtle, of the JSON-LD exports and
-of each query's rows.  The hashes let two checkouts show that they produce
-the same outputs.  Uses the standard library and the repository's modules.
+each k the resource and triple counts, the raw (``seconds``) and scaled
+(``scaled_seconds``) seconds per stage, and the sha256 of the canonical
+N-Triples, of the Turtle, of the JSON-LD exports and of each query's rows.
+The hashes let two checkouts show that they produce the same outputs.  Uses
+the standard library and the repository's modules.
 
 Usage (from the repository root):
 
@@ -38,12 +43,12 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[1:1] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+import clock  # noqa: E402
 import gen  # noqa: E402
 from tifsem import fixtures  # noqa: E402
 from tifsem.graph import DEFAULT_BASE_IRI, Graph, _insert_ios, assert_io, mint_io_iri  # noqa: E402
@@ -57,18 +62,27 @@ COPIES = (1, 4, 16, 64)
 QUERIES = {"example1": fixtures.EXAMPLE1_QUERY, "example2": fixtures.EXAMPLE2_QUERY}
 
 
-def best_of(repeat: int, run, prepare=lambda: ()):
-    """The fastest of ``repeat`` timed calls of ``run(*prepare())``, with the
-    last call's result; ``prepare`` runs outside the timed region."""
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        args = prepare()
-        gc.collect()
-        start = time.perf_counter()
-        result = run(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+class Timer:
+    """The best raw and scaled seconds of each stage over ``repeat`` runs."""
+
+    def __init__(self, repeat: int):
+        self.repeat = repeat
+        self.calibration = clock.Calibration()
+        self.seconds: dict[str, float] = {}
+        self.scaled_seconds: dict[str, float] = {}
+
+    def best_of(self, stage: str, run, prepare=lambda: ()):
+        """Time ``repeat`` calls of ``run(*prepare())`` as ``stage`` and
+        return the last call's result; ``prepare`` runs outside the timed
+        region."""
+        for _ in range(self.repeat):
+            args = prepare()
+            gc.collect()
+            results = []
+            scaled, raw = self.calibration.timed(lambda: results.append(run(*args)))
+            self.seconds[stage] = min(raw, self.seconds.get(stage, raw))
+            self.scaled_seconds[stage] = min(scaled, self.scaled_seconds.get(stage, scaled))
+        return results[0]
 
 
 def sha256(text: str) -> str:
@@ -96,38 +110,41 @@ def materialized(g: Graph) -> Graph:
 def stages(k: int, repeat: int) -> dict:
     """Seconds per stage, sizes and output hashes for k copies."""
     ios = [io for tile in gen.make_tiles(SEED, 0, k) for io in tile.ios]
-    seconds: dict[str, float] = {}
+    timer = Timer(repeat)
+    best_of = timer.best_of
     parsed = {}
     for dialect, (emit, profile) in gen.EMITTERS.items():
         doc = RawDocument(f"{dialect}.xml", emit(ios).encode("utf-8"))
-        seconds[f"parse_tif.{dialect}"], (parsed[dialect], issues) = best_of(
-            repeat, parse_tif, lambda: (doc, profile()))
+        parsed[dialect], issues = best_of(f"parse_tif.{dialect}", parse_tif, lambda: (doc, profile()))
         if issues:
             raise SystemExit(f"bench_stages: parse_tif reported {len(issues)} issue(s) on dialect {dialect}")
 
-    seconds["assert_io"], asserted = best_of(repeat, assert_all, lambda: (parsed["v3"],))
-    seconds["insert_io"], inserted = best_of(repeat, insert_all, lambda: (parsed["v3"],))
+    asserted = best_of("assert_io", assert_all, lambda: (parsed["v3"],))
+    inserted = best_of("insert_io", insert_all, lambda: (parsed["v3"],))
     if inserted != asserted:
         raise SystemExit("bench_stages: inserting the IOs in one call gave another graph than assert_io")
-    seconds["materialize"], g = best_of(repeat, materialized, lambda: (Graph(asserted),))
-    seconds["to_ntriples"], nt = best_of(repeat, to_ntriples, lambda: (g,))
-    seconds["from_ntriples"], reread = best_of(repeat, from_ntriples, lambda: (nt,))
+    g = best_of("materialize", materialized, lambda: (Graph(asserted),))
+    nt = best_of("to_ntriples", to_ntriples, lambda: (g,))
+    reread = best_of("from_ntriples", from_ntriples, lambda: (nt,))
     if reread != g:
         raise SystemExit("bench_stages: from_ntriples did not give back the graph")
-    seconds["to_turtle"], ttl = best_of(repeat, to_turtle, lambda: (g,))
+    ttl = best_of("to_turtle", to_turtle, lambda: (g,))
     roots = [mint_io_iri(DEFAULT_BASE_IRI, io.id) for io in parsed["v3"]]
-    seconds["to_jsonld"], exports = best_of(repeat, lambda: [to_jsonld(g, root).to_text() for root in roots])
+    exports = best_of("to_jsonld", lambda: [to_jsonld(g, root).to_text() for root in roots])
     rows = {}
     for name, text in QUERIES.items():
-        seconds[f"parse_query.{name}"], q = best_of(repeat, parse_query, lambda: (text,))
-        seconds[f"evaluate.{name}"], table = best_of(repeat, evaluate, lambda: (q, g))
+        q = best_of(f"parse_query.{name}", parse_query, lambda: (text,))
+        # A graph of its own for each run: `evaluate` caches coordinates on
+        # the graph, and every run should resolve them as the first does.
+        table = best_of(f"evaluate.{name}", evaluate, lambda: (q, from_ntriples(nt)))
         rows[name] = "".join("\t".join(map(term_to_ntriples, row)) + "\n" for row in table.rows)
 
     return {
         "k": k,
         "resources": len(ios),
         "triples": {"asserted": len(asserted), "materialized": len(g)},
-        "seconds": seconds,
+        "seconds": timer.seconds,
+        "scaled_seconds": timer.scaled_seconds,
         "sha256": {
             "ntriples": sha256(nt),
             "turtle": sha256(ttl),
@@ -160,7 +177,8 @@ def main() -> int:
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "seed": SEED,
         "repeat": args.repeat,
-        "timer": "time.perf_counter, best of repeat",
+        "timer": "time.perf_counter, best of repeat; scaled_seconds by perfbench/clock.py to a "
+                 f"{clock.REFERENCE_MS} ms reference loop",
         "sizes": sizes,
     }
     args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

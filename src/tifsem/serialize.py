@@ -10,6 +10,7 @@ compacted for crawlers.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -78,7 +79,8 @@ class _Memo(dict):
 # the longer text goes on with a character above the space that follows the
 # shorter one, so the shorter text sorts first either way.  For the same
 # reason, sorting the triples of one subject by their (predicate, object)
-# texts, as `to_jsonld` does, puts them in the order of their lines.
+# texts, as `to_jsonld` does (its predicates, then each one's objects), puts
+# them in the order of their lines.
 def to_ntriples(g: Graph) -> str:
     """Canonical N-Triples text: one triple per line, sorted, LF endings."""
     return "".join(sorted([" ".join((s, p, o, ".\n")) for s, p, o in g.subject_predicate_objects()]))
@@ -239,37 +241,18 @@ def to_turtle(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2, ensure_ascii=False,
-    sort_keys=True)`` writes it, for a tree of strings, lists and dicts with
-    string keys, the only values an export holds; ``indent`` is the line
-    break and indentation of the value's own line."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
-
-
-@dataclass
+@dataclass(frozen=True)
 class JsonLdDocument:
-    """A compacted JSON-LD document: context plus a node-object tree."""
+    """A compacted JSON-LD document as the text `to_jsonld` wrote, once and
+    straight from the graph; `to_json` parses that text."""
 
-    context: Mapping[str, str]
-    body: dict
+    text: str
 
     def to_json(self) -> dict:
-        return {"@context": dict(self.context), **self.body}
+        return json.loads(self.text)
 
     def to_text(self) -> str:
-        try:
-            return _json_text(self.to_json()) + "\n"
-        except RecursionError:
-            raise ExportError("JSON-LD document nested too deeply to write") from None
+        return self.text
 
 
 def _stated(iri: str) -> str:
@@ -292,17 +275,77 @@ def _name(iri: str) -> str:
     return _compact(value) or _stated(value)
 
 
-def _literal_json(term: Literal):
-    end = term.rindex('"')  # the body's closing quote; the suffix follows
-    lexical = unescape(term[1:end])
-    if end + 1 == len(term):
-        return lexical
-    if term[end + 1] == "@":
-        return {"@value": lexical, "@language": term[end + 2 :]}
-    return {"@value": lexical, "@type": _name(term[end + 3 :])}
-
-
 _RDF_TYPE = IRI(RDF_TYPE)
+# The `@context` entry of every export, indented as the root's keys are.
+_CONTEXT = '"@context": ' + json.dumps(dict(DEFAULT_PREFIXES), indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _array(texts: list[str], indent: str) -> str:
+    """A JSON array of value texts written one level in from ``indent``."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
+# The writer gives the text `json.dumps(..., indent=2, ensure_ascii=False,
+# sort_keys=True)` gives for the document's node-object tree.  ``indent`` is
+# the line break and indentation of the line a value is written on, and a
+# node's keys are sorted by their raw text, not their quoted form: `http://e/a`
+# comes before `http://e/a!`, though `"http://e/a!"` sorts first.  A node's
+# values are written in the order of its sorted (predicate, object) pairs, so
+# the first reference in that order embeds a blank node.  Each level of
+# nesting is two frames, a node and its value, so the recursion limit bounds
+# the depth.  The writer keeps its state in its arguments, so an export
+# leaves no reference cycle for the collector.
+def _node_text(node: Term, indent: str, index: dict, refs: dict, emitted: set) -> str:
+    emitted.add(node)
+    inner = indent + "  "
+    if isinstance(node, IRI):  # only the root; it carries the context
+        entries = [("@context", _CONTEXT), ("@id", '"@id": ' + encode_basestring(_stated(node.value)))]
+    else:
+        entries = [("@id", '"@id": ' + encode_basestring(node))] if refs[node] > 1 else []
+    buckets = index.get(node, ())
+    for predicate in sorted(buckets):
+        bucket = buckets[predicate]  # one object, or a dict of two or more
+        objects = sorted(bucket) if type(bucket) is dict else [bucket]
+        if predicate == _RDF_TYPE:
+            types = [encode_basestring(_name(obj)) for obj in objects if isinstance(obj, IRI)]
+            if types:
+                entries.append(("@type", '"@type": ' + (types[0] if len(types) == 1 else _array(types, inner))))
+            objects = [obj for obj in objects if not isinstance(obj, IRI)]
+            if not objects:
+                continue
+        key = _name(predicate)
+        if len(objects) == 1:
+            value = _value_text(objects[0], inner, index, refs, emitted)
+        else:
+            texts = []
+            for obj in objects:  # a loop: a comprehension is a frame of its own before Python 3.12
+                texts.append(_value_text(obj, inner + "  ", index, refs, emitted))
+            value = _array(texts, inner)
+        entries.append((key, encode_basestring(key) + ": " + value))
+    if not entries:
+        return "{}"
+    entries.sort()
+    return "{" + inner + ("," + inner).join([text for _, text in entries]) + indent + "}"
+
+
+def _value_text(obj: Term, indent: str, index: dict, refs: dict, emitted: set) -> str:
+    inner = indent + "  "
+    if isinstance(obj, Literal):
+        end = obj.rindex('"')  # the body's closing quote; the suffix follows
+        value = encode_basestring(unescape(obj[1:end]))
+        if end + 1 == len(obj):
+            return value
+        if obj[end + 1] == "@":
+            head = '"@language": ' + encode_basestring(obj[end + 2 :])
+        else:
+            head = '"@type": ' + encode_basestring(_name(obj[end + 3 :]))
+        return "{" + inner + head + "," + inner + '"@value": ' + value + indent + "}"
+    if isinstance(obj, IRI):
+        return "{" + inner + '"@id": ' + encode_basestring(_stated(obj.value)) + indent + "}"
+    if obj in emitted:  # shared or cyclic: point at its @id
+        return "{" + inner + '"@id": ' + encode_basestring(obj) + indent + "}"
+    return _node_text(obj, indent, index, refs, emitted)
 
 
 def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
@@ -311,68 +354,34 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     The document embeds every triple whose subject is the root or a blank
     node reachable from it through object positions.  Blank nodes referenced
     more than once (or cyclically) keep an explicit ``@id``; others are
-    inlined anonymously.
+    inlined anonymously.  The document is written once, as text, with no
+    node-object tree; `JsonLdDocument.to_json` parses it.
 
     Keys, ``@type`` values and datatypes are prefixed names where
     `DEFAULT_PREFIXES` allows, and every other IRI is written as itself.
     An export raises ExportError on an IRI that would then read back as
     another term: one with no ``:``, or whose text before the first ``:``
     is ``_`` or a `DEFAULT_PREFIXES` key, such as ``<_:x>`` or
-    ``<tifsem:name>``.
+    ``<tifsem:name>``, and on blank nodes nested too deeply to write.
     """
-    # The closure, each node with the (predicate, object) terms of its
-    # triples in order, and the number of references to each blank node.
-    closure: dict[Term, list[tuple[IRI, Term]]] = {root: []}
+    index = g._by_subject  # subject -> predicate -> its objects, as `Graph` buckets them
+    if root not in index:
+        raise ExportError(f"root {root.value} is not a subject in the graph")
+    # The number of references to each blank node reachable from the root.
     refs: dict[BlankNode, int] = {}
     queue: list[Term] = [root]
     while queue:
-        node = queue.pop()
-        closure[node] = pairs = sorted(g.predicate_objects(node))
-        for _, obj in pairs:
-            if isinstance(obj, BlankNode):
-                refs[obj] = refs.get(obj, 0) + 1
-                if obj not in closure:
-                    closure[obj] = []
-                    queue.append(obj)
-    if not closure[root]:
-        raise ExportError(f"root {root.value} is not a subject in the graph")
-
-    emitted: set[Term] = set()
-
-    def node_object(subject) -> dict:
-        emitted.add(subject)
-        out: dict = {}
-        if isinstance(subject, IRI):
-            out["@id"] = _stated(subject.value)
-        elif refs.get(subject, 0) > 1:
-            out["@id"] = str(subject)
-        types = []
-        props: dict[str, list] = {}
-        for predicate, obj in closure[subject]:
-            if predicate == _RDF_TYPE and isinstance(obj, IRI):
-                types.append(_name(obj))
-                continue
-            props.setdefault(_name(predicate), []).append(object_json(obj))
-        if types:
-            out["@type"] = types[0] if len(types) == 1 else types
-        for key, values in props.items():
-            out[key] = values[0] if len(values) == 1 else values
-        return out
-
-    def object_json(obj: Term):
-        if isinstance(obj, Literal):
-            return _literal_json(obj)
-        if isinstance(obj, IRI):
-            return {"@id": _stated(obj.value)}
-        if obj in emitted:  # multi-referenced or cyclic: point at its @id
-            return {"@id": str(obj)}
-        return node_object(obj)
-
+        for bucket in index.get(queue.pop(), {}).values():
+            for obj in bucket if type(bucket) is dict else (bucket,):
+                if isinstance(obj, BlankNode):
+                    refs[obj] = refs.get(obj, 0) + 1
+                    if refs[obj] == 1:
+                        queue.append(obj)
     try:
-        body = node_object(root)
+        text = _node_text(root, "\n", index, refs, set())
     except RecursionError:
         raise ExportError(f"root {root.value}: blank nodes nested too deeply to export") from None
-    return JsonLdDocument(context=DEFAULT_PREFIXES, body=body)
+    return JsonLdDocument(text + "\n")
 
 
 def save_graph(g: Graph, path: str | Path) -> None:

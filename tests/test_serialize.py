@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -539,26 +540,40 @@ class TestJsonLd:
         with pytest.raises(ExportError):
             to_jsonld(Graph(), IRI("http://e/missing"))
 
-    def test_deep_document_is_an_export_error_in_to_text(self):
-        body: dict = {"@id": "http://e/root"}
-        inner = body
-        for _ in range(5000):
-            inner["http://e/p"] = {}
-            inner = inner["http://e/p"]
+    def test_deep_blank_chain_is_an_export_error(self):
+        root = IRI("http://e/root")
+        chain = [BlankNode(f"b{i}") for i in range(500)]
+        g = Graph([Triple(root, IRI("http://e/p"), chain[0])])
+        for node, child in zip(chain, chain[1:]):
+            g.insert(Triple(node, IRI("http://e/p"), child))
+        g.insert(Triple(chain[-1], IRI("http://e/p"), Literal("end")))
         with pytest.raises(ExportError, match="nested too deeply"):
-            serialize.JsonLdDocument(context=serialize.DEFAULT_PREFIXES, body=body).to_text()
+            to_jsonld(g, root)
 
     def test_bare_root_has_id_and_type_only(self):
         root = IRI("http://e/io/1")
         g = Graph([Triple(root, IRI(RDF_TYPE), IRI(IO_CLASS))])
-        doc = to_jsonld(g, root)
-        assert set(doc.body) == {"@id", "@type"}
-        assert doc.body["@id"] == root.value
-        assert doc.body["@type"] == "tifsem:InformationObject"
+        body = to_jsonld(g, root).to_json()
+        del body["@context"]
+        assert set(body) == {"@id", "@type"}
+        assert body["@id"] == root.value
+        assert body["@type"] == "tifsem:InformationObject"
 
     def test_context_contains_schema_namespace(self, materialized_graph):
         doc = to_jsonld(materialized_graph, mint_io_iri("http://example.org/tifsem", "HOT-001"))
-        assert doc.context["schema"] == "https://schema.org/"
+        assert doc.to_json()["@context"]["schema"] == "https://schema.org/"
+
+    def test_exports_leave_no_cyclic_garbage(self, materialized_graph, la_rochelle_ios):
+        # The collector is off in between, so that no automatic collection
+        # takes what the exports leave before the second count.
+        gc.collect()
+        gc.disable()
+        try:
+            for io in la_rochelle_ios:
+                to_jsonld(materialized_graph, mint_io_iri("http://example.org/tifsem", io.id)).to_text()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_materialized_hotel_carries_mapped_types(self, materialized_graph):
         doc = to_jsonld(materialized_graph, mint_io_iri("http://example.org/tifsem", "HOT-001"))
@@ -646,24 +661,62 @@ class TestJsonLdRefusedIris:
         assert structural_form(expanded, self.ROOT) == structural_form(g.triples, self.ROOT)
 
 
-# Strings that exercise every escape path of the writer: control
+# Lexical forms that exercise every escape path of the writer: control
 # characters, quotes, backslashes, DEL, non-ASCII and astral characters.
-_JSON_STRINGS = st.text(st.sampled_from('"\\\x00\x01\x1f\x7f\n\r\t\u2028é€😀 a@:') | st.characters(), max_size=8)
-_JSON_TREES = st.recursive(
-    _JSON_STRINGS,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_STRINGS, children, max_size=4),
-    max_leaves=25,
+_LEXICAL_FORMS = st.text(
+    st.sampled_from('"\\\x00\x01\x1f\x7f\n\r\t\u2028é€😀 a@:') | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
 )
+# IRIs whose raw and quoted orders differ (`http://e/a` sorts before
+# `http://e/a!`, `"http://e/a!"` before `"http://e/a"`), that sort before the
+# `@` keywords (`1:x`) or after them (`A:x`), and ones written as prefixed
+# names.
+_KEY_IRIS = st.sampled_from([
+    "http://e/a", "http://e/a!", "http://e/a/b", "http://e/A", "1:x", "A:x",
+    SCHEMA_NS + "name", SCHEMA_NS + "Place", TIFSEM_NS + "x", RDF_TYPE,
+]).map(IRI)
+_BLANKS = st.sampled_from(["b0", "b1", "b2", "b3"]).map(BlankNode)
+_EXPORT_LITERALS = st.one_of(
+    st.builds(Literal, _LEXICAL_FORMS),
+    st.builds(lambda lexical, tag: Literal(lexical, language=tag), _LEXICAL_FORMS, st.sampled_from(["en", "fr-CA"])),
+    st.builds(Literal, _LEXICAL_FORMS, st.sampled_from([XSD_NS + "decimal", "http://e/a!", "1:x"])),
+)
+_EXPORT_ROOT = IRI("http://e/root")
 
 
-class TestJsonWriter:
-    @given(_JSON_TREES)
-    @example({"": [], "\"\\\x00": {}, "é": ["\x1f", {}, []]})
-    @example([])
-    @example({})
+@st.composite
+def export_graphs(draw) -> Graph:
+    """A small graph whose root is a subject: a few blank nodes, often
+    referenced more than once or in a cycle, and keys, types and literals
+    from the pools above."""
+    objects = st.one_of(_KEY_IRIS, st.just(_EXPORT_ROOT), _BLANKS, _EXPORT_LITERALS)
+    g = Graph([Triple(_EXPORT_ROOT, draw(_KEY_IRIS), draw(objects))])
+    subjects = st.one_of(st.just(_EXPORT_ROOT), _BLANKS)
+    for s, p, o in draw(st.lists(st.tuples(subjects, _KEY_IRIS, objects), max_size=14)):
+        g.insert(Triple(s, p, o))
+    return g
+
+
+class TestJsonLdText:
+    @given(export_graphs())
+    @example(Graph([
+        Triple(_EXPORT_ROOT, IRI("http://e/a"), BlankNode("b0")),
+        Triple(_EXPORT_ROOT, IRI("http://e/a!"), BlankNode("b0")),
+        Triple(_EXPORT_ROOT, IRI("1:x"), Literal('"\\\n', language="en")),
+        Triple(_EXPORT_ROOT, IRI(RDF_TYPE), IRI("http://e/a!")),
+        Triple(_EXPORT_ROOT, IRI(RDF_TYPE), IRI("http://e/a")),
+        Triple(BlankNode("b0"), IRI("http://e/a"), BlankNode("b1")),
+        Triple(BlankNode("b1"), IRI("A:x"), BlankNode("b0")),
+        Triple(BlankNode("b1"), IRI("http://e/a!"), Literal("1.5", XSD_NS + "decimal")),
+    ]))
     @settings(max_examples=300, deadline=None)
-    def test_equals_json_dumps(self, tree):
-        assert serialize._json_text(tree) == json.dumps(tree, indent=2, ensure_ascii=False, sort_keys=True)
+    def test_equals_json_dumps_and_expands_to_the_closure(self, g):
+        text = to_jsonld(g, _EXPORT_ROOT).to_text()
+        document = json.loads(text)
+        assert text == json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        expanded = expand_jsonld(document)
+        closure = blank_closure(list(g), _EXPORT_ROOT)
+        assert structural_form(expanded, _EXPORT_ROOT) == structural_form(closure, _EXPORT_ROOT)
 
 
 class TestCompactCache:
