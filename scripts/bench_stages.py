@@ -4,10 +4,12 @@
 For each k in ``COPIES`` (1, 4, 16, 64), builds k suffixed and relocated
 copies of the La Rochelle fixture, seeded with ``SEED``, with
 ``perfbench/gen.make_tiles`` and times every stage, best of ``--repeat``
-runs.  Each run is timed with ``perfbench/clock.Calibration.timed``, which
-samples a fixed reference loop just before and just after it; the best
-raw seconds and the best seconds scaled to the reference speed are both
-kept, so runs on a machine whose speed drifts can be compared:
+runs.  The runs go round-robin: each run times every stage once, in the
+order below, and every run must give the same outputs.  Each stage call is
+timed with ``perfbench/clock.Calibration.timed``, which samples a fixed
+reference loop just before and just after it; the best raw seconds and the
+best seconds scaled to the reference speed are both kept, so runs on a
+machine whose speed drifts can be compared:
 
 - ``parse_tif`` of the copies emitted in each dialect (v3, A, B), each under
   its own profile;
@@ -63,25 +65,22 @@ QUERIES = {"example1": fixtures.EXAMPLE1_QUERY, "example2": fixtures.EXAMPLE2_QU
 
 
 class Timer:
-    """The best raw and scaled seconds of each stage over ``repeat`` runs."""
+    """The best raw and scaled seconds of each stage over the runs."""
 
-    def __init__(self, repeat: int):
-        self.repeat = repeat
+    def __init__(self):
         self.calibration = clock.Calibration()
         self.seconds: dict[str, float] = {}
         self.scaled_seconds: dict[str, float] = {}
 
-    def best_of(self, stage: str, run, prepare=lambda: ()):
-        """Time ``repeat`` calls of ``run(*prepare())`` as ``stage`` and
-        return the last call's result; ``prepare`` runs outside the timed
-        region."""
-        for _ in range(self.repeat):
-            args = prepare()
-            gc.collect()
-            results = []
-            scaled, raw = self.calibration.timed(lambda: results.append(run(*args)))
-            self.seconds[stage] = min(raw, self.seconds.get(stage, raw))
-            self.scaled_seconds[stage] = min(scaled, self.scaled_seconds.get(stage, scaled))
+    def time(self, stage: str, run, prepare=lambda: ()):
+        """Time one call of ``run(*prepare())`` as ``stage`` and return its
+        result; ``prepare`` runs outside the timed region."""
+        args = prepare()
+        gc.collect()
+        results = []
+        scaled, raw = self.calibration.timed(lambda: results.append(run(*args)))
+        self.seconds[stage] = min(raw, self.seconds.get(stage, raw))
+        self.scaled_seconds[stage] = min(scaled, self.scaled_seconds.get(stage, scaled))
         return results[0]
 
 
@@ -107,50 +106,63 @@ def materialized(g: Graph) -> Graph:
     return g
 
 
-def stages(k: int, repeat: int) -> dict:
-    """Seconds per stage, sizes and output hashes for k copies."""
-    ios = [io for tile in gen.make_tiles(SEED, 0, k) for io in tile.ios]
-    timer = Timer(repeat)
-    best_of = timer.best_of
+def run_stages(ios, timer: Timer) -> dict:
+    """One timed run of every stage, in pipeline order; returns the triple
+    counts and the output hashes."""
+    time = timer.time
     parsed = {}
     for dialect, (emit, profile) in gen.EMITTERS.items():
         doc = RawDocument(f"{dialect}.xml", emit(ios).encode("utf-8"))
-        parsed[dialect], issues = best_of(f"parse_tif.{dialect}", parse_tif, lambda: (doc, profile()))
+        parsed[dialect], issues = time(f"parse_tif.{dialect}", parse_tif, lambda: (doc, profile()))
         if issues:
             raise SystemExit(f"bench_stages: parse_tif reported {len(issues)} issue(s) on dialect {dialect}")
 
-    asserted = best_of("assert_io", assert_all, lambda: (parsed["v3"],))
-    inserted = best_of("insert_io", insert_all, lambda: (parsed["v3"],))
+    asserted = time("assert_io", assert_all, lambda: (parsed["v3"],))
+    inserted = time("insert_io", insert_all, lambda: (parsed["v3"],))
     if inserted != asserted:
         raise SystemExit("bench_stages: inserting the IOs in one call gave another graph than assert_io")
-    g = best_of("materialize", materialized, lambda: (Graph(asserted),))
-    nt = best_of("to_ntriples", to_ntriples, lambda: (g,))
-    reread = best_of("from_ntriples", from_ntriples, lambda: (nt,))
+    g = time("materialize", materialized, lambda: (Graph(asserted),))
+    nt = time("to_ntriples", to_ntriples, lambda: (g,))
+    reread = time("from_ntriples", from_ntriples, lambda: (nt,))
     if reread != g:
         raise SystemExit("bench_stages: from_ntriples did not give back the graph")
-    ttl = best_of("to_turtle", to_turtle, lambda: (g,))
+    ttl = time("to_turtle", to_turtle, lambda: (g,))
     roots = [mint_io_iri(DEFAULT_BASE_IRI, io.id) for io in parsed["v3"]]
-    exports = best_of("to_jsonld", lambda: [to_jsonld(g, root).to_text() for root in roots])
+    exports = time("to_jsonld", lambda: [to_jsonld(g, root).to_text() for root in roots])
     rows = {}
     for name, text in QUERIES.items():
-        q = best_of(f"parse_query.{name}", parse_query, lambda: (text,))
+        q = time(f"parse_query.{name}", parse_query, lambda: (text,))
         # A graph of its own for each run: `evaluate` caches coordinates on
         # the graph, and every run should resolve them as the first does.
-        table = best_of(f"evaluate.{name}", evaluate, lambda: (q, from_ntriples(nt)))
+        table = time(f"evaluate.{name}", evaluate, lambda: (q, from_ntriples(nt)))
         rows[name] = "".join("\t".join(map(term_to_ntriples, row)) + "\n" for row in table.rows)
-
     return {
-        "k": k,
-        "resources": len(ios),
         "triples": {"asserted": len(asserted), "materialized": len(g)},
-        "seconds": timer.seconds,
-        "scaled_seconds": timer.scaled_seconds,
         "sha256": {
             "ntriples": sha256(nt),
             "turtle": sha256(ttl),
             "jsonld": sha256("".join(exports)),
             **{f"rows.{name}": sha256(text) for name, text in rows.items()},
         },
+    }
+
+
+def stages(k: int, repeat: int) -> dict:
+    """Seconds per stage, sizes and output hashes for k copies.  The runs
+    go round-robin: each one times every stage in turn, so a slow spell of
+    the machine falls on all stages alike, and the best run of each counts."""
+    ios = [io for tile in gen.make_tiles(SEED, 0, k) for io in tile.ios]
+    timer = Timer()
+    outputs = [run_stages(ios, timer) for _ in range(repeat)]
+    if any(out != outputs[0] for out in outputs):
+        raise SystemExit(f"bench_stages: k={k}: the runs gave different outputs")
+    return {
+        "k": k,
+        "resources": len(ios),
+        "triples": outputs[0]["triples"],
+        "seconds": timer.seconds,
+        "scaled_seconds": timer.scaled_seconds,
+        "sha256": outputs[0]["sha256"],
     }
 
 
@@ -177,7 +189,7 @@ def main() -> int:
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "seed": SEED,
         "repeat": args.repeat,
-        "timer": "time.perf_counter, best of repeat; scaled_seconds by perfbench/clock.py to a "
+        "timer": "time.perf_counter, best of repeat round-robin runs; scaled_seconds by perfbench/clock.py to a "
                  f"{clock.REFERENCE_MS} ms reference loop",
         "sizes": sizes,
     }

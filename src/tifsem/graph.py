@@ -341,12 +341,6 @@ class Graph:
         bucket = self._by_predicate.get(predicate, _NO_BUCKETS).get(object)
         return () if bucket is None else bucket.keys() if type(bucket) is dict else (bucket,)
 
-    def predicate_objects(self, subject: Term) -> Iterator[tuple[IRI, Term]]:
-        """The (predicate, object) pairs of ``subject``, in match order."""
-        for p, bucket in self._by_subject.get(subject, _NO_BUCKETS).items():
-            for o in bucket if type(bucket) is dict else (bucket,):
-                yield p, o
-
     def subject_predicate_objects(self) -> Iterator[tuple[Subject, IRI, Term]]:
         """The terms of every triple, in iteration order."""
         for s, buckets in self._by_subject.items():
@@ -398,6 +392,8 @@ _FIELD_PREDICATES = {
     for path, (_, _, predicate) in _SNAPSHOT.fields.items()
     if predicate is not None  # a geopoint is written as its latitude and longitude
 }
+# Validation keeps a geopoint at these paths and nowhere else.
+_GEOPOINT_PATHS = frozenset(_SNAPSHOT.fields.keys() - _FIELD_PREDICATES.keys())
 
 
 def vocabulary_iri(value: str) -> IRI:
@@ -419,7 +415,9 @@ def _escape_label_part(text: str) -> str:
 
 
 def _granule_node(escaped_id: str, kind: GranuleKind, ordinal: int) -> BlankNode:
-    return BlankNode(f"{escaped_id}_{kind.value}_{ordinal}")
+    # Always a valid label: an escaped id, a granule tag and an ordinal
+    # hold only ASCII letters, digits and "_".
+    return str.__new__(BlankNode, f"_:{escaped_id}_{kind.value}_{ordinal}")
 
 
 def granule_node(io_id: str, kind: GranuleKind, ordinal: int) -> BlankNode:
@@ -466,20 +464,10 @@ def _insert_ios(g: Graph, ios: Iterable[InformationObject], base: str) -> int:
     Within the call each IO id is escaped once, and each extension-key IRI
     and each field object is built once."""
     predicates = dict(_FIELD_PREDICATES)
+    # A decimal is keyed by its exact text: 1.0 and 1.00, or 0 and -0, are
+    # equal and hash alike, yet write different lexical forms.  Terms are
+    # non-empty strings, so a hit is never false.
     objects: dict = {}
-
-    def field_terms(path: str, value) -> tuple[IRI, Literal | IRI]:
-        predicate = predicates.get(path)
-        if predicate is None:  # an extension field is keyed by its own IRI
-            predicate = predicates[path] = IRI(path)
-        # A decimal is keyed by its exact text: 1.0 and 1.00, or 0 and -0,
-        # are equal and hash alike, yet write different lexical forms.
-        key = (Decimal, str(value)) if isinstance(value, Decimal) else value
-        obj = objects.get(key)
-        if obj is None:
-            obj = objects[key] = _field_object(value, base)
-        return predicate, obj
-
     add, added = g._add, 0
     for io in ios:
         io_iri = mint_io_iri(base, io.id)
@@ -491,8 +479,14 @@ def _insert_ios(g: Graph, ios: Iterable[InformationObject], base: str) -> int:
                 node = _granule_node(escaped_id, kind, ordinal)
                 added += add(io_iri, _HAS_GRANULE, node)
                 added += add(node, _RDF_TYPE, granule_class)
-                for path, value in expand_geopoints(granule.fields):
-                    added += add(node, *field_terms(path, value))
+                fields = granule.fields
+                for path, value in fields.items() if _GEOPOINT_PATHS.isdisjoint(fields) else expand_geopoints(fields):
+                    # An extension field is keyed by its own IRI.
+                    predicate = predicates.get(path) or predicates.setdefault(path, IRI(path))
+                    key = (Decimal, str(value)) if isinstance(value, Decimal) else value
+                    obj = objects.get(key) or objects.setdefault(key, _field_object(value, base))
+                    added += add(node, predicate, obj)
         for ext_iri, text in io.extensions:
-            added += add(io_iri, *field_terms(ext_iri, text))
+            predicate = predicates.get(ext_iri) or predicates.setdefault(ext_iri, IRI(ext_iri))
+            added += add(io_iri, predicate, objects.get(text) or objects.setdefault(text, Literal(text)))
     return added

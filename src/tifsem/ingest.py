@@ -17,8 +17,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from io import BytesIO
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from tifsem.errors import ProfileError, XmlParseError
 from tifsem.graph import IRI_FORBIDDEN
@@ -176,41 +177,69 @@ def save_profile(profile: DialectProfile) -> str:
     ) + "\n"
 
 
+_ATTRIBUTE_IGNORED = "attribute ignored: not part of the tag vocabulary"
+
+
 def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, str]]]:
     """One preorder traversal of a resource: (path, text, repeat) for each
     non-empty leaf, repeat being the index of its top-level element among
     same-tag siblings, and a warning for every plain (un-namespaced)
-    attribute on it or below it.  A path is joined only for a leaf or a
-    warning, from the tags above the element, so the walk is linear in depth."""
+    attribute on it or below it.  A stack of child iterators walks each
+    top-level element, and a level's path is joined once, when a leaf or a
+    warning first needs it, so the walk is linear in depth."""
     leaves: list[tuple[str, str, int]] = []
-    warnings: list[tuple[str, str, str]] = []
-    segments: list[str] = []
+    warnings = [("warning", f"{resource.tag}/@{name}", _ATTRIBUTE_IGNORED)
+                for name in resource.keys() if name[0] != "{"]
     tag_counts: dict[str, int] = {}
-    stack: list[tuple[ET.Element, int, int]] = []
-    for top in resource:
-        repeat = tag_counts.get(top.tag, 0)
-        tag_counts[top.tag] = repeat + 1
-        stack.append((top, 1, repeat))
-    stack = [*reversed(stack), (resource, 0, 0)]  # the resource first, then its elements in order
-    while stack:
-        element, depth, repeat = stack.pop()
-        del segments[depth:]
-        segments.append(element.tag)
-        names = [name for name in element.attrib if not name.startswith("{")] if element.attrib else ()
-        if names:
-            path = "/".join(segments)
-            warnings.extend(("warning", f"{path}/@{name}", "attribute ignored: not part of the tag vocabulary")
-                            for name in names)
-        if depth == 0:  # the resource itself: its children are stacked already
-            continue
-        children = list(element)
-        if not children:
-            text = (element.text or "").strip()
-            if text:
-                leaves.append(("/".join(segments[1:]), text, repeat))
-            continue
-        stack.extend((child, depth + 1, repeat) for child in reversed(children))
+    # Per open element, from the top-level one down: its tag, the iterator
+    # over its children, and its path and a "/" for them, None until needed.
+    tags: list[str] = []
+    levels: list[Iterator[ET.Element]] = []
+    prefixes: list[Optional[str]] = [""]  # "" for the top-level elements themselves
+    for element in resource:
+        repeat = tag_counts.get(element.tag, 0)
+        tag_counts[element.tag] = repeat + 1
+        while True:
+            tag = element.tag
+            names = element.keys() and [name for name in element.keys() if name[0] != "{"]
+            branch = len(element)
+            text = "" if branch else (element.text or "").strip()
+            if names or text:
+                if prefixes[-1] is None:
+                    prefixes[-1] = "/".join(tags) + "/"
+                path = prefixes[-1] + tag
+                if names:
+                    warnings.extend(("warning", f"{resource.tag}/{path}/@{name}", _ATTRIBUTE_IGNORED)
+                                    for name in names)
+                if text:
+                    leaves.append((path, text, repeat))
+            if branch:
+                tags.append(tag)
+                levels.append(iter(element))
+                prefixes.append(path + "/" if names else None)  # a branch's path is joined above only for names
+            while levels and (element := next(levels[-1], None)) is None:  # the element walked next
+                del tags[-1], levels[-1], prefixes[-1]
+            if not levels:
+                break
     return leaves, warnings
+
+
+def _resources(doc: RawDocument) -> Iterator[ET.Element]:
+    """The child elements of the document's root, read as a stream: each is
+    yielded once its next sibling starts or the document ends, and dropped
+    from the tree when the next is asked for.  Any fault raises XmlParseError."""
+    try:
+        events = ET.iterparse(BytesIO(doc.data), ("start",))
+        _, root = next(events)
+        for _ in events:
+            if len(root) > 1:  # the first child is complete: the next one has started
+                yield root[0]
+                del root[0]
+        yield from root
+    except ET.ParseError as exc:
+        raise XmlParseError(f"{doc.source_uri}: {exc.msg}", *(exc.position or (None, None))) from exc
+    except (LookupError, ValueError) as exc:  # an unknown or a multi-byte declared encoding
+        raise XmlParseError(f"{doc.source_uri}: {exc}") from exc
 
 
 def _placement(raw_path: str, profile: DialectProfile):
@@ -288,6 +317,10 @@ def _coerce(text: str, spec: FieldSpec) -> FieldValue:
     return value
 
 
+class _Refusal(str):
+    """The message of a leaf text that ``_coerce`` refuses."""
+
+
 def _content_hash(granules: dict[GranuleKind, list[Granule]], extensions: list[tuple[str, str]],
                   refused: list[tuple[GranuleKind, str, str]]) -> str:
     """A digest of every field, canonical and extension, and of every
@@ -308,40 +341,36 @@ def parse_tif(
 ) -> tuple[list[InformationObject], list[ValidationIssue]]:
     """Parse one document into information objects.
 
-    Every child element of the root is one resource.  Each non-empty leaf is
+    Every child element of the root is one resource, parsed from a stream,
+    walked, mapped and dropped before the next.  Each non-empty leaf is
     mapped through the profile, preserved as an extension field, or reported;
-    nothing is silently lost.  A mapped value that ``FieldSpec.check``
-    refuses is an error issue and stays out of the IO, so every IO returned
-    passes ``validate_io``.  IO identifiers come from the canonical
+    nothing is silently lost.  Each distinct (field, text) pair is coerced
+    once per document.  A mapped value that ``FieldSpec.check`` refuses is
+    an error issue and stays out of the IO, so every IO returned passes
+    ``validate_io``.  IO identifiers come from the canonical
     identifier field when present, else from a digest of all the fields
     and of the leaves refused as values.
     A resource that maps no canonical field earns a warning: the profile
     most likely does not fit the document.
     """
-    try:
-        root = ET.fromstring(doc.data)
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise XmlParseError(f"{doc.source_uri}: {exc.msg}", line, column) from exc
-    except (LookupError, ValueError) as exc:  # an unknown or a multi-byte declared encoding
-        raise XmlParseError(f"{doc.source_uri}: {exc}") from exc
-
     ios: list[InformationObject] = []
     issues: list[ValidationIssue] = []
     seen_ids: set[str] = set()
-    # Each distinct tag path is placed once per document: a feed's thousands
-    # of leaves take a few dozen paths, and the dict never outgrows the
-    # document's own leaves nor outlives this call's profile.
+    # Each distinct tag path is placed, and each distinct (canonical key,
+    # text) coerced, once per document: a feed's thousands of leaves take a
+    # few dozen paths and far fewer distinct values than leaves, and neither
+    # dict outgrows the document's own leaves nor outlives this call's profile.
     placements: dict[str, object] = {}
+    coerced: dict[tuple[str, str], FieldValue] = {}
 
-    for resource in root:
+    for resource in _resources(doc):
         granules: dict[GranuleKind, list[Granule]] = {}
         instances: dict[tuple[GranuleKind, int], Granule] = {}
         extensions: list[tuple[str, str]] = []
         refused: list[tuple[GranuleKind, str, str]] = []
         mapped = False
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
-        for raw_path, value, repeat in leaves:
+        for raw_path, text, repeat in leaves:
             placement = placements.get(raw_path, _UNPLACED)
             if placement is _UNPLACED:
                 placement = placements[raw_path] = _placement(raw_path, profile)
@@ -351,13 +380,19 @@ def parse_tif(
                 resource_issues.append(("warning", raw_path, placement))
                 continue
             kind, key, spec = placement
+            value = text
             if spec is not None:
                 mapped = True
-                try:
-                    value = _coerce(value, spec)
-                except ValueError as exc:
-                    resource_issues.append(("error", key, str(exc)))
-                    refused.append((kind, key, value))
+                value = coerced.get((key, text))
+                if value is None:
+                    try:
+                        value = _coerce(text, spec)
+                    except ValueError as exc:
+                        value = _Refusal(exc)
+                    coerced[key, text] = value
+                if type(value) is _Refusal:
+                    resource_issues.append(("error", key, str(value)))
+                    refused.append((kind, key, text))
                     continue
             if kind is None:  # a resource-level extension keeps every value
                 extensions.append((key, value))

@@ -182,8 +182,10 @@ def from_ntriples(text: str) -> Graph:
     once, and one already in canonical form becomes its term as it is."""
     g = Graph()
     add, built = g._add, _Memo(_term)
+    crlf = "\r" in text
     for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.rstrip("\r")
+        if crlf:
+            line = line.rstrip("\r")
         parts = line.split(" ", 2)
         if len(parts) == 3 and parts[2].endswith(" ."):
             try:
@@ -223,7 +225,8 @@ def _compact(iri: str) -> Optional[str]:
 
 def to_turtle(g: Graph) -> str:
     """Turtle text: prefix declarations, then one sorted statement per line
-    with prefixed names wherever an IRI falls under a declared namespace."""
+    with prefixed names wherever an IRI falls under a declared namespace,
+    read from the subject index in the order of the (s, p, o) texts."""
 
     def render(term: Term) -> str:
         if isinstance(term, IRI):
@@ -236,8 +239,15 @@ def to_turtle(g: Graph) -> str:
     form = _Memo(render)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(DEFAULT_PREFIXES.items())]
     lines.append("")
-    for s, p, o in sorted(g.subject_predicate_objects()):
-        lines.append(f"{form[s]} {form[p]} {form[o]} .")
+    for s in sorted(g._by_subject):
+        buckets, subject = g._by_subject[s], form[s]
+        for p in sorted(buckets):
+            bucket, head = buckets[p], f"{subject} {form[p]} "
+            if type(bucket) is dict:  # two or more objects
+                for o in sorted(bucket):
+                    lines.append(f"{head}{form[o]} .")
+            else:
+                lines.append(f"{head}{form[bucket]} .")
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import datetime
+import re
 import timeit
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import strategies as own
 from oracles import dom_leaves, is_dropped_by
-from tifsem import fixtures
+from tifsem import fixtures, ingest
 from tifsem.errors import IoAssertionError, ProfileError, TifsemError, XmlParseError
 from tifsem.graph import Graph, IRI, assert_io
 from tifsem.ingest import (
@@ -512,6 +514,157 @@ class TestParseTif:
         ios, _ = parse_tif(doc(data_dir / "fixture_v3.xml"))
         languages = ios[0].granules[GranuleKind.LANGUAGES]
         assert [g.fields["Languages/Language"] for g in languages] == ["fr", "en"]
+
+
+# ---------------------------------------------------------------------------
+# Streaming parse against the whole-tree parse it replaced, and the
+# per-document coercion memo.
+
+CHUNK = 16 * 1024  # ET.iterparse reads its source this many bytes at a time
+_NS = "http://example.org/ns"
+_EMITTERS = {
+    "v3": (fixtures.emit_v3, IDENTITY_PROFILE),
+    "a": (fixtures.emit_dialect_a, fixtures.profile_dialect_a()),
+    "b": (fixtures.emit_dialect_b, fixtures.profile_dialect_b()),
+}
+
+
+def _stack_walk(resource: ET.Element) -> tuple[list, list]:
+    """The whole-tree walk of each resource: one stack of (element, depth,
+    repeat) entries, each path joined from the tags above the element."""
+    leaves, warnings, segments, tag_counts, stack = [], [], [], {}, []
+    for top in resource:
+        repeat = tag_counts.get(top.tag, 0)
+        tag_counts[top.tag] = repeat + 1
+        stack.append((top, 1, repeat))
+    stack = [*reversed(stack), (resource, 0, 0)]
+    while stack:
+        element, depth, repeat = stack.pop()
+        del segments[depth:]
+        segments.append(element.tag)
+        names = [name for name in element.attrib if not name.startswith("{")]
+        warnings.extend(("warning", "/".join(segments) + f"/@{name}",
+                         "attribute ignored: not part of the tag vocabulary") for name in names)
+        if depth == 0:
+            continue
+        children = list(element)
+        if not children:
+            text = (element.text or "").strip()
+            if text:
+                leaves.append(("/".join(segments[1:]), text, repeat))
+            continue
+        stack.extend((child, depth + 1, repeat) for child in reversed(children))
+    return leaves, warnings
+
+
+def whole_tree_parse(data: bytes, profile: DialectProfile):
+    """``parse_tif`` with the document read whole by ``ET.fromstring`` and
+    each resource walked by ``_stack_walk``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_resources", lambda doc: iter(ET.fromstring(doc.data)))
+        patch.setattr(ingest, "_walk_resource", _stack_walk)
+        return parse_tif(doc_bytes(data), profile)
+
+
+def decorated_feed(emit) -> bytes:
+    """The La Rochelle fixture twice over (so every identifier repeats) in
+    one dialect, more than two read chunks long, with plain and namespaced attributes at every depth, namespaced
+    tags, repeated granules, resource-level leaves, a subtree deeper than
+    any granule and refused decimal and date values."""
+    root = ET.fromstring(emit(fixtures.la_rochelle() + fixtures.la_rochelle(2)).encode("utf-8"))
+    root.set("producer", "x")
+    for i, resource in enumerate(root):
+        if i % 3 == 0:
+            for element in resource.iter():
+                element.set("note", str(i))
+                element.set(f"{{{_NS}}}id", str(i))
+        if i % 4 == 1:
+            ET.SubElement(resource, f"{{{_NS}}}Tag").text = f"tag {i}"
+            ET.SubElement(resource[1], f"{{{_NS}}}Inner").text = f"inner {i}"
+        if i % 5 == 2:
+            resource.append(copy.deepcopy(resource[1]))
+            resource.append(copy.deepcopy(resource[2]))
+        if i % 2 == 0:
+            ET.SubElement(resource, "Note").text = f"note {i}"
+            ET.SubElement(resource, "Note").text = f"note {i}"
+        if i % 3 == 1:
+            deep = ET.SubElement(ET.SubElement(resource[2], "Extra", plain="1"), "Deeper", {f"{{{_NS}}}q": "2"})
+            ET.SubElement(deep, "Deepest", level="3").text = "deep"
+        for leaf in resource.iter():
+            if len(leaf) or not leaf.text:
+                continue
+            if i % 6 == 3 and re.fullmatch(r"-?[0-9]+\.[0-9]+", leaf.text):
+                leaf.text = "north"
+            if i % 7 == 4 and re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", leaf.text):
+                leaf.text = leaf.text[:5] + "13" + leaf.text[7:]
+    return ET.tostring(root, encoding="utf-8")
+
+
+class TestStreamingParse:
+    @pytest.mark.parametrize("dialect", sorted(_EMITTERS))
+    def test_streaming_parse_equals_whole_tree_parse(self, dialect):
+        emit, profile = _EMITTERS[dialect]
+        data = decorated_feed(emit)
+        assert len(data) > 2 * CHUNK
+        ios, issues = parse_tif(doc_bytes(data), profile)
+        assert (ios, issues) == whole_tree_parse(data, profile)
+        messages = [(i.severity, i.message) for i in issues]
+        assert ("warning", "attribute ignored: not part of the tag vocabulary") in messages
+        assert ("error", "not a decimal: 'north'") in messages
+        assert any(severity == "error" and message.startswith("not an ISO date") for severity, message in messages)
+        assert any(len(instances) > 1 for io in ios for instances in io.granules.values())
+        if profile.extension_namespace:
+            assert any(io.extensions for io in ios)
+
+    @pytest.mark.parametrize("cut", [CHUNK + 1, 2 * CHUNK - 7, 2 * CHUNK + 100, -40, -1])
+    def test_truncated_document_reports_the_whole_tree_position(self, cut):
+        data = decorated_feed(fixtures.emit_v3)[:cut]
+        assert len(data) > CHUNK
+        with pytest.raises(ET.ParseError) as whole:
+            ET.fromstring(data)
+        with pytest.raises(XmlParseError) as streamed:
+            parse_tif(doc_bytes(data))
+        assert (streamed.value.line, streamed.value.column) == whole.value.position
+        assert str(streamed.value) == f"inline: {whole.value.msg}"
+
+    def test_fault_after_the_first_chunk_returns_nothing(self):
+        data = decorated_feed(fixtures.emit_v3)
+        data = data[: 2 * CHUNK] + b"<&>" + data[2 * CHUNK :]
+        with pytest.raises(XmlParseError) as err:
+            parse_tif(doc_bytes(data))
+        assert err.value.line > 1
+
+
+def _resource(identifier: str, body: bytes) -> bytes:
+    return b"<Resource><DublinCore><Identifier>" + identifier.encode() + b"</Identifier></DublinCore>" + body + b"</Resource>"
+
+
+class TestCoercionMemo:
+    def test_one_refused_text_under_three_leaves_gives_three_errors(self, monkeypatch):
+        calls = []
+        coerce = ingest._coerce
+        monkeypatch.setattr(ingest, "_coerce", lambda text, spec: calls.append(text) or coerce(text, spec))
+        north = b"<Geolocation><Latitude>north</Latitude></Geolocation>"
+        data = b"<TIF>" + _resource("R-1", north + north) + _resource("R-2", north) + b"</TIF>"
+        ios, issues = parse_tif(doc_bytes(data))
+        assert [(i.severity, i.io_id, i.field_path, i.message) for i in issues] == [
+            ("error", "R-1", "Geolocation/Latitude", "not a decimal: 'north'"),
+            ("error", "R-1", "Geolocation/Latitude", "not a decimal: 'north'"),
+            ("error", "R-2", "Geolocation/Latitude", "not a decimal: 'north'"),
+        ]
+        assert calls == ["R-1", "north", "R-2"]  # one call per distinct (field, text), in document order
+        assert all(GranuleKind.GEOLOCATIONS not in io.granules for io in ios)
+
+    def test_same_text_is_coerced_per_field(self):
+        body = (b"<DublinCore><Title>12.50</Title><Type>north</Type></DublinCore>"
+                b"<Prices><Amount>12.50</Amount></Prices><Geolocation><Latitude>north</Latitude></Geolocation>")
+        ios, issues = parse_tif(doc_bytes(b"<TIF>" + _resource("R-1", body) + b"</TIF>"))
+        fields = {path: value for granules in ios[0].granules.values() for granule in granules
+                  for path, value in granule.fields.items()}
+        assert fields["DublinCore/Title"] == "12.50" and type(fields["DublinCore/Title"]) is str
+        assert fields["Prices/Amount"] == Decimal("12.50")
+        assert fields["DublinCore/Type"] == "north"
+        assert [(i.field_path, i.message) for i in issues] == [("Geolocation/Latitude", "not a decimal: 'north'")]
 
 
 class TestValidateIo:
