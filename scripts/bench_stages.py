@@ -31,9 +31,15 @@ N-Triples, of the Turtle, of the JSON-LD exports and of each query's rows.
 The hashes let two checkouts show that they produce the same outputs.  Uses
 the standard library and the repository's modules.
 
+With ``--compare OLD.json`` it times nothing: it reads OUT, written by an
+earlier run, and prints each stage's scaled time as a ratio to OLD's (new /
+old) at each size, then every ``sha256`` and triple count that differs
+between the two.  It exits 1 if any differs; the ratios are never gated.
+
 Usage (from the repository root):
 
     python scripts/bench_stages.py OUT.json [--repeat N]
+    python scripts/bench_stages.py OUT.json --compare OLD.json
 """
 
 from __future__ import annotations
@@ -166,13 +172,34 @@ def stages(k: int, repeat: int) -> dict:
     }
 
 
+def compare(old: dict, new: dict) -> int:
+    """Print the scaled-time ratios of ``new`` to ``old`` and every output
+    hash or triple count that differs; 1 if any differs, else 0."""
+    olds, news = ({size["k"]: size for size in doc["sizes"]} for doc in (old, new))
+    differ = []
+    for k in sorted(olds.keys() | news.keys()):
+        was, now = olds.get(k, {}), news.get(k, {})
+        for field in ("triples", "sha256"):
+            a, b = was.get(field, {}), now.get(field, {})
+            differ += [f"k={k} {field} {name}: {a.get(name)} -> {b.get(name)}"
+                       for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
+        before, after = was.get("scaled_seconds", {}), now.get("scaled_seconds", {})
+        print(f"k={k}: " + ", ".join(f"{stage} {after[stage] / before[stage]:.2f}" for stage in after if stage in before))
+    for line in differ:
+        print(f"differs: {line}")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out", type=Path)
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per stage; the best counts")
+    parser.add_argument("--compare", type=Path, metavar="OLD", help="compare OUT with OLD instead of timing")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.compare:
+        return compare(*(json.loads(path.read_text(encoding="utf-8")) for path in (args.compare, args.out)))
 
     sizes = []
     for k in COPIES:

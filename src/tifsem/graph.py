@@ -387,6 +387,8 @@ _RDF_TYPE = _VOCABULARY[RDF_TYPE]
 _IO_CLASS = _VOCABULARY[ontology.IO_CLASS]
 _HAS_GRANULE = _VOCABULARY[ontology.HAS_GRANULE]
 _GRANULE_CLASSES = {kind: _VOCABULARY[class_of(kind)] for kind in GranuleKind}
+# Each kind's tag, read once here: ``kind.value`` is a Python-level property.
+_GRANULE_TAGS = {kind: kind.value for kind in GranuleKind}
 _FIELD_PREDICATES = {
     path: _VOCABULARY[predicate]
     for path, (_, _, predicate) in _SNAPSHOT.fields.items()
@@ -414,15 +416,15 @@ def _escape_label_part(text: str) -> str:
                    for c in text)
 
 
-def _granule_node(escaped_id: str, kind: GranuleKind, ordinal: int) -> BlankNode:
+def _granule_node(escaped_id: str, tag: str, ordinal: int) -> BlankNode:
     # Always a valid label: an escaped id, a granule tag and an ordinal
     # hold only ASCII letters, digits and "_".
-    return str.__new__(BlankNode, f"_:{escaped_id}_{kind.value}_{ordinal}")
+    return str.__new__(BlankNode, f"_:{escaped_id}_{tag}_{ordinal}")
 
 
 def granule_node(io_id: str, kind: GranuleKind, ordinal: int) -> BlankNode:
     """Deterministic blank node for one granule instance."""
-    return _granule_node(_escape_label_part(io_id), kind, ordinal)
+    return _granule_node(_escape_label_part(io_id), _GRANULE_TAGS[kind], ordinal)
 
 
 def _field_object(value, base: str) -> Literal | IRI:
@@ -474,9 +476,9 @@ def _insert_ios(g: Graph, ios: Iterable[InformationObject], base: str) -> int:
         added += add(io_iri, _RDF_TYPE, _IO_CLASS)
         escaped_id = _escape_label_part(io.id)
         for kind, instances in io.granules.items():
-            granule_class = _GRANULE_CLASSES[kind]
+            granule_class, tag = _GRANULE_CLASSES[kind], _GRANULE_TAGS[kind]
             for ordinal, granule in enumerate(instances):
-                node = _granule_node(escaped_id, kind, ordinal)
+                node = _granule_node(escaped_id, tag, ordinal)
                 added += add(io_iri, _HAS_GRANULE, node)
                 added += add(node, _RDF_TYPE, granule_class)
                 fields = granule.fields

@@ -276,13 +276,39 @@ def _stated(iri: str) -> str:
     return iri
 
 
-# Keyed by the IRI's N-Triples text: a predicate or type term itself, whose
-# hash ``str`` keeps, so a lookup never rehashes, or a datatype's `<...>`.
-@functools.lru_cache(maxsize=4096)
 def _name(iri: str) -> str:
-    """A key, type or datatype: its prefixed name, else the IRI stated."""
+    """A key, type or datatype, as its N-Triples text: its prefixed name, else the IRI stated."""
     value = iri[1:-1]
     return _compact(value) or _stated(value)
+
+
+# The fixed texts of an export, cached across calls like `_compact` and
+# bounded the same way.  Each is keyed only by the vocabulary it renders: a
+# predicate, the sorted type IRIs of a node with the indentation of its
+# keys, or a literal's `@tag` or `^^<datatype>` suffix.  A predicate or type
+# is a term, whose hash ``str`` keeps, so a lookup never rehashes it.  An
+# IRI `_name` refuses raises ExportError on every lookup, since an
+# ``lru_cache`` keeps no exception.
+@functools.lru_cache(maxsize=4096)
+def _entry_head(predicate: IRI) -> tuple[str, str]:
+    """A predicate's key, and its entry up to the value: `"key": `."""
+    key = _name(predicate)
+    return key, encode_basestring(key) + ": "
+
+
+@functools.lru_cache(maxsize=4096)
+def _type_entry(types: tuple[IRI, ...], inner: str) -> str:
+    """The ``@type`` entry of a node whose keys are written at ``inner``."""
+    names = [encode_basestring(_name(iri)) for iri in types]
+    return '"@type": ' + (names[0] if len(names) == 1 else _array(names, inner))
+
+
+@functools.lru_cache(maxsize=4096)
+def _literal_head(suffix: str) -> str:
+    """The entry written before ``@value`` for a literal's suffix."""
+    if suffix[0] == "@":
+        return '"@language": ' + encode_basestring(suffix[1:]) + ","
+    return '"@type": ' + encode_basestring(_name(suffix[2:])) + ","
 
 
 _RDF_TYPE = IRI(RDF_TYPE)
@@ -306,33 +332,45 @@ def _array(texts: list[str], indent: str) -> str:
 # nesting is two frames, a node and its value, so the recursion limit bounds
 # the depth.  The writer keeps its state in its arguments, so an export
 # leaves no reference cycle for the collector.
+#
+# A literal's body is its JSON string whenever it holds no backslash, and
+# then a plain literal is written as the term itself, with no call.  A term
+# escapes `"`, `\` and every character below U+0020, the exact set
+# `encode_basestring` escapes, so a body with no backslash holds none of
+# them and `encode_basestring(unescape(body))` is the body as it stands.  A
+# body with a backslash is unescaped and encoded again, because the two
+# escape some characters differently: N-Triples writes `\u0008` where JSON
+# writes `\b`, and its hex digits are uppercase.  IRIs and blank node labels
+# hold none of that set either, so they are quoted as they are.
 def _node_text(node: Term, indent: str, index: dict, refs: dict, emitted: set) -> str:
     emitted.add(node)
     inner = indent + "  "
     if isinstance(node, IRI):  # only the root; it carries the context
-        entries = [("@context", _CONTEXT), ("@id", '"@id": ' + encode_basestring(_stated(node.value)))]
+        entries = [("@context", _CONTEXT), ("@id", '"@id": "' + _stated(node.value) + '"')]
     else:
-        entries = [("@id", '"@id": ' + encode_basestring(node))] if refs[node] > 1 else []
+        entries = [("@id", '"@id": "' + node + '"')] if refs[node] > 1 else []
     buckets = index.get(node, ())
     for predicate in sorted(buckets):
         bucket = buckets[predicate]  # one object, or a dict of two or more
         objects = sorted(bucket) if type(bucket) is dict else [bucket]
         if predicate == _RDF_TYPE:
-            types = [encode_basestring(_name(obj)) for obj in objects if isinstance(obj, IRI)]
+            types = tuple([obj for obj in objects if type(obj) is IRI])
             if types:
-                entries.append(("@type", '"@type": ' + (types[0] if len(types) == 1 else _array(types, inner))))
-            objects = [obj for obj in objects if not isinstance(obj, IRI)]
-            if not objects:
+                entries.append(("@type", _type_entry(types, inner)))
+            if len(types) == len(objects):
                 continue
-        key = _name(predicate)
+            objects = [obj for obj in objects if type(obj) is not IRI]
+        key, head = _entry_head(predicate)
         if len(objects) == 1:
-            value = _value_text(objects[0], inner, index, refs, emitted)
+            obj = objects[0]
+            value = obj if obj[-1] == '"' and "\\" not in obj else _value_text(obj, inner, index, refs, emitted)
         else:
             texts = []
             for obj in objects:  # a loop: a comprehension is a frame of its own before Python 3.12
-                texts.append(_value_text(obj, inner + "  ", index, refs, emitted))
+                texts.append(obj if obj[-1] == '"' and "\\" not in obj
+                             else _value_text(obj, inner + "  ", index, refs, emitted))
             value = _array(texts, inner)
-        entries.append((key, encode_basestring(key) + ": " + value))
+        entries.append((key, head + value))
     if not entries:
         return "{}"
     entries.sort()
@@ -342,19 +380,15 @@ def _node_text(node: Term, indent: str, index: dict, refs: dict, emitted: set) -
 def _value_text(obj: Term, indent: str, index: dict, refs: dict, emitted: set) -> str:
     inner = indent + "  "
     if isinstance(obj, Literal):
-        end = obj.rindex('"')  # the body's closing quote; the suffix follows
-        value = encode_basestring(unescape(obj[1:end]))
-        if end + 1 == len(obj):
+        end = obj.rindex('"') + 1  # past the body's closing quote; the suffix follows
+        value = encode_basestring(unescape(obj[1 : end - 1])) if "\\" in obj else obj[:end]
+        if end == len(obj):
             return value
-        if obj[end + 1] == "@":
-            head = '"@language": ' + encode_basestring(obj[end + 2 :])
-        else:
-            head = '"@type": ' + encode_basestring(_name(obj[end + 3 :]))
-        return "{" + inner + head + "," + inner + '"@value": ' + value + indent + "}"
+        return "{" + inner + _literal_head(obj[end:]) + inner + '"@value": ' + value + indent + "}"
     if isinstance(obj, IRI):
-        return "{" + inner + '"@id": ' + encode_basestring(_stated(obj.value)) + indent + "}"
+        return "{" + inner + '"@id": "' + _stated(obj[1:-1]) + '"' + indent + "}"
     if obj in emitted:  # shared or cyclic: point at its @id
-        return "{" + inner + '"@id": ' + encode_basestring(obj) + indent + "}"
+        return "{" + inner + '"@id": "' + obj + '"' + indent + "}"
     return _node_text(obj, indent, index, refs, emitted)
 
 
@@ -372,8 +406,18 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     An export raises ExportError on an IRI that would then read back as
     another term: one with no ``:``, or whose text before the first ``:``
     is ``_`` or a `DEFAULT_PREFIXES` key, such as ``<_:x>`` or
-    ``<tifsem:name>``, and on blank nodes nested too deeply to write.
+    ``<tifsem:name>``, on blank nodes nested too deeply to write, and on a
+    root that is not an `IRI`.
+
+    A literal whose text holds no backslash gives its body as its JSON
+    string, as it stands: a term escapes exactly the characters JSON does.
+    Each key with its `": "`, each node's ``@type`` entry and each
+    literal's ``@language`` or ``@type`` entry is rendered once, in a
+    bounded cache keyed by the vocabulary it names and shared by every
+    export.
     """
+    if not isinstance(root, IRI):
+        raise ExportError(f"root {root!r} is not an IRI")
     index = g._by_subject  # subject -> predicate -> its objects, as `Graph` buckets them
     if root not in index:
         raise ExportError(f"root {root.value} is not a subject in the graph")
@@ -383,7 +427,7 @@ def to_jsonld(g: Graph, root: IRI) -> JsonLdDocument:
     while queue:
         for bucket in index.get(queue.pop(), {}).values():
             for obj in bucket if type(bucket) is dict else (bucket,):
-                if isinstance(obj, BlankNode):
+                if type(obj) is BlankNode:
                     refs[obj] = refs.get(obj, 0) + 1
                     if refs[obj] == 1:
                         queue.append(obj)

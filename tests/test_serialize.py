@@ -540,6 +540,17 @@ class TestJsonLd:
         with pytest.raises(ExportError):
             to_jsonld(Graph(), IRI("http://e/missing"))
 
+    def test_blank_node_root_is_an_export_error(self):
+        g = Graph([Triple(BlankNode("b"), IRI("http://e/p"), Literal("x"))])
+        with pytest.raises(ExportError, match=re.escape("root BlankNode('b') is not an IRI")):
+            to_jsonld(g, BlankNode("b"))
+
+    def test_plain_string_root_is_an_export_error(self):
+        g = Graph([Triple(IRI("http://e/s"), IRI("http://e/p"), Literal("x"))])
+        for root in ("http://e/s", "<http://e/s>"):
+            with pytest.raises(ExportError, match=re.escape(f"root {root!r} is not an IRI")):
+                to_jsonld(g, root)
+
     def test_deep_blank_chain_is_an_export_error(self):
         root = IRI("http://e/root")
         chain = [BlankNode(f"b{i}") for i in range(500)]
@@ -662,9 +673,12 @@ class TestJsonLdRefusedIris:
 
 
 # Lexical forms that exercise every escape path of the writer: control
-# characters, quotes, backslashes, DEL, non-ASCII and astral characters.
+# characters (`\b`, `\f` and `\x0b` among them, which N-Triples and JSON
+# escape differently), quotes, backslashes, DEL, U+2028/U+2029, non-ASCII
+# and astral characters.
 _LEXICAL_FORMS = st.text(
-    st.sampled_from('"\\\x00\x01\x1f\x7f\n\r\t\u2028é€😀 a@:') | st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from('"\\\x00\x01\x08\x0b\x0c\x1f\x7f\n\r\t\u2028\u2029é€😀 a@:')
+    | st.characters(blacklist_categories=("Cs",)),
     max_size=6,
 )
 # IRIs whose raw and quoted orders differ (`http://e/a` sorts before
@@ -717,6 +731,68 @@ class TestJsonLdText:
         expanded = expand_jsonld(document)
         closure = blank_closure(list(g), _EXPORT_ROOT)
         assert structural_form(expanded, _EXPORT_ROOT) == structural_form(closure, _EXPORT_ROOT)
+
+
+# One-character lexical forms on both sides of every place where N-Triples
+# and JSON escape differently: every control character (N-Triples writes
+# `\u0008` and `\u000B` where JSON writes `\b` and `\u000b`), the two
+# characters both escape, DEL and U+2028/U+2029, which neither escapes, and
+# characters outside ASCII and the BMP.
+_ONE_CHARACTERS = [chr(cp) for cp in range(0x20)] + ['"', "\\", "\x7f", "\u2028", "\u2029", "é", "😀"]
+
+
+class TestJsonLdEscapes:
+    @pytest.mark.parametrize("form", ["plain", "language", "decimal"])
+    @pytest.mark.parametrize("lexical", _ONE_CHARACTERS, ids=[f"U+{ord(c):04X}" for c in _ONE_CHARACTERS])
+    def test_literal_text_equals_json_dumps_and_reads_back(self, lexical, form):
+        literal = {"plain": Literal(lexical), "language": Literal(lexical, language="en"),
+                   "decimal": Literal(lexical, XSD_NS + "decimal")}[form]
+        g = Graph([Triple(_EXPORT_ROOT, IRI("http://e/p"), literal)])
+        text = to_jsonld(g, _EXPORT_ROOT).to_text()
+        document = json.loads(text)
+        assert text == json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        value = document["http://e/p"]
+        assert (value if form == "plain" else value["@value"]) == lexical
+
+
+class TestWriterCaches:
+    """Each cache of fixed export text is bounded and gives the answer its
+    function gives uncached, for more distinct keys than it holds."""
+
+    @staticmethod
+    def check(cached, args):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        for i, arg in enumerate(args):
+            assert cached(*arg) == cached.__wrapped__(*arg), arg
+            assert cached.cache_info().currsize <= maxsize
+        assert i >= maxsize
+
+    def test_entry_head(self):
+        namespaces = (SCHEMA_NS, TIFSEM_NS, "http://e/")
+        self.check(serialize._entry_head, [(IRI(f"{namespaces[i % 3]}n{i}"),) for i in range(6_000)])
+        assert serialize._entry_head(IRI(SCHEMA_NS + "name")) == ("schema:name", '"schema:name": ')
+
+    def test_type_entry(self):
+        indents = ("\n  ", "\n      ")
+        self.check(serialize._type_entry, [
+            (tuple(IRI(f"{SCHEMA_NS}T{j}") for j in range(i, i + 1 + i % 3)), indents[i % 2]) for i in range(6_000)])
+        assert serialize._type_entry((IRI(SCHEMA_NS + "Place"),), "\n  ") == '"@type": "schema:Place"'
+        assert serialize._type_entry((IRI("http://e/A"), IRI(SCHEMA_NS + "Place")), "\n  ") == (
+            '"@type": [\n    "http://e/A",\n    "schema:Place"\n  ]')
+
+    def test_literal_head(self):
+        suffixes = [f"@x{i}" if i % 2 else f"^^<http://e/dt{i}>" for i in range(6_000)]
+        self.check(serialize._literal_head, [(suffix,) for suffix in suffixes])
+        assert serialize._literal_head(f"^^<{XSD_NS}decimal>") == '"@type": "xsd:decimal",'
+        assert serialize._literal_head("@fr-CA") == '"@language": "fr-CA",'
+
+    def test_refused_iri_raises_on_every_lookup(self):
+        for _ in range(2):
+            with pytest.raises(ExportError, match="tifsem:name"):
+                serialize._entry_head(IRI("tifsem:name"))
+            with pytest.raises(ExportError, match="tifsem:name"):
+                serialize._literal_head("^^<tifsem:name>")
 
 
 class TestCompactCache:
