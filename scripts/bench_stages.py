@@ -7,9 +7,10 @@ copies of the La Rochelle fixture, seeded with ``SEED``, with
 runs.  The runs go round-robin: each run times every stage once, in the
 order below, and every run must give the same outputs.  Each stage call is
 timed with ``perfbench/clock.Calibration.timed``, which samples a fixed
-reference loop just before and just after it; the best raw seconds and the
-best seconds scaled to the reference speed are both kept, so runs on a
-machine whose speed drifts can be compared:
+reference loop just before and just after it.  Each stage's best raw
+seconds are kept, and scaled to the reference speed by the median of all
+the reference samples taken at that size, so runs on a machine whose speed
+drifts can be compared and no one slow sample picks the best:
 
 - ``parse_tif`` of the copies emitted in each dialect (v3, A, B), each under
   its own profile;
@@ -50,6 +51,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import sys
 from pathlib import Path
 
@@ -71,12 +73,12 @@ QUERIES = {"example1": fixtures.EXAMPLE1_QUERY, "example2": fixtures.EXAMPLE2_QU
 
 
 class Timer:
-    """The best raw and scaled seconds of each stage over the runs."""
+    """The best raw seconds of each stage over the runs, and the reference
+    samples taken around each run."""
 
     def __init__(self):
         self.calibration = clock.Calibration()
         self.seconds: dict[str, float] = {}
-        self.scaled_seconds: dict[str, float] = {}
 
     def time(self, stage: str, run, prepare=lambda: ()):
         """Time one call of ``run(*prepare())`` as ``stage`` and return its
@@ -84,10 +86,15 @@ class Timer:
         args = prepare()
         gc.collect()
         results = []
-        scaled, raw = self.calibration.timed(lambda: results.append(run(*args)))
+        _, raw = self.calibration.timed(lambda: results.append(run(*args)))
         self.seconds[stage] = min(raw, self.seconds.get(stage, raw))
-        self.scaled_seconds[stage] = min(scaled, self.scaled_seconds.get(stage, scaled))
         return results[0]
+
+    def scaled_seconds(self) -> dict[str, float]:
+        """Each stage's best raw seconds at the reference speed, read from
+        the median of all reference samples."""
+        factor = clock.REFERENCE_MS / statistics.median(self.calibration.refs)
+        return {stage: seconds * factor for stage, seconds in self.seconds.items()}
 
 
 def sha256(text: str) -> str:
@@ -167,7 +174,7 @@ def stages(k: int, repeat: int) -> dict:
         "resources": len(ios),
         "triples": outputs[0]["triples"],
         "seconds": timer.seconds,
-        "scaled_seconds": timer.scaled_seconds,
+        "scaled_seconds": timer.scaled_seconds(),
         "sha256": outputs[0]["sha256"],
     }
 
@@ -217,7 +224,7 @@ def main() -> int:
         "seed": SEED,
         "repeat": args.repeat,
         "timer": "time.perf_counter, best of repeat round-robin runs; scaled_seconds by perfbench/clock.py to a "
-                 f"{clock.REFERENCE_MS} ms reference loop",
+                 f"{clock.REFERENCE_MS} ms reference loop, from the median reference sample of each size",
         "sizes": sizes,
     }
     args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

@@ -325,11 +325,11 @@ class _Parser:
                 self.expect_op("(")
                 filters.append(self.parse_or())
                 self.expect_op(")")
-                continue
-            subject = self.parse_term(position="subject")
-            predicate = self.parse_term(position="predicate")
-            obj = self.parse_term(position="object")
-            patterns.append(TriplePattern(subject, predicate, obj))
+            else:
+                subject = self.parse_term(position="subject")
+                predicate = self.parse_term(position="predicate")
+                obj = self.parse_term(position="object")
+                patterns.append(TriplePattern(subject, predicate, obj))
             self.accept("OP", ".")
         return patterns, filters
 
@@ -721,35 +721,53 @@ def _join_order(
 _Slot = Union[int, Term, None]
 
 
-def _extend(rows: list[Row], columns: Columns, pattern: TriplePattern, g: Graph) -> list[Row]:
-    """Every row extended by every triple that matches the pattern under it.
+def _extend(rows: list[Row], columns: Columns, steps: list[TriplePattern], g: Graph) -> list[Row]:
+    """Every row extended by every triple that matches the first of
+    ``steps`` under it; the step is removed from ``steps``.
 
     The rows' column map tells, once for the step, which positions are
     constants, which are read from the row and which are free.  The step
     adds a column to ``columns`` for each free variable, in pattern order,
-    even when there are no rows, and extends each row as ``row + values``.
+    and extends each row as ``row + values``.
     When the predicate is bound and so is the subject or the object, the
     step reads index keys and builds no triple: ``Graph.objects`` or
     ``Graph.subjects`` gives the values of the third position.  A step with
-    that position free binds it to each value; a check step, with no
-    position free, keeps the rows whose value is among them, and reads them
-    once for the whole step when the two other positions are constants.
-    Every other step reads ``Graph._match`` per row.  Neither finds
-    anything for a literal subject or a predicate that is not an IRI, so a
-    row that binds one that way extends to nothing."""
+    that position free binds it to each value, calling the index in its
+    comprehension when one of the two others is a column and the other a
+    constant.  Such a bind also runs the next step, which it removes from
+    ``steps``, when that one checks the new variable against a constant
+    predicate and object (``?new q c`` or ``c q ?new``): it keeps only the
+    values among the check's keys, read once.  The variable keeps its
+    column, and the filters the bind makes ready run after both.  A check
+    step, with no position free, keeps the rows whose value is among them,
+    and reads them once for the whole step when the two other positions are
+    constants.  Every other step reads ``Graph._match`` per row.  Neither
+    finds anything for a literal subject or a predicate that is not an IRI,
+    so a row that binds one that way extends to nothing."""
+    pattern = steps.pop(0)
     terms = (pattern.subject, pattern.predicate, pattern.object)
     slots: list[_Slot] = [columns.get(t.name) if isinstance(t, Var) else t for t in terms]
     for t, slot in zip(terms, slots):
         if slot is None:
             columns.setdefault(t.name, len(columns))
-    if not rows:
-        return []
     s, p, o = slots
     if p is None or s is None and o is None:
         return _extend_by_match(rows, terms, slots, g)
     if s is None or o is None:
-        probe = _probe(g.subjects, p, o) if s is None else _probe(g.objects, s, p)
-        return [row + (value,) for row in rows for value in probe(row)]
+        keys_of, first, second = (g.subjects, p, o) if s is None else (g.objects, s, p)
+        allowed = _checked(steps[0], terms[0 if s is None else 2], g) if steps else None
+        if allowed is not None:
+            del steps[0]
+        if isinstance(first, int) and not isinstance(second, int):
+            if allowed is None:
+                return [row + (v,) for row in rows for v in keys_of(row[first], second)]
+            return [row + (v,) for row in rows for v in keys_of(row[first], second) if v in allowed]
+        if isinstance(second, int) and not isinstance(first, int):
+            if allowed is None:
+                return [row + (v,) for row in rows for v in keys_of(first, row[second])]
+            return [row + (v,) for row in rows for v in keys_of(first, row[second]) if v in allowed]
+        probe = _probe(keys_of, first, second)
+        return [row + (v,) for row in rows for v in probe(row) if allowed is None or v in allowed]
     if not isinstance(p, int) and isinstance(s, int) != isinstance(o, int):  # two constants, one value read
         keys, at = (g.objects(s, p), o) if isinstance(o, int) else (g.subjects(p, o), s)
         return [row for row in rows if row[at] in keys]
@@ -772,6 +790,15 @@ def _probe(
         return lambda row: keys_of(first, row[second])
     keys = keys_of(first, second)
     return lambda row: keys
+
+
+def _checked(check: TriplePattern, var: Var, g: Graph) -> Optional[Collection[Term]]:
+    """The values of ``var`` that ``check`` keeps, when its two other
+    positions are a constant predicate and a constant; otherwise None."""
+    s, p, o = check.subject, check.predicate, check.object
+    if isinstance(p, Var) or isinstance(s, Var) == isinstance(o, Var):
+        return None
+    return g.subjects(p, o) if s == var else g.objects(s, p) if o == var else None
 
 
 def _extend_by_match(rows: list[Row], terms: tuple[PatternTerm, ...], slots: list[_Slot], g: Graph) -> list[Row]:
@@ -864,10 +891,9 @@ def _solve(q: Query, g: Graph, point: PointOf) -> tuple[list[Row], Columns]:
         start = {name: seed[name] for p in component for name in p.variables() if name in seed}
         own = dict(zip(start, range(len(start))))
         rows = passing([tuple(start.values())], spend(own))
-        for pattern in _join_order(component, g, start):
-            if not rows:
-                break
-            rows = passing(_extend(rows, own, pattern, g), spend(own))
+        steps = _join_order(component, g, start)
+        while rows and steps:
+            rows = passing(_extend(rows, own, steps, g), spend(own))
         if not rows:
             return [], {}
         crossed = columns | {name: len(columns) + i for name, i in own.items()}

@@ -291,6 +291,46 @@ def planner_cases(draw) -> tuple[Graph, Query]:
     return g, Query(projection=projection, patterns=patterns, filters=filters)
 
 
+_CHAIN_IRIS = [IRI(f"http://c/n{i}") for i in range(3)]
+_CHAIN_PREDICATES = [IRI("http://c/p"), IRI("http://c/q")]
+_CHAIN_CONSTANTS = _CHAIN_IRIS + [Literal("k")]
+
+
+@st.composite
+def bind_check_chains(draw) -> tuple[Graph, Query]:
+    """(graph, query) pairs whose patterns chain bind steps, each followed by
+    a check of the variable it binds against two constants (``?new q c`` or
+    ``c q ?new``), the shape the join runs as one step.  The chain often
+    starts from a folded equality, so that it is joined in chain order;
+    later patterns and filters may read any variable again."""
+    g, blank = Graph(), BlankNode("c")
+    predicates, iris = st.sampled_from(_CHAIN_PREDICATES), st.sampled_from(_CHAIN_IRIS)
+    for s, p, o in draw(st.lists(st.tuples(st.sampled_from(_CHAIN_IRIS + [blank]), predicates,
+                                           st.sampled_from(_CHAIN_CONSTANTS + [blank])), min_size=6, max_size=30)):
+        g.insert(Triple(s, p, o))
+    chain = [Var(f"c{i}") for i in range(4)]
+    patterns, filters = [], []
+    if draw(st.integers(0, 3)):
+        filters.append(Compare(chain[0], "=", draw(iris)))
+    for old, new in zip(chain, chain[1:draw(st.integers(2, 4))]):
+        p = draw(predicates)
+        patterns.append(TriplePattern(old, p, new) if draw(st.booleans()) else TriplePattern(new, p, old))
+        q = draw(predicates)
+        if draw(st.booleans()):
+            patterns.append(TriplePattern(new, q, draw(st.sampled_from(_CHAIN_CONSTANTS))))
+        else:
+            patterns.append(TriplePattern(draw(iris), q, new))
+    bound = sorted({v for p in patterns for v in p.variables()})
+    variables = st.sampled_from([Var(n) for n in bound])
+    for _ in range(draw(st.integers(0, 1))):
+        patterns.append(TriplePattern(draw(variables), draw(predicates), Var("z")))
+    for _ in range(draw(st.integers(0, 1))):
+        filters.append(Compare(draw(variables), draw(st.sampled_from(["=", "!="])), draw(iris)))
+    projection = draw(st.lists(variables, min_size=1, max_size=len(bound), unique=True))
+    group_count = GroupCount(draw(variables), Var("n")) if draw(st.booleans()) else None
+    return g, Query(projection=projection, patterns=patterns, filters=filters, group_count=group_count)
+
+
 # ---------------------------------------------------------------------------
 # TIF documents with arbitrary leaf text and attributes, for the ingest error
 # contract.  Tags come from the canonical vocabulary, the fixture dialects and

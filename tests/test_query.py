@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_evaluate, haversine_reference
-from strategies import hostile_text, planner_cases, random_case
+from strategies import bind_check_chains, hostile_text, planner_cases, random_case
 from tifsem import fixtures, query
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import IRI_FORBIDDEN, LANGTAG, RDF_TYPE, BlankNode, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
@@ -141,6 +141,23 @@ class TestParse:
             'FILTER(!(?v = "a") && (?v != "b" || ?v = "c")) }'
         )
         assert len(q.filters) == 1
+
+    @pytest.mark.parametrize("text", [
+        'SELECT ?x WHERE { ?x <http://e/p> ?y . ?y <http://e/q> "x" . FILTER(?x != <http://e/b>) . }',
+        "SELECT ?x WHERE { FILTER(?x != <http://e/b>) . ?x <http://e/p> ?y }",
+        "SELECT ?x WHERE { ?x <http://e/p> ?y FILTER(?y = 1) . FILTER(?y = 2) . ?y <http://e/q> ?x . }",
+    ])
+    def test_dot_after_filter_is_allowed(self, text):
+        assert parse_query(text) == parse_query(text.replace(") .", ")"))
+
+    @pytest.mark.parametrize("text", [
+        "SELECT ?x WHERE { ?x <http://e/p> ?y FILTER(?y = 1) . . }",
+        "SELECT ?x WHERE { ?x <http://e/p> ?y . . }",
+    ])
+    def test_two_dots_are_refused_at_the_second(self, text):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert err.value.position == text.rindex(".")
 
 
 class TestParseErrors:
@@ -769,6 +786,78 @@ class TestPlanner:
         rows, oracle = self._rows_and_oracle(text, self._KERNEL_GRAPH)
         assert rows == oracle == expected
 
+    # Fused steps: a bind followed in join order by a check of the variable
+    # it binds against a constant predicate and object.  "event" has more
+    # subjects than <a> has objects, so a bind from <a> is joined first.
+    _FUSED_GRAPH = from_ntriples(
+        '<http://e/a> <http://e/has> <http://e/d1> .\n'
+        '<http://e/a> <http://e/has> <http://e/d2> .\n'
+        '<http://e/a> <http://e/has> "lit" .\n'
+        '<http://e/a> <http://e/has> _:g .\n'
+        '<http://e/b> <http://e/has> <http://e/d1> .\n'
+        '<http://e/b> <http://e/has> <http://e/d3> .\n'
+        '<http://e/b> <http://e/has> <http://e/b> .\n'
+        '<http://e/b> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Bar> .\n'
+        '<http://e/has> <http://e/has> <http://e/d1> .\n'
+        '<http://e/has> <http://e/has> <http://e/d2> .\n'
+        '_:g <http://e/has> <http://e/d3> .\n'
+        '<http://e/d1> <http://e/kind> "event" .\n'
+        '<http://e/d2> <http://e/kind> "hotel" .\n'
+        '<http://e/d3> <http://e/kind> "event" .\n'
+        '_:g <http://e/kind> "event" .\n'
+        '<http://e/e1> <http://e/kind> "event" .\n'
+        '<http://e/e2> <http://e/kind> "event" .\n'
+        '<http://e/e3> <http://e/kind> "event" .\n'
+        '<http://e/d1> <http://e/in> <http://e/b> .\n'
+        '<http://e/d3> <http://e/in> <http://e/a> .\n'
+    )
+
+    @pytest.mark.parametrize("text, expected, steps", [
+        # An object-side bind checked by ?new q c: the literal and <d2> fail.
+        ('SELECT ?x ?d WHERE { ?x <http://e/has> ?d . ?d <http://e/kind> "event" FILTER(?x = <http://e/a>) }',
+         [("<http://e/a>", "<http://e/d1>"), ("<http://e/a>", "_:g")], 1),
+        # A subject-side bind, checked against one subject: a bare bucket.
+        ("SELECT ?x WHERE { ?x <http://e/has> ?d . ?x a <http://e/Bar> FILTER(?d = <http://e/d1>) }",
+         [("<http://e/b>",)], 1),
+        # A check of shape c q ?new.
+        ("SELECT ?d WHERE { ?x <http://e/has> ?d . <http://e/b> <http://e/has> ?d FILTER(?x = <http://e/a>) }",
+         [("<http://e/d1>",)], 1),
+        ('SELECT ?x ?d WHERE { ?x <http://e/has> ?d . ?d <http://e/kind> "hotel" FILTER(?x = <http://e/a>) }',
+         [("<http://e/a>", "<http://e/d2>")], 1),
+        # A bind from two constants, then one whose subject may be a literal.
+        ('SELECT ?o ?d WHERE { <http://e/a> <http://e/has> ?o . ?o <http://e/has> ?d . ?d <http://e/kind> "event" }',
+         [("_:g", "<http://e/d3>")], 2),
+        # A variable repeated in the bind, and one repeated in the check,
+        # which has no constant object and is not fused.
+        ('SELECT ?p ?d WHERE { ?p ?p ?d . ?d <http://e/kind> "event" FILTER(?p = <http://e/has>) }',
+         [("<http://e/has>", "<http://e/d1>")], 1),
+        ("SELECT ?x ?d WHERE { ?x <http://e/has> ?d . ?d <http://e/has> ?d FILTER(?x = <http://e/b>) }",
+         [("<http://e/b>", "<http://e/b>")], 2),
+        # The fused variable read again by a filter, a pattern and the projection.
+        ('SELECT ?d ?z WHERE { ?x <http://e/has> ?d . ?d <http://e/kind> "event" . ?d <http://e/in> ?z '
+         "FILTER(?x = <http://e/b>) FILTER(?d != <http://e/d1>) }",
+         [("<http://e/d3>", "<http://e/a>")], 2),
+        ('SELECT ?x (GROUP-COUNT(?d) AS ?n) WHERE { ?x <http://e/has> ?d . ?d <http://e/kind> "event" '
+         "FILTER(?x = <http://e/b>) }",
+         [("<http://e/b>", '"2"^^<http://www.w3.org/2001/XMLSchema#integer>')], 1),
+        # A check with no keys ends the join with no rows.
+        ('SELECT ?x ?z WHERE { ?x <http://e/has> ?d . ?d <http://e/kind> "museum" . ?d <http://e/in> ?z '
+         "FILTER(?x = <http://e/a>) }", [], 1),
+    ])
+    def test_bind_and_check_run_as_one_step(self, monkeypatch, text, expected, steps):
+        calls = collections.Counter()
+        extend = query._extend
+
+        def counted(*args):
+            calls["steps"] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(query, "_extend", counted)
+        rows, oracle = self._rows_and_oracle(text, self._FUSED_GRAPH)
+        assert rows == oracle
+        assert [tuple(map(term_to_ntriples, row)) for row in rows] == expected
+        assert calls["steps"] == steps
+
     @pytest.mark.parametrize("text", [
         "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
         "SELECT ?x ?s ?p ?o WHERE { ?x <http://e/q> <http://e/c> . ?s ?p ?o }",
@@ -880,6 +969,12 @@ class TestPlanner:
         rng.shuffle(patterns)
         shuffled = Query(projection=q.projection, patterns=patterns, filters=q.filters)
         assert _outcome(lambda: evaluate(shuffled, g).rows) == expected
+
+    @given(bind_check_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_bind_then_check_chains_match_brute_force(self, case):
+        g, q = case
+        assert evaluate(q, g).rows == brute_force_evaluate(q, list(g))
 
 
 class TestFormatting:
