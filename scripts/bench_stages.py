@@ -21,21 +21,31 @@ drifts can be compared and no one slow sample picks the best:
 - ``materialize`` of that graph under the builtin rules;
 - ``to_ntriples``, ``from_ntriples`` and ``to_turtle`` of the materialized
   graph, and ``to_jsonld`` of every resource in it;
+- ``predicate_index``: the build of the predicate index of a graph
+  ``from_ntriples`` gave, from its subject index, which the graph's first
+  read without a subject makes;
 - ``parse_query`` of each scenario query's text, and ``evaluate`` of the
   parsed query on the materialized graph, read back from its N-Triples
-  before each run, so that every run starts with no coordinates cached.
+  before each run, so that every run starts with no coordinates cached,
+  and with its predicate index built outside the timed region.
+
+``materialize`` includes the build of its graph's predicate index, which
+its first read makes.
 
 Writes one JSON document to OUT: the machine, the Python version, and for
 each k the resource and triple counts, the raw (``seconds``) and scaled
-(``scaled_seconds``) seconds per stage, and the sha256 of the canonical
+(``scaled_seconds``) seconds per stage, the median reference sample
+(``reference_ms``), and the sha256 of the canonical
 N-Triples, of the Turtle, of the JSON-LD exports and of each query's rows.
 The hashes let two checkouts show that they produce the same outputs.  Uses
 the standard library and the repository's modules.
 
 With ``--compare OLD.json`` it times nothing: it reads OUT, written by an
 earlier run, and prints each stage's scaled time as a ratio to OLD's (new /
-old) at each size, then every ``sha256`` and triple count that differs
-between the two.  It exits 1 if any differs; the ratios are never gated.
+old) at each size, with the ratio of the median reference samples when
+both files hold them (a machine slowed by other work reads above 1 there),
+then every ``sha256`` and triple count that differs between the two.  It
+exits 1 if any differs; the ratios are never gated.
 
 Usage (from the repository root):
 
@@ -90,10 +100,14 @@ class Timer:
         self.seconds[stage] = min(raw, self.seconds.get(stage, raw))
         return results[0]
 
+    def reference_ms(self) -> float:
+        """The median of all reference samples."""
+        return statistics.median(self.calibration.refs)
+
     def scaled_seconds(self) -> dict[str, float]:
         """Each stage's best raw seconds at the reference speed, read from
         the median of all reference samples."""
-        factor = clock.REFERENCE_MS / statistics.median(self.calibration.refs)
+        factor = clock.REFERENCE_MS / self.reference_ms()
         return {stage: seconds * factor for stage, seconds in self.seconds.items()}
 
 
@@ -119,6 +133,12 @@ def materialized(g: Graph) -> Graph:
     return g
 
 
+def indexed(g: Graph) -> Graph:
+    """``g`` with its predicate index built."""
+    g._build_predicate_index()
+    return g
+
+
 def run_stages(ios, timer: Timer) -> dict:
     """One timed run of every stage, in pipeline order; returns the triple
     counts and the output hashes."""
@@ -139,6 +159,7 @@ def run_stages(ios, timer: Timer) -> dict:
     reread = time("from_ntriples", from_ntriples, lambda: (nt,))
     if reread != g:
         raise SystemExit("bench_stages: from_ntriples did not give back the graph")
+    time("predicate_index", Graph._build_predicate_index, lambda: (from_ntriples(nt),))
     ttl = time("to_turtle", to_turtle, lambda: (g,))
     roots = [mint_io_iri(DEFAULT_BASE_IRI, io.id) for io in parsed["v3"]]
     exports = time("to_jsonld", lambda: [to_jsonld(g, root).to_text() for root in roots])
@@ -147,7 +168,8 @@ def run_stages(ios, timer: Timer) -> dict:
         q = time(f"parse_query.{name}", parse_query, lambda: (text,))
         # A graph of its own for each run: `evaluate` caches coordinates on
         # the graph, and every run should resolve them as the first does.
-        table = time(f"evaluate.{name}", evaluate, lambda: (q, from_ntriples(nt)))
+        # Its predicate index is built here, as `predicate_index` times.
+        table = time(f"evaluate.{name}", evaluate, lambda: (q, indexed(from_ntriples(nt))))
         rows[name] = "".join("\t".join(map(term_to_ntriples, row)) + "\n" for row in table.rows)
     return {
         "triples": {"asserted": len(asserted), "materialized": len(g)},
@@ -175,6 +197,7 @@ def stages(k: int, repeat: int) -> dict:
         "triples": outputs[0]["triples"],
         "seconds": timer.seconds,
         "scaled_seconds": timer.scaled_seconds(),
+        "reference_ms": timer.reference_ms(),
         "sha256": outputs[0]["sha256"],
     }
 
@@ -191,7 +214,10 @@ def compare(old: dict, new: dict) -> int:
             differ += [f"k={k} {field} {name}: {a.get(name)} -> {b.get(name)}"
                        for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
         before, after = was.get("scaled_seconds", {}), now.get("scaled_seconds", {})
-        print(f"k={k}: " + ", ".join(f"{stage} {after[stage] / before[stage]:.2f}" for stage in after if stage in before))
+        ratios = [f"{stage} {after[stage] / before[stage]:.2f}" for stage in after if stage in before]
+        if "reference_ms" in was and "reference_ms" in now:
+            ratios.insert(0, f"reference {now['reference_ms'] / was['reference_ms']:.2f}")
+        print(f"k={k}: " + ", ".join(ratios))
     for line in differ:
         print(f"differs: {line}")
     return 1 if differ else 0

@@ -10,16 +10,22 @@ terms (objects, or subjects) of the triples that share the first two.  Most
 hold one, stored bare; the second insert promotes the bucket to a dict
 keyed by the terms (Weiss, Karras & Bernstein, "Hexastore", VLDB 2008).
 Only ``match`` and iteration build ``Triple``s; the other readers return
-terms, and ``_match`` is ``match`` as term tuples.  The subject index
-decides whether a triple is new, and iteration walks it.  A pattern with
-only the object bound looks it up under every predicate.
+terms, and ``_match`` is ``match`` as term tuples.  The subject index is
+always kept: it decides whether a triple is new, and iteration walks it.
+The predicate index is built on its first read, in one pass over the
+subject index (Neumann & Weikum, "RDF-3X", VLDB 2008), and kept current by
+every insert after that; so a graph that is only written and serialized
+never builds it.  A pattern with only the object bound looks it up under
+every predicate.
 
 ``len`` and the triples per predicate are counters.  ``scan_size`` is
 exactly the number of triples ``match`` yields, and O(1) when only the
 predicate is bound.
 
 Build phase (insert, assert) requires exclusive access; once built, a graph
-can be read concurrently without restriction.
+can be read concurrently without restriction.  Two readers that start at
+once may both build the predicate index; each collects it in a dict of its
+own and publishes it by one assignment, and the two are equal.
 """
 
 from __future__ import annotations
@@ -235,7 +241,7 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._len = 0
         self._by_subject: dict[Subject, dict[IRI, _Bucket]] = {}
-        self._by_predicate: dict[IRI, dict[Term, _Bucket]] = {}
+        self._by_predicate: Optional[dict[IRI, dict[Term, _Bucket]]] = None  # built on first read
         self._counts: dict[IRI, int] = {}  # triples per predicate
         for t in triples:
             self.insert(t)
@@ -282,20 +288,42 @@ class Graph:
                 return False
             else:
                 buckets[p] = {bucket: None, o: None}
-        buckets = self._by_predicate.get(p)
-        if buckets is None:
-            self._by_predicate[p] = {o: s}
-        else:
-            bucket = buckets.get(o)
-            if bucket is None:
-                buckets[o] = s
-            elif type(bucket) is dict:
-                bucket[s] = None
+        index = self._by_predicate
+        if index is not None:
+            buckets = index.get(p)
+            if buckets is None:
+                index[p] = {o: s}
             else:
-                buckets[o] = {bucket: None, s: None}
+                bucket = buckets.get(o)
+                if bucket is None:
+                    buckets[o] = s
+                elif type(bucket) is dict:
+                    bucket[s] = None
+                else:
+                    buckets[o] = {bucket: None, s: None}
         self._len += 1
         self._counts[p] = self._counts.get(p, 0) + 1
         return True
+
+    def _build_predicate_index(self) -> dict[IRI, dict[Term, _Bucket]]:
+        """The predicate index, built from the subject index in one pass and
+        published by one assignment."""
+        index: dict[IRI, dict[Term, _Bucket]] = {}
+        for s, buckets in self._by_subject.items():
+            for p, terms in buckets.items():
+                by_object = index.get(p)
+                if by_object is None:
+                    by_object = index[p] = {}
+                for o in terms if type(terms) is dict else (terms,):
+                    bucket = by_object.get(o)
+                    if bucket is None:
+                        by_object[o] = s
+                    elif type(bucket) is dict:
+                        bucket[s] = None
+                    else:
+                        by_object[o] = {bucket: None, s: None}
+        self._by_predicate = index
+        return index
 
     def match(
         self,
@@ -319,8 +347,11 @@ class Graph:
                 for o in _terms(buckets.get(p), object):
                     yield subject, p, o
         else:
-            for p in self._by_predicate if predicate is None else (predicate,):
-                buckets = self._by_predicate.get(p, _NO_BUCKETS)
+            index = self._by_predicate
+            if index is None:
+                index = self._build_predicate_index()
+            for p in index if predicate is None else (predicate,):
+                buckets = index.get(p, _NO_BUCKETS)
                 for o in buckets if object is None else (object,):
                     for s in _terms(buckets.get(o)):
                         yield s, p, o
@@ -338,7 +369,10 @@ class Graph:
         the order ``match`` yields them; empty for a predicate that is not
         an IRI.  The result may be a view on the predicate index: read-only,
         and valid until the next insert."""
-        bucket = self._by_predicate.get(predicate, _NO_BUCKETS).get(object)
+        index = self._by_predicate
+        if index is None:
+            index = self._build_predicate_index()
+        bucket = index.get(predicate, _NO_BUCKETS).get(object)
         return () if bucket is None else bucket.keys() if type(bucket) is dict else (bucket,)
 
     def subject_predicate_objects(self) -> Iterator[tuple[Subject, IRI, Term]]:
@@ -360,8 +394,11 @@ class Graph:
             return sum(len(_terms(buckets.get(p), object)) for p in (buckets if predicate is None else (predicate,)))
         if object is None:
             return self._len if predicate is None else self._counts.get(predicate, 0)
-        predicates = self._by_predicate if predicate is None else (predicate,)
-        return sum(len(_terms(self._by_predicate.get(p, _NO_BUCKETS).get(object))) for p in predicates)
+        index = self._by_predicate
+        if index is None:
+            index = self._build_predicate_index()
+        predicates = index if predicate is None else (predicate,)
+        return sum(len(_terms(index.get(p, _NO_BUCKETS).get(object))) for p in predicates)
 
 
 # The third term of the one triple under the index's first two positions,
@@ -408,12 +445,22 @@ def mint_io_iri(base: str, io_id: str) -> IRI:
     return IRI(f"{base.rstrip('/')}/io/{quote(io_id, safe='')}")
 
 
+# Injective: ASCII alphanumerics map to themselves, a code point below
+# U+0100 to _hh and any other to _u and six hex digits; "u" is not a hex
+# digit, so no _u form reads as an _hh one.  The table covers the code points
+# below U+0100 (``str.translate`` leaves the others as they are), and the
+# output is ASCII unless the text held a wider one.
+_LABEL_ESCAPES = [chr(cp) if chr(cp).isascii() and chr(cp).isalnum() else f"_{cp:02x}" for cp in range(0x100)]
+_WIDE_RE = re.compile(r"[^\x00-\xff]")
+
+
+def _escape_wide(m: re.Match) -> str:
+    return f"_u{ord(m.group()):06x}"
+
+
 def _escape_label_part(text: str) -> str:
-    # Injective: ASCII alphanumerics map to themselves, a code point below
-    # U+0100 to _hh and any other to _u and six hex digits; "u" is not a hex
-    # digit, so no _u form reads as an _hh one.
-    return "".join(c if c.isalnum() and c.isascii() else f"_{ord(c):02x}" if c < "\u0100" else f"_u{ord(c):06x}"
-                   for c in text)
+    escaped = text.translate(_LABEL_ESCAPES)
+    return escaped if escaped.isascii() else _WIDE_RE.sub(_escape_wide, escaped)
 
 
 def _granule_node(escaped_id: str, tag: str, ordinal: int) -> BlankNode:

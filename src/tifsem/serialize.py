@@ -179,22 +179,32 @@ def from_ntriples(text: str) -> Graph:
     `_read_line`, which takes any blanks and comments and reports the first
     fault, and so does a split line whose texts name no valid term or a
     term of the wrong kind.  Each distinct term text is checked and built
-    once, and one already in canonical form becomes its term as it is."""
+    once, and one already in canonical form becomes its term as it is.  The
+    writer puts each subject's lines together, so a split line's subject is
+    looked up and checked only when its text differs from the one before."""
     g = Graph()
     add, built = g._add, _Memo(_term)
-    crlf = "\r" in text
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if crlf:
-            line = line.rstrip("\r")
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    # The subject text of the current run and its term, an IRI or blank
+    # node; no run before the first split line or after a literal subject.
+    run = s = None
+    for lineno, line in enumerate(lines, 1):
         parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[2].endswith(" ."):
-            try:
-                s, p, o = built[parts[0]], built[parts[1]], built[parts[2][:-2]]
-                if type(s) in (IRI, BlankNode) and type(p) is IRI:
-                    add(s, p, o)
-                    continue
-            except ValueError:
-                pass
+        if len(parts) == 3:
+            subject, predicate, rest = parts
+            if rest.endswith(" ."):
+                try:
+                    if subject != run:
+                        s = built[subject]
+                        run = subject if type(s) is not Literal else None
+                    p, o = built[predicate], built[rest[:-2]]
+                    if run is not None and type(p) is IRI:
+                        add(s, p, o)
+                        continue
+                except ValueError:
+                    pass
         terms = _read_line(line, lineno, built)
         if terms is not None:
             add(*terms)

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from pathlib import Path
@@ -28,6 +29,7 @@ from tifsem.graph import (
     IRI,
     Literal,
     Triple,
+    _escape_label_part,
     assert_io,
     granule_node,
     mint_io_iri,
@@ -327,16 +329,33 @@ class TestGraphAgainstSetModel:
              + [Triple(s, _MODEL_PREDICATES[1], _MODEL_OBJECTS[0]) for s in _MODEL_SUBJECTS[3:5]])
     @settings(max_examples=150)
     def test_graph_behaves_as_a_set_of_triples(self, inserts):
+        for index_first in (True, False):
+            self.check_set_model(inserts, index_first)
+
+    @staticmethod
+    def check_set_model(inserts, index_first: bool) -> None:
+        """With ``index_first``, the predicate index is built while the
+        graph is empty, and each insert files the triple in it; else
+        nothing reads it until every triple is in, and the first read
+        builds it from the subject index."""
         g, model = Graph(), set()
+        if index_first:
+            assert g.subjects(_MODEL_PREDICATES[0], Literal("v")) == ()
         for t in inserts:
             assert g.insert(t) is (t not in model)
             model.add(t)
             # The two buckets the triple went to, bare or promoted.
-            objects, subjects = g.objects(t.subject, t.predicate), g.subjects(t.predicate, t.object)
+            objects = g.objects(t.subject, t.predicate)
             assert set(objects) == {m.object for m in model if (m.subject, m.predicate) == (t.subject, t.predicate)}
-            assert set(subjects) == {m.subject for m in model if (m.predicate, m.object) == (t.predicate, t.object)}
             assert len(objects) == g.scan_size(t.subject, t.predicate)
-            assert len(subjects) == g.scan_size(None, t.predicate, t.object)
+            assert g.scan_size(None, t.predicate) == sum(m.predicate == t.predicate for m in model)
+            if index_first:
+                subjects = g.subjects(t.predicate, t.object)
+                assert set(subjects) == {m.subject for m in model
+                                         if (m.predicate, m.object) == (t.predicate, t.object)}
+                assert len(subjects) == g.scan_size(None, t.predicate, t.object)
+        # Subject reads, len and the per-predicate counts build nothing.
+        assert (g._by_predicate is None) is not index_first
 
         assert len(g) == len(model)
         listed = list(g)
@@ -412,6 +431,91 @@ class TestGraphAgainstSetModel:
         assert list(g.match(subject=node)) == [loop]
 
 
+_P, _O = _MODEL_PREDICATES[0], Literal("v")
+
+
+class TestPredicateIndex:
+    """The predicate index is built by its first read, from the subject
+    index, and every insert after that files the triple in it."""
+
+    @staticmethod
+    def unbuilt(ios) -> Graph:
+        g = Graph()
+        for io in ios:
+            assert_io(g, io)
+        assert g._by_predicate is None
+        return g
+
+    @pytest.mark.parametrize("read", [
+        lambda g: list(g.subjects(_P, _O)),
+        lambda g: list(g.match(predicate=_P)),
+        lambda g: list(g.match(object=_O)),
+        lambda g: g.scan_size(None, _P, _O),
+        lambda g: g.scan_size(object=_O),
+    ], ids=["subjects", "match by predicate", "match by object", "scan_size by predicate and object",
+            "scan_size by object"])
+    def test_a_read_without_subject_builds_it(self, read):
+        s0, s1 = _MODEL_SUBJECTS[:2]
+        g = Graph([Triple(s0, _P, _O), Triple(s1, _P, _O), Triple(s0, _MODEL_PREDICATES[1], _O)])
+        # Reads by subject, len and the per-predicate counts build nothing.
+        assert list(g.objects(s0, _P)) == [_O] and list(g.match(s0)) and Triple(s1, _P, _O) in g
+        assert len(g) == 3 and g.scan_size(predicate=_P) == 2 and g.scan_size(s0, _P, _O) == 1
+        assert g._by_predicate is None
+        assert read(g) == read(Graph(g)) and g._by_predicate is not None
+
+    def test_inserts_after_the_build_reach_it(self):
+        s0, s1, s2 = _MODEL_SUBJECTS[:3]
+        g = Graph([Triple(s0, _P, _O)])
+        assert list(g.subjects(_P, _O)) == [s0]
+        built = g._by_predicate
+        g.insert(Triple(s1, _P, _O))  # promotes the bucket
+        g.insert(Triple(s2, _P, _O))
+        g.insert(Triple(s2, _MODEL_PREDICATES[2], Literal("w")))
+        assert g._by_predicate is built
+        assert list(g.subjects(_P, _O)) == [s0, s1, s2]
+        assert g.scan_size(object=_O) == 3
+        assert list(g.match(predicate=_MODEL_PREDICATES[2])) == [Triple(s2, _MODEL_PREDICATES[2], Literal("w"))]
+
+    def test_index_built_on_read_equals_the_one_inserts_keep(self, la_rochelle_ios):
+        kept = Graph()
+        assert list(kept.match(predicate=IRI(RDF_TYPE))) == []  # built while empty
+        for io in la_rochelle_ios:
+            assert_io(kept, io)
+        read = self.unbuilt(la_rochelle_ios)
+        # Equality reads the subject index only, so it holds either way
+        # round and builds nothing.
+        assert read == kept and kept == read and read._by_predicate is None
+        assert read != Graph(list(read)[1:]) and Graph(list(kept)[1:]) != read
+        # The first read of materialize builds the index; its inserts reach it.
+        for g in (kept, read):
+            assert materialize(g).inferred_triples > 0
+        assert read == kept and read._by_predicate == kept._by_predicate
+
+    def test_concurrent_first_readers_get_the_same_result(self, la_rochelle_ios):
+        g = self.unbuilt(la_rochelle_ios)
+        p, o = IRI(RDF_TYPE), IRI(IO_CLASS)
+        expected = list(self.unbuilt(la_rochelle_ios).subjects(p, o))
+        start = threading.Barrier(4, timeout=60)
+        results: list = []
+
+        def read() -> None:
+            start.wait()
+            results.append(list(g.subjects(p, o)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(expected) == len(la_rochelle_ios) and results == [expected] * 4
+
+
 class TestStoredForm:
     @staticmethod
     def live_triples() -> int:
@@ -446,6 +550,13 @@ def hotel_io(io_id: str = "HOT-001") -> InformationObject:
             )],
         },
     )
+
+
+def per_character_escape(text: str) -> str:
+    """``_escape_label_part`` as one generator step per character, the
+    form its translation table replaced."""
+    return "".join(c if c.isalnum() and c.isascii() else f"_{ord(c):02x}" if c < "\u0100" else f"_u{ord(c):06x}"
+                   for c in text)
 
 
 class TestAssertIo:
@@ -502,6 +613,11 @@ class TestAssertIo:
             subjects = {t.subject for t in g}
             assert not (subjects & seen_subjects)
             seen_subjects |= subjects
+
+    @given(st.one_of(st.text(), st.text(st.characters(blacklist_categories=())),
+                     st.text("aZ09_-u\xe9\xff\u0100\u0e01")))
+    def test_label_escaping_equals_the_per_character_form(self, text):
+        assert _escape_label_part(text) == per_character_escape(text)
 
     def test_blank_label_escaping_is_injective(self):
         # ("à1", "ก") and ("é5", "ຕ") once shared _e01 and _e95: U+0E01 and

@@ -271,15 +271,20 @@ _LINE_EDITS = {
     "missing dot": lambda l: {**l, "dot": ""},
     "literal subject": lambda l: {**l, "s": '"x"'},
     "blank predicate": lambda l: {**l, "p": "_:b"},
+    "literal predicate": lambda l: {**l, "p": '"p"'},
     "surrogate escape": lambda l: {**l, "o": '"\\uD800"'},
+    "invalid escape": lambda l: {**l, "o": '"\\q"'},
+    "blanks in literal": lambda l: {**l, "o": _in_literal(l["o"], "  ")},
 }
 
 
-@st.composite
-def edited_ntriples(draw) -> str:
-    g = draw(own.graphs(max_size=12))
-    lines = [{"s": s, "p": p, "o": o, "seps": (" ", " ", " "), "dot": ".", "tail": "", "end": "\n"}
-             for s, p, o in sorted(tuple(map(term_to_ntriples, (t.subject, t.predicate, t.object))) for t in g)]
+def _line(s: str, p: str, o: str) -> dict:
+    return {"s": s, "p": p, "o": o, "seps": (" ", " ", " "), "dot": ".", "tail": "", "end": "\n"}
+
+
+def _edited(draw, lines: list[dict]) -> str:
+    """The text of ``lines`` after up to four drawn edits, maybe with no
+    last newline and with hostile text inserted."""
     for index, edit in draw(st.lists(st.tuples(st.integers(0, 99), st.sampled_from(sorted(_LINE_EDITS))),
                                      max_size=4)):
         if lines:
@@ -292,6 +297,23 @@ def edited_ntriples(draw) -> str:
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(own.hostile_text) + text[at:]
     return text
+
+
+@st.composite
+def edited_ntriples(draw) -> str:
+    g = draw(own.graphs(max_size=12))
+    return _edited(draw, [_line(*texts) for texts in
+                          sorted(tuple(map(term_to_ntriples, (t.subject, t.predicate, t.object))) for t in g)])
+
+
+@st.composite
+def subject_runs(draw) -> str:
+    """Edited canonical text in runs of lines that share a subject."""
+    lines = []
+    for s in draw(st.lists(own.subjects, min_size=1, max_size=3)):
+        for p, o in draw(st.lists(st.tuples(own.iris, own.terms), min_size=1, max_size=5)):
+            lines.append(_line(s, p, o))
+    return _edited(draw, lines)
 
 
 class TestOnePassReader:
@@ -343,6 +365,71 @@ class TestOnePassReader:
         g = from_ntriples(text)
         assert g == reference_from_ntriples(text)
         assert len(g) == 7
+
+
+def three_lookup_from_ntriples(text: str) -> Graph:
+    """``from_ntriples`` as it read a split line before subject runs: all
+    three term texts looked up and their kinds checked on every line."""
+    g = Graph()
+    add, built = g._add, serialize._Memo(serialize._term)
+    crlf = "\r" in text
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if crlf:
+            line = line.rstrip("\r")
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2].endswith(" ."):
+            try:
+                s, p, o = built[parts[0]], built[parts[1]], built[parts[2][:-2]]
+                if type(s) in (IRI, BlankNode) and type(p) is IRI:
+                    add(s, p, o)
+                    continue
+            except ValueError:
+                pass
+        terms = serialize._read_line(line, lineno, built)
+        if terms is not None:
+            add(*terms)
+    return g
+
+
+_RUN = '<http://e/s> <http://e/p> "x" .\n<http://e/s> <http://e/p> <http://e/o> .\n'
+
+
+class TestSubjectRuns:
+    """A split line whose subject text is the one before it reuses that
+    subject's term, and every fault keeps its line and column."""
+
+    @given(st.one_of(subject_runs(), edited_ntriples()))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_three_lookups_per_line(self, text):
+        assert _outcome(from_ntriples, text) == _outcome(three_lookup_from_ntriples, text)
+
+    @pytest.mark.parametrize("text, error", [
+        (_RUN + '<http://e/s> "p" "y" .\n', "line 3: column 14: predicate must be an IRI"),
+        (_RUN + '<http://e/s> _:b "y" .\n', "line 3: column 14: predicate must be an IRI"),
+        (_RUN + '<http://e/s> <http://e/q> "\\q" .\n', "line 3: column 27: invalid escape \\q"),
+        (_RUN + '"x" <http://e/p> "z" .\n', "line 3: column 1: literal cannot be a subject"),
+        (_RUN + '_:b <http://e/p> "x" .\n"x" <http://e/p> "z" .\n', "line 4: column 1: literal cannot be a subject"),
+        (_RUN + '<http://e/s>\t<http://e/p>\t"a b c" .\n<http://e/s> <http://e/q> "y" .\n'
+         '<http://e/s> <http://e/q> "\\uD800" .\n',
+         "line 5: column 27: escape names no Unicode scalar value: \\uD800"),
+        ('"x" <http://e/p> "y" .\n"x" <http://e/p> "z" .\n', "line 1: column 1: literal cannot be a subject"),
+    ], ids=["literal predicate", "blank-node predicate", "invalid object escape", "literal subject",
+            "literal subject after a new run", "fault after a resumed run", "literal subject twice"])
+    def test_fault_in_a_run_keeps_its_line_and_column(self, text, error):
+        with pytest.raises(NTriplesParseError) as err:
+            from_ntriples(text)
+        assert str(err.value) == error
+        assert _outcome(three_lookup_from_ntriples, text) == ("error", err.value.line, error)
+        assert _outcome(reference_from_ntriples, text) == ("error", err.value.line, error)
+
+    def test_run_resumes_after_lines_the_split_refuses(self):
+        # The tab-separated line splits inside its literal, so its subject
+        # text names no term, and the commented line does not end in " .";
+        # both go to the per-line reader, and the run goes on after each.
+        text = (_RUN + '<http://e/s>\t<http://e/p>\t"a b c" .\n<http://e/s> <http://e/q> "y" .\n'
+                '<http://e/s> <http://e/q> "z" . # c\n<http://e/s> <http://e/r> _:b .\n')
+        g = from_ntriples(text)
+        assert g == reference_from_ntriples(text) and len(g) == 6 and {t.subject for t in g} == {IRI("http://e/s")}
 
 
 # Lines in the writer's shape whose term texts are not canonical: valid ones
