@@ -81,11 +81,13 @@ def _write_graph(g: Graph, out_path: str, fmt: str) -> None:
 
 
 def _read(path: str, parse: Callable[[str], _T]) -> _T:
-    """``parse`` of the UTF-8 text of the input file ``path``.  Text that is
-    not UTF-8 is an I/O error and text ``parse`` refuses a domain error;
-    both messages start with the path."""
+    """``parse`` of the UTF-8 text of the input file ``path``, with its line
+    ends as written, so a file reads as the library reads its text.  Text
+    that is not UTF-8 is an I/O error and text ``parse`` refuses a domain
+    error; both messages start with the path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8", newline="") as f:
+            return parse(f.read())
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from None
     except TifsemError as exc:

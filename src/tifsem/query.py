@@ -176,7 +176,7 @@ _TOKEN_RE = re.compile(
       (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<STRING>"{_LEXICAL}")
-    | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<NUMBER>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
     | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<LANGTAG>@{LANGTAG})
@@ -447,7 +447,7 @@ class _Parser:
         if not self.keyword("limit"):
             return None
         tok = self.next()
-        if tok.kind != "NUMBER" or not re.fullmatch(r"\d+", tok.text):
+        if tok.kind != "NUMBER" or not re.fullmatch(r"[0-9]+", tok.text):
             raise self.fail("LIMIT expects a non-negative integer", tok)
         try:
             return int(tok.text)
@@ -500,7 +500,7 @@ def parse_query(text: str) -> Query:
 
 
 def _number_literal(text: str) -> Literal:
-    if re.fullmatch(r"[+-]?\d+", text):
+    if re.fullmatch(r"[+-]?[0-9]+", text):
         return Literal(text, XSD_INTEGER)
     if "e" in text or "E" in text:
         return Literal(text, XSD_NS + "double")
@@ -729,21 +729,18 @@ def _extend(rows: list[Row], columns: Columns, steps: list[TriplePattern], g: Gr
     constants, which are read from the row and which are free.  The step
     adds a column to ``columns`` for each free variable, in pattern order,
     and extends each row as ``row + values``.
-    When the predicate is bound and so is the subject or the object, the
-    step reads index keys and builds no triple: ``Graph.objects`` or
-    ``Graph.subjects`` gives the values of the third position.  A step with
-    that position free binds it to each value, calling the index in its
-    comprehension when one of the two others is a column and the other a
-    constant.  Such a bind also runs the next step, which it removes from
-    ``steps``, when that one checks the new variable against a constant
-    predicate and object (``?new q c`` or ``c q ?new``): it keeps only the
-    values among the check's keys, read once.  The variable keeps its
-    column, and the filters the bind makes ready run after both.  A check
-    step, with no position free, keeps the rows whose value is among them,
-    and reads them once for the whole step when the two other positions are
-    constants.  Every other step reads ``Graph._match`` per row.  Neither
-    finds anything for a literal subject or a predicate that is not an IRI,
-    so a row that binds one that way extends to nothing."""
+    A bind with a constant predicate, one end bound and the other free reads
+    index keys and builds no triple: ``Graph.objects`` or ``Graph.subjects``
+    gives the free end's values, called in the comprehension when the bound
+    end is a column and read once when it is a constant.  Such a bind also
+    runs the next step, which it removes from ``steps``, when that one
+    checks the new variable against a constant predicate and object
+    (``?new q c`` or ``c q ?new``): it keeps only the values among the
+    check's keys, read once.  The variable keeps its column, and the filters
+    the bind makes ready run after both.  Every other step goes to
+    ``_extend_by_match``.  Neither path finds anything for a literal subject
+    or a predicate that is not an IRI, so a row that binds one that way
+    extends to nothing."""
     pattern = steps.pop(0)
     terms = (pattern.subject, pattern.predicate, pattern.object)
     slots: list[_Slot] = [columns.get(t.name) if isinstance(t, Var) else t for t in terms]
@@ -751,45 +748,22 @@ def _extend(rows: list[Row], columns: Columns, steps: list[TriplePattern], g: Gr
         if slot is None:
             columns.setdefault(t.name, len(columns))
     s, p, o = slots
-    if p is None or s is None and o is None:
+    if p is None or type(p) is int or (s is None) == (o is None):
         return _extend_by_match(rows, terms, slots, g)
-    if s is None or o is None:
-        keys_of, first, second = (g.subjects, p, o) if s is None else (g.objects, s, p)
-        allowed = _checked(steps[0], terms[0 if s is None else 2], g) if steps else None
-        if allowed is not None:
-            del steps[0]
-        if isinstance(first, int) and not isinstance(second, int):
-            if allowed is None:
-                return [row + (v,) for row in rows for v in keys_of(row[first], second)]
-            return [row + (v,) for row in rows for v in keys_of(row[first], second) if v in allowed]
-        if isinstance(second, int) and not isinstance(first, int):
-            if allowed is None:
-                return [row + (v,) for row in rows for v in keys_of(first, row[second])]
-            return [row + (v,) for row in rows for v in keys_of(first, row[second]) if v in allowed]
-        probe = _probe(keys_of, first, second)
-        return [row + (v,) for row in rows for v in probe(row) if allowed is None or v in allowed]
-    if not isinstance(p, int) and isinstance(s, int) != isinstance(o, int):  # two constants, one value read
-        keys, at = (g.objects(s, p), o) if isinstance(o, int) else (g.subjects(p, o), s)
-        return [row for row in rows if row[at] in keys]
-    probe = _probe(g.objects, s, p)
-    if isinstance(o, int):
-        return [row for row in rows if row[o] in probe(row)]
-    return [row for row in rows if o in probe(row)]
-
-
-def _probe(
-    keys_of: Callable[[Term, Term], Collection[Term]], first: _Slot, second: _Slot,
-) -> Callable[[Row], Collection[Term]]:
-    """A row's ``keys_of(first, second)``, each a column or a constant; with
-    two constants the keys are read once."""
-    if isinstance(first, int):
-        if isinstance(second, int):
-            return lambda row: keys_of(row[first], row[second])
-        return lambda row: keys_of(row[first], second)
-    if isinstance(second, int):
-        return lambda row: keys_of(first, row[second])
+    keys_of, first, second = (g.subjects, p, o) if s is None else (g.objects, s, p)
+    allowed = _checked(steps[0], terms[0 if s is None else 2], g) if steps else None
+    if allowed is not None:
+        del steps[0]
+    if type(first) is int:
+        if allowed is None:
+            return [row + (v,) for row in rows for v in keys_of(row[first], second)]
+        return [row + (v,) for row in rows for v in keys_of(row[first], second) if v in allowed]
+    if type(second) is int:
+        if allowed is None:
+            return [row + (v,) for row in rows for v in keys_of(first, row[second])]
+        return [row + (v,) for row in rows for v in keys_of(first, row[second]) if v in allowed]
     keys = keys_of(first, second)
-    return lambda row: keys
+    return [row + (v,) for row in rows for v in keys if allowed is None or v in allowed]
 
 
 def _checked(check: TriplePattern, var: Var, g: Graph) -> Optional[Collection[Term]]:
@@ -802,9 +776,10 @@ def _checked(check: TriplePattern, var: Var, g: Graph) -> Optional[Collection[Te
 
 
 def _extend_by_match(rows: list[Row], terms: tuple[PatternTerm, ...], slots: list[_Slot], g: Graph) -> list[Row]:
-    """``_extend`` for a step whose predicate is free, or whose subject and
-    object both are: one ``Graph._match`` call per row, given the constants
-    and the values read from the row."""
+    """``_extend`` for a step whose predicate is free or read from the row,
+    whose subject and object are both free, or whose subject and object are
+    both bound (a check): one ``Graph._match`` call per row, given the
+    constants and the values read from the row."""
     first: dict[str, int] = {}  # each free variable's first position
     repeats = []
     for i, (t, slot) in enumerate(zip(terms, slots)):

@@ -280,6 +280,26 @@ class TestMap:
         assert result.stderr.startswith("error:")
         assert not (tmp_path / "m.nt").exists()
 
+    def test_raw_carriage_return_in_a_literal_is_kept(self, runner, tmp_path):
+        graph = tmp_path / "g.nt"
+        graph.write_bytes(b'<http://e/s> <http://e/p> "a\rb" .\r\n')
+        result = run(runner, "map", "--graph", graph, "--out", tmp_path / "m.nt")
+        assert result.exit_code == 0, result.output
+        assert '<http://e/s> <http://e/p> "a\\rb" .' in (tmp_path / "m.nt").read_text(encoding="utf-8")
+        query = tmp_path / "q.rq"
+        query.write_text("SELECT ?o WHERE { <http://e/s> <http://e/p> ?o }", encoding="utf-8")
+        result = run(runner, "query", "--graph", graph, "--query", query)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == 'o\n------\n"a\\rb"\n'
+
+    def test_errors_name_the_line_the_library_names(self, runner, tmp_path):
+        text = '\r\r\n<http://e/s> <http://e/p> "a" .\r\r\n# c\r\n<http://e/s> <http://e/p> "b"\r\r\r\n'
+        graph = tmp_path / "g.nt"
+        graph.write_bytes(text.encode("utf-8"))
+        result = run(runner, "map", "--graph", graph, "--out", tmp_path / "m.nt")
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {graph}: line 4: column 30: statement must end with '.'\n"
+
     def test_non_utf8_graph_exits_2(self, runner, tmp_path):
         graph = tmp_path / "g.nt"
         graph.write_bytes(b'<http://e/s> <http://e/p> "\xe9" .\n')

@@ -127,6 +127,16 @@ class TestParse:
         with pytest.raises(QuerySyntaxError):
             parse_query("SELECT ?a WHERE { ?a ?p ?b FILTER(geo:distance(?a, ?b) > 10) }")
 
+    @pytest.mark.parametrize("text, position", [
+        ("SELECT ?x WHERE { ?x <http://e/p> \u0663 }", 34),
+        ("SELECT ?x WHERE { ?x <http://e/p> ?y } LIMIT \u0665", 45),
+        ("SELECT ?x WHERE { ?x <http://e/p> 1\u0663 }", 35),
+    ])
+    def test_numbers_take_only_ascii_digits(self, text, position):
+        with pytest.raises(QuerySyntaxError, match="unexpected character") as err:
+            parse_query(text)
+        assert err.value.position == position
+
     def test_limit_zero_allowed(self):
         q = parse_query("SELECT ?x WHERE { ?x ?p ?o } LIMIT 0")
         assert q.limit == 0
@@ -781,6 +791,8 @@ class TestPlanner:
         # node and an IRI.
         ("SELECT ?v WHERE { ?s <http://e/v> ?v . <http://e/b> ?v <http://e/c> FILTER(?s = <http://e/a>) }",
          [(IRI("http://e/q"),)]),
+        # A check step that no bind comes before: the folded ?x starts the row.
+        ('SELECT ?x WHERE { ?x <http://e/q> "x" FILTER(?x = <http://e/c>) }', [(IRI("http://e/c"),)]),
     ])
     def test_key_probe_steps(self, text, expected):
         rows, oracle = self._rows_and_oracle(text, self._KERNEL_GRAPH)
@@ -827,10 +839,11 @@ class TestPlanner:
         # A bind from two constants, then one whose subject may be a literal.
         ('SELECT ?o ?d WHERE { <http://e/a> <http://e/has> ?o . ?o <http://e/has> ?d . ?d <http://e/kind> "event" }',
          [("_:g", "<http://e/d3>")], 2),
-        # A variable repeated in the bind, and one repeated in the check,
-        # which has no constant object and is not fused.
+        # A variable repeated in the bind, whose predicate is then read from
+        # the row, so it goes through ``Graph._match`` and is not fused; and
+        # one repeated in the check, which has no constant object.
         ('SELECT ?p ?d WHERE { ?p ?p ?d . ?d <http://e/kind> "event" FILTER(?p = <http://e/has>) }',
-         [("<http://e/has>", "<http://e/d1>")], 1),
+         [("<http://e/has>", "<http://e/d1>")], 2),
         ("SELECT ?x ?d WHERE { ?x <http://e/has> ?d . ?d <http://e/has> ?d FILTER(?x = <http://e/b>) }",
          [("<http://e/b>", "<http://e/b>")], 2),
         # The fused variable read again by a filter, a pattern and the projection.
@@ -843,6 +856,9 @@ class TestPlanner:
         # A check with no keys ends the join with no rows.
         ('SELECT ?x ?z WHERE { ?x <http://e/has> ?d . ?d <http://e/kind> "museum" . ?d <http://e/in> ?z '
          "FILTER(?x = <http://e/a>) }", [], 1),
+        # A bind from two constants, checked by ?new q c.
+        ('SELECT ?d WHERE { <http://e/b> <http://e/has> ?d . ?d <http://e/kind> "event" }',
+         [("<http://e/d1>",), ("<http://e/d3>",)], 1),
     ])
     def test_bind_and_check_run_as_one_step(self, monkeypatch, text, expected, steps):
         calls = collections.Counter()
@@ -881,12 +897,16 @@ class TestPlanner:
 
         monkeypatch.setattr(query, "resolve_point", counted("resolve_point", query.resolve_point))
         monkeypatch.setattr(query, "geo_distance", counted("geo_distance", query.geo_distance))
-        for name in ("match", "objects", "subjects"):
+        for name in ("match", "_match", "objects", "subjects"):
             monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
         evaluate(parse_query(fixtures.EXAMPLE1_QUERY), materialized_graph)
         assert calls["resolve_point"] > 0 and calls["geo_distance"] > 0
         # Every join step of example1 reads index keys.
-        assert calls["objects"] > 0 and calls["subjects"] > 0 and calls["match"] == 0
+        assert calls["objects"] > 0 and calls["subjects"] > 0 and calls["match"] == calls["_match"] == 0
+        calls.clear()
+        evaluate(parse_query(fixtures.EXAMPLE2_QUERY), materialized_graph)
+        # So does every join step of example2.
+        assert calls["objects"] > 0 and calls["subjects"] > 0 and calls["_match"] == 0
 
     def test_filter_emptying_the_start_row_gives_no_rows(self):
         # The last filter needs only the folded ?v0, so it runs on the start
