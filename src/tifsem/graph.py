@@ -3,29 +3,30 @@
 A term (``IRI``, ``BlankNode``, ``Literal``) is a ``str`` whose value is its
 canonical N-Triples text, so terms compare, hash and sort as their text.
 
-A ``Graph`` keeps each triple as terms in two indexes and nowhere else:
-subject -> predicate -> bucket, for patterns with the subject bound, and
-predicate -> object -> bucket, for the rest.  A bucket holds the third
-terms (objects, or subjects) of the triples that share the first two.  Most
-hold one, stored bare; the second insert promotes the bucket to a dict
-keyed by the terms (Weiss, Karras & Bernstein, "Hexastore", VLDB 2008).
-Only ``match`` and iteration build ``Triple``s; the other readers return
-terms, and ``_match`` is ``match`` as term tuples.  The subject index is
-always kept: it decides whether a triple is new, and iteration walks it.
-The predicate index is built on its first read, in one pass over the
-subject index (Neumann & Weikum, "RDF-3X", VLDB 2008), and kept current by
-every insert after that; so a graph that is only written and serialized
-never builds it.  A pattern with only the object bound looks it up under
-every predicate.
+A ``Graph`` keeps each triple as terms in one index, subject -> predicate
+-> bucket, and derives a second from it, predicate -> object -> bucket, for
+the patterns with the subject free.  A bucket holds the third terms
+(objects, or subjects) of the triples that share the first two.  Most hold
+one, stored bare; the second insert promotes the bucket to a dict keyed by
+the terms (Weiss, Karras & Bernstein, "Hexastore", VLDB 2008).  Only
+``match`` and iteration build ``Triple``s; the other readers return terms,
+and ``_match`` is ``match`` as term tuples.
 
-``len`` and the triples per predicate are counters.  ``scan_size`` is
-exactly the number of triples ``match`` yields, and O(1) when only the
-predicate is bound.
+An insert writes only the subject index and the length: the subject index
+decides whether a triple is new, and iteration walks it.  The predicate
+index and the triples per predicate are one snapshot, built in one pass
+over the subject index (Neumann & Weikum, "RDF-3X", VLDB 2008) and never
+changed after.  It records the length it was built at; a graph only grows,
+so a read that needs it and finds another length builds it again.  A graph
+that is only written and serialized never builds it; a caller that
+interleaves inserts with such reads pays one build per read.  A pattern
+with only the object bound looks it up under every predicate.
+``scan_size`` is exactly the number of triples ``match`` yields.
 
 Build phase (insert, assert) requires exclusive access; once built, a graph
 can be read concurrently without restriction.  Two readers that start at
-once may both build the predicate index; each collects it in a dict of its
-own and publishes it by one assignment, and the two are equal.
+once may both build the snapshot; each collects it in dicts of its own and
+publishes it by one assignment, and the two are equal.
 """
 
 from __future__ import annotations
@@ -241,8 +242,7 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._len = 0
         self._by_subject: dict[Subject, dict[IRI, _Bucket]] = {}
-        self._by_predicate: Optional[dict[IRI, dict[Term, _Bucket]]] = None  # built on first read
-        self._counts: dict[IRI, int] = {}  # triples per predicate
+        self._predicate_view: _PredicateView = (0, {}, {})
         for t in triples:
             self.insert(t)
 
@@ -288,25 +288,11 @@ class Graph:
                 return False
             else:
                 buckets[p] = {bucket: None, o: None}
-        index = self._by_predicate
-        if index is not None:
-            buckets = index.get(p)
-            if buckets is None:
-                index[p] = {o: s}
-            else:
-                bucket = buckets.get(o)
-                if bucket is None:
-                    buckets[o] = s
-                elif type(bucket) is dict:
-                    bucket[s] = None
-                else:
-                    buckets[o] = {bucket: None, s: None}
         self._len += 1
-        self._counts[p] = self._counts.get(p, 0) + 1
         return True
 
-    def _build_predicate_index(self) -> dict[IRI, dict[Term, _Bucket]]:
-        """The predicate index, built from the subject index in one pass and
+    def _build_predicate_index(self) -> _PredicateView:
+        """The predicate view, built from the subject index in one pass and
         published by one assignment."""
         index: dict[IRI, dict[Term, _Bucket]] = {}
         for s, buckets in self._by_subject.items():
@@ -314,16 +300,25 @@ class Graph:
                 by_object = index.get(p)
                 if by_object is None:
                     by_object = index[p] = {}
-                for o in terms if type(terms) is dict else (terms,):
-                    bucket = by_object.get(o)
-                    if bucket is None:
-                        by_object[o] = s
-                    elif type(bucket) is dict:
-                        bucket[s] = None
-                    else:
-                        by_object[o] = {bucket: None, s: None}
-        self._by_predicate = index
-        return index
+                if type(terms) is dict:
+                    for o in terms:
+                        _file(by_object, o, s)
+                else:
+                    _file(by_object, terms, s)
+        # Summed per predicate from its buckets, fewer than the subject
+        # index's.
+        counts = {
+            p: sum(len(bucket) if type(bucket) is dict else 1 for bucket in by_object.values())
+            for p, by_object in index.items()
+        }
+        view = self._predicate_view = (self._len, index, counts)
+        return view
+
+    def _predicate_index(self) -> _PredicateView:
+        """The predicate view, rebuilt first if the graph has grown since
+        it was built."""
+        view = self._predicate_view
+        return view if view[0] == self._len else self._build_predicate_index()
 
     def match(
         self,
@@ -347,9 +342,7 @@ class Graph:
                 for o in _terms(buckets.get(p), object):
                     yield subject, p, o
         else:
-            index = self._by_predicate
-            if index is None:
-                index = self._build_predicate_index()
+            index = self._predicate_index()[1]
             for p in index if predicate is None else (predicate,):
                 buckets = index.get(p, _NO_BUCKETS)
                 for o in buckets if object is None else (object,):
@@ -367,12 +360,9 @@ class Graph:
     def subjects(self, predicate: Term, object: Term) -> Collection[Subject]:
         """The subjects of the triples with this predicate and object, in
         the order ``match`` yields them; empty for a predicate that is not
-        an IRI.  The result may be a view on the predicate index: read-only,
-        and valid until the next insert."""
-        index = self._by_predicate
-        if index is None:
-            index = self._build_predicate_index()
-        bucket = index.get(predicate, _NO_BUCKETS).get(object)
+        an IRI.  The result may be a view on a snapshot of the predicate
+        index, which no insert changes: read-only."""
+        bucket = self._predicate_index()[1].get(predicate, _NO_BUCKETS).get(object)
         return () if bucket is None else bucket.keys() if type(bucket) is dict else (bucket,)
 
     def subject_predicate_objects(self) -> Iterator[tuple[Subject, IRI, Term]]:
@@ -392,11 +382,11 @@ class Graph:
         if subject is not None:
             buckets = self._by_subject.get(subject, _NO_BUCKETS)
             return sum(len(_terms(buckets.get(p), object)) for p in (buckets if predicate is None else (predicate,)))
+        if object is None and predicate is None:
+            return self._len
+        _, index, counts = self._predicate_index()
         if object is None:
-            return self._len if predicate is None else self._counts.get(predicate, 0)
-        index = self._by_predicate
-        if index is None:
-            index = self._build_predicate_index()
+            return counts.get(predicate, 0)
         predicates = index if predicate is None else (predicate,)
         return sum(len(_terms(index.get(p, _NO_BUCKETS).get(object))) for p in predicates)
 
@@ -405,6 +395,20 @@ class Graph:
 # or a dict whose keys are the third terms of two or more.
 _Bucket = Union[Term, dict[Term, None]]
 _NO_BUCKETS: Mapping[Term, _Bucket] = MappingProxyType({})
+# The predicate index and the triples per predicate, as of a graph length.
+_PredicateView = tuple[int, dict[IRI, dict[Term, _Bucket]], dict[IRI, int]]
+
+
+def _file(by_first: dict[Term, _Bucket], second: Term, third: Term) -> None:
+    """File ``third``, which is not there yet, in the bucket under
+    ``second``, promoting a bare one."""
+    bucket = by_first.get(second)
+    if bucket is None:
+        by_first[second] = third
+    elif type(bucket) is dict:
+        bucket[third] = None
+    else:
+        by_first[second] = {bucket: None, third: None}
 
 
 def _terms(bucket: Optional[_Bucket], third: Optional[Term] = None) -> Collection[Term]:

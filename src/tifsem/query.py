@@ -168,10 +168,11 @@ class SolutionTable:
 # One match per token: blanks and comments before a token are a prefix of its
 # match, so one scan cuts the whole text.  After the last token the prefix
 # takes the trailing blanks and EOF matches the end; a character no token
-# starts with (ERROR) stops the scan.
+# starts with (ERROR) stops the scan.  A blank is the SPARQL grammar's WS,
+# a space, tab, CR or LF; any other white space is an ERROR.
 _TOKEN_RE = re.compile(
     rf"""
-    \s*(?:\#[^\n]*\s*)*
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     (?:
       (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)

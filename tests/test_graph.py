@@ -334,11 +334,12 @@ class TestGraphAgainstSetModel:
 
     @staticmethod
     def check_set_model(inserts, index_first: bool) -> None:
-        """With ``index_first``, the predicate index is built while the
-        graph is empty, and each insert files the triple in it; else
-        nothing reads it until every triple is in, and the first read
-        builds it from the subject index."""
+        """With ``index_first``, the predicate view is read while the graph
+        is empty and after every insert, so each new triple makes the next
+        read rebuild it; else nothing reads it until every triple is in,
+        and the first read builds it from the subject index."""
         g, model = Graph(), set()
+        builds = count_builds(g)
         if index_first:
             assert g.subjects(_MODEL_PREDICATES[0], Literal("v")) == ()
         for t in inserts:
@@ -348,15 +349,12 @@ class TestGraphAgainstSetModel:
             objects = g.objects(t.subject, t.predicate)
             assert set(objects) == {m.object for m in model if (m.subject, m.predicate) == (t.subject, t.predicate)}
             assert len(objects) == g.scan_size(t.subject, t.predicate)
-            assert g.scan_size(None, t.predicate) == sum(m.predicate == t.predicate for m in model)
             if index_first:
+                assert g.scan_size(None, t.predicate) == sum(m.predicate == t.predicate for m in model)
                 subjects = g.subjects(t.predicate, t.object)
                 assert set(subjects) == {m.subject for m in model
                                          if (m.predicate, m.object) == (t.predicate, t.object)}
                 assert len(subjects) == g.scan_size(None, t.predicate, t.object)
-        # Subject reads, len and the per-predicate counts build nothing.
-        assert (g._by_predicate is None) is not index_first
-
         assert len(g) == len(model)
         listed = list(g)
         assert len(listed) == len(model) and set(listed) == model
@@ -367,6 +365,10 @@ class TestGraphAgainstSetModel:
         for s, p, o in itertools.product(_MODEL_SUBJECTS, _MODEL_PREDICATES, _MODEL_OBJECTS):
             assert (Triple(s, p, o) in g) == (Triple(s, p, o) in model)
         assert "not a triple" not in g
+        # Inserts, subject reads, len and membership build nothing; the
+        # first read after a new triple builds once, and an empty graph's
+        # view is current from the start.
+        assert len(builds) == (len(model) if index_first else 0)
 
         assert g == Graph(reversed(inserts)) and g == Graph(g)
         extra = Triple(IRI("http://m/new"), _MODEL_PREDICATES[0], Literal("v"))
@@ -431,65 +433,117 @@ class TestGraphAgainstSetModel:
         assert list(g.match(subject=node)) == [loop]
 
 
+def count_builds(g: Graph) -> list[int]:
+    """The graph length at each build of ``g``'s predicate view from now on."""
+    builds: list[int] = []
+    build = g._build_predicate_index
+
+    def counted():
+        builds.append(len(g))
+        return build()
+
+    g._build_predicate_index = counted
+    return builds
+
+
 _P, _O = _MODEL_PREDICATES[0], Literal("v")
+_READS_WITHOUT_SUBJECT = {
+    "subjects": lambda g: list(g.subjects(_P, _O)),
+    "match by predicate": lambda g: list(g.match(predicate=_P)),
+    "match by object": lambda g: list(g.match(object=_O)),
+    "scan_size by predicate": lambda g: g.scan_size(predicate=_P),
+    "scan_size by predicate and object": lambda g: g.scan_size(None, _P, _O),
+    "scan_size by object": lambda g: g.scan_size(object=_O),
+}
 
 
 class TestPredicateIndex:
-    """The predicate index is built by its first read, from the subject
-    index, and every insert after that files the triple in it."""
+    """The predicate index and the triples per predicate are one snapshot,
+    built by the first read that needs it, from the subject index, and
+    built again by the first such read after the graph has grown."""
 
     @staticmethod
     def unbuilt(ios) -> Graph:
         g = Graph()
+        builds = count_builds(g)
         for io in ios:
             assert_io(g, io)
-        assert g._by_predicate is None
+        assert builds == []
         return g
 
-    @pytest.mark.parametrize("read", [
-        lambda g: list(g.subjects(_P, _O)),
-        lambda g: list(g.match(predicate=_P)),
-        lambda g: list(g.match(object=_O)),
-        lambda g: g.scan_size(None, _P, _O),
-        lambda g: g.scan_size(object=_O),
-    ], ids=["subjects", "match by predicate", "match by object", "scan_size by predicate and object",
-            "scan_size by object"])
+    @pytest.mark.parametrize("read", _READS_WITHOUT_SUBJECT.values(), ids=_READS_WITHOUT_SUBJECT.keys())
     def test_a_read_without_subject_builds_it(self, read):
         s0, s1 = _MODEL_SUBJECTS[:2]
         g = Graph([Triple(s0, _P, _O), Triple(s1, _P, _O), Triple(s0, _MODEL_PREDICATES[1], _O)])
-        # Reads by subject, len and the per-predicate counts build nothing.
+        builds = count_builds(g)
+        # Reads by subject, len and membership build nothing.
         assert list(g.objects(s0, _P)) == [_O] and list(g.match(s0)) and Triple(s1, _P, _O) in g
-        assert len(g) == 3 and g.scan_size(predicate=_P) == 2 and g.scan_size(s0, _P, _O) == 1
-        assert g._by_predicate is None
-        assert read(g) == read(Graph(g)) and g._by_predicate is not None
+        assert len(g) == 3 and g.scan_size() == 3 and g.scan_size(s0, _P, _O) == 1
+        assert builds == []
+        assert read(g) == read(Graph(g)) and builds == [3]
+        assert read(g) == read(Graph(g)) and builds == [3]
 
-    def test_inserts_after_the_build_reach_it(self):
+    @pytest.mark.parametrize("read", [_READS_WITHOUT_SUBJECT[name] for name in
+                                      ("subjects", "match by predicate", "scan_size by predicate")],
+                             ids=["subjects", "match by predicate", "scan_size by predicate"])
+    def test_a_new_insert_makes_the_next_read_rebuild_it(self, read):
         s0, s1, s2 = _MODEL_SUBJECTS[:3]
         g = Graph([Triple(s0, _P, _O)])
-        assert list(g.subjects(_P, _O)) == [s0]
-        built = g._by_predicate
+        builds = count_builds(g)
+        read(g)
+        view = g._predicate_view
+        assert g.insert(Triple(s0, _P, _O)) is False
+        read(g)
+        assert g._predicate_view is view and builds == [1]
         g.insert(Triple(s1, _P, _O))  # promotes the bucket
         g.insert(Triple(s2, _P, _O))
         g.insert(Triple(s2, _MODEL_PREDICATES[2], Literal("w")))
-        assert g._by_predicate is built
-        assert list(g.subjects(_P, _O)) == [s0, s1, s2]
-        assert g.scan_size(object=_O) == 3
+        assert builds == [1]
+        assert read(g) == read(Graph(g)) and builds == [1, 4]
+        assert list(g.subjects(_P, _O)) == [s0, s1, s2] and g.scan_size(object=_O) == 3
         assert list(g.match(predicate=_MODEL_PREDICATES[2])) == [Triple(s2, _MODEL_PREDICATES[2], Literal("w"))]
+        assert builds == [1, 4]
 
-    def test_index_built_on_read_equals_the_one_inserts_keep(self, la_rochelle_ios):
-        kept = Graph()
-        assert list(kept.match(predicate=IRI(RDF_TYPE))) == []  # built while empty
+    def test_counts_are_exact_after_growth_past_a_build(self):
+        s0, s1 = _MODEL_SUBJECTS[:2]
+        p1, p2 = _MODEL_PREDICATES[1:]
+        g = Graph([Triple(s0, _P, _O)])
+        assert g.scan_size(predicate=_P) == 1 and g.scan_size(predicate=p1) == 0
+        for t in (Triple(s1, _P, _O), Triple(s0, _P, Literal("w")), Triple(s0, _P, _O), Triple(s1, p1, _O)):
+            g.insert(t)
+        assert [g.scan_size(predicate=p) for p in _MODEL_PREDICATES] == [3, 1, 0]
+        g.insert(Triple(s1, p2, _O))
+        assert [g.scan_size(predicate=p) for p in _MODEL_PREDICATES] == [3, 1, 1]
+
+    def test_a_match_iterated_while_inserting_yields_the_snapshot(self):
+        ts = [Triple(s, _P, _O) for s in _MODEL_SUBJECTS[:3]]
+        g = Graph(ts)
+        seen = []
+        for t in g.match(predicate=_P):
+            seen.append(t)
+            g.insert(Triple(IRI(f"http://m/new{len(seen)}"), _P, _O))
+        assert seen == ts
+        assert len(g) == 6 and g.scan_size(predicate=_P) == 6 and len(list(g.match(predicate=_P))) == 6
+
+    def test_a_view_rebuilt_as_the_graph_grows_equals_one_built_once(self, la_rochelle_ios):
+        grown = Graph()
+        builds = count_builds(grown)
+        assert list(grown.match(predicate=IRI(RDF_TYPE))) == [] and builds == []  # empty: current
         for io in la_rochelle_ios:
-            assert_io(kept, io)
-        read = self.unbuilt(la_rochelle_ios)
+            assert_io(grown, io)
+            assert list(grown.match(predicate=IRI(RDF_TYPE)))
+        assert len(builds) == len(la_rochelle_ios)
+        once = self.unbuilt(la_rochelle_ios)
         # Equality reads the subject index only, so it holds either way
         # round and builds nothing.
-        assert read == kept and kept == read and read._by_predicate is None
-        assert read != Graph(list(read)[1:]) and Graph(list(kept)[1:]) != read
-        # The first read of materialize builds the index; its inserts reach it.
-        for g in (kept, read):
+        assert once == grown and grown == once and once.scan_size() == len(grown)
+        assert once != Graph(list(once)[1:]) and Graph(list(grown)[1:]) != once
+        # materialize reads the view before it adds anything: grown's is
+        # current, and only the read after materialize builds it again.
+        for g in (grown, once):
             assert materialize(g).inferred_triples > 0
-        assert read == kept and read._by_predicate == kept._by_predicate
+        assert once == grown and once._predicate_index() == grown._predicate_index()
+        assert len(builds) == len(la_rochelle_ios) + 1
 
     def test_concurrent_first_readers_get_the_same_result(self, la_rochelle_ios):
         g = self.unbuilt(la_rochelle_ios)

@@ -218,6 +218,17 @@ class TestParseErrors:
         assert message in str(err.value)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("blank", ["\u3000", "\u00a0", "\u2028"], ids=["ideographic", "no-break", "line-sep"])
+    def test_only_sparql_whitespace_separates_tokens(self, blank):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(f"SELECT{blank}?x WHERE {{ ?x <http://e/p> ?y }}")
+        assert (err.value.position, f"unexpected character {blank!r}" in str(err.value)) == (6, True)
+
+    @pytest.mark.parametrize("blank", [" ", "\t", "\r", "\n", "\r\n", " # a comment\n\t"])
+    def test_sparql_whitespace_and_comments_separate_tokens(self, blank):
+        text = "SELECT ?x WHERE { ?x <http://e/p> ?y }"
+        assert parse_query(text.replace(" ", blank)) == parse_query(text)
+
     @pytest.mark.parametrize("tail", [" ", " \t\n ", "# a comment", "\n# a comment\n  "])
     @pytest.mark.parametrize("text", [fixtures.EXAMPLE1_QUERY, fixtures.EXAMPLE2_QUERY, "SELECT ?s WHERE { ?s ?p ?o }"])
     def test_trailing_blanks_and_comments_change_nothing(self, text, tail):
@@ -228,11 +239,11 @@ class TestParseErrors:
 # string body written as its own alternation, not the shared fragment.
 _REF_TOKEN_RE = re.compile(
     rf"""
-      (?P<WS>\s+|\#[^\n]*)
+      (?P<WS>[ \t\r\n]+|\#[^\n]*)
     | (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-    | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<NUMBER>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
     | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<LANGTAG>@{LANGTAG})
