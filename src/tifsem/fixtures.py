@@ -4,8 +4,10 @@ Stands in for the departmental tourist-office feeds the toolkit targets:
 hotels, restaurants, bars and events with coordinates, emitted both as
 in-memory information objects and as XML under three tag dialects (the
 canonical vocabulary, a renamed French-tag dialect, and a dialect that
-renames one granule and adds tags of its own).  Everything is a pure
-function of the seed.
+renames one granule and adds tags of its own).  Each dialect is one path
+table, canonical field path -> dialect path, that one XML builder writes;
+the dialect profiles that read the XML back are derived from the same
+tables.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -259,8 +261,9 @@ def la_rochelle(seed: int = DEFAULT_SEED) -> list[InformationObject]:
 # ---------------------------------------------------------------------------
 # XML emission under three dialects
 
-# Canonical path -> dialect-A path.  Flat entries sit directly under the
-# resource element; the profile below inverts this table.
+# Dialect path tables, canonical field path -> dialect path.  A path a
+# table lacks is written as is; a one-segment dialect path is a leaf of the
+# resource itself.
 _DIALECT_A_PATHS = {
     "DublinCore/Identifier": "Fiche/Identifiant",
     "DublinCore/Title": "Fiche/Titre",
@@ -316,35 +319,26 @@ _DIALECT_A_PATHS = {
     "Schedules/Detail": "Horaires/Precision",
 }
 
-_DIALECT_A_PREFIXES = {
-    "Fiche": "DublinCore",
-    "Maj": "Update",
-    "Medias": "Multimedia",
-    "Coordonnees": "Contacts",
-    "Juridique": "LegalInformation",
-    "Classement": "Classifications",
-    "Lien": "RelatedServices",
-    "Periode": "Periods",
-    "Clientele": "Customers",
-    "Langues": "Languages",
-    "Reservation": "ReservationModes",
-    "Tarifs": "Prices",
-    "Capacite": "Capacity",
-    "Services": "OffersServices",
-    "Complement": "AdditionalDescription",
-    "Circuits": "Itineraries",
-    "Horaires": "Schedules",
-}
+_GEOLOCATION = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS]
+_DIALECT_B_PATHS = {_GEOLOCATION.path(name): f"GeoLoc/{name}" for name in _GEOLOCATION.fields}
 
-# These survive on prefix composition alone; everything else is renamed
-# exactly, which keeps both match strategies exercised by real data.
-_PREFIX_COVERED = {
-    "Fiche/Description",
-    "Medias/Url",
-    "Coordonnees/Email",
-    "Juridique/Siret",
-    "Reservation/Contact",
-}
+
+def _dialect_renames(paths: dict[str, str]) -> dict[str, str]:
+    """The tag renames that read a dialect's paths back: each dialect first
+    segment renamed, as a prefix, to its canonical granule tag, and an exact
+    rename for each path that the prefix composition does not already map
+    to its canonical path."""
+    prefixes: dict[str, str] = {}
+    for canonical, dialect in paths.items():
+        head, sep, _ = dialect.partition("/")
+        if sep:
+            prefixes.setdefault(head, canonical.partition("/")[0])
+    renames = dict(prefixes)
+    for canonical, dialect in paths.items():
+        head, sep, rest = dialect.partition("/")
+        if prefixes.get(head, head) + sep + rest != canonical:
+            renames[dialect] = canonical
+    return renames
 
 
 def profile_v3() -> DialectProfile:
@@ -353,13 +347,9 @@ def profile_v3() -> DialectProfile:
 
 
 def profile_dialect_a() -> DialectProfile:
-    renames = dict(_DIALECT_A_PREFIXES)
-    for canonical, dialect in _DIALECT_A_PATHS.items():
-        if dialect not in _PREFIX_COVERED:
-            renames[dialect] = canonical
     return DialectProfile(
         name="dialect-a",
-        tag_renames=renames,
+        tag_renames=_dialect_renames(_DIALECT_A_PATHS),
         dropped_tags=frozenset({"Interne"}),
     )
 
@@ -367,7 +357,7 @@ def profile_dialect_a() -> DialectProfile:
 def profile_dialect_b() -> DialectProfile:
     return DialectProfile(
         name="dialect-b",
-        tag_renames={"GeoLoc": "Geolocation"},
+        tag_renames=_dialect_renames(_DIALECT_B_PATHS),
         extension_namespace=EXTENSION_NS,
     )
 
@@ -382,67 +372,47 @@ def _value_text(value) -> str:
     return str(value)
 
 
-def _field_items(granule: Granule) -> list[tuple[str, str]]:
-    """(canonical path, text value) pairs, geopoints expanded to lat/lon."""
-    return [(path, _value_text(value)) for path, value in expand_geopoints(granule.fields)]
-
-
-_KIND_ORDER = list(GranuleKind)
-
-
-def _ordered_granules(io: InformationObject) -> list[Granule]:
-    ordered = []
-    for kind in _KIND_ORDER:
-        ordered.extend(io.granules.get(kind, []))
-    return ordered
+def _build(
+    ios: list[InformationObject], root: ET.Element, resource_tag: str, paths: dict[str, str], trailer: dict[str, str],
+) -> ET.Element:
+    """Write each IO under ``root`` as one ``resource_tag`` element: its
+    granules in kind order, each leaf at its dialect path in ``paths``, then
+    the ``trailer`` leaves.  The leaves of one granule instance that share a
+    first segment go into one element of that name; geopoints are written
+    as their latitude and longitude."""
+    for io in ios:
+        resource = ET.SubElement(root, resource_tag)
+        for kind in GranuleKind:
+            for granule in io.granules.get(kind, ()):
+                containers: dict[str, ET.Element] = {}
+                for path, value in expand_geopoints(granule.fields):
+                    head, _, rest = paths.get(path, path).partition("/")
+                    if rest and head not in containers:
+                        containers[head] = ET.SubElement(resource, head)
+                    leaf = ET.SubElement(containers[head], rest) if rest else ET.SubElement(resource, head)
+                    leaf.text = _value_text(value)
+        for tag, text in trailer.items():
+            ET.SubElement(resource, tag).text = text
+    return root
 
 
 def emit_v3(ios: list[InformationObject]) -> str:
-    return _emit_granule_elements(ios, derived=False)
+    return _to_text(_build(ios, ET.Element("TIF", version="V3"), "Resource", {}, {}))
 
 
 def emit_dialect_a(ios: list[InformationObject]) -> str:
-    root = ET.Element("Export")
-    for io in ios:
-        resource = ET.SubElement(root, "Objet")
-        for granule in _ordered_granules(io):
-            container: ET.Element | None = None
-            for path, text in _field_items(granule):
-                segments = _DIALECT_A_PATHS[path].split("/")
-                if len(segments) == 1:
-                    ET.SubElement(resource, segments[0]).text = text
-                    continue
-                if container is None:
-                    container = ET.SubElement(resource, segments[0])
-                ET.SubElement(container, segments[1]).text = text
-        ET.SubElement(resource, "Interne").text = "usage interne uniquement"
-    return _to_text(root)
+    trailer = {"Interne": "usage interne uniquement"}
+    return _to_text(_build(ios, ET.Element("Export"), "Objet", _DIALECT_A_PATHS, trailer))
 
 
 def emit_dialect_b(ios: list[InformationObject]) -> str:
-    return _emit_granule_elements(ios, derived=True)
-
-
-def _emit_granule_elements(ios: list[InformationObject], derived: bool) -> str:
-    """One element per granule instance under each resource: the canonical
-    vocabulary, or with ``derived`` dialect B, which renames ``Geolocation``
-    to ``GeoLoc`` and adds a ``Skype`` contact and a ``ClasseInterne`` leaf."""
-    root = ET.Element("TIF", version="V3-derived" if derived else "V3")
-    for io in ios:
-        resource = ET.SubElement(root, "Resource")
-        for granule in _ordered_granules(io):
-            items = _field_items(granule)
-            if not items:
-                continue
-            canonical_tag = GRANULE_SCHEMAS[granule.kind].tag
-            tag = "GeoLoc" if derived and canonical_tag == "Geolocation" else canonical_tag
-            container = ET.SubElement(resource, tag)
-            for path, text in items:
-                ET.SubElement(container, path.split("/", 1)[1]).text = text
-            if derived and canonical_tag == "Contacts":
-                ET.SubElement(container, "Skype").text = f"skype-{io.id.lower()}"
-        if derived:
-            ET.SubElement(resource, "ClasseInterne").text = "niveau 2"
+    """Dialect B: ``Geolocation`` renamed ``GeoLoc``, and two tags of its
+    own, a ``Skype`` contact and a ``ClasseInterne`` leaf."""
+    trailer = {"ClasseInterne": "niveau 2"}
+    root = _build(ios, ET.Element("TIF", version="V3-derived"), "Resource", _DIALECT_B_PATHS, trailer)
+    for io, resource in zip(ios, root):
+        for contacts in resource.iterfind("Contacts"):
+            ET.SubElement(contacts, "Skype").text = f"skype-{io.id.lower()}"
     return _to_text(root)
 
 

@@ -21,7 +21,10 @@ so a read that needs it and finds another length builds it again.  A graph
 that is only written and serialized never builds it; a caller that
 interleaves inserts with such reads pays one build per read.  A pattern
 with only the object bound looks it up under every predicate.
-``scan_size`` is exactly the number of triples ``match`` yields.
+``scan_size`` is exactly the number of triples ``match`` yields.  ``match``
+yields a snapshot whether or not the subject is bound: the triples it
+yields are those the graph held when iteration started, so an insert made
+while iterating it changes nothing it yields.
 
 Build phase (insert, assert) requires exclusive access; once built, a graph
 can be read concurrently without restriction.  Two readers that start at
@@ -337,9 +340,12 @@ class Graph:
     ) -> Iterator[tuple[Subject, IRI, Term]]:
         """``match`` as the terms of each triple, with no ``Triple``."""
         if subject is not None:
+            # Collected when iteration starts, so an insert made meanwhile
+            # changes nothing this yields (the subject index is live).
             buckets = self._by_subject.get(subject, _NO_BUCKETS)
-            for p in buckets if predicate is None else (predicate,):
-                for o in _terms(buckets.get(p), object):
+            predicates = buckets if predicate is None else (predicate,)
+            for p, terms in [(p, tuple(_terms(buckets.get(p), object))) for p in predicates]:
+                for o in terms:
                     yield subject, p, o
         else:
             index = self._predicate_index()[1]

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from tifsem.errors import ProfileError, XmlParseError
-from tifsem.graph import IRI_FORBIDDEN
+from tifsem.graph import _IRI_FORBIDDEN_RE
 from tifsem.ontology import (
     FieldSpec,
     FieldType,
@@ -35,7 +35,6 @@ from tifsem.ontology import (
     load_core_ontology,
 )
 
-_IRI_FORBIDDEN_RE = re.compile(f"[{IRI_FORBIDDEN}]")
 # The one date form every supported Python reads alike: 3.11 added basic
 # (20160501) and week (2016-W18-7) forms to date.fromisoformat.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")

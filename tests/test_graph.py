@@ -515,15 +515,23 @@ class TestPredicateIndex:
         g.insert(Triple(s1, p2, _O))
         assert [g.scan_size(predicate=p) for p in _MODEL_PREDICATES] == [3, 1, 1]
 
-    def test_a_match_iterated_while_inserting_yields_the_snapshot(self):
-        ts = [Triple(s, _P, _O) for s in _MODEL_SUBJECTS[:3]]
+    # Each case binds some positions of the pattern and makes the i-th
+    # triple that agrees with them.
+    @pytest.mark.parametrize("bound, make", [
+        ({"subject": _MODEL_SUBJECTS[0]}, lambda i: Triple(_MODEL_SUBJECTS[0], IRI(f"http://m/q{i}"), _O)),
+        ({"subject": _MODEL_SUBJECTS[0], "predicate": _P},
+         lambda i: Triple(_MODEL_SUBJECTS[0], _P, IRI(f"http://m/o{i}"))),
+        ({"predicate": _P}, lambda i: Triple(IRI(f"http://m/s{i}"), _P, _O)),
+    ], ids=["subject", "subject-predicate", "predicate"])
+    def test_a_match_iterated_while_inserting_yields_the_snapshot(self, bound, make):
+        ts = [make(i) for i in range(3)]
         g = Graph(ts)
         seen = []
-        for t in g.match(predicate=_P):
+        for t in g.match(**bound):
             seen.append(t)
-            g.insert(Triple(IRI(f"http://m/new{len(seen)}"), _P, _O))
+            g.insert(make(10 + len(seen)))
         assert seen == ts
-        assert len(g) == 6 and g.scan_size(predicate=_P) == 6 and len(list(g.match(predicate=_P))) == 6
+        assert len(g) == 6 and g.scan_size(**bound) == 6 and len(list(g.match(**bound))) == 6
 
     def test_a_view_rebuilt_as_the_graph_grows_equals_one_built_once(self, la_rochelle_ios):
         grown = Graph()
