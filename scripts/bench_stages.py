@@ -29,9 +29,6 @@ drifts can be compared and no one slow sample picks the best:
   before each run, so that every run starts with no coordinates cached,
   and with its predicate index built outside the timed region.
 
-``materialize`` includes the build of its graph's predicate index, which
-its first read makes.
-
 Writes one JSON document to OUT: the machine, the Python version, and for
 each k the resource and triple counts, the raw (``seconds``) and scaled
 (``scaled_seconds``) seconds per stage, the median reference sample

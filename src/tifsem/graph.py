@@ -18,9 +18,9 @@ index and the triples per predicate are one snapshot, built in one pass
 over the subject index (Neumann & Weikum, "RDF-3X", VLDB 2008) and never
 changed after.  It records the length it was built at; a graph only grows,
 so a read that needs it and finds another length builds it again.  A graph
-that is only written and serialized never builds it; a caller that
-interleaves inserts with such reads pays one build per read.  A pattern
-with only the object bound looks it up under every predicate.
+that is only written, materialized and serialized never builds it; a
+caller that interleaves inserts with such reads pays one build per read.
+A pattern with only the object bound looks it up under every predicate.
 ``scan_size`` is exactly the number of triples ``match`` yields.  ``match``
 yields a snapshot whether or not the subject is bound: the triples it
 yields are those the graph held when iteration started, so an insert made

@@ -144,8 +144,9 @@ def load_rules(document: str) -> list[MappingRule]:
     return rules
 
 
-def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """Per-term reachability over the rule graph, equivalences both ways."""
+def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[IRI, list[IRI]], dict[IRI, list[IRI]]]:
+    """Per-term reachability over the rule graph, equivalences both ways,
+    from each class and from each property to the terms it reaches."""
     class_edges: dict[str, set[str]] = {}
     prop_edges: dict[str, set[str]] = {}
     for rule in rules:
@@ -154,8 +155,8 @@ def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[str, set[str]], di
         if rule.relation in (Relation.EQUIVALENT_CLASS, Relation.EQUIVALENT_PROPERTY):
             edges.setdefault(rule.target, set()).add(rule.source)
 
-    def close(edges: dict[str, set[str]]) -> dict[str, set[str]]:
-        closed: dict[str, set[str]] = {}
+    def close(edges: dict[str, set[str]]) -> dict[IRI, list[IRI]]:
+        closed: dict[IRI, list[IRI]] = {}
         for start in edges:
             reached: set[str] = set()
             stack = [start]
@@ -165,7 +166,7 @@ def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[str, set[str]], di
                     if nxt != start and nxt not in reached:
                         reached.add(nxt)
                         stack.append(nxt)
-            closed[start] = reached
+            closed[vocabulary_iri(start)] = [vocabulary_iri(node) for node in reached]
         return closed
 
     return close(class_edges), close(prop_edges)
@@ -173,7 +174,16 @@ def _closure_maps(rules: Sequence[MappingRule]) -> tuple[dict[str, set[str]], di
 
 def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> MappingReport:
     """Write every rule-implied triple into the graph, reaching the fixed point
-    in one pass.
+    in one pass over its subject index.
+
+    Each bucket is matched against the rule heads: an ``rdf:type`` bucket
+    looks each of its classes up among the class rules, any other bucket its
+    predicate among the property rules (the scan-and-match shape of Urbani
+    et al., "WebPIE", ESWC 2010).  So it reads neither the predicate index
+    nor ``_match``, and a graph that is only written, materialized and
+    serialized never builds that index.  The inferred terms are collected
+    before any is added: an insert during the walk would change the subject
+    index and the buckets being walked.
 
     One pass is enough: the closures from ``_closure_maps`` are transitive
     (equivalences already run both ways), so each asserted statement yields
@@ -190,20 +200,20 @@ def materialize(g: Graph, rules: Optional[Sequence[MappingRule]] = None) -> Mapp
             raise RuleError(
                 f"{rule.relation.value} rule may not name rdf:type: {rule.source} -> {rule.target}"
             )
-    class_closure, prop_closure = _closure_maps(rules)
     rdf_type = vocabulary_iri(RDF_TYPE)
-
     # Terms read from the graph, and IRIs as predicates and classes, are of
     # the kinds a triple takes, so they go to the graph with no ``Triple``.
+    class_closure, prop_closure = _closure_maps(rules)
     inferred: list[tuple[Subject, IRI, Term]] = []
-    for source, targets in class_closure.items():
-        classes = [vocabulary_iri(target) for target in targets]
-        for s in g.subjects(rdf_type, vocabulary_iri(source)):
-            inferred.extend((s, rdf_type, c) for c in classes)
-    for source, targets in prop_closure.items():
-        predicates = [vocabulary_iri(target) for target in targets]
-        for s, _, o in g._match(predicate=vocabulary_iri(source)):
-            inferred.extend((s, p, o) for p in predicates)
+    for s, buckets in g._by_subject.items():
+        for p, bucket in buckets.items():
+            objects = bucket if type(bucket) is dict else (bucket,)
+            if p == rdf_type:
+                for c in objects:
+                    inferred.extend((s, rdf_type, target) for target in class_closure.get(c, ()))
+            elif p in prop_closure:
+                for target in prop_closure[p]:
+                    inferred.extend((s, target, o) for o in objects)
     return MappingReport(inferred_triples=sum(g._add(*terms) for terms in inferred))
 
 

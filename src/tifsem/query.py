@@ -63,6 +63,13 @@ _NUMERIC_DATATYPES = frozenset(
 
 _COMPARE = {"<": lt, "<=": le, "=": eq, "!=": ne, ">=": ge, ">": gt}
 
+# The most triple patterns one query may hold.  Planning is quadratic in the
+# patterns (each join step ranks every pattern left), so the limit keeps
+# `evaluate` bounded on hostile text: on a one-triple graph (x86_64,
+# CPython 3.11), 128 chained patterns take about 40 ms and 512 about
+# 450 ms.  The scenario queries hold at most 9.
+MAX_PATTERNS = 128
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -327,6 +334,8 @@ class _Parser:
                 filters.append(self.parse_or())
                 self.expect_op(")")
             else:
+                if len(patterns) == MAX_PATTERNS:
+                    raise self.fail(f"more than {MAX_PATTERNS} triple patterns")
                 subject = self.parse_term(position="subject")
                 predicate = self.parse_term(position="predicate")
                 obj = self.parse_term(position="object")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import strategies as own
 from oracles import naive_materialize
+from test_graph import count_builds
 from tifsem.errors import RuleError
 from tifsem.graph import RDF_TYPE, RDFS_NS, XSD_NS, Graph, IRI, Triple
 from tifsem.mapping import (
@@ -28,6 +29,7 @@ from tifsem.ontology import (
     TIFSEM_NS,
     class_of,
 )
+from tifsem.serialize import from_ntriples, to_ntriples, to_turtle
 
 LACKING = [
     "DublinCore", "Update", "RelatedServices", "Periods", "Customers",
@@ -246,6 +248,56 @@ class TestMaterialize:
         after = g.triples
         assert materialize(g).inferred_triples == 0
         assert g.triples == after
+
+
+class TestOnePass:
+    """``materialize`` walks the subject index once and reads no predicate
+    view, so the graph's view, built or stale, takes no part in it."""
+
+    def test_map_path_never_builds_the_predicate_view(self, la_rochelle_graph):
+        g = from_ntriples(to_ntriples(la_rochelle_graph))
+        builds = count_builds(g)
+        assert materialize(g).inferred_triples > 0
+        to_ntriples(g)
+        to_turtle(g)
+        assert builds == []
+
+    def test_a_stale_view_changes_nothing(self, la_rochelle_graph):
+        g = Graph(la_rochelle_graph)
+        assert g.scan_size(predicate=IRI(RDF_TYPE)) > 0  # builds the view
+        extra = Triple(IRI("http://e/n"), IRI(RDF_TYPE), IRI(TIFSEM_NS + "Multimedia"))
+        g.insert(extra)  # the view is stale from here on
+        builds = count_builds(g)
+        materialize(g)
+        assert builds == []
+        assert g.triples == naive_materialize(la_rochelle_graph.triples | {extra}, builtin_rules())
+        assert Triple(extra.subject, extra.predicate, IRI(SCHEMA_NS + "MediaObject")) in g
+
+    def test_a_promoted_type_bucket_with_several_ruled_classes(self):
+        node, other, rdf_type = IRI("http://e/n"), IRI("http://e/m"), IRI(RDF_TYPE)
+        classes = ["Prices", "Multimedia", "ReservationModes", "Periods"]  # Periods has no rule
+        g = Graph([Triple(node, rdf_type, IRI(TIFSEM_NS + name)) for name in classes]
+                  + [Triple(other, rdf_type, IRI(SCHEMA_NS + "Offer"))])
+        assert type(g._by_subject[node][rdf_type]) is dict
+        before, expected = g.triples, naive_materialize(g.triples, builtin_rules())
+        report = materialize(g)
+        assert g.triples == expected
+        assert report.inferred_triples == len(expected) - len(before) == 7
+
+    def test_chained_subproperties_on_a_subject_holding_two_links(self):
+        geo = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS]
+        a, b, c = (IRI(iri) for iri in (geo.predicate("AddressLine1"), geo.predicate("AddressLine2"),
+                                        SCHEMA_ADDRESS))
+        rules = [MappingRule(a.value, b.value, Relation.SUB_PROPERTY_OF),
+                 MappingRule(b.value, c.value, Relation.SUB_PROPERTY_OF)]
+        both, only_a = IRI("http://e/both"), IRI("http://e/a")
+        x, y = IRI("http://e/x"), IRI("http://e/y")
+        g = Graph([Triple(both, a, x), Triple(both, a, y), Triple(both, b, x), Triple(only_a, a, y)])
+        before, expected = g.triples, naive_materialize(g.triples, rules)
+        report = materialize(g, rules)
+        assert g.triples == expected
+        assert Triple(only_a, c, y) in g and Triple(both, b, y) in g
+        assert report.inferred_triples == len(expected) - len(before) == 5
 
 
 class TestCheckConsistency:

@@ -19,6 +19,7 @@ from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import IRI_FORBIDDEN, LANGTAG, RDF_TYPE, BlankNode, Graph, IRI, Literal, Triple, XSD_NS, mint_io_iri
 from tifsem.ontology import LATITUDE_PROP, LONGITUDE_PROP, GeoPoint, GranuleKind
 from tifsem.query import (
+    MAX_PATTERNS,
     Compare,
     DistanceWithin,
     GroupCount,
@@ -198,6 +199,20 @@ class TestParseErrors:
     def test_bad_terms_and_sizes_are_syntax_errors(self, text):
         with pytest.raises(QuerySyntaxError):
             parse_query(text)
+
+    @pytest.mark.parametrize("count", [MAX_PATTERNS, MAX_PATTERNS + 1], ids=["at-limit", "one-over"])
+    @pytest.mark.parametrize("separator", [" . ", " ", " FILTER(?o0 = 1) "], ids=["dot", "blank", "filter"])
+    def test_patterns_past_the_limit_are_refused_at_the_first_over(self, count, separator):
+        patterns = [f"?s <http://e/p> ?o{i}" for i in range(count)]
+        text = "SELECT ?s WHERE { " + separator.join(patterns) + " }"
+        if count == MAX_PATTERNS:
+            assert len(parse_query(text).patterns) == MAX_PATTERNS
+            return
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        position = text.index(patterns[MAX_PATTERNS])
+        assert str(err.value) == f"at offset {position}: more than {MAX_PATTERNS} triple patterns"
+        assert err.value.position == position
 
     @given(st.one_of(hostile_text, hostile_text.map(lambda t: "SELECT ?s WHERE { ?s ?p " + t)))
     @settings(max_examples=500, deadline=None)
