@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden files under tests/data/.
+"""Regenerate the one generated golden file, tests/data/example1_results.csv.
 
 The example-1 result CSV is produced by the brute-force evaluator from
 tests/oracles.py, not by the query engine, so the golden stays an
-independent reference.  Run from the repository root after changing the
-fixture generator, then review the diff.
+independent reference.  The three ``fixture_*.xml`` files beside it are
+hand-written one-resource inputs that nothing regenerates.  Run after
+changing the fixture generator, then review the diff.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[1:1] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import brute_force_evaluate  # noqa: E402
 from tifsem import fixtures  # noqa: E402

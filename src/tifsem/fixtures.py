@@ -4,10 +4,12 @@ Stands in for the departmental tourist-office feeds the toolkit targets:
 hotels, restaurants, bars and events with coordinates, emitted both as
 in-memory information objects and as XML under three tag dialects (the
 canonical vocabulary, a renamed French-tag dialect, and a dialect that
-renames one granule and adds tags of its own).  Each dialect is one path
-table, canonical field path -> dialect path, that one XML builder writes;
-the dialect profiles that read the XML back are derived from the same
-tables.  Everything is a pure function of the seed.
+renames one granule and adds tags of its own).  Each resource is one
+keyword table, granule kind -> its fields, that ``_io`` builds into an
+information object.  Each dialect is one path table, canonical field path
+-> dialect path, that one XML builder writes; the dialect profiles that
+read the XML back are derived from the same tables.  Everything is a pure
+function of the seed.
 """
 
 from __future__ import annotations
@@ -81,9 +83,23 @@ _STREETS = [
 ]
 
 
-def _granule(kind: GranuleKind, **fields) -> Granule:
-    tag = GRANULE_SCHEMAS[kind].tag
-    return Granule(kind=kind, fields={f"{tag}/{name}": value for name, value in fields.items()})
+def _io(io_id: str, **granules) -> InformationObject:
+    """One information object written as a keyword table: each keyword a
+    ``GranuleKind`` member name, its value one instance's fields (name ->
+    value), a list of them for a kind that repeats, or None to leave the
+    kind out.  Each field is filed under its canonical path ``tag/name``,
+    and the kinds keep the order they are written in."""
+    io = InformationObject(id=io_id)
+    for kind_name, instances in granules.items():
+        if instances is None:
+            continue
+        kind = GranuleKind[kind_name]
+        tag = GRANULE_SCHEMAS[kind].tag
+        io.granules[kind] = [
+            Granule(kind=kind, fields={f"{tag}/{name}": value for name, value in fields.items()})
+            for fields in (instances if isinstance(instances, list) else [instances])
+        ]
+    return io
 
 
 def _jitter(rng: random.Random, center: tuple[float, float], spread: float) -> GeoPoint:
@@ -96,7 +112,9 @@ def la_rochelle(seed: int = DEFAULT_SEED) -> list[InformationObject]:
     """The synthetic dataset: 6 hotels and 19 amenities, coordinates seeded.
 
     One hotel sits far outside town (no amenity within walking reach) and
-    three of the six events are rural, held out in the countryside.
+    three of the six events are rural, held out in the countryside.  The
+    seeded draws are made in the order the fields are written, so moving a
+    field or a keyword that draws changes the dataset.
     """
     rng = random.Random(seed)
     ios: list[InformationObject] = []
@@ -113,147 +131,96 @@ def la_rochelle(seed: int = DEFAULT_SEED) -> list[InformationObject]:
                 round(_CENTER[1] + (i - 1) * 0.0019 * rng.choice([-1, 1]), 5),
             )
         street = _STREETS[(i - 1) % len(_STREETS)]
-        io = InformationObject(id=f"HOT-{i:03d}")
-        io.granules = {
-            GranuleKind.DUBLIN_CORE: [_granule(
-                GranuleKind.DUBLIN_CORE,
-                Identifier=io.id, Title=name, Type="hotel",
+        io_id = f"HOT-{i:03d}"
+        ios.append(_io(
+            io_id,
+            DUBLIN_CORE=dict(
+                Identifier=io_id, Title=name, Type="hotel",
                 Description=f"{name}, a hotel in the La Rochelle area.",
-            )],
-            GranuleKind.UPDATE: [_granule(
-                GranuleKind.UPDATE,
-                LastModified=datetime.date(2016, 5, min(28, i)), UpdatedBy="cdt17-sync",
-            )],
-            GranuleKind.GEOLOCATIONS: [_granule(
-                GranuleKind.GEOLOCATIONS,
+            ),
+            UPDATE=dict(LastModified=datetime.date(2016, 5, min(28, i)), UpdatedBy="cdt17-sync"),
+            GEOLOCATIONS=dict(
                 AddressLine1=f"{10 + i} {street}",
                 City="La Rochelle" if not far else "Marsilly",
                 PostalCode="17000" if not far else "17137",
                 Position=position,
-            )],
-            GranuleKind.CONTACTS: [_granule(
-                GranuleKind.CONTACTS,
+            ),
+            CONTACTS=dict(
                 ContactName="Réception", Phone=f"+33 5 46 00 0{i}0{i}",
                 Email=f"contact@hotel{i}.example.fr",
-            )],
-            GranuleKind.LEGAL_INFORMATION: [_granule(
-                GranuleKind.LEGAL_INFORMATION,
-                LegalName=f"SARL {name}", Siret=f"4920000{i:05d}",
-            )],
-            GranuleKind.CLASSIFICATIONS: [_granule(
-                GranuleKind.CLASSIFICATIONS,
-                Scheme="stars", RatingValue=Decimal(rng.randint(1, 5)), Label="tourisme",
-            )],
-            GranuleKind.MULTIMEDIA: [_granule(
-                GranuleKind.MULTIMEDIA,
+            ),
+            LEGAL_INFORMATION=dict(LegalName=f"SARL {name}", Siret=f"4920000{i:05d}"),
+            CLASSIFICATIONS=dict(Scheme="stars", RatingValue=Decimal(rng.randint(1, 5)), Label="tourisme"),
+            MULTIMEDIA=dict(
                 Url=f"https://media.example.fr/hotels/{i}.jpg", Kind="photo",
                 Caption=f"Façade de {name}",
-            )],
-            GranuleKind.LANGUAGES: [
-                _granule(GranuleKind.LANGUAGES, Language="fr"),
-                _granule(GranuleKind.LANGUAGES, Language="en"),
-            ],
-            GranuleKind.RESERVATION_MODES: [_granule(
-                GranuleKind.RESERVATION_MODES,
-                Required="recommended", Contact="Réception",
-            )],
-            GranuleKind.PRICES: [_granule(
-                GranuleKind.PRICES,
+            ),
+            LANGUAGES=[dict(Language="fr"), dict(Language="en")],
+            RESERVATION_MODES=dict(Required="recommended", Contact="Réception"),
+            PRICES=dict(
                 Amount=Decimal(rng.randint(55, 180)), Currency="EUR",
                 PaymentMeans="card, cash", Service="double room",
-            )],
-            GranuleKind.CAPACITY: [_granule(
-                GranuleKind.CAPACITY, Value=Decimal(rng.randint(12, 80)), Unit="rooms",
-            )],
-            GranuleKind.OFFERS_SERVICES: [_granule(
-                GranuleKind.OFFERS_SERVICES, Service="wifi", Nearby="old harbour",
-            )],
-            GranuleKind.ADDITIONAL_DESCRIPTION: [_granule(
-                GranuleKind.ADDITIONAL_DESCRIPTION,
+            ),
+            CAPACITY=dict(Value=Decimal(rng.randint(12, 80)), Unit="rooms"),
+            OFFERS_SERVICES=dict(Service="wifi", Nearby="old harbour"),
+            ADDITIONAL_DESCRIPTION=dict(
                 Text="Walking distance from the towers." if not far else "Quiet countryside setting.",
-            )],
-        }
-        ios.append(io)
+            ),
+        ))
 
     for i, name in enumerate(_RESTAURANTS, start=1):
-        io = InformationObject(id=f"RES-{i:03d}")
-        io.granules = {
-            GranuleKind.DUBLIN_CORE: [_granule(
-                GranuleKind.DUBLIN_CORE, Identifier=io.id, Title=name, Type="restaurant",
-            )],
-            GranuleKind.GEOLOCATIONS: [_granule(
-                GranuleKind.GEOLOCATIONS,
+        io_id = f"RES-{i:03d}"
+        ios.append(_io(
+            io_id,
+            DUBLIN_CORE=dict(Identifier=io_id, Title=name, Type="restaurant"),
+            GEOLOCATIONS=dict(
                 AddressLine1=f"{i} {_STREETS[i % len(_STREETS)]}",
                 City="La Rochelle", PostalCode="17000",
                 Position=_jitter(rng, _CENTER, 0.008),
-            )],
-            GranuleKind.CONTACTS: [_granule(
-                GranuleKind.CONTACTS, Phone=f"+33 5 46 11 1{i}1{i}",
-            )],
-            GranuleKind.PRICES: [_granule(
-                GranuleKind.PRICES, Amount=Decimal(rng.randint(15, 45)), Currency="EUR",
+            ),
+            CONTACTS=dict(Phone=f"+33 5 46 11 1{i}1{i}"),
+            PRICES=dict(
+                Amount=Decimal(rng.randint(15, 45)), Currency="EUR",
                 Service="menu",
-            )],
-            GranuleKind.SCHEDULES: [_granule(
-                GranuleKind.SCHEDULES, Status="open", Detail="closed on Mondays",
-            )],
-            GranuleKind.LANGUAGES: [_granule(GranuleKind.LANGUAGES, Language="fr")],
-        }
-        ios.append(io)
+            ),
+            SCHEDULES=dict(Status="open", Detail="closed on Mondays"),
+            LANGUAGES=dict(Language="fr"),
+        ))
 
     for i, name in enumerate(_BARS, start=1):
-        io = InformationObject(id=f"BAR-{i:03d}")
-        io.granules = {
-            GranuleKind.DUBLIN_CORE: [_granule(
-                GranuleKind.DUBLIN_CORE, Identifier=io.id, Title=name, Type="bar",
-            )],
-            GranuleKind.GEOLOCATIONS: [_granule(
-                GranuleKind.GEOLOCATIONS,
+        io_id = f"BAR-{i:03d}"
+        ios.append(_io(
+            io_id,
+            DUBLIN_CORE=dict(Identifier=io_id, Title=name, Type="bar"),
+            GEOLOCATIONS=dict(
                 AddressLine1=f"{20 + i} {_STREETS[(i + 2) % len(_STREETS)]}",
                 City="La Rochelle", PostalCode="17000",
                 Position=_jitter(rng, _CENTER, 0.008),
-            )],
-            GranuleKind.CONTACTS: [_granule(
-                GranuleKind.CONTACTS, Phone=f"+33 5 46 22 2{i}2{i}",
-            )],
-            GranuleKind.RELATED_SERVICES: [_granule(
-                GranuleKind.RELATED_SERVICES,
-                Reference=IoRef(f"HOT-{1 + (i % 3):03d}"), Relation="nearby accommodation",
-            )],
-        }
-        ios.append(io)
+            ),
+            CONTACTS=dict(Phone=f"+33 5 46 22 2{i}2{i}"),
+            RELATED_SERVICES=dict(Reference=IoRef(f"HOT-{1 + (i % 3):03d}"), Relation="nearby accommodation"),
+        ))
 
     for i, (name, audience, profile) in enumerate(_EVENTS, start=1):
         rural = audience == "rural"
-        io = InformationObject(id=f"EVT-{i:03d}")
-        io.granules = {
-            GranuleKind.DUBLIN_CORE: [_granule(
-                GranuleKind.DUBLIN_CORE, Identifier=io.id, Title=name, Type="event",
-            )],
-            GranuleKind.GEOLOCATIONS: [_granule(
-                GranuleKind.GEOLOCATIONS,
+        io_id = f"EVT-{i:03d}"
+        ios.append(_io(
+            io_id,
+            DUBLIN_CORE=dict(Identifier=io_id, Title=name, Type="event"),
+            GEOLOCATIONS=dict(
                 City="Aunis countryside" if rural else "La Rochelle",
                 PostalCode="17290" if rural else "17000",
                 Position=_jitter(rng, _RURAL if rural else _CENTER, 0.006),
                 Environment="countryside" if rural else "harbour district",
-            )],
-            GranuleKind.PERIODS: [_granule(
-                GranuleKind.PERIODS,
+            ),
+            PERIODS=dict(
                 Start=datetime.date(2016, 6, i), End=datetime.date(2016, 6, i + 2),
                 Kind="opening",
-            )],
-            GranuleKind.CUSTOMERS: [_granule(
-                GranuleKind.CUSTOMERS, Audience=audience, Profile=profile,
-            )],
-            GranuleKind.UPDATE: [_granule(
-                GranuleKind.UPDATE, LastModified=datetime.date(2016, 5, 2 + i),
-            )],
-        }
-        if rural:
-            io.granules[GranuleKind.ITINERARIES] = [_granule(
-                GranuleKind.ITINERARIES, Activity="country walk", Length=Decimal(5 + i),
-            )]
-        ios.append(io)
+            ),
+            CUSTOMERS=dict(Audience=audience, Profile=profile),
+            UPDATE=dict(LastModified=datetime.date(2016, 5, 2 + i)),
+            ITINERARIES=dict(Activity="country walk", Length=Decimal(5 + i)) if rural else None,
+        ))
 
     return ios
 

@@ -119,8 +119,29 @@ _PROFILE_SHA256 = {
 }
 
 
+# sha256 of each seed's in-memory dataset as ``_dataset_text`` lists it.  The
+# XML pins cannot see the order of an IO's granule kinds (the emitters walk
+# ``GranuleKind`` order, and ``InformationObject.__eq__`` compares dicts
+# without order), yet ``assert_io`` inserts an IO's granules in that order.
+_DATASET_SHA256 = {
+    fixtures.DEFAULT_SEED: "b84fb93cec7d27785631b36bfeb7c6dedb5721b24b03a566d312ea9d0127a011",
+    1: "903cdd1cb0d9c57bfeefcf6a8db85dd2c9a27c6f3e0a6ef7d35b736e4496a7ad",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _dataset_text(ios) -> str:
+    """Each IO's id and granule kinds in dict order, then the ``repr`` of
+    each of its granule instances, one a line."""
+    lines = []
+    for io in ios:
+        lines.append(f"{io.id} {[kind.name for kind in io.granules]}")
+        for granules in io.granules.values():
+            lines.extend(f"  {granule!r}" for granule in granules)
+    return "\n".join(lines) + "\n"
 
 
 class TestPinnedOutput:
@@ -128,6 +149,10 @@ class TestPinnedOutput:
     def test_emitted_xml(self, seed):
         ios = fixtures.la_rochelle(seed)
         assert {name: _sha256(getattr(fixtures, name)(ios)) for name in _XML_SHA256[seed]} == _XML_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", sorted(_DATASET_SHA256))
+    def test_in_memory_dataset(self, seed):
+        assert _sha256(_dataset_text(fixtures.la_rochelle(seed))) == _DATASET_SHA256[seed]
 
     def test_saved_profiles(self):
         assert {name: _sha256(save_profile(getattr(fixtures, name)())) for name in _PROFILE_SHA256} == _PROFILE_SHA256
