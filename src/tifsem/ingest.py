@@ -27,6 +27,7 @@ from tifsem.ontology import (
     FieldSpec,
     FieldType,
     FieldValue,
+    GRANULE_SCHEMAS,
     Granule,
     GranuleKind,
     IDENTIFIER_PATH,
@@ -453,7 +454,7 @@ def validate_io(io: InformationObject) -> list[ValidationIssue]:
             continue
         if not instances:
             error(kind.value, "granule list present but empty")
-        schema = _SNAPSHOT.granule_schemas[kind]
+        schema = GRANULE_SCHEMAS[kind]
         for granule in instances:
             if granule.kind is not kind:
                 error(schema.tag, f"granule of kind {granule.kind} filed under {kind}")

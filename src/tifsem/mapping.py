@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from tifsem.errors import RuleError
 from tifsem.graph import Graph, IRI, RDF_TYPE, Subject, Term, vocabulary_iri
 from tifsem.ontology import (
+    GRANULE_SCHEMAS,
     GranuleKind,
     SCHEMA_ADDRESS,
     SCHEMA_LATITUDE,
@@ -62,7 +63,7 @@ def builtin_rules() -> list[MappingRule]:
     """The shipped alignment: one class rule per aligned granule (two for the
     two-target granules, equivalence toward the general target and subclass
     toward the specific one), plus the geolocation property rules."""
-    geo = _SNAPSHOT.granule_schemas[GranuleKind.GEOLOCATIONS]
+    geo = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS]
     return [
         _rule(GranuleKind.MULTIMEDIA, "MediaObject", Relation.EQUIVALENT_CLASS),
         _rule(GranuleKind.CLASSIFICATIONS, "Rating", Relation.EQUIVALENT_CLASS),

@@ -1,9 +1,11 @@
 """TIFSem domain model.
 
 The model has one root entity, the information object (IO), composed of 18
-typed granules.  This module holds the granule vocabulary, the field schema
-each granule admits, the concept forest (TIFSem classes plus the Schema.org
-subset the toolkit aligns against), and the value types granule fields carry.
+typed granules.  Each granule kind is declared once, as one
+``GRANULE_SCHEMAS`` entry holding its tag, its description and the fields
+it admits.  This module also holds the concept forest (TIFSem classes plus
+the Schema.org subset the toolkit aligns against), built from those
+entries, and the value types granule fields carry.
 
 The ontology snapshot built by :func:`load_core_ontology` is immutable and
 may be shared freely across threads.
@@ -54,30 +56,6 @@ class GranuleKind(str, Enum):
     ADDITIONAL_DESCRIPTION = "AdditionalDescription"
     ITINERARIES = "Itineraries"
     SCHEDULES = "Schedules"
-
-
-# One-line functional description per granule kind, kept as the description
-# of the kind's class in the concept forest.
-GRANULE_DESCRIPTIONS: Mapping[GranuleKind, str] = MappingProxyType({
-    GranuleKind.DUBLIN_CORE: "Core descriptive metadata: identifier, title, description, resource type.",
-    GranuleKind.UPDATE: "Revision history of the record: when and by whom it last changed.",
-    GranuleKind.MULTIMEDIA: "Media attached to the resource, such as photos and videos.",
-    GranuleKind.CONTACTS: "How to reach the resource and who answers for it.",
-    GranuleKind.LEGAL_INFORMATION: "Formal identity and registration data of the operating entity.",
-    GranuleKind.CLASSIFICATIONS: "Official ratings and quality labels awarded to the resource.",
-    GranuleKind.RELATED_SERVICES: "Links from this resource to other resources.",
-    GranuleKind.GEOLOCATIONS: "Where the resource is: address, coordinates, surroundings.",
-    GranuleKind.PERIODS: "Opening, closing and booking periods.",
-    GranuleKind.CUSTOMERS: "Who the resource is aimed at: audience and visitor profile.",
-    GranuleKind.LANGUAGES: "Which languages visitors can expect staff to speak.",
-    GranuleKind.RESERVATION_MODES: "How to book: whether booking is required and whom to contact.",
-    GranuleKind.PRICES: "Service prices and accepted payment methods.",
-    GranuleKind.CAPACITY: "How many people or units the resource can host.",
-    GranuleKind.OFFERS_SERVICES: "What the resource offers its visitors, on site or close by.",
-    GranuleKind.ADDITIONAL_DESCRIPTION: "Free-text notes that fit no other granule.",
-    GranuleKind.ITINERARIES: "Routes and outdoor activities arranged around the resource.",
-    GranuleKind.SCHEDULES: "Which services are open or bookable in which time windows.",
-})
 
 
 @dataclass(frozen=True)
@@ -157,10 +135,13 @@ def _camel(field_name: str) -> str:
 
 @dataclass(frozen=True)
 class GranuleSchema:
-    """Fields one granule kind admits, plus its canonical tag (the first
-    segment of every canonical field path for the kind)."""
+    """One granule kind's declaration: its canonical tag (the first segment
+    of every canonical field path for the kind), its one-line functional
+    description (the description of the kind's class in the concept forest)
+    and the fields it admits."""
 
     tag: str
+    description: str
     fields: Mapping[str, FieldSpec]
 
     def path(self, field_name: str) -> str:
@@ -170,95 +151,78 @@ class GranuleSchema:
         return TIFSEM_NS + _camel(field_name)
 
 
-def _schema(tag: str, **fields: FieldSpec) -> GranuleSchema:
-    return GranuleSchema(tag=tag, fields=MappingProxyType(dict(fields)))
+def _schema(kind: GranuleKind, description: str, tag: Optional[str] = None,
+            **fields: FieldSpec) -> tuple[GranuleKind, GranuleSchema]:
+    return kind, GranuleSchema(tag or kind.value, description, MappingProxyType(fields))
 
 
 _T = FieldSpec(FieldType.TEXT)
 _D = FieldSpec(FieldType.DECIMAL)
 _DATE = FieldSpec(FieldType.DATE)
 
-# Canonical tag vocabulary.  Tags equal the granule kind name except for
-# Geolocations, whose canonical element (and every path built on it) is the
-# singular "Geolocation"; see docs/granule-schema.md.
-GRANULE_SCHEMAS: Mapping[GranuleKind, GranuleSchema] = MappingProxyType({
-    GranuleKind.DUBLIN_CORE: _schema(
-        "DublinCore",
+# Each granule kind declared once, in kind order.  Tags equal the granule
+# kind name except for Geolocations, whose canonical element (and every path
+# built on it) is the singular "Geolocation"; see docs/granule-schema.md.
+GRANULE_SCHEMAS: Mapping[GranuleKind, GranuleSchema] = MappingProxyType(dict((
+    _schema(GranuleKind.DUBLIN_CORE, "Core descriptive metadata: identifier, title, description, resource type.",
         Identifier=_T, Title=_T, Description=_T, Type=_T, Creator=_T, Date=_DATE,
     ),
-    GranuleKind.UPDATE: _schema(
-        "Update",
+    _schema(GranuleKind.UPDATE, "Revision history of the record: when and by whom it last changed.",
         LastModified=_DATE, UpdatedBy=_T,
     ),
-    GranuleKind.MULTIMEDIA: _schema(
-        "Multimedia",
+    _schema(GranuleKind.MULTIMEDIA, "Media attached to the resource, such as photos and videos.",
         Url=_T, Kind=_T, Caption=_T,
     ),
-    GranuleKind.CONTACTS: _schema(
-        "Contacts",
+    _schema(GranuleKind.CONTACTS, "How to reach the resource and who answers for it.",
         ContactName=_T, Phone=_T, Email=_T, Website=_T,
     ),
-    GranuleKind.LEGAL_INFORMATION: _schema(
-        "LegalInformation",
+    _schema(GranuleKind.LEGAL_INFORMATION, "Formal identity and registration data of the operating entity.",
         LegalName=_T, Siret=_T, LegalStatus=_T,
     ),
-    GranuleKind.CLASSIFICATIONS: _schema(
-        "Classifications",
+    _schema(GranuleKind.CLASSIFICATIONS, "Official ratings and quality labels awarded to the resource.",
         Scheme=_T, RatingValue=_D, Label=_T,
     ),
-    GranuleKind.RELATED_SERVICES: _schema(
-        "RelatedServices",
+    _schema(GranuleKind.RELATED_SERVICES, "Links from this resource to other resources.",
         Reference=FieldSpec(FieldType.REF), Relation=_T,
     ),
-    GranuleKind.GEOLOCATIONS: _schema(
-        "Geolocation",
-        AddressLine1=_T, AddressLine2=_T, City=_T, PostalCode=_T, Country=_T,
+    _schema(GranuleKind.GEOLOCATIONS, "Where the resource is: address, coordinates, surroundings.",
+        tag="Geolocation", AddressLine1=_T, AddressLine2=_T, City=_T, PostalCode=_T, Country=_T,
         Latitude=FieldSpec(FieldType.DECIMAL, Decimal(-90), Decimal(90)),
         Longitude=FieldSpec(FieldType.DECIMAL, Decimal(-180), Decimal(180)),
         Position=FieldSpec(FieldType.GEOPOINT),
         Environment=_T,
     ),
-    GranuleKind.PERIODS: _schema(
-        "Periods",
+    _schema(GranuleKind.PERIODS, "Opening, closing and booking periods.",
         Start=_DATE, End=_DATE, Kind=_T,
     ),
-    GranuleKind.CUSTOMERS: _schema(
-        "Customers",
+    _schema(GranuleKind.CUSTOMERS, "Who the resource is aimed at: audience and visitor profile.",
         Audience=_T, Profile=_T,
     ),
-    GranuleKind.LANGUAGES: _schema(
-        "Languages",
+    _schema(GranuleKind.LANGUAGES, "Which languages visitors can expect staff to speak.",
         Language=_T,
     ),
-    GranuleKind.RESERVATION_MODES: _schema(
-        "ReservationModes",
+    _schema(GranuleKind.RESERVATION_MODES, "How to book: whether booking is required and whom to contact.",
         Required=_T, Contact=_T,
     ),
-    GranuleKind.PRICES: _schema(
-        "Prices",
+    _schema(GranuleKind.PRICES, "Service prices and accepted payment methods.",
         Amount=_D, Currency=_T, PaymentMeans=_T, Service=_T,
     ),
-    GranuleKind.CAPACITY: _schema(
-        "Capacity",
+    _schema(GranuleKind.CAPACITY, "How many people or units the resource can host.",
         Value=_D, Unit=_T,
     ),
-    GranuleKind.OFFERS_SERVICES: _schema(
-        "OffersServices",
+    _schema(GranuleKind.OFFERS_SERVICES, "What the resource offers its visitors, on site or close by.",
         Service=_T, Nearby=_T,
     ),
-    GranuleKind.ADDITIONAL_DESCRIPTION: _schema(
-        "AdditionalDescription",
+    _schema(GranuleKind.ADDITIONAL_DESCRIPTION, "Free-text notes that fit no other granule.",
         Text=_T,
     ),
-    GranuleKind.ITINERARIES: _schema(
-        "Itineraries",
+    _schema(GranuleKind.ITINERARIES, "Routes and outdoor activities arranged around the resource.",
         Activity=_T, Length=_D,
     ),
-    GranuleKind.SCHEDULES: _schema(
-        "Schedules",
+    _schema(GranuleKind.SCHEDULES, "Which services are open or bookable in which time windows.",
         Status=_T, Detail=_T,
     ),
-})
+)))
 
 IDENTIFIER_PATH = GRANULE_SCHEMAS[GranuleKind.DUBLIN_CORE].path("Identifier")
 _LATITUDE_PATH = GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS].path("Latitude")
@@ -354,8 +318,8 @@ _SCHEMA_TREE: tuple[tuple[str, Optional[str]], ...] = (
 
 @dataclass(frozen=True)
 class OntologySnapshot:
-    """Immutable view of the concept forest, the known properties, the
-    granule field schemas and the field table.
+    """Immutable view of the concept forest, the known properties and the
+    field table.
 
     ``fields`` maps each canonical field path to its granule kind, its spec
     and its predicate.  The predicate is ``None`` for a geopoint: XML text
@@ -364,7 +328,6 @@ class OntologySnapshot:
 
     concepts: Mapping[str, ConceptDescriptor]
     properties: frozenset[str]
-    granule_schemas: Mapping[GranuleKind, GranuleSchema]
     fields: Mapping[str, tuple[GranuleKind, FieldSpec, Optional[str]]] = field(repr=False)
     _tags: Mapping[str, GranuleKind] = field(repr=False, default_factory=dict)
 
@@ -386,31 +349,25 @@ def load_core_ontology() -> OntologySnapshot:
             description="A modular, reusable description of one tourism resource.",
         )
     }
-    for kind in GranuleKind:
-        concepts[class_of(kind)] = ConceptDescriptor(
-            parent=IO_CLASS,
-            description=GRANULE_DESCRIPTIONS[kind],
-        )
-    for name, parent in _SCHEMA_TREE:
-        concepts[SCHEMA_NS + name] = ConceptDescriptor(
-            parent=None if parent is None else SCHEMA_NS + parent,
-        )
-
     properties = {HAS_GRANULE, SCHEMA_ADDRESS, SCHEMA_LATITUDE, SCHEMA_LONGITUDE}
     fields: dict[str, tuple[GranuleKind, FieldSpec, Optional[str]]] = {}
     tags: dict[str, GranuleKind] = {}
     for kind, schema in GRANULE_SCHEMAS.items():
+        concepts[class_of(kind)] = ConceptDescriptor(parent=IO_CLASS, description=schema.description)
         tags[schema.tag] = kind
         for name, spec in schema.fields.items():
             predicate = None if spec.type is FieldType.GEOPOINT else schema.predicate(name)
             fields[schema.path(name)] = (kind, spec, predicate)
             if predicate is not None:
                 properties.add(predicate)
+    for name, parent in _SCHEMA_TREE:
+        concepts[SCHEMA_NS + name] = ConceptDescriptor(
+            parent=None if parent is None else SCHEMA_NS + parent,
+        )
 
     return OntologySnapshot(
         concepts=MappingProxyType(concepts),
         properties=frozenset(properties),
-        granule_schemas=GRANULE_SCHEMAS,
         fields=MappingProxyType(fields),
         _tags=MappingProxyType(tags),
     )

@@ -176,7 +176,10 @@ class SolutionTable:
 # match, so one scan cuts the whole text.  After the last token the prefix
 # takes the trailing blanks and EOF matches the end; a character no token
 # starts with (ERROR) stops the scan.  A blank is the SPARQL grammar's WS,
-# a space, tab, CR or LF; any other white space is an ERROR.
+# a space, tab, CR or LF; any other white space is an ERROR.  As in SPARQL,
+# a prefixed name's local part does not end in '.', and a number's '.' needs
+# a digit after it unless an exponent follows, so 't:Hotel.' and '1.' leave
+# the '.' to end the pattern.
 _TOKEN_RE = re.compile(
     rf"""
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
@@ -184,8 +187,10 @@ _TOKEN_RE = re.compile(
       (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<STRING>"{_LEXICAL}")
-    | (?P<NUMBER>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
-    | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
+    | (?P<NUMBER>[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+
+                       | [0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?
+                       | [0-9]+(?:[eE][+-]?[0-9]+)?))
+    | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:(?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<LANGTAG>@{LANGTAG})
     | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{{}}().,=<>!])

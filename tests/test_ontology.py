@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from tifsem.mapping import builtin_rules
 from tifsem.ontology import (
     GRANULE_SCHEMAS,
+    FieldSpec,
+    FieldType,
     GeoPoint,
     GranuleKind,
     IO_CLASS,
@@ -101,7 +106,56 @@ class TestGeoPoint:
         assert p.latitude == lat and p.longitude == lon
 
 
+GRANULE_DOC = Path(__file__).resolve().parents[1] / "docs" / "granule-schema.md"
+
+# sha256 of ``_snapshot_text`` for the core ontology.  A change to any
+# concept (its order, parent or description), field, property or tag fails it.
+_SNAPSHOT_SHA256 = "2ace9aea2d29b0703dfd340aab0500da01a38e7bcad94f971051cf95b50361ee"
+
+
+def _snapshot_text(snapshot) -> str:
+    """Each concept in dict order with its parent and description, each
+    field-table entry in order, the sorted properties and the tags in order,
+    one a line."""
+    lines = [f"concept {iri} {d.parent} {d.description}" for iri, d in snapshot.concepts.items()]
+    lines += [f"field {path} {kind.value} {spec!r} {predicate}"
+              for path, (kind, spec, predicate) in snapshot.fields.items()]
+    lines += [f"property {iri}" for iri in sorted(snapshot.properties)]
+    lines += [f"tag {tag} {kind.value}" for tag, kind in snapshot._tags.items()]
+    return "\n".join(lines) + "\n"
+
+
+# One group of the doc table's Fields cell: "Start, End (date)" or
+# "Latitude (decimal, [-90, 90])".
+_DOC_FIELDS_RE = re.compile(r"(?P<names>[\w, ]+) \((?P<type>\w+)(?:, \[(?P<min>-?\d+), (?P<max>-?\d+)\])?\)")
+
+
+def _documented_granules() -> list[tuple[str, str, dict[str, FieldSpec]]]:
+    """The rows of the granule table in docs/granule-schema.md: granule name,
+    tag and each field's spec."""
+    rows = []
+    for line in GRANULE_DOC.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[1].startswith("`"):
+            continue
+        fields = {}
+        for group in cells[2].split("; "):
+            m = _DOC_FIELDS_RE.fullmatch(group)
+            assert m, group
+            bounds = () if m["min"] is None else (Decimal(m["min"]), Decimal(m["max"]))
+            fields.update((name, FieldSpec(FieldType(m["type"]), *bounds)) for name in m["names"].split(", "))
+        rows.append((cells[0], cells[1].strip("`"), fields))
+    return rows
+
+
 class TestSchemas:
+    def test_snapshot_is_pinned(self, snapshot):
+        assert hashlib.sha256(_snapshot_text(snapshot).encode("utf-8")).hexdigest() == _SNAPSHOT_SHA256
+
+    def test_doc_table_matches_the_schemas(self):
+        assert _documented_granules() == [
+            (kind.value, schema.tag, dict(schema.fields)) for kind, schema in GRANULE_SCHEMAS.items()]
+
     def test_geolocation_tag_is_singular(self):
         assert GRANULE_SCHEMAS[GranuleKind.GEOLOCATIONS].tag == "Geolocation"
 

@@ -258,8 +258,10 @@ _REF_TOKEN_RE = re.compile(
     | (?P<IRIREF><[^{IRI_FORBIDDEN}]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-    | (?P<NUMBER>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
-    | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
+    | (?P<NUMBER>[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+
+                       | [0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?
+                       | [0-9]+(?:[eE][+-]?[0-9]+)?))
+    | (?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:(?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)
     | (?P<NAME>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<LANGTAG>@{LANGTAG})
     | (?P<OP>\^\^|&&|\|\||<=|>=|!=|[{{}}().,=<>!])
@@ -303,6 +305,31 @@ class TestTokenizer:
     @settings(max_examples=500, deadline=None)
     def test_agrees_with_per_token_reference(self, text):
         assert _token_outcome(query._tokenize, text) == _token_outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize("text, kind", [
+        ("t:a.b", "PNAME"), ("1.5", "NUMBER"), (".5", "NUMBER"), ("1.e3", "NUMBER"), ("1.5e3", "NUMBER"),
+    ])
+    def test_inner_dot_stays_in_the_token(self, text, kind):
+        assert [(tok.kind, tok.text) for tok in query._tokenize(text)] == [(kind, text), ("EOF", "")]
+
+    @pytest.mark.parametrize("text, kind", [("t:Hotel.", "PNAME"), ("1.", "NUMBER")])
+    def test_final_dot_is_its_own_token(self, text, kind):
+        tokens = [(tok.kind, tok.text) for tok in query._tokenize(text)]
+        assert tokens == [(kind, text[:-1]), ("OP", "."), ("EOF", "")]
+
+    def test_dot_ends_the_pattern_after_a_pname_and_an_integer(self):
+        g = from_ntriples('<http://e/s> <http://e/p> <http://e/Hotel> .\n'
+                          '<http://e/s> <http://e/n> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .\n')
+        q = parse_query("PREFIX t: <http://e/> SELECT ?s WHERE { ?s t:p t:Hotel. ?s t:n 1. }")
+        objects = [pattern.object for pattern in q.patterns]
+        assert objects == [IRI("http://e/Hotel"), Literal("1", XSD_NS + "integer")]
+        assert evaluate(q, g).rows == [(IRI("http://e/s"),)]
+
+    def test_dot_after_limit_is_trailing(self):
+        text = "SELECT ?s WHERE { ?s ?p ?o } LIMIT 5."
+        with pytest.raises(QuerySyntaxError, match="unexpected trailing '.'") as err:
+            parse_query(text)
+        assert err.value.position == len(text) - 1
 
 
 class TestNonFiniteAgainstOracle:

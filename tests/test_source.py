@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tifsem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tifsem"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +40,45 @@ def imported_packages(source: str) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             packages.add("tifsem" if node.level else node.module.split(".")[0])
     return packages
+
+
+def _is_click_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """Whether a ``@<group>.command(...)`` or ``@<group>.group(...)``
+    decorator registers the definition with click."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def unused_definitions(modules: list[str], readers: list[str], exported: set[str]) -> list[str]:
+    """Module-level functions and classes of ``modules`` whose names no
+    source in ``modules`` or ``readers`` reads (as a name or an attribute),
+    that ``exported`` does not list and that are no click commands."""
+    defined = {node.name for source in modules for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node)}
+    read: set[str] = set()
+    for source in modules + readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read - exported)
+
+
+def test_unused_definition_is_found():
+    module = ("def helper(): pass\ndef dead(): pass\nclass Dead: pass\ndef api(): pass\n"
+              "def by_attribute(): pass\n@main.command()\ndef cmd(): pass\nhelper()\n")
+    assert unused_definitions([module], ["mod.by_attribute()\n"], {"api"}) == ["Dead", "dead"]
+
+
+def test_every_module_level_definition_is_used():
+    import tifsem
+
+    def sources(folder: Path) -> list[str]:
+        return [path.read_text(encoding="utf-8") for path in sorted(folder.glob("*.py"))]
+
+    readers = sources(ROOT / "scripts") + sources(ROOT / "perfbench")
+    assert unused_definitions(sources(SRC), readers, set(tifsem.__all__)) == []
 
 
 def test_unused_import_is_found():
