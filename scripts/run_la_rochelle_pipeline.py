@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(1, str(ROOT / "src"))
 
 from tifsem import fixtures  # noqa: E402
+from tifsem.cli import _parse_and_validate  # noqa: E402
 from tifsem.graph import Graph, IRI, assert_io  # noqa: E402
-from tifsem.ingest import RawDocument, load_profile, parse_tif  # noqa: E402
 from tifsem.mapping import builtin_rules, check_consistency, materialize  # noqa: E402
 from tifsem.query import evaluate, parse_query, to_text_table  # noqa: E402
 from tifsem.serialize import save_graph, to_jsonld  # noqa: E402
@@ -41,18 +41,15 @@ def main() -> int:
         ("a", "la_rochelle_dialect_a.xml", "dialect_a.json"),
         ("b", "la_rochelle_dialect_b.xml", "dialect_b.json"),
     ]:
-        profile = load_profile((out / "data" / "profiles" / profile_name).read_text())
-        doc = RawDocument.from_path(out / "data" / xml_name)
-        ios, issues = parse_tif(doc, profile)
-        # As `tifsem ingest` does: an error issue blocks every IO with its id,
-        # so two resources sharing an identifier never merge into one node.
-        blocked = {i.io_id for i in issues if i.severity == "error"}
+        # `tifsem ingest`'s own reading: an error issue blocks every IO with
+        # its id, so two resources sharing an identifier never merge.
+        ios, issues = _parse_and_validate((str(out / "data" / xml_name),),
+                                          str(out / "data" / "profiles" / profile_name))
         g = Graph()
         for io in ios:
-            if io.id not in blocked:
-                assert_io(g, io)
+            assert_io(g, io)
         graphs[dialect] = g
-        print(f"== ingested dialect {dialect}: {len(ios)} resources ({len(blocked)} blocked), "
+        print(f"== ingested dialect {dialect}: {len(ios)} clean resources, "
               f"{len(g)} triples, {len(issues)} issues")
 
     same = graphs["v3"] == graphs["a"]

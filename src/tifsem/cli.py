@@ -32,7 +32,7 @@ from tifsem.ingest import (
     load_profile,
     parse_tif,
 )
-from tifsem.ontology import InformationObject
+from tifsem.ontology import IDENTIFIER_PATH, InformationObject
 
 _T = TypeVar("_T")
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
@@ -117,21 +117,28 @@ def _parse_and_validate(
     inputs: tuple[str, ...], profile_path: str | None,
 ) -> tuple[list[InformationObject], list[ValidationIssue]]:
     """Read the profile and every input, then parse each one; ``parse_tif``
-    checks every value.
+    checks every value.  An IO whose id an earlier input holds is an error,
+    reported after its own input's issues.
 
     Returns the IOs free of error issues, in input order, and every issue in
-    report order, document by document.
+    report order, document by document.  An error blocks every IO with its
+    id, in any input, so two resources sharing an id never merge.
     """
     profile = IDENTITY_PROFILE if profile_path is None else _read(profile_path, load_profile)
     documents = [RawDocument.from_path(path) for path in inputs]
-    clean: list[InformationObject] = []
+    parsed: list[InformationObject] = []
     issues: list[ValidationIssue] = []
+    seen: set[str] = set()
     for doc in documents:
         ios, parse_issues = parse_tif(doc, profile)
         issues.extend(parse_issues)
-        blocked = {i.io_id for i in parse_issues if i.severity == "error"}
-        clean.extend(io for io in ios if io.id not in blocked)
-    return clean, issues
+        issues.extend(
+            ValidationIssue("error", io.id, IDENTIFIER_PATH, f"duplicate identifier {io.id!r} in an earlier input")
+            for io in ios if io.id in seen)
+        seen.update(io.id for io in ios)
+        parsed.extend(ios)
+    blocked = {i.io_id for i in issues if i.severity == "error"}
+    return [io for io in parsed if io.id not in blocked], issues
 
 
 @main.command()

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import starmap
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import quote
 
 from tifsem import ontology
@@ -125,6 +125,21 @@ def unescape(text: str) -> str:
         return _UNESCAPES[m.group(3)]
 
     return _UNESCAPE_RE.sub(repl, text) if "\\" in text else text
+
+
+class _Memo(dict):
+    """Key -> ``make(key)``, made on first lookup.  A reader builds each
+    distinct term text once, so every triple naming it shares that one
+    object; Turtle renders each distinct term once per call; a query
+    resolves each node's coordinates once per graph."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 # A term is a ``str`` whose value is its canonical N-Triples text: `<iri>`,

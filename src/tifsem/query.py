@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from tifsem.errors import QuerySyntaxError, QueryTypeError
 from tifsem.graph import (
@@ -44,6 +44,7 @@ from tifsem.graph import (
     Term,
     XSD_STRING,
     _LEXICAL,
+    _Memo,
     unescape,
     vocabulary_iri,
 )
@@ -202,19 +203,19 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+# Each match's kind, by the index of the named group it matched.
+_KINDS = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of a query text, each as (kind, text, offset)."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
+        group = m.lastindex
+        kind = _KINDS[group]
         if kind == "ERROR":
-            raise QuerySyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+            raise QuerySyntaxError(f"unexpected character {m[group]!r}", m.start(group))
+        tokens.append((kind, m[group], m.start(group)))
         if kind == "EOF":  # the scan would match the empty end once more
             break
     return tokens
@@ -230,69 +231,53 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
 
     # token helpers ------------------------------------------------------
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def fail(self, message: str, tok: Optional[_Token] = None) -> QuerySyntaxError:
-        tok = tok or self.peek()
-        return QuerySyntaxError(message, tok.pos)
+    def fail(self, message: str, tok: Optional[tuple[str, str, int]] = None) -> QuerySyntaxError:
+        """An error at ``tok``, by default the next token."""
+        return QuerySyntaxError(message, (tok or self.tokens[self.index])[2])
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
-        """The next token, consumed, when it has this kind (and text)."""
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[tuple[str, str, int]]:
+        """The next token, consumed, when it has this kind (and text).  A
+        keyword, a NAME given in upper case, matches in any case."""
         tok = self.tokens[self.index]
-        if tok.kind == kind and (text is None or tok.text == text):
+        if tok[0] == kind and (text is None or text == tok[1] or kind == "NAME" and text == tok[1].upper()):
             self.index += 1
             return tok
         return None
 
-    def expect(self, kind: str, message: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise self.fail(message, tok)
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "OP" or tok.text != text:
-            raise self.fail(f"expected {text!r}, found {tok.text!r}", tok)
-        return tok
-
-    def keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text.lower() == word:
-            self.next()
-            return True
-        return False
-
-    def expect_keyword(self, word: str) -> None:
-        tok = self.next()
-        if tok.kind != "NAME" or tok.text.lower() != word:
-            raise self.fail(f"expected {word.upper()}", tok)
+    def expect(self, kind: str, text: Optional[str] = None, message: Optional[str] = None) -> tuple[str, str, int]:
+        """``accept``, or an error at the next token: ``message``, else
+        ``expected KEYWORD`` or ``expected 'op', found 'text'``."""
+        if tok := self.accept(kind, text):
+            return tok
+        if message is None:
+            found = self.tokens[self.index][1]
+            message = f"expected {text}" if kind == "NAME" else f"expected {text!r}, found {found!r}"
+        raise self.fail(message)
 
     # grammar ------------------------------------------------------------
     def parse(self) -> Query:
-        while self.keyword("prefix"):
+        while self.accept("NAME", "PREFIX"):
             name = self.next()
-            if name.kind != "PNAME" or not name.text.endswith(":"):
+            if name[0] != "PNAME" or not name[1].endswith(":"):
                 raise self.fail("expected prefix name ending in ':'", name)
-            iri = self.expect("IRIREF", "expected namespace IRI")
-            self.prefixes[name.text[:-1]] = iri.text[1:-1]
+            iri = self.expect("IRIREF", message="expected namespace IRI")
+            self.prefixes[name[1][:-1]] = iri[1][1:-1]
 
-        self.expect_keyword("select")
+        self.expect("NAME", "SELECT")
         projection, group_count = self.parse_projection()
-        self.expect_keyword("where")
-        self.expect_op("{")
+        self.expect("NAME", "WHERE")
+        self.expect("OP", "{")
         patterns, filters = self.parse_group()
         order_by = self.parse_order()
         limit = self.parse_limit()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise self.fail(f"unexpected trailing {tok.text!r}", tok)
+        tok = self.next()
+        if tok[0] != "EOF":
+            raise self.fail(f"unexpected trailing {tok[1]!r}", tok)
 
         query = Query(
             projection=projection,
@@ -310,18 +295,18 @@ class _Parser:
         group_count: Optional[GroupCount] = None
         while True:
             if tok := self.accept("VAR"):
-                projection.append(Var(tok.text[1:]))
+                projection.append(Var(tok[1][1:]))
             elif tok := self.accept("OP", "("):
                 if group_count is not None:
                     raise self.fail("only one GROUP-COUNT aggregate is supported", tok)
-                self.expect_keyword("group-count")
-                self.expect_op("(")
-                var_tok = self.expect("VAR", "expected variable")
-                self.expect_op(")")
-                self.expect_keyword("as")
-                alias_tok = self.expect("VAR", "expected alias variable")
-                self.expect_op(")")
-                group_count = GroupCount(Var(var_tok.text[1:]), Var(alias_tok.text[1:]))
+                self.expect("NAME", "GROUP-COUNT")
+                self.expect("OP", "(")
+                var = self.expect("VAR", message="expected variable")
+                self.expect("OP", ")")
+                self.expect("NAME", "AS")
+                alias = self.expect("VAR", message="expected alias variable")
+                self.expect("OP", ")")
+                group_count = GroupCount(Var(var[1][1:]), Var(alias[1][1:]))
             else:
                 break
         if not projection and group_count is None:
@@ -332,12 +317,12 @@ class _Parser:
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
         while not self.accept("OP", "}"):
-            if self.peek().kind == "EOF":
-                raise self.fail("unterminated group: expected '}'")
-            if self.keyword("filter"):
-                self.expect_op("(")
+            if tok := self.accept("EOF"):
+                raise self.fail("unterminated group: expected '}'", tok)
+            if self.accept("NAME", "FILTER"):
+                self.expect("OP", "(")
                 filters.append(self.parse_or())
-                self.expect_op(")")
+                self.expect("OP", ")")
             else:
                 if len(patterns) == MAX_PATTERNS:
                     raise self.fail(f"more than {MAX_PATTERNS} triple patterns")
@@ -349,34 +334,35 @@ class _Parser:
         return patterns, filters
 
     def parse_term(self, position: str) -> PatternTerm:
+        # The shorthand 'a', unlike a keyword, is lower case only.
         if position == "predicate" and self.accept("NAME", "a"):
             return IRI(RDF_TYPE)
-        tok = self.next()
-        if tok.kind == "VAR":
-            return Var(tok.text[1:])
-        if tok.kind in ("IRIREF", "PNAME"):
+        kind, text, _ = tok = self.next()
+        if kind == "VAR":
+            return Var(text[1:])
+        if kind in ("IRIREF", "PNAME"):
             return self.iri(tok)
-        if tok.kind == "NUMBER":
+        if kind == "NUMBER":
             if position != "object":
                 raise self.fail(f"number not allowed in {position} position", tok)
-            return _number_literal(tok.text)
-        if tok.kind == "STRING":
+            return _number_literal(text)
+        if kind == "STRING":
             if position != "object":
                 raise self.fail(f"literal not allowed in {position} position", tok)
             return self.finish_literal(tok)
-        raise self.fail(f"expected term, found {tok.text!r}", tok)
+        raise self.fail(f"expected term, found {text!r}", tok)
 
-    def finish_literal(self, tok: _Token) -> Literal:
+    def finish_literal(self, tok: tuple[str, str, int]) -> Literal:
         try:
-            lexical = unescape(tok.text[1:-1])
+            lexical = unescape(tok[1][1:-1])
         except ValueError as exc:
             raise self.fail(str(exc), tok) from None
         language, datatype, culprit = None, XSD_STRING, tok
         if tag := self.accept("LANGTAG"):
-            language = tag.text[1:]
+            language = tag[1][1:]
         elif self.accept("OP", "^^"):
             culprit = self.next()
-            if culprit.kind not in ("IRIREF", "PNAME"):
+            if culprit[0] not in ("IRIREF", "PNAME"):
                 raise self.fail("expected datatype IRI", culprit)
             datatype = self.iri(culprit).value
         try:
@@ -384,15 +370,16 @@ class _Parser:
         except ValueError as exc:
             raise self.fail(str(exc), culprit)
 
-    def iri(self, tok: _Token) -> IRI:
+    def iri(self, tok: tuple[str, str, int]) -> IRI:
         """The IRI an IRIREF or prefixed-name token denotes."""
+        kind, text, _ = tok
         try:
-            return IRI(tok.text[1:-1] if tok.kind == "IRIREF" else self.expand_pname(tok))
+            return IRI(text[1:-1] if kind == "IRIREF" else self.expand_pname(tok))
         except ValueError as exc:
             raise self.fail(str(exc), tok)
 
-    def expand_pname(self, tok: _Token) -> str:
-        prefix, _, local = tok.text.partition(":")
+    def expand_pname(self, tok: tuple[str, str, int]) -> str:
+        prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
             raise self.fail(f"unknown prefix {prefix!r}", tok)
         return self.prefixes[prefix] + local
@@ -415,57 +402,57 @@ class _Parser:
             return Not(self.parse_unary())
         if self.accept("OP", "("):
             inner = self.parse_or()
-            self.expect_op(")")
+            self.expect("OP", ")")
             return inner
         if self.accept("PNAME", "geo:distance"):
             return self.parse_distance()
         return self.parse_compare()
 
     def parse_distance(self) -> DistanceWithin:
-        self.expect_op("(")
+        self.expect("OP", "(")
         a = self.parse_term(position="object")
-        self.expect_op(",")
+        self.expect("OP", ",")
         b = self.parse_term(position="object")
-        self.expect_op(")")
+        self.expect("OP", ")")
         if not self.accept("OP", "<"):
             raise self.fail("geo:distance supports only a strict '<' threshold")
-        num = self.expect("NUMBER", "expected numeric threshold")
+        num = self.expect("NUMBER", message="expected numeric threshold")
         try:
-            return DistanceWithin(a, b, float(num.text))
+            return DistanceWithin(a, b, float(num[1]))
         except ValueError as exc:
             raise self.fail(str(exc), num)
 
     def parse_compare(self) -> Compare:
         left = self.parse_term(position="object")
         op = self.next()
-        if op.kind != "OP" or op.text not in _COMPARE:
+        if op[0] != "OP" or op[1] not in _COMPARE:
             raise self.fail("expected comparison operator", op)
         right = self.parse_term(position="object")
-        return Compare(left, op.text, right)
+        return Compare(left, op[1], right)
 
     # modifiers ------------------------------------------------------------
     def parse_order(self) -> Optional[OrderSpec]:
-        if not self.keyword("order"):
+        if not self.accept("NAME", "ORDER"):
             return None
-        self.expect_keyword("by")
+        self.expect("NAME", "BY")
         if tok := self.accept("VAR"):
-            return OrderSpec(Var(tok.text[1:]))
-        descending = self.keyword("desc")
-        if not (descending or self.keyword("asc")):
+            return OrderSpec(Var(tok[1][1:]))
+        descending = self.accept("NAME", "DESC")
+        if not (descending or self.accept("NAME", "ASC")):
             raise self.fail("expected ORDER BY key")
-        self.expect_op("(")
-        var_tok = self.expect("VAR", "expected variable")
-        self.expect_op(")")
-        return OrderSpec(Var(var_tok.text[1:]), not descending)
+        self.expect("OP", "(")
+        var = self.expect("VAR", message="expected variable")
+        self.expect("OP", ")")
+        return OrderSpec(Var(var[1][1:]), not descending)
 
     def parse_limit(self) -> Optional[int]:
-        if not self.keyword("limit"):
+        if not self.accept("NAME", "LIMIT"):
             return None
         tok = self.next()
-        if tok.kind != "NUMBER" or not re.fullmatch(r"[0-9]+", tok.text):
+        if tok[0] != "NUMBER" or not re.fullmatch(r"[0-9]+", tok[1]):
             raise self.fail("LIMIT expects a non-negative integer", tok)
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # more digits than int() converts
             raise self.fail("LIMIT is too large", tok)
 
@@ -612,26 +599,17 @@ def _coordinate(subject, prop: IRI, g: Graph) -> Optional[Decimal]:
 def _points(g: Graph) -> PointOf:
     """The coordinates of a node, resolved once per graph, not per query.
 
-    The graph keeps a dict from node to point, or None, in its ``_points``
-    attribute, next to its indexes, under the key ``(len(g),
+    The graph keeps a ``_Memo`` from node to point, or None, in its
+    ``_points`` attribute, next to its indexes, under the key ``(len(g),
     resolve_point)``.  A graph only grows, so any insert changes its
-    length, and the next call starts a new dict; the function is part of
-    the key so that a rebinding of ``resolve_point`` is called.  Two concurrent readers may
-    fill the same entry, each with the same value."""
+    length, and the next call starts a new memo; the function is part of
+    the key so that a rebinding of ``resolve_point`` is called.  Two
+    concurrent readers may fill the same entry, each with the same value."""
     key = (len(g), resolve_point)
     cached = getattr(g, "_points", None)
     if cached is None or cached[0] != key:
-        cached = g._points = (key, {})
-    points = cached[1]
-
-    def point(term: Term) -> Optional[GeoPoint]:
-        try:
-            return points[term]
-        except KeyError:
-            found = points[term] = resolve_point(term, g)
-            return found
-
-    return point
+        cached = g._points = (key, _Memo(lambda term: resolve_point(term, g)))
+    return cached[1].__getitem__
 
 
 # A row holds one value per variable it binds, at the position a column map

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from tifsem.errors import ExportError, NTriplesParseError
 from tifsem.graph import (
@@ -34,6 +34,7 @@ from tifsem.graph import (
     IRI,
     Literal,
     Term,
+    _Memo,
     unescape,
 )
 from tifsem.ontology import SCHEMA_NS, TIFSEM_NS
@@ -54,20 +55,6 @@ def term_to_ntriples(term: Term) -> str:
     if not isinstance(term, (IRI, BlankNode, Literal)):
         raise TypeError(f"not a term: {term!r}")
     return str(term)
-
-
-class _Memo(dict):
-    """Key -> ``make(key)``, made on first lookup.  A reader builds each
-    distinct term text once, so every triple naming it shares that one
-    object; Turtle renders each distinct term once per call."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 # Sorting finished lines sorts triples by their (subject, predicate, object)

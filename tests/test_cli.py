@@ -38,6 +38,17 @@ def run(runner, *args):
     return runner.invoke(main, [str(a) for a in args])
 
 
+def two_inputs_sharing_an_id(tmp_path) -> tuple[Path, Path]:
+    """Two one-resource files whose resources both carry the id R-1."""
+    paths = []
+    for name, title in (("a", "A"), ("b", "B")):
+        path = tmp_path / f"{name}.xml"
+        path.write_text(f"<TIF><Resource><DublinCore><Identifier>R-1</Identifier><Title>{title}</Title>"
+                        "</DublinCore></Resource></TIF>")
+        paths.append(path)
+    return paths[0], paths[1]
+
+
 class TestIngest:
     def test_dialects_produce_byte_identical_graphs(self, runner, workspace):
         data = workspace / "data"
@@ -209,6 +220,20 @@ class TestIngest:
         assert result.exit_code == 0, result.output
         text = (tmp_path / "merged.nt").read_text()
         assert "io/A-1" in text and "io/B-1" in text
+
+    def test_id_in_an_earlier_input_blocks_it_in_every_input(self, runner, tmp_path):
+        one, two = two_inputs_sharing_an_id(tmp_path)
+        result = run(runner, "ingest", one, two, "--out", tmp_path / "g.nt")
+        assert result.exit_code == 1, result.output
+        assert "io/R-1" not in (tmp_path / "g.nt").read_text()
+        assert (tmp_path / "g.issues.tsv").read_text() == (
+            "ERROR\tR-1\tDublinCore/Identifier\tduplicate identifier 'R-1' in an earlier input\n")
+
+    def test_the_same_input_twice_is_an_error(self, runner, tmp_path):
+        one, _ = two_inputs_sharing_an_id(tmp_path)
+        result = run(runner, "ingest", one, one, "--out", tmp_path / "g.nt")
+        assert result.exit_code == 1, result.output
+        assert (tmp_path / "g.nt").read_text() == ""
 
     def test_turtle_output_inferred_from_extension(self, runner, workspace):
         data = workspace / "data"
@@ -443,6 +468,11 @@ class TestValidate:
         result = run(runner, "validate", bad)
         assert result.exit_code == 1
         assert "ERROR\t" in result.output
+
+    def test_id_in_an_earlier_input_exits_1(self, runner, tmp_path):
+        result = run(runner, "validate", *two_inputs_sharing_an_id(tmp_path))
+        assert result.exit_code == 1
+        assert result.output.endswith("\tduplicate identifier 'R-1' in an earlier input\n")
 
     def test_nan_latitude_is_an_error_line_not_a_crash(self, runner, tmp_path):
         bad = tmp_path / "nan.xml"

@@ -200,6 +200,91 @@ class TestParseErrors:
         with pytest.raises(QuerySyntaxError):
             parse_query(text)
 
+    # One query per error the parser raises, with its exact message and offset.
+    @pytest.mark.parametrize("text, message, position", [
+        pytest.param("PREFIX x <http://e/> SELECT ?x WHERE { ?x ?p ?o }",
+                     "expected prefix name ending in ':'", 7, id="prefix-name"),
+        pytest.param("PREFIX p: p:q SELECT ?x WHERE { ?x ?p ?o }", "expected namespace IRI", 10, id="namespace"),
+        pytest.param("SELEC ?x WHERE { ?x ?p ?o }", "expected SELECT", 0, id="select"),
+        pytest.param("SELECT ?x { ?x ?p ?o }", "expected WHERE", 10, id="where"),
+        pytest.param("SELECT ?x WHERE ?x", "expected '{', found '?x'", 16, id="open-group"),
+        pytest.param("SELECT (GROUP-COUNT(?o) AS ?n) (GROUP-COUNT(?o) AS ?m) WHERE { ?s ?p ?o }",
+                     "only one GROUP-COUNT aggregate is supported", 31, id="two-aggregates"),
+        pytest.param("SELECT (COUNT(?o) AS ?n) WHERE { ?s ?p ?o }", "expected GROUP-COUNT", 8, id="group-count"),
+        pytest.param("SELECT (GROUP-COUNT ?o AS ?n) WHERE { ?s ?p ?o }",
+                     "expected '(', found '?o'", 20, id="aggregate-open"),
+        pytest.param("SELECT (GROUP-COUNT(<http://e/o>) AS ?n) WHERE { ?s ?p ?o }",
+                     "expected variable", 20, id="aggregate-variable"),
+        pytest.param("SELECT (GROUP-COUNT(?o AS ?n) WHERE { ?s ?p ?o }",
+                     "expected ')', found 'AS'", 23, id="aggregate-close"),
+        pytest.param("SELECT (GROUP-COUNT(?o) ?n) WHERE { ?s ?p ?o }", "expected AS", 24, id="as"),
+        pytest.param("SELECT (GROUP-COUNT(?o) AS n) WHERE { ?s ?p ?o }", "expected alias variable", 27, id="alias"),
+        pytest.param("SELECT (GROUP-COUNT(?o) AS ?n WHERE { ?s ?p ?o }",
+                     "expected ')', found 'WHERE'", 30, id="projection-close"),
+        pytest.param("SELECT WHERE { ?s ?p ?o }", "projection must name at least one variable", 7, id="projection"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o ", "unterminated group: expected '}'", 27, id="unterminated"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER ?o = 1 }", "expected '(', found '?o'", 34, id="filter-open"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(?o = 1 }", "expected ')', found '}'", 41, id="filter-close"),
+        pytest.param("SELECT ?s WHERE { 1 ?p ?o }", "number not allowed in subject position", 18, id="number"),
+        pytest.param('SELECT ?s WHERE { ?s "p" ?o }', "literal not allowed in predicate position", 21, id="literal"),
+        pytest.param("SELECT ?s WHERE { ?s ?p { }", "expected term, found '{'", 24, id="term"),
+        pytest.param("SELECT ?x WHERE { ?x A <http://e/C> }", "expected term, found 'A'", 21, id="upper-case-a"),
+        pytest.param('SELECT ?s WHERE { ?s ?p "\\q" }', "invalid escape \\q", 24, id="escape"),
+        pytest.param('SELECT ?s WHERE { ?s ?p "x"^^"y" }', "expected datatype IRI", 29, id="datatype"),
+        pytest.param('PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> '
+                     'SELECT ?s WHERE { ?s ?p "x"^^rdf:langString }',
+                     "language-string literal requires a language tag", 87, id="langstring"),
+        pytest.param("SELECT ?s WHERE { ?s <> ?o }", "IRI must be non-empty", 21, id="empty-iri"),
+        pytest.param("PREFIX p: <> SELECT ?s WHERE { ?s p: ?o }", "IRI must be non-empty", 34, id="empty-pname"),
+        pytest.param("SELECT ?x WHERE { ?x rdf:type ?y }", "unknown prefix 'rdf'", 21, id="unknown-prefix"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(geo:distance ?s, ?o) < 10) }",
+                     "expected '(', found '?s'", 47, id="distance-open"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(geo:distance(?s ?o) < 10) }",
+                     "expected ',', found '?o'", 50, id="distance-comma"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(geo:distance(?s, ?o < 10) }",
+                     "expected ')', found '<'", 54, id="distance-close"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(geo:distance(?s, ?o) > 10) }",
+                     "geo:distance supports only a strict '<' threshold", 55, id="distance-operator"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(geo:distance(?s, ?o) < ?o) }",
+                     "expected numeric threshold", 57, id="threshold"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(geo:distance(?s, ?o) < 0) }",
+                     "distance threshold must be finite and positive", 57, id="threshold-zero"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(?o ?s) }", "expected comparison operator", 37, id="operator"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER((?o = 1) }", "expected ')', found '}'", 43, id="nested-close"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } ORDER ?s", "expected BY", 35, id="by"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } ORDER BY 1", "expected ORDER BY key", 38, id="order-key"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC ?s", "expected '(', found '?s'", 43, id="order-open"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(1)", "expected variable", 43, id="order-variable"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ASC(?s", "expected ')', found ''", 44, id="order-close"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.5", "LIMIT expects a non-negative integer", 35, id="limit"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } LIMIT " + "9" * 5000, "LIMIT is too large", 35, id="huge-limit"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5 ?s", "unexpected trailing '?s'", 37, id="trailing"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } $", "unexpected character '$'", 29, id="character"),
+        pytest.param("SELECT ?y WHERE { ?x ?p ?z }", "projected variable ?y is unbound", 0, id="projected"),
+        pytest.param("SELECT (GROUP-COUNT(?q) AS ?n) WHERE { ?s ?p ?o }",
+                     "aggregated variable ?q is unbound", 0, id="aggregated"),
+        pytest.param("SELECT (GROUP-COUNT(?o) AS ?s) WHERE { ?s ?p ?o }",
+                     "alias ?s shadows a pattern variable", 0, id="shadow"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?z", "ordering variable ?z is unbound", 0, id="ordering"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(?loose = 1) }",
+                     "filter variable ?loose is unbound", 0, id="filter-variable"),
+        pytest.param("SELECT ?s WHERE { ?s ?p ?o FILTER(" + "!" * 5000 + "?o = 1) }",
+                     "filter expression nested too deeply", 0, id="deep-nesting"),
+    ])
+    def test_each_error_names_its_message_and_offset(self, text, message, position):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert (str(err.value), err.value.position) == (f"at offset {position}: {message}", position)
+
+    @pytest.mark.parametrize("text, upper", [
+        ("select ?s Where { ?s ?p ?o FiLtEr(?o = 1) } order by desc(?s) Limit 3",
+         "SELECT ?s WHERE { ?s ?p ?o FILTER(?o = 1) } ORDER BY DESC(?s) LIMIT 3"),
+        ("prefix p: <http://e/> select (Group-Count(?o) As ?n) ?s wHeRe { ?s p:q ?o } Order By Asc(?n)",
+         "PREFIX p: <http://e/> SELECT (GROUP-COUNT(?o) AS ?n) ?s WHERE { ?s p:q ?o } ORDER BY ASC(?n)"),
+    ])
+    def test_keywords_match_in_any_case(self, text, upper):
+        assert parse_query(text) == parse_query(upper)
+
     @pytest.mark.parametrize("count", [MAX_PATTERNS, MAX_PATTERNS + 1], ids=["at-limit", "one-over"])
     @pytest.mark.parametrize("separator", [" . ", " ", " FILTER(?o0 = 1) "], ids=["dot", "blank", "filter"])
     def test_patterns_past_the_limit_are_refused_at_the_first_over(self, count, separator):
@@ -310,11 +395,11 @@ class TestTokenizer:
         ("t:a.b", "PNAME"), ("1.5", "NUMBER"), (".5", "NUMBER"), ("1.e3", "NUMBER"), ("1.5e3", "NUMBER"),
     ])
     def test_inner_dot_stays_in_the_token(self, text, kind):
-        assert [(tok.kind, tok.text) for tok in query._tokenize(text)] == [(kind, text), ("EOF", "")]
+        assert [(k, t) for k, t, _ in query._tokenize(text)] == [(kind, text), ("EOF", "")]
 
     @pytest.mark.parametrize("text, kind", [("t:Hotel.", "PNAME"), ("1.", "NUMBER")])
     def test_final_dot_is_its_own_token(self, text, kind):
-        tokens = [(tok.kind, tok.text) for tok in query._tokenize(text)]
+        tokens = [(k, t) for k, t, _ in query._tokenize(text)]
         assert tokens == [(kind, text[:-1]), ("OP", "."), ("EOF", "")]
 
     def test_dot_ends_the_pattern_after_a_pname_and_an_integer(self):
