@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from tifsem.errors import ProfileError, XmlParseError
-from tifsem.graph import _IRI_FORBIDDEN_RE
+from tifsem.graph import _IRI_FORBIDDEN_RE, _Memo
 from tifsem.ontology import (
     FieldSpec,
     FieldType,
@@ -41,7 +41,6 @@ from tifsem.ontology import (
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SNAPSHOT = load_core_ontology()
 _NO_FIELD = (None, None, None)  # the field table's answer for a path it lacks
-_UNPLACED = object()  # a path not yet placed; ``None`` is a placement (dropped)
 
 
 @dataclass(frozen=True)
@@ -185,40 +184,37 @@ def _walk_resource(resource: ET.Element) -> tuple[list[tuple[str, str, int]], li
     non-empty leaf, repeat being the index of its top-level element among
     same-tag siblings, and a warning for every plain (un-namespaced)
     attribute on it or below it.  A stack of child iterators walks each
-    top-level element, and a level's path is joined once, when a leaf or a
-    warning first needs it, so the walk is linear in depth."""
+    top-level element, and a path is joined only for a leaf or a warning,
+    so a bare chain of any depth joins one."""
     leaves: list[tuple[str, str, int]] = []
     warnings = [("warning", f"{resource.tag}/@{name}", _ATTRIBUTE_IGNORED)
                 for name in resource.keys() if name[0] != "{"]
     tag_counts: dict[str, int] = {}
-    # Per open element, from the top-level one down: its tag, the iterator
-    # over its children, and its path and a "/" for them, None until needed.
+    # Per open element, from the top-level one down to the one walked: its
+    # tag, and for each branch among them the iterator over its children.
     tags: list[str] = []
     levels: list[Iterator[ET.Element]] = []
-    prefixes: list[Optional[str]] = [""]  # "" for the top-level elements themselves
     for element in resource:
         repeat = tag_counts.get(element.tag, 0)
         tag_counts[element.tag] = repeat + 1
         while True:
-            tag = element.tag
+            tags.append(element.tag)
             names = element.keys() and [name for name in element.keys() if name[0] != "{"]
             branch = len(element)
             text = "" if branch else (element.text or "").strip()
             if names or text:
-                if prefixes[-1] is None:
-                    prefixes[-1] = "/".join(tags) + "/"
-                path = prefixes[-1] + tag
+                path = "/".join(tags)
                 if names:
                     warnings.extend(("warning", f"{resource.tag}/{path}/@{name}", _ATTRIBUTE_IGNORED)
                                     for name in names)
                 if text:
                     leaves.append((path, text, repeat))
             if branch:
-                tags.append(tag)
                 levels.append(iter(element))
-                prefixes.append(path + "/" if names else None)  # a branch's path is joined above only for names
+            else:
+                del tags[-1]
             while levels and (element := next(levels[-1], None)) is None:  # the element walked next
-                del tags[-1], levels[-1], prefixes[-1]
+                del tags[-1], levels[-1]
             if not levels:
                 break
     return leaves, warnings
@@ -251,15 +247,16 @@ def _placement(raw_path: str, profile: DialectProfile):
     proper prefix and the path itself that names a field XML text can fill:
     one with a predicate in the field table, so not a geopoint.  An
     extension leaf's kind is its first segment's, or that of the segment's
-    rename.  Only the proper prefixes no longer than the profile's longest
-    key are joined, longest first, so a deep path costs no more than that
-    key allows."""
+    rename.  Only proper prefixes no longer than the profile's longest key
+    are split off and joined, longest first.  A chain with a leaf at every
+    level stays quadratic in depth, as each leaf's full path is kept."""
     if raw_path in profile.dropped_tags:
         return None
     renames = profile.tag_renames
-    segs = raw_path.split("/")
+    depth = raw_path.count("/", 0, profile._key_len + 1)
+    segs = raw_path.split("/", max(depth, 1))  # the first segment gives an extension's kind
     composed = None
-    for i in range(raw_path.count("/", 0, profile._key_len + 1), 0, -1):
+    for i in range(depth, 0, -1):
         prefix = "/".join(segs[:i])
         if prefix in profile.dropped_tags:
             return None
@@ -360,7 +357,7 @@ def parse_tif(
     # text) coerced, once per document: a feed's thousands of leaves take a
     # few dozen paths and far fewer distinct values than leaves, and neither
     # dict outgrows the document's own leaves nor outlives this call's profile.
-    placements: dict[str, object] = {}
+    placements = _Memo(lambda raw_path: _placement(raw_path, profile))
     coerced: dict[tuple[str, str], FieldValue] = {}
 
     for resource in _resources(doc):
@@ -371,9 +368,7 @@ def parse_tif(
         mapped = False
         leaves, resource_issues = _walk_resource(resource)  # issues: severity, path, message
         for raw_path, text, repeat in leaves:
-            placement = placements.get(raw_path, _UNPLACED)
-            if placement is _UNPLACED:
-                placement = placements[raw_path] = _placement(raw_path, profile)
+            placement = placements[raw_path]
             if placement is None:
                 continue
             if isinstance(placement, str):

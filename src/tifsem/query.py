@@ -23,6 +23,7 @@ import csv
 import io
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from operator import eq, ge, gt, itemgetter, le, lt, ne
@@ -603,12 +604,14 @@ def _points(g: Graph) -> PointOf:
     ``_points`` attribute, next to its indexes, under the key ``(len(g),
     resolve_point)``.  A graph only grows, so any insert changes its
     length, and the next call starts a new memo; the function is part of
-    the key so that a rebinding of ``resolve_point`` is called.  Two
-    concurrent readers may fill the same entry, each with the same value."""
+    the key so that a rebinding of ``resolve_point`` is called.  The memo
+    reaches the graph through a weak proxy, so the graph and its memo form
+    no cycle and are freed as soon as the graph is dropped.  Two concurrent
+    readers may fill the same entry, each with the same value."""
     key = (len(g), resolve_point)
     cached = getattr(g, "_points", None)
     if cached is None or cached[0] != key:
-        cached = g._points = (key, _Memo(lambda term: resolve_point(term, g)))
+        cached = g._points = (key, _Memo(lambda term, g=weakref.proxy(g): resolve_point(term, g)))
     return cached[1].__getitem__
 
 

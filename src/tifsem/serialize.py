@@ -162,32 +162,25 @@ def from_ntriples(text: str) -> Graph:
 
     Each line loses its trailing carriage returns.  A line in the form
     `to_ntriples` writes, three term texts each followed by one blank and
-    then `.`, is split at its first two blanks.  Every other line goes to
-    `_read_line`, which takes any blanks and comments and reports the first
-    fault, and so does a split line whose texts name no valid term or a
-    term of the wrong kind.  Each distinct term text is checked and built
-    once, and one already in canonical form becomes its term as it is.  The
-    writer puts each subject's lines together, so a split line's subject is
-    looked up and checked only when its text differs from the one before."""
+    then `.`, is split at its first two blanks, and its three texts are
+    looked up as terms.  Every other line goes to `_read_line`, which takes
+    any blanks and comments and reports the first fault, and so does a
+    split line whose texts name no valid term or a term of the wrong kind.
+    Each distinct term text is checked and built once, and one already in
+    canonical form becomes its term as it is."""
     g = Graph()
     add, built = g._add, _Memo(_term)
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
-    # The subject text of the current run and its term, an IRI or blank
-    # node; no run before the first split line or after a literal subject.
-    run = s = None
     for lineno, line in enumerate(lines, 1):
         parts = line.split(" ", 2)
         if len(parts) == 3:
             subject, predicate, rest = parts
             if rest.endswith(" ."):
                 try:
-                    if subject != run:
-                        s = built[subject]
-                        run = subject if type(s) is not Literal else None
-                    p, o = built[predicate], built[rest[:-2]]
-                    if run is not None and type(p) is IRI:
+                    s, p, o = built[subject], built[predicate], built[rest[:-2]]
+                    if type(s) is not Literal and type(p) is IRI:
                         add(s, p, o)
                         continue
                 except ValueError:

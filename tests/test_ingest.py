@@ -226,6 +226,32 @@ class TestParseTif:
         assert [len(io.extensions) for io in ios] == [1] and issues == []
         assert peak < 50_000_000
 
+    def test_deep_path_keeps_its_remainder(self):
+        # Placement splits off only the segments a profile key can span; the
+        # rest of a path over 1,000 segments deep must come through whole.
+        ns = "http://example.org/ns#"
+        key = "/".join(["Coordonnees"] + ["Bloc"] * 1_000)
+        renamed = DialectProfile(name="p", tag_renames={"Coordonnees": "Contacts", key: "Contacts"},
+                                 extension_namespace=ns)
+        tail = "/".join(["Bloc"] * 200 + ["Note"])
+        data = (b"<TIF><Resource>" + IDENTIFIED + b"<Coordonnees>" + b"<Bloc>" * 1_000
+                + b"<Email>a@example.org</Email>" + b"<Bloc>" * 200 + b"<Note>n</Note>" + b"</Bloc>" * 1_200
+                + b"</Coordonnees></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data), renamed)
+        assert issues == []
+        assert ios[0].granules[GranuleKind.CONTACTS][0].fields == {
+            "Contacts/Email": "a@example.org", f"{ns}{key}/{tail}": "n"}
+        assert normalize_tag(key + "/Email", renamed).path == "Contacts/Email"
+        assert normalize_tag(f"{key}/{tail}", renamed).disposition is TagDisposition.EXTENSION
+        # With no key at all, only the first segment is split off: it
+        # gives the extension its kind.
+        bare = DialectProfile(name="p", extension_namespace=ns)
+        deep = "/".join(["Contacts"] + ["Bloc"] * 1_200 + ["Note"])
+        data = (b"<TIF><Resource>" + IDENTIFIED + b"<Contacts>" + b"<Bloc>" * 1_200 + b"<Note>n</Note>"
+                + b"</Bloc>" * 1_200 + b"</Contacts></Resource></TIF>")
+        ios, issues = parse_tif(doc_bytes(data), bare)
+        assert issues == [] and ios[0].granules[GranuleKind.CONTACTS][0].fields == {ns + deep: "n"}
+
     def test_walk_is_linear_in_depth(self):
         # Building each element's full tag path costs the square of the
         # depth: with 10-character tags, depth 40,000 then takes about 30

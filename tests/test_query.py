@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
 import math
 import random
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -1077,6 +1079,23 @@ class TestPlanner:
         calls.clear()
         assert evaluate(q, g).rows == first
         assert calls["resolve_point"] == 0
+
+    def test_queried_graph_is_freed_without_the_collector(self, materialized_graph):
+        # The coordinate memo the graph keeps must not refer back to the
+        # graph, or the two form a cycle that only the collector frees.  The
+        # collector is off in between, so that no automatic collection frees
+        # the graph before it is checked.
+        g = Graph(materialized_graph)
+        gc.collect()
+        gc.disable()
+        try:
+            assert evaluate(parse_query(fixtures.EXAMPLE1_QUERY), g).rows
+            freed = weakref.ref(g)
+            del g
+            assert freed() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_concurrent_readers_share_the_coordinate_cache(self, materialized_graph):
         g = Graph(materialized_graph)

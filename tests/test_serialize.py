@@ -368,8 +368,9 @@ class TestOnePassReader:
 
 
 def three_lookup_from_ntriples(text: str) -> Graph:
-    """``from_ntriples`` as it read a split line before subject runs: all
-    three term texts looked up and their kinds checked on every line."""
+    """``from_ntriples``'s reading of a split line written out on its own,
+    as a reference for any later shortcut: all three term texts looked up
+    and their kinds checked on every line."""
     g = Graph()
     add, built = g._add, serialize._Memo(serialize._term)
     crlf = "\r" in text
@@ -395,8 +396,9 @@ _RUN = '<http://e/s> <http://e/p> "x" .\n<http://e/s> <http://e/p> <http://e/o> 
 
 
 class TestSubjectRuns:
-    """A split line whose subject text is the one before it reuses that
-    subject's term, and every fault keeps its line and column."""
+    """Runs of split lines with one subject text, as the writer puts them
+    together, read as three lookups per line would, and every fault keeps
+    its line and column."""
 
     @given(st.one_of(subject_runs(), edited_ntriples()))
     @settings(max_examples=500, deadline=None)
